@@ -96,7 +96,7 @@ def _dispatch(args) -> int:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         report = run(records, checks=checks,
                      precision_bits=args.precision_bits, names=args.knot,
-                     workers=args.workers, census_path=args.census)
+                     workers=args.workers)
         print(summarize(report), file=sys.stderr)
         if args.json_out:
             with open(args.json_out, "wb") as f:

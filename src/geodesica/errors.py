@@ -22,6 +22,10 @@ class RepeatedRoots(GeodesicaError):
     """Root finder requires a square-free input; caller must deflate."""
 
 
+class NotIsolating(GeodesicaError):
+    """A root-isolating interval has a root at an endpoint or no sign change."""
+
+
 class DivisionByZero(GeodesicaError):
     """Field inverse of zero."""
 
@@ -76,3 +80,16 @@ class NotAGeodesicEndpoint(GeodesicaError):
 
 class BadCensus(GeodesicaError):
     """Census file violates the schema; message carries record name and field."""
+
+
+class BadArgument(GeodesicaError, ValueError):
+    """A flag, environment variable or argument lies outside its valid range
+    (also a ValueError, for callers that catch the builtin)."""
+
+
+def require_positive_int(value, what: str) -> int:
+    """value if it is an int >= 1 (bool excluded); otherwise BadArgument
+    naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise BadArgument(f"{what} must be a positive integer, got {value!r}")
+    return value

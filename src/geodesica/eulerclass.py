@@ -20,7 +20,13 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .errors import MilnorWoodViolated, NoLiftExists, PrecisionExhausted
+from .errors import (
+    BadArgument,
+    MilnorWoodViolated,
+    NoLiftExists,
+    PrecisionExhausted,
+    require_positive_int,
+)
 from .intervals import ComplexIv, iv, iv_atan, iv_contains_zero, prec_guard
 from .knotgroup import MatrixRep, Word, evaluate_word
 from .numfield import RealPlace, contains_obvious_subfield_flags, is_algebraic_integer
@@ -33,7 +39,15 @@ EULER_SIGN = 1  # fixed by the 7_3 -> (3, 1) anchor
 
 def precision_cap() -> int:
     env = os.environ.get("GEODESICA_PRECISION_CAP")
-    return int(env) if env else DEFAULT_PRECISION_CAP
+    if not env:
+        return DEFAULT_PRECISION_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise BadArgument(
+            f"GEODESICA_PRECISION_CAP must be a positive integer, got {env!r}"
+        ) from None
+    return require_positive_int(cap, "GEODESICA_PRECISION_CAP")
 
 
 @dataclass
@@ -297,7 +311,13 @@ def euler_number(
     """Euler number e([F]) at a real place: the central gap between the
     lifted longitude and the canonical section, with a precision ladder.
     """
-    cap = cap or precision_cap()
+    require_positive_int(precision_bits, "precision_bits")
+    cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
+    if cap < precision_bits:
+        raise PrecisionExhausted(
+            f"euler number at place {place.index}: no rung ran, the start "
+            f"precision {precision_bits} bits exceeds the cap {cap} bits"
+        )
     bits = precision_bits
     last_err: Exception | None = None
     while bits <= cap:

@@ -8,6 +8,7 @@ PSL(2).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .errors import (
     NotARepresentation,
     NotTwoBridge,
 )
-from .numfield import FieldElement, NumberField, nf_inverse
+from .numfield import FieldElement, NumberField
 from .polycore import RatPoly, poly_gcd, square_free_part
 
 
@@ -146,10 +147,10 @@ class Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a)
 
     def inverse(self) -> "Mat2":
-        det = self.det()
-        adj = self.adjugate()
-        inv = nf_inverse(det)
-        return Mat2(adj.a * inv, adj.b * inv, adj.c * inv, adj.d * inv)
+        """Inverse of a det-1 matrix: its adjugate, after an exact det check."""
+        if self.det() != self.a.field.one():
+            raise NotARepresentation("Mat2.inverse needs a det-1 matrix")
+        return self.adjugate()
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
@@ -182,14 +183,14 @@ class Mat2:
     def __pow__(self, n: int) -> "Mat2":
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        K = self.a.field
-        out = Mat2.identity(K)
+        out = None
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return Mat2.identity(self.a.field) if out is None else out
 
 
 @dataclass
@@ -373,6 +374,14 @@ class MatrixRep:
     presentation: KnotPresentation
     field: NumberField
     images: tuple[Mat2, ...]
+    # exact peripheral data, computed on first use and shared by every
+    # place, precision rung and check that reads it
+    _longitude: Optional[Mat2] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _tau: Optional[FieldElement] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.verify()
@@ -400,31 +409,37 @@ class MatrixRep:
         return self.presentation.relators
 
     def longitude_matrix(self) -> Mat2:
-        return evaluate_word(self, self.presentation.longitude)
+        if self._longitude is None:
+            self._longitude = evaluate_word(self, self.presentation.longitude)
+        return self._longitude
 
     def longitude_translation(self) -> FieldElement:
         """tau with longitude image (-1, -tau; 0, -1), after sign normalization."""
-        L = self.longitude_matrix()
-        K = self.field
-        if L.c != K.zero():
-            raise NotARepresentation(
-                f"{self.presentation.name}: longitude image is not upper triangular"
-            )
-        if L.a == K.rational(-1):
-            return -L.b
-        if L.a == K.rational(1):
-            return L.b  # (-1)*(matrix) has the (-1,-tau;0,-1) shape
-        raise NotARepresentation(
-            f"{self.presentation.name}: longitude image diagonal is not +-1"
-        )
+        if self._tau is None:
+            L = self.longitude_matrix()
+            K = self.field
+            if L.c != K.zero():
+                raise NotARepresentation(
+                    f"{self.presentation.name}: longitude image is not upper triangular"
+                )
+            if L.a == K.rational(-1):
+                self._tau = -L.b
+            elif L.a == K.rational(1):
+                self._tau = L.b  # (-1)*(matrix) has the (-1,-tau;0,-1) shape
+            else:
+                raise NotARepresentation(
+                    f"{self.presentation.name}: longitude image diagonal is not +-1"
+                )
+        return self._tau
 
 
 def evaluate_word(rep: MatrixRep, w: Word) -> Mat2:
     """Exact product of generator-image powers, reduced mod the minpoly."""
-    out = Mat2.identity(rep.field)
+    out = None
     for g, e in w.letters:
-        out = out * (rep.images[g] ** e)
-    return out
+        m = rep.images[g] ** e
+        out = m if out is None else out * m
+    return Mat2.identity(rep.field) if out is None else out
 
 
 def build_representation(

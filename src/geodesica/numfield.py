@@ -1,13 +1,16 @@
 """Arithmetic in Q(z) = Q[z]/(m(z)) with certified real and complex embeddings.
 
-Elements live in the power basis 1, z, ..., z^{d-1} with exact rational
-coordinates.  Embeddings return outward-rounded intervals refined on demand;
-refining precision only shrinks the enclosure.
+Elements live in the power basis 1, z, ..., z^{d-1}: an integer vector over
+Z[z] and one positive common denominator, in lowest terms.  Products are
+integer convolutions reduced by the monic integer minimal polynomial.
+Embeddings return outward-rounded intervals refined on demand; refining
+precision only shrinks the enclosure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,8 +49,16 @@ class NumberField:
         if any(c.denominator != 1 for c in minpoly.coeffs):
             raise ValueError("minimal polynomial must have integer coefficients")
         self.minpoly = minpoly
-        self.degree = minpoly.degree
+        self.degree = d = minpoly.degree
         self.name = name
+        # z^d = -(m_0 + m_1 z + ... + m_{d-1} z^{d-1}); indexed (j, m_j), m_j != 0
+        self._reduction = tuple(
+            (j, c.numerator) for j, c in enumerate(minpoly.coeffs[:-1]) if c
+        )
+        self._hash = hash(minpoly)
+        # elements are immutable, so the constants are shared
+        self._zero = FieldElement(self, (0,) * d, 1)
+        self._one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
         self._real_isolation: Optional[RootIsolation] = None
         # keyed by (index, width_bits) / precision_bits so repeated queries
         # reproduce the same enclosure bit-for-bit (report determinism)
@@ -58,28 +69,28 @@ class NumberField:
         return f"NumberField({self.name}, deg {self.degree})"
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly == other.minpoly
+        return self is other or (
+            isinstance(other, NumberField) and self.minpoly == other.minpoly
+        )
 
     def __hash__(self):
-        return hash(self.minpoly)
+        return self._hash
 
     # -- element constructors ------------------------------------------
 
     def element(self, coeffs: Sequence) -> "FieldElement":
         vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = list((RatPoly(vec) % self.minpoly).coeffs)
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        return self._make([c.numerator * (den // c.denominator) for c in vec], den)
 
     def from_poly(self, p: RatPoly) -> "FieldElement":
-        return self.element(list((p % self.minpoly).coeffs))
+        return self.element(p.coeffs)
 
     def zero(self) -> "FieldElement":
-        return self.element(())
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element((1,))
+        return self._one
 
     def gen(self) -> "FieldElement":
         if self.degree == 1:
@@ -87,7 +98,28 @@ class NumberField:
         return self.element((0, 1))
 
     def rational(self, c) -> "FieldElement":
-        return self.element((Fraction(c),))
+        return self.element((c,))
+
+    def _make(self, num: list[int], den: int) -> "FieldElement":
+        """Element num/den for an integer vector of any length and den > 0:
+        reduce mod the minpoly, pad to the degree, cancel to lowest terms."""
+        d = self.degree
+        if len(num) > d:
+            for k in range(len(num) - 1, d - 1, -1):
+                c = num[k]
+                if c:
+                    base = k - d
+                    for j, m in self._reduction:
+                        num[base + j] -= c * m
+            del num[d:]
+        elif len(num) < d:
+            num.extend([0] * (d - len(num)))
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return FieldElement(self, tuple(num), den)
 
     # -- places ----------------------------------------------------------
 
@@ -133,9 +165,15 @@ class NumberField:
         interval (a deterministic function of width_bits)."""
         key = (index, width_bits)
         if key not in self._real_enclosures:
-            base = self.real_isolation().real_intervals[index]
+            # the bisection is one deterministic walk from the base interval,
+            # so resuming it from a coarser enclosure gives the same endpoints
+            coarser = [w for i, w in self._real_enclosures if i == index and w < width_bits]
+            if coarser:
+                start = self._real_enclosures[(index, max(coarser))]
+            else:
+                start = self.real_isolation().real_intervals[index]
             target = Fraction(1, 2 ** width_bits)
-            self._real_enclosures[key] = refine_interval(self.minpoly, base, target)
+            self._real_enclosures[key] = refine_interval(self.minpoly, start, target)
         return self._real_enclosures[key]
 
 
@@ -203,13 +241,22 @@ class ComplexPlace:
 
 
 class FieldElement:
-    """Residue in Q[z]/(m), stored as a rational vector in the power basis."""
+    """Residue in Q[z]/(m): the integer power-basis vector ``num`` over the
+    common denominator ``den``, with den > 0 and gcd(num..., den) == 1, so
+    equality and hashing are structural."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational power-basis coordinates (a derived, read-only view)."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def __repr__(self):
         return f"FieldElement({RatPoly(self.coeffs)!r} in {self.field.name})"
@@ -221,25 +268,28 @@ class FieldElement:
         return [str(c) for c in self.coeffs]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (
+                self.num == other.num and self.den == other.den
+                and self.field == other.field
+            )
         if isinstance(other, (int, Fraction)):
             return self == self.field.rational(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.num, self.den))
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
@@ -250,14 +300,19 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        da, db = self.den, other.den
+        if da == db:
+            return self.field._make([x + y for x, y in zip(self.num, other.num)], da)
+        den = da * db // math.gcd(da, db)
+        fa, fb = den // da, den // db
+        return self.field._make(
+            [x * fa + y * fb for x, y in zip(self.num, other.num)], den
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -267,8 +322,13 @@ class FieldElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        prod = RatPoly(self.coeffs) * RatPoly(other.coeffs)
-        return self.field.from_poly(prod)
+        b = other.num
+        out = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return self.field._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -342,7 +402,14 @@ def minimal_polynomial(e: FieldElement) -> RatPoly:
 
 
 def is_algebraic_integer(e: FieldElement) -> bool:
-    """True iff the monic minimal polynomial of e has integer coefficients."""
+    """True iff the monic minimal polynomial of e has integer coefficients.
+
+    An element of Z[z] is integral because z is (its minpoly is monic over
+    Z), so a denominator of 1 decides at once; any other element may still be
+    integral and takes the minimal-polynomial test.
+    """
+    if e.den == 1:
+        return True
     mp_e = minimal_polynomial(e)
     return all(c.denominator == 1 for c in mp_e.coeffs)
 

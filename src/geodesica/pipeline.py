@@ -18,12 +18,19 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import BadCensus, GeodesicaError
+from .errors import (
+    BadArgument,
+    BadCensus,
+    BadFraction,
+    GeodesicaError,
+    require_positive_int,
+)
 from .eulerclass import (
     DEFAULT_START_BITS,
     euler_tuple,
     obstruction_verdict,
     closed_surface_obstruction,
+    precision_cap,
 )
 from .knotgroup import (
     KnotPresentation,
@@ -95,10 +102,98 @@ def _require(cond: bool, name: str, field_name: str, msg: str = ""):
         raise BadCensus(f"{name}: field {field_name!r} invalid {msg}".strip())
 
 
-def _load_record(row: dict) -> KnotRecord:
-    name = row.get("name") or "<unnamed>"
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _rationals(value, name: str, field_name: str) -> list[Fraction]:
+    """A list of "num" / "num/den" strings, parsed."""
+    _require(
+        isinstance(value, list) and all(isinstance(s, str) for s in value),
+        name, field_name, "(expected a list of rational strings)",
+    )
+    try:
+        return [Fraction(s) for s in value]
+    except (ValueError, ZeroDivisionError):
+        raise BadCensus(
+            f"{name}: field {field_name!r} invalid (not a rational string)"
+        ) from None
+
+
+def _minpoly(row: dict, name: str) -> RatPoly:
+    _require("minpoly" in row, name, "minpoly", "(missing)")
+    m = RatPoly(_rationals(row["minpoly"], name, "minpoly"))
+    _require(
+        m.degree >= 1 and m.leading() == 1 and all(c.denominator == 1 for c in m.coeffs),
+        name, "minpoly", "(expected a monic integer polynomial of degree >= 1)",
+    )
+    return m
+
+
+def _word(text, names: Sequence[str], name: str, field_name: str) -> Word:
+    _require(isinstance(text, str), name, field_name, "(expected a word string)")
+    try:
+        return Word.from_string(text, names)
+    except ValueError as exc:
+        raise BadCensus(f"{name}: field {field_name!r} invalid ({exc})") from None
+
+
+def _check_metadata(row: dict, name: str):
+    """Types of the fields every kind shares, checked before any exact work."""
+    genus = row.get("genus")
+    _require(genus is None or (_is_int(genus) and genus >= 1), name, "genus",
+             "(expected a positive integer or null)")
+    for key in ("fibered", "known_unique"):
+        _require(row.get(key) is None or isinstance(row[key], bool), name, key,
+                 "(expected true, false or null)")
+    flags = row.get("manual_field_flags", {})
+    _require(isinstance(flags, dict), name, "manual_field_flags", "(expected an object)")
+    for key in ("no_real_subfield", "no_quadratic_subfield"):
+        _require(key not in flags or isinstance(flags[key], bool), name,
+                 f"manual_field_flags.{key}", "(expected true or false)")
+    expected = row.get("expected", {})
+    _require(isinstance(expected, dict), name, "expected", "(expected an object)")
+    if "euler" in expected:
+        e = expected["euler"]
+        _require(isinstance(e, list) and all(_is_int(n) for n in e), name,
+                 "expected.euler", "(expected a list of integers)")
+    if "slopes" in expected:
+        slopes = expected["slopes"]
+        _require(isinstance(slopes, list), name, "expected.slopes", "(expected a list)")
+        _rationals([s for s in slopes if s != "inf"], name, "expected.slopes")
+    if "verdict" in expected:
+        _require(isinstance(expected["verdict"], str), name, "expected.verdict",
+                 "(expected a string)")
+    for key in ("slope_cases", "uniqueness_cases"):
+        cases = row.get(key, [])
+        _require(isinstance(cases, list) and all(isinstance(c, dict) for c in cases),
+                 name, key, "(expected a list of objects)")
+    for i, c in enumerate(row.get("slope_cases", [])):
+        where = f"slope_cases[{i}]"
+        _require(isinstance(c.get("label"), str), name, f"{where}.label", "(expected a string)")
+        _require(any(_rationals(c.get("weight"), name, f"{where}.weight")), name,
+                 f"{where}.weight", "(expected a nonzero weight)")
+        pq = c.get("fixed_pq")
+        _require(pq is None or (isinstance(pq, list) and len(pq) == 2
+                                and all(_is_int(n) for n in pq) and any(pq)),
+                 name, f"{where}.fixed_pq", "(expected null or a nonzero [p, q])")
+    for i, c in enumerate(row.get("uniqueness_cases", [])):
+        where = f"uniqueness_cases[{i}]"
+        for key in ("label", "word"):
+            _require(isinstance(c.get(key), str), name, f"{where}.{key}", "(expected a string)")
+        _require(c.get("verdict") is None or isinstance(c["verdict"], str), name,
+                 f"{where}.verdict", "(expected a string)")
+        _rationals(c.get("direction"), name, f"{where}.direction")
+
+
+def _load_record(row, index: int) -> KnotRecord:
+    _require(isinstance(row, dict), f"knots[{index}]", "row", "(expected an object)")
+    name = row.get("name")
+    _require(isinstance(name, str) and bool(name), f"knots[{index}]", "name",
+             "(expected a nonempty string)")
     kind = row.get("kind")
     _require(kind in ("two_bridge", "pretzel", "explicit"), name, "kind")
+    _check_metadata(row, name)
     genus = row.get("genus")
     fibered = row.get("fibered")
     record = KnotRecord(
@@ -112,18 +207,22 @@ def _load_record(row: dict) -> KnotRecord:
         expected=row.get("expected", {}),
     )
     if kind == "two_bridge":
-        _require("p" in row and "q" in row, name, "p/q")
-        _require("minpoly" in row, name, "minpoly")
-        minpoly = RatPoly.from_json(row["minpoly"])
-        pres = two_bridge_presentation(
-            row["p"], row["q"], name=name, genus=genus, fibered=fibered
-        )
+        for key in ("p", "q"):
+            _require(_is_int(row.get(key)), name, key, "(expected an integer)")
+        minpoly = _minpoly(row, name)
+        try:
+            pres = two_bridge_presentation(
+                row["p"], row["q"], name=name, genus=genus, fibered=fibered
+            )
+        except BadFraction as exc:
+            raise BadCensus(f"{name}: field 'p/q' invalid ({exc})") from None
         record.rep = build_representation(pres, minpoly, name=f"Q(z_{name})")
         cert = irreducibility_certificate(minpoly)
         record.irreducibility = cert.status
     elif kind == "pretzel":
-        _require("k" in row, name, "k")
-        record.pretzel_k = int(row["k"])
+        k = row.get("k")
+        _require(_is_int(k) and k >= 1, name, "k", "(expected an integer >= 1)")
+        record.pretzel_k = k
         data = pretzel_holonomy(record.pretzel_k, name=name)
         data.rep.presentation.genus = genus if genus is not None else 1
         data.rep.presentation.fibered = fibered
@@ -132,44 +231,72 @@ def _load_record(row: dict) -> KnotRecord:
             "certified" if data.irreducibility == "certified" else "assumed"
         )
     else:  # explicit
-        if not row.get("images"):
+        images = row.get("images")
+        _require(images is None or isinstance(images, list), name, "images",
+                 "(expected a list or null)")
+        entries = []
+        for i, mat in enumerate(images or ()):
+            _require(isinstance(mat, list) and len(mat) == 4, name, f"images[{i}]",
+                     "(expected four entries)")
+            entries.append([_rationals(e, name, f"images[{i}]") for e in mat])
+        minpoly = _minpoly(row, name) if images or "minpoly" in row else None
+        if not images:
             record.awaiting_data = True
         else:
-            minpoly = RatPoly.from_json(row["minpoly"])
             K = NumberField(minpoly, f"Q(z_{name})")
-            names = tuple(row["generators"])
-            relators = tuple(
-                Word.from_string(w, names) for w in row["relators"]
+            names = row.get("generators")
+            _require(
+                isinstance(names, list) and bool(names)
+                and all(isinstance(g, str) and g.isidentifier() for g in names)
+                and len(set(names)) == len(names),
+                name, "generators", "(expected distinct generator names)",
             )
-            pres = KnotPresentation(
-                name=name,
-                generator_names=names,
-                relators=relators,
-                meridian=Word.from_string(row["meridian"], names),
-                longitude=Word.from_string(row["longitude"], names),
-                genus=genus,
-                fibered=fibered,
-            )
-            images = tuple(
-                Mat2(*(K.element([Fraction(s) for s in entry]) for entry in mat))
-                for mat in row["images"]
-            )
-            rep = MatrixRep(presentation=pres, field=K, images=images)
+            names = tuple(names)
+            _require(len(images) == len(names), name, "images",
+                     "(expected one matrix per generator)")
+            relators = row.get("relators")
+            _require(isinstance(relators, list), name, "relators", "(expected a list)")
+            try:
+                pres = KnotPresentation(
+                    name=name,
+                    generator_names=names,
+                    relators=tuple(
+                        _word(r, names, name, f"relators[{i}]")
+                        for i, r in enumerate(relators)
+                    ),
+                    meridian=_word(row.get("meridian"), names, name, "meridian"),
+                    longitude=_word(row.get("longitude"), names, name, "longitude"),
+                    genus=genus,
+                    fibered=fibered,
+                )
+            except ValueError as exc:
+                raise BadCensus(f"{name}: field 'longitude' invalid ({exc})") from None
+            mats = [Mat2(*(K.element(e) for e in mat)) for mat in entries]
+            rep = MatrixRep(presentation=pres, field=K, images=tuple(mats))
             record.rep = normalize_peripheral(rep)
             record.irreducibility = irreducibility_certificate(minpoly).status
+    if record.rep is not None:
+        names = record.rep.presentation.generator_names
+        for i, c in enumerate(row.get("uniqueness_cases", [])):
+            _word(c["word"], names, name, f"uniqueness_cases[{i}].word")
     return record
 
 
 def load_census(path: Optional[str | Path] = None) -> list[KnotRecord]:
     """Parse and validate the census; representation verification runs
-    eagerly so a bad row fails at load with a named error."""
-    if path is None:
-        text = resources.files("geodesica").joinpath("data/census.json").read_text()
-    else:
-        text = Path(path).read_text()
-    data = json.loads(text)
-    _require(isinstance(data, dict) and "knots" in data, "census", "knots")
-    return [_load_record(row) for row in data["knots"]]
+    eagerly so a bad row fails at load with a named error.  Schema
+    violations raise BadCensus naming the row and the field."""
+    try:
+        if path is None:
+            text = resources.files("geodesica").joinpath("data/census.json").read_text()
+        else:
+            text = Path(path).read_text()
+        data = json.loads(text)
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise BadCensus(f"census: cannot read {path or 'bundled census'} ({exc})") from None
+    _require(isinstance(data, dict) and isinstance(data.get("knots"), list),
+             "census", "knots", "(expected a list of rows)")
+    return [_load_record(row, i) for i, row in enumerate(data["knots"])]
 
 
 def get_knot(records: Sequence[KnotRecord], name: str) -> KnotRecord:
@@ -432,19 +559,19 @@ def _knot_entry(record: KnotRecord, checks: Sequence[str], precision_bits: int) 
     return entry, errors
 
 
-_POOL_RECORDS: dict = {}
+_POOL_RECORDS: list = []
 
 
-def _pool_init(census_path):
-    # one census load per worker process; mpmath state is per-process, so
-    # process (not thread) fan-out is the safe parallelism here
-    _POOL_RECORDS.clear()
-    _POOL_RECORDS.update({r.name: r for r in load_census(census_path)})
+def _pool_init(records):
+    # the records the caller passed to run(), handed over at worker start;
+    # mpmath state is per-process, so process (not thread) fan-out is the
+    # safe parallelism here
+    _POOL_RECORDS[:] = records
 
 
 def _pool_entry(args):
-    name, checks, precision_bits = args
-    return _knot_entry(_POOL_RECORDS[name], checks, precision_bits)
+    index, checks, precision_bits = args
+    return _knot_entry(_POOL_RECORDS[index], checks, precision_bits)
 
 
 def run(
@@ -453,32 +580,35 @@ def run(
     precision_bits: int = DEFAULT_START_BITS,
     names: Optional[Sequence[str]] = None,
     workers: int = 1,
-    census_path: Optional[str | Path] = None,
 ) -> RunReport:
     """Execute the selected checks per knot and assemble the report.
 
     Anchor comparisons come from each record's `expected` block; any
     mismatch or hard error makes the exit status nonzero.  With workers > 1
-    the knots fan out over a bounded process pool (each worker reloads the
-    census from census_path, default bundled); assembly stays a single
-    deterministic reduction in census order.
+    the knots fan out over a bounded process pool whose workers receive the
+    selected records at start, so pool and serial runs compute on the same
+    data; assembly stays a single deterministic reduction in census order.
     """
     t0 = time.perf_counter()
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
-        raise ValueError(f"unknown checks: {bad}; valid: {ALL_CHECKS}")
+        raise BadArgument(f"unknown checks: {bad}; valid: {ALL_CHECKS}")
+    require_positive_int(precision_bits, "precision_bits")
+    require_positive_int(workers, "workers")
+    if "euler" in checks:
+        precision_cap()  # a bad GEODESICA_PRECISION_CAP fails here, not per knot
     selected = [r for r in records if not names or r.name in names]
 
     if workers > 1 and len(selected) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(census_path,)
+            max_workers=workers, initializer=_pool_init, initargs=(selected,)
         ) as pool:
             results = list(
                 pool.map(
                     _pool_entry,
-                    [(r.name, tuple(checks), precision_bits) for r in selected],
+                    [(i, tuple(checks), precision_bits) for i in range(len(selected))],
                 )
             )
     else:

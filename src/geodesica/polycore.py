@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .errors import RepeatedRoots, ZeroModulus, ZeroPolynomial
+from .errors import BadArgument, NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
 from .intervals import ComplexIv, iv, prec_guard
 
 _Q = Fraction
@@ -311,12 +311,26 @@ def sturm_chain(p: RatPoly) -> list[RatPoly]:
     return chain
 
 
-def _sign_variations_at(chain: Sequence[RatPoly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q.eval(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _integer_multiple(p: RatPoly) -> list[int]:
+    """Coefficients of L*p with L > 0 the lcm of the denominators; L*p has
+    the sign of p everywhere."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _sign_at(ints: Sequence[int], x: Fraction) -> int:
+    """Sign of an integer polynomial at x = u/v, from the homogeneous
+    Horner sum of c_i u^i v^(n-i) (v > 0 leaves the sign unchanged)."""
+    u, v = x.numerator, x.denominator
+    acc, vp = 0, 1
+    for c in reversed(ints):
+        acc = acc * u + c * vp
+        vp *= v
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -362,59 +376,55 @@ def sturm_real_roots(p: RatPoly, refine_to: Fraction = Fraction(1, 4)) -> RootIs
     lo, hi = -bound, bound
     # endpoints of the search box are not roots (Cauchy bound is strict)
     intervals: list[tuple[Fraction, Fraction]] = []
+    int_chain = [_integer_multiple(q) for q in chain]
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
         n = va - vb
         if n == 0:
             return
         if n == 1:
-            a, b = _shrink_off_root(sf, a, b)
             intervals.append((a, b))
             return
         mid = (a + b) / 2
-        while sf.eval(mid) == 0:
+        while _sign_at(int_chain[0], mid) == 0:
             # nudge the cut off a root; roots are finitely many
             mid = (a + mid) / 2
-        vm = _sign_variations_at(chain, mid)
+        vm = _sign_variations_at(int_chain, mid)
         split(a, mid, va, vm)
         split(mid, b, vm, vb)
 
-    va = _sign_variations_at(chain, lo)
-    vb = _sign_variations_at(chain, hi)
+    va = _sign_variations_at(int_chain, lo)
+    vb = _sign_variations_at(int_chain, hi)
     split(lo, hi, va, vb)
+    # refine_interval checks each endpoint pair: off-root, with a sign change
     intervals = [refine_interval(sf, itv, refine_to) for itv in intervals]
     intervals.sort()
     return RootIsolation(tuple(intervals), multiplicity_free)
 
 
-def _shrink_off_root(sf: RatPoly, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Endpoint-sign sanity for an isolating interval of the square-free part.
-
-    split() never cuts on a root and the outer Cauchy box is strict, so the
-    endpoints are off-root and a simple interior root forces a sign change.
-    """
-    fa, fb = sf.eval(a), sf.eval(b)
-    assert fa != 0 and fb != 0 and (fa > 0) != (fb > 0)
-    return a, b
-
-
 def refine_interval(p: RatPoly, interval: tuple[Fraction, Fraction], width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval of square-free p down to the given width."""
+    """Bisect an isolating interval of square-free p down to the given width.
+
+    Raises NotIsolating unless p is nonzero at both endpoints with opposite
+    signs there.
+    """
     a, b = interval
-    fa = p.eval(a)
-    assert fa != 0
-    sa = fa > 0
+    ints = _integer_multiple(p)
+    sa = _sign_at(ints, a)
+    if sa == 0 or _sign_at(ints, b) != -sa:
+        raise NotIsolating(f"[{a}, {b}] does not isolate a root of {p!r}")
     while b - a > width:
         mid = (a + b) / 2
-        fm = p.eval(mid)
-        if fm == 0:
+        sm = _sign_at(ints, mid)
+        if sm == 0:
+            # the only root is mid; centre a quarter-width interval on it
             quarter = (b - a) / 8
             a, b = mid - quarter, mid + quarter
-            if p.eval(a) == 0 or p.eval(b) == 0:  # pragma: no cover - rationals
-                continue
-            sa = p.eval(a) > 0
+            sa = _sign_at(ints, a)
+            if sa == 0 or _sign_at(ints, b) != -sa:
+                raise NotIsolating(f"[{a}, {b}] does not isolate a root of {p!r}")
             continue
-        if (fm > 0) == sa:
+        if sm == sa:
             a = mid
         else:
             b = mid
@@ -514,7 +524,7 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
     precision.
     """
     if precision_bits < 53:
-        raise ValueError("precision_bits must be at least 53")
+        raise BadArgument("precision_bits must be at least 53")
     if p.degree < 1:
         return ComplexRootSet((), precision_bits)
     if poly_gcd(p, p.derivative()).degree > 0:

@@ -13,7 +13,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import FactorIdentityFailed, NotARepresentation, PrecisionExhausted
+from .errors import (
+    BadArgument,
+    FactorIdentityFailed,
+    NotARepresentation,
+    PrecisionExhausted,
+)
 from .knotgroup import (
     KnotPresentation,
     Mat2,
@@ -41,7 +46,7 @@ def lambda_poly(k: int) -> RatPoly:
     is checked against the recursion in the test suite.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise BadArgument("k must be nonnegative")
     if k == 0:
         return RatPoly((-1, 1))
     if k == 1:
@@ -79,7 +84,7 @@ def alpha_beta_delta(k: int) -> tuple[RatPoly, RatPoly, RatPoly]:
     Verifies delta_k = alpha_k - 2 beta_k z + beta_k z^2 before returning.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise BadArgument("k must be nonnegative")
     a0, b0, d0 = RatPoly.one(), RatPoly.zero(), RatPoly.one()
     a1 = RatPoly((1, -1, 1))
     b1 = RatPoly((-1,))
@@ -165,7 +170,7 @@ def pretzel_holonomy(k: int, name: Optional[str] = None) -> PretzelData:
     longitude shape (-1, -tau; 0, -1) with tau = -6/z.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadArgument("k must be >= 1")
     lam = lambda_poly(k)
     cert = irreducibility_certificate(lam)
     K = NumberField(lam, name or f"Q(z_{k})")
@@ -214,7 +219,7 @@ def relator_factorization_check(k: int) -> dict:
     (matrix products on one side, recursions on the other).
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadArgument("k must be >= 1")
     s1, s2, s3 = _poly_generators()
     a, b, _d = alpha_beta_delta(k)
     z = RatPoly.x()
@@ -378,7 +383,7 @@ def tangency_chain(k: int) -> dict:
     non-integrality of tr((s2 s1^-1)^r) for 1 <= r <= k.
     """
     if not _is_prime(2 * k + 1):
-        raise ValueError(f"tangency chain requires 2k+1 prime, got {2*k+1}")
+        raise BadArgument(f"tangency chain requires 2k+1 prime, got {2*k+1}")
     data = pretzel_holonomy(k)
     K, rep = data.field, data.rep
     z = K.gen()
@@ -396,6 +401,7 @@ def tangency_chain(k: int) -> dict:
     if not (T * T == Mat2.identity(K)):
         raise FactorIdentityFailed(f"k={k}: T^2 != I (sigma^2 != -I)")
     report["sigma_squared"] = True
+    # T^2 = I, so T is its own inverse (det T = -1; Mat2.inverse needs det 1)
 
     s = [Word.gen(i) for i in range(3)]
     conj_targets = {
@@ -403,7 +409,7 @@ def tangency_chain(k: int) -> dict:
         2: s[0] * s[1] ** -1 * s[0] ** -1,  # sigma s3 sigma^-1
     }
     for gen_index, word in conj_targets.items():
-        lhs = T * rep.images[gen_index] * T.inverse()
+        lhs = T * rep.images[gen_index] * T
         rhs = evaluate_word(rep, word)
         if not lhs.proj_equal(rhs):
             raise FactorIdentityFailed(
@@ -412,7 +418,7 @@ def tangency_chain(k: int) -> dict:
     report["sigma_conjugation"] = True
 
     # sigma s1 sigma^-1 lands back in the group; the exact image is s1^-1
-    lhs = T * rep.images[0] * T.inverse()
+    lhs = T * rep.images[0] * T
     if not lhs.proj_equal(rep.images[0].inverse()):
         raise FactorIdentityFailed(f"k={k}: sigma s1 sigma^-1 != s1^-1")
     report["sigma_s1"] = True

@@ -189,6 +189,24 @@ class TestRepresentation:
         for img in rep_73.images:
             assert img.det() == rep_73.field.one()
 
+    def test_inverse_is_the_adjugate_of_a_det_one_matrix(self, rep_73):
+        K = rep_73.field
+        for img in rep_73.images:
+            assert img.inverse() == img.adjugate()
+            assert img * img.inverse() == Mat2.identity(K)
+
+    def test_inverse_rejects_det_other_than_one(self, rep_74):
+        K = rep_74.field
+        with pytest.raises(NotARepresentation):
+            Mat2(K.rational(2), K.zero(), K.zero(), K.one()).inverse()
+
+    def test_longitude_computed_once_per_representation(self):
+        rep = build_representation(two_bridge_presentation(13, 9), SEXTIC_73)
+        L, tau = rep.longitude_matrix(), rep.longitude_translation()
+        assert rep.longitude_matrix() is L
+        assert rep.longitude_translation() is tau
+        assert L == evaluate_word(rep, rep.presentation.longitude)
+
 
 class TestSubgroupIdentities:
     def test_74_passes(self, rep_74):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -162,3 +163,108 @@ class TestSubfieldFlags:
         K = NumberField(RatPoly([-1, 2, -1, -2, 1]))
         rec = contains_obvious_subfield_flags(K, {"no_real_subfield": False})
         assert rec["no_proper_real_subfield"] is False
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the rational reference RatPoly(a)*RatPoly(b) % m
+# ---------------------------------------------------------------------------
+
+# monic integer minimal polynomials: degree 1, the census cubic and sextic,
+# and a reducible quartic (products and sums need no irreducibility)
+KERNEL_FIELDS = [
+    NumberField(RatPoly([-3, 1])),
+    K74,
+    K73,
+    NumberField(RatPoly([1, 0, 2, 0, 1])),
+]
+IRREDUCIBLE_FIELDS = KERNEL_FIELDS[:3]
+
+
+@st.composite
+def field_and_vectors(draw, fields, count):
+    K = draw(st.sampled_from(fields))
+    # up to 2d coordinates, so inputs longer than the degree get reduced too
+    coords = st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        min_size=0, max_size=2 * K.degree,
+    )
+    return K, [draw(coords) for _ in range(count)]
+
+
+def reference(K, coeffs):
+    return RatPoly(coeffs) % K.minpoly
+
+
+def as_poly(e):
+    return RatPoly(e.coeffs)
+
+
+@given(field_and_vectors(KERNEL_FIELDS, 2))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_rational_reference(data):
+    K, (a, b) = data
+    x, y = K.element(a), K.element(b)
+    ra, rb = reference(K, a), reference(K, b)
+    assert as_poly(x) == ra
+    assert as_poly(x + y) == (ra + rb) % K.minpoly
+    assert as_poly(x - y) == (ra - rb) % K.minpoly
+    assert as_poly(-x) == -ra
+    assert as_poly(x * y) == (ra * rb) % K.minpoly
+    assert len(x.coeffs) == K.degree
+    # canonical form: positive denominator in lowest terms
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+
+
+@given(field_and_vectors(KERNEL_FIELDS, 2))
+@settings(max_examples=200, deadline=None)
+def test_kernel_equality_and_hash_are_structural(data):
+    K, (a, b) = data
+    x, y = K.element(a), K.element(b)
+    same = reference(K, a) == reference(K, b)
+    assert (x == y) == same
+    # the same residue reached by another route is the same element
+    shifted = K.element(list((RatPoly(a) + RatPoly(b) * K.minpoly).coeffs))
+    assert shifted == x and hash(shifted) == hash(x)
+    assert (x * y - y * x).is_zero()
+
+
+@given(field_and_vectors(IRREDUCIBLE_FIELDS, 1))
+@settings(max_examples=150, deadline=None)
+def test_kernel_inverse_against_reference(data):
+    K, (a,) = data
+    x = K.element(a)
+    if x.is_zero():
+        with pytest.raises(DivisionByZero):
+            nf_inverse(x)
+        return
+    inv = nf_inverse(x)
+    assert (reference(K, a) * as_poly(inv)) % K.minpoly == RatPoly([1])
+    assert x * inv == K.one()
+
+
+def test_shared_constants():
+    assert K73.one() is K73.one() and K73.zero() is K73.zero()
+    assert K73.one() == K73.element([1]) and K73.zero() == K73.element([])
+
+
+def test_coeffs_view_is_read_only():
+    e = K74.element([Fraction(1, 2), 3])
+    assert e.coeffs == (Fraction(1, 2), Fraction(3), Fraction(0))
+    with pytest.raises(AttributeError):
+        e.coeffs = (Fraction(0),) * 3
+
+
+def test_integral_fast_path_agrees_with_minimal_polynomial():
+    # z/2 + 1/2 has a nonintegral minimal polynomial; z^2 - 3 is in Z[z]
+    z = K73.gen()
+    for e, integral in ((z * z - 3, True), ((z + 1) / 2, False)):
+        assert is_algebraic_integer(e) is integral
+        assert all(c.denominator == 1 for c in minimal_polynomial(e).coeffs) is integral
+
+
+def test_enclosure_resumed_from_coarser_matches_fresh():
+    fresh, warm = NumberField(K73.minpoly), NumberField(K73.minpoly)
+    for bits in (24, 72, 136):
+        warm.real_root_enclosure(1, bits)
+    assert warm.real_root_enclosure(1, 264) == fresh.real_root_enclosure(1, 264)

@@ -1,11 +1,20 @@
+import contextlib
+import copy
+import dataclasses
+import hashlib
 import json
+import signal
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from geodesica.errors import BadCensus, NotARepresentation
+from geodesica import cli
+from geodesica.errors import BadArgument, BadCensus, NotARepresentation
 from geodesica.pipeline import (
+    ALL_CHECKS,
     get_knot,
     load_census,
     pretzel_chain_clines,
@@ -266,3 +275,193 @@ class TestCLI:
         assert res.returncode == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Report bytes, pool inputs, census schema and input validation
+# ---------------------------------------------------------------------------
+
+# sha256 of the bundled-census report with every check at the default start
+GOLDEN_REPORT_SHA256 = "9baf4622c21ec358630ab5a11816b742721be74b50221b05639c58c0fe08bf2c"
+
+
+def test_golden_report_bytes_serial_and_pool():
+    records = load_census()
+    for workers in (1, 2):
+        data = run(records, ALL_CHECKS, 128, workers=workers).to_json_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORT_SHA256, workers
+
+
+def test_pool_computes_on_the_records_passed_in(census_records):
+    # anchors changed by the caller must reach the workers unchanged
+    names = ["7_4", "P(3,3,3)"]
+    changed = [
+        dataclasses.replace(r, expected={**r.expected, "slopes": ["7"]})
+        if r.name in names else r
+        for r in census_records
+    ]
+    serial = run(changed, checks=("slopes",), names=names)
+    pooled = run(changed, checks=("slopes",), names=names, workers=2)
+    assert serial.anchor_mismatches == pooled.anchor_mismatches == 2
+    assert serial.to_json_bytes() == pooled.to_json_bytes()
+
+
+def _bundled_rows():
+    text = resources.files("geodesica").joinpath("data/census.json").read_text()
+    return json.loads(text)["knots"]
+
+
+def _load_rows(tmp_path, knots):
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps({"schema": 1, "knots": knots}))
+    return load_census(path)
+
+
+def _row(name, **changes):
+    row = copy.deepcopy(next(r for r in _bundled_rows() if r["name"] == name))
+    for key, value in changes.items():
+        if value is None:
+            row.pop(key)
+        else:
+            row[key] = value
+    return row
+
+
+@pytest.mark.parametrize("row, field_name", [
+    (_row("7_4", p="15"), "p"),
+    (_row("7_4", minpoly=["1/0", "4", "-4", "1"]), "minpoly"),
+    (_row("7_4", minpoly=5), "minpoly"),
+    (_row("7_4", minpoly=["2", "4", "-4", "2"]), "minpoly"),
+    (_row("7_4", p=14), "p/q"),
+    (_row("P(3,3,3)", k=0), "k"),
+    (_row("8_15", images=[[["1"], ["1"], ["0"], ["1"]]], minpoly=None), "minpoly"),
+    (_row("7_4", genus="1"), "genus"),
+    (_row("7_4", expected={"slopes": ["x"]}), "expected.slopes"),
+    (_row("7_4", uniqueness_cases=[{"label": "c", "word": "q", "direction": ["1"]}]),
+     "uniqueness_cases[0].word"),
+])
+def test_malformed_row_raises_bad_census(tmp_path, row, field_name):
+    with pytest.raises(BadCensus) as info:
+        _load_rows(tmp_path, [row])
+    assert row["name"] in str(info.value)
+    assert repr(field_name) in str(info.value)
+
+
+@pytest.mark.parametrize("data", [{"knots": 5}, {"knots": [5]}, [], "text"])
+def test_malformed_census_raises_bad_census(tmp_path, data):
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(BadCensus):
+        load_census(path)
+
+
+def test_unreadable_census_raises_bad_census(tmp_path):
+    with pytest.raises(BadCensus):
+        load_census(tmp_path / "missing.json")
+    (tmp_path / "broken.json").write_text("{")
+    with pytest.raises(BadCensus):
+        load_census(tmp_path / "broken.json")
+
+
+# values that are wrong for every census field they replace
+JUNK = st.sampled_from(
+    [None, True, 0, -3, 1.5, "x", "1/0", "", [], [None], ["x"], [[]], {}, {"x": 1}]
+)
+
+
+def _paths(value, prefix=()):
+    """The key path of every position inside a row, outer positions first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# rows cheap to load, one of each kind; the fuzz mutates one position of one row
+FUZZ_ROWS = ["7_3", "7_4", "9_23", "P(3,3,3)", "8_15", "9_49"]
+
+
+@given(st.sampled_from(FUZZ_ROWS), st.data())
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_row_loads_or_raises_bad_census(tmp_path, name, data):
+    row = _row(name)
+    path = data.draw(st.sampled_from(list(_paths(row))))
+    parent = row
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JUNK)
+    try:
+        _load_rows(tmp_path, [row])
+    except BadCensus as exc:
+        row_name = row.get("name")
+        assert (isinstance(row_name, str) and row_name in str(exc)) or "knots[0]" in str(exc)
+        assert str(path[0]) in str(exc)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(*_):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestInputValidation:
+    REPORT = ["report", "--knot", "7_4", "--checks", "euler"]
+
+    def test_zero_precision_bits(self, capsys):
+        with _deadline(120):
+            assert cli.main(self.REPORT + ["--precision-bits", "0"]) == 2
+        assert "BadArgument" in capsys.readouterr().err
+
+    def test_negative_precision_bits(self, capsys):
+        assert cli.main(self.REPORT + ["--precision-bits", "-8"]) == 2
+        assert "BadArgument" in capsys.readouterr().err
+
+    def test_non_integer_precision_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEODESICA_PRECISION_CAP", "abc")
+        assert cli.main(self.REPORT) == 2
+        assert "GEODESICA_PRECISION_CAP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one(self, workers, capsys):
+        assert cli.main(self.REPORT + ["--workers", workers]) == 2
+        assert "workers must be a positive integer" in capsys.readouterr().err
+
+    def test_cap_below_start_says_no_rung_ran(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEODESICA_PRECISION_CAP", "64")
+        assert cli.main(["euler", "--knot", "7_4"]) == 2
+        err = capsys.readouterr().err
+        assert "no rung ran" in err and "None" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pretzel", "--k", "0", "--check", "relators"],
+        ["pretzel", "--k", "4", "--check", "tangency"],  # 2k+1 = 9 is not prime
+        ["render", "--knot", "7_4", "--config", "74-strip", "--precision-bits", "8"],
+    ])
+    def test_out_of_range_subcommand_arguments(self, argv, tmp_path, capsys):
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "strip.svg")]
+        assert cli.main(argv) == 2
+        assert "BadArgument" in capsys.readouterr().err
+
+    def test_library_entry_points_validate(self, census_records):
+        with _deadline(120), pytest.raises(BadArgument):
+            run(census_records, checks=("euler",), precision_bits=0, names=["7_4"])
+        with pytest.raises(BadArgument):
+            run(census_records, checks=("slopes",), names=["7_4"], workers=0)

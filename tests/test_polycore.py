@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geodesica.errors import RepeatedRoots, ZeroModulus, ZeroPolynomial
+from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
 from geodesica.polycore import (
     RatPoly,
     complex_roots,
@@ -12,6 +12,7 @@ from geodesica.polycore import (
     poly_gcd,
     poly_reduce_mod,
     rational_roots,
+    refine_interval,
     square_free_part,
     sturm_real_roots,
 )
@@ -108,6 +109,53 @@ class TestSturm:
             assert (sf.eval(lo) > 0) != (sf.eval(hi) > 0)
         for (a, b), (c, d) in zip(iso.real_intervals, iso.real_intervals[1:]):
             assert b <= c
+
+    def test_non_isolating_interval_raises(self):
+        p = RatPoly([-1, 0, 1])  # roots -1 and 1
+        width = Fraction(1, 8)
+        # two roots inside: the endpoint signs agree
+        with pytest.raises(NotIsolating):
+            refine_interval(p, (Fraction(-2), Fraction(2)), width)
+        # a root at an endpoint
+        with pytest.raises(NotIsolating):
+            refine_interval(p, (Fraction(1), Fraction(3)), width)
+        # no root at all
+        with pytest.raises(NotIsolating):
+            refine_interval(p, (Fraction(2), Fraction(3)), width)
+
+
+def _bisect_by_fractions(p, interval, width):
+    """Reference bisection with exact Fraction evaluation."""
+    a, b = interval
+    sa = p.eval(a) > 0
+    while b - a > width:
+        mid = (a + b) / 2
+        fm = p.eval(mid)
+        if fm == 0:
+            quarter = (b - a) / 8
+            a, b = mid - quarter, mid + quarter
+            sa = p.eval(a) > 0
+            continue
+        if (fm > 0) == sa:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 4, -4, 1],
+    [Fraction(-1, 3), 0, 1],
+    [1, 0, -5, 0, 4],                 # roots at the dyadic points +-1, +-2
+    [Fraction(1, 2), Fraction(-7, 3), 0, 1],
+    [1, 5, -6, -4, 9, -5, 1],
+])
+@pytest.mark.parametrize("bits", [3, 40, 200])
+def test_refinement_endpoints_match_fraction_bisection(coeffs, bits):
+    sf = square_free_part(RatPoly(coeffs))
+    width = Fraction(1, 2 ** bits)
+    for itv in sturm_real_roots(sf).real_intervals:
+        assert refine_interval(sf, itv, width) == _bisect_by_fractions(sf, itv, width)
 
 
 class TestComplexRoots:
