@@ -27,7 +27,7 @@ from .errors import (
     PrecisionExhausted,
     require_positive_int,
 )
-from .intervals import ComplexIv, iv, iv_atan, iv_contains_zero, prec_guard
+from .intervals import ComplexIv, iv, iv_atan, iv_contains_zero, iv_cos_sin, prec_guard
 from .knotgroup import MatrixRep, Word, evaluate_word
 from .numfield import RealPlace, contains_obvious_subfield_flags, is_algebraic_integer
 
@@ -101,7 +101,7 @@ def ucover_mul(x: LiftedElement, y: LiftedElement) -> LiftedElement:
     u = 1 + gamma_2 conj(gamma_1) e^{-2 i omega_1}; |gamma_i| < 1 keeps
     Re(u) > 0, so the principal branch never meets the cut.
     """
-    phase = ComplexIv(iv.cos(-2 * x.omega), iv.sin(-2 * x.omega))
+    phase = ComplexIv(*iv_cos_sin(-2 * x.omega))
     g2ph = y.gamma * phase
     u = ComplexIv.one() + g2ph * x.gamma.conj()
     if not (u.re.a > 0):
@@ -112,7 +112,7 @@ def ucover_mul(x: LiftedElement, y: LiftedElement) -> LiftedElement:
 
 
 def ucover_inv(x: LiftedElement) -> LiftedElement:
-    phase = ComplexIv(iv.cos(2 * x.omega), iv.sin(2 * x.omega))
+    phase = ComplexIv(*iv_cos_sin(2 * x.omega))
     return LiftedElement(-(x.gamma * phase), -x.omega)
 
 
@@ -121,19 +121,31 @@ def ucover_identity() -> LiftedElement:
 
 
 def ucover_pow(x: LiftedElement, n: int) -> LiftedElement:
+    """x^n, started from x: the identity is an exact left unit of
+    ucover_mul (phase exactly (1, 0), u = 1, atan2(0, 1) = 0), so skipping
+    the identity product leaves every endpoint unchanged."""
+    if n == 0:
+        return ucover_identity()
     if n < 0:
         x, n = ucover_inv(x), -n
-    out = ucover_identity()
-    for _ in range(n):
+    out = x
+    for _ in range(n - 1):
         out = ucover_mul(out, x)
     return out
 
 
 def ucover_eval(w: Word, lifts: Sequence[LiftedElement]) -> LiftedElement:
-    out = ucover_identity()
-    for g, e in w.letters:
-        out = ucover_mul(out, ucover_pow(lifts[g], e))
-    return out
+    """Lift of a word: each distinct (generator, exponent) power is built
+    once per call, and the product starts from the first letter's power."""
+    powers: dict[tuple[int, int], LiftedElement] = {}
+    out: Optional[LiftedElement] = None
+    for letter in w.letters:
+        p = powers.get(letter)
+        if p is None:
+            g, e = letter
+            p = powers[letter] = ucover_pow(lifts[g], e)
+        out = p if out is None else ucover_mul(out, p)
+    return ucover_identity() if out is None else out
 
 
 def embed_matrix(rep: MatrixRep, w: Word, place: RealPlace, bits: int):

@@ -3,6 +3,10 @@
 Real quantities use iv.mpf directly; complex quantities are rectangles
 (re, im) of iv.mpf.  Everything rounds outward, so any containment or
 strict-inequality decision made here is sound.
+
+ComplexIv arithmetic, iv_atan and iv_cos_sin run mpmath's interval kernels on
+raw endpoint tuples at iv.prec, in the iv.mpf operators' order: the same
+endpoints without the conversion wrappers.  No other module uses them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,12 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath import iv
+from mpmath.libmp import mpi_add, mpi_atan2, mpi_cos_sin, mpi_div, mpi_mul, mpi_neg, mpi_sub
+
+_make_mpf = iv.make_mpf
+# 0 and 1 are exact at every precision
+_ZERO = iv.mpf(0)._mpi_
+_ONE = iv.mpf(1)._mpi_
 
 
 @contextmanager
@@ -33,13 +43,13 @@ def iv_from_fraction(q: Fraction):
 
 def iv_atan(x):
     """arctan on intervals; the iv context only ships atan2."""
-    return iv.atan2(x, iv.mpf(1))
+    return _make_mpf(mpi_atan2(iv.mpf(x)._mpi_, _ONE, iv.prec))
 
 
-def iv_abs_upper(x) -> mp.mpf:
-    """Upper bound of |x| as a plain mpf."""
-    ax = abs(x)
-    return mp.mpf(ax.b)
+def iv_cos_sin(x):
+    """(iv.cos(x), iv.sin(x)) from a single cos/sin evaluation."""
+    c, s = mpi_cos_sin(iv.mpf(x)._mpi_, iv.prec)
+    return _make_mpf(c), _make_mpf(s)
 
 
 def iv_width(x) -> mp.mpf:
@@ -48,14 +58,6 @@ def iv_width(x) -> mp.mpf:
 
 def iv_mid(x) -> mp.mpf:
     return mp.mpf(x.mid.a)
-
-
-def iv_strictly_positive(x) -> bool:
-    return x.a > 0
-
-
-def iv_strictly_negative(x) -> bool:
-    return x.b < 0
 
 
 def iv_contains_zero(x) -> bool:
@@ -80,25 +82,30 @@ class ComplexIv:
         z = mp.mpc(z)
         return cls(iv.mpf(z.real), iv.mpf(z.imag))
 
-    @classmethod
-    def zero(cls) -> "ComplexIv":
-        return cls(iv.mpf(0), iv.mpf(0))
+    @staticmethod
+    def zero() -> "ComplexIv":
+        return _complex(_ZERO, _ZERO)
 
-    @classmethod
-    def one(cls) -> "ComplexIv":
-        return cls(iv.mpf(1), iv.mpf(0))
+    @staticmethod
+    def one() -> "ComplexIv":
+        return _complex(_ONE, _ZERO)
 
     def __repr__(self):
         return f"ComplexIv({self.re}, {self.im})"
 
     def __add__(self, other):
         other = self._coerce(other)
-        return ComplexIv(self.re + other.re, self.im + other.im)
+        prec = iv.prec
+        return _complex(
+            mpi_add(self.re._mpi_, other.re._mpi_, prec),
+            mpi_add(self.im._mpi_, other.im._mpi_, prec),
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexIv(-self.re, -self.im)
+        prec = iv.prec
+        return _complex(mpi_neg(self.re._mpi_, prec), mpi_neg(self.im._mpi_, prec))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -108,19 +115,25 @@ class ComplexIv:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return ComplexIv(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        prec = iv.prec
+        a, b = self.re._mpi_, self.im._mpi_
+        c, d = other.re._mpi_, other.im._mpi_
+        return _complex(
+            mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec),
+            mpi_add(mpi_mul(a, d, prec), mpi_mul(b, c, prec), prec),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        d = other.re * other.re + other.im * other.im
-        return ComplexIv(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+        prec = iv.prec
+        a, b = self.re._mpi_, self.im._mpi_
+        c, d = other.re._mpi_, other.im._mpi_
+        den = mpi_add(mpi_mul(c, c, prec), mpi_mul(d, d, prec), prec)
+        return _complex(
+            mpi_div(mpi_add(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec), den, prec),
+            mpi_div(mpi_sub(mpi_mul(b, c, prec), mpi_mul(a, d, prec), prec), den, prec),
         )
 
     @staticmethod
@@ -132,7 +145,7 @@ class ComplexIv:
         return ComplexIv(iv.mpf(other), iv.mpf(0))
 
     def conj(self) -> "ComplexIv":
-        return ComplexIv(self.re, -self.im)
+        return _complex(self.re._mpi_, mpi_neg(self.im._mpi_, iv.prec))
 
     def abs2(self):
         val = self.re * self.re + self.im * self.im
@@ -148,15 +161,16 @@ class ComplexIv:
     def abs_upper(self) -> mp.mpf:
         return mp.mpf(self.abs_iv().b)
 
-    def abs_lower(self) -> mp.mpf:
-        lo = self.abs_iv().a
-        return mp.mpf(lo) if lo > 0 else mp.mpf(0)
-
     def contains_zero(self) -> bool:
         return iv_contains_zero(self.re) and iv_contains_zero(self.im)
 
-    def mid_mpc(self) -> mp.mpc:
-        return mp.mpc(iv_mid(self.re), iv_mid(self.im))
-
     def max_width(self) -> mp.mpf:
         return max(iv_width(self.re), iv_width(self.im))
+
+
+def _complex(re, im) -> ComplexIv:
+    """ComplexIv from two raw mpi endpoint tuples."""
+    z = object.__new__(ComplexIv)
+    z.re = _make_mpf(re)
+    z.im = _make_mpf(im)
+    return z

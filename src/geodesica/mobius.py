@@ -374,9 +374,6 @@ class UniqSystem:
     rows: tuple[tuple[Fraction, Fraction, Fraction], ...]
     provenance: str
 
-    def coefficient_matrix(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((r[0], r[1]) for r in self.rows)
-
     def constants(self) -> tuple[Fraction, ...]:
         return tuple(r[2] for r in self.rows)
 

@@ -204,10 +204,6 @@ class RealPlace:
             f"embedding at real place {self.index} did not reach 2^-{precision_bits // 2}"
         )
 
-    def embed_float(self, e: "FieldElement", precision_bits: int = 64) -> mp.mpf:
-        val = self.embed(e, precision_bits)
-        return mp.mpf(val.mid.a)
-
 
 @dataclass(frozen=True)
 class ComplexPlace:
@@ -261,9 +257,6 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({RatPoly(self.coeffs)!r} in {self.field.name})"
 
-    def as_poly(self) -> RatPoly:
-        return RatPoly(self.coeffs)
-
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
@@ -272,11 +265,6 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -423,7 +411,7 @@ def contains_obvious_subfield_flags(field: NumberField, manual_flags: Optional[d
     manual_flags = dict(manual_flags or {})
     d = field.degree
     degree_odd = d % 2 == 1
-    degree_odd_prime = degree_odd and d > 1 and _is_prime(d)
+    degree_odd_prime = degree_odd and d > 1 and is_prime(d)
     record = {
         "degree": d,
         "degree_odd": degree_odd,
@@ -449,7 +437,7 @@ def contains_obvious_subfield_flags(field: NumberField, manual_flags: Optional[d
     return record
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2

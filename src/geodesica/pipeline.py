@@ -38,6 +38,7 @@ from .knotgroup import (
     MatrixRep,
     Word,
     build_representation,
+    evaluate_word,
     normalize_peripheral,
     two_bridge_presentation,
 )
@@ -303,7 +304,7 @@ def get_knot(records: Sequence[KnotRecord], name: str) -> KnotRecord:
     for r in records:
         if r.name == name:
             return r
-    raise KeyError(f"knot {name!r} not in census")
+    raise BadArgument(f"knot {name!r} not in census")
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +432,9 @@ def uniqueness_theorem_check(record: KnotRecord, precision_bits: int = 160) -> d
 def _pretzel_check(record: KnotRecord, precision_bits: int) -> dict:
     k = record.pretzel_k
     out = {"k": k}
-    out["recursion_matches_closed_form"] = lambda_poly(k) == lambda_closed_formula(k)
-    out["degree"] = lambda_poly(k).degree
+    lam = lambda_poly(k)
+    out["recursion_matches_closed_form"] = lam == lambda_closed_formula(k)
+    out["degree"] = lam.degree
     out["entry_identities"] = relator_factorization_check(k)
     census = psi_root_census(k, min(precision_bits, 256))
     out["root_census"] = {
@@ -458,8 +460,7 @@ def pretzel_chain_clines(k: int, precision_bits: int = 128):
     for j in range(1, 2 * k + 1):
         for fam in ("g", "h"):
             word = data.words[f"{fam}{j}"]
-            m = _word_matrix(rep, word)
-            clines.append(h_tau.apply(m))
+            clines.append(h_tau.apply(evaluate_word(rep, word)))
     return [c.realize(place, precision_bits) for c in clines]
 
 
@@ -474,12 +475,6 @@ def strip_74_clines(record: KnotRecord, precision_bits: int = 128):
     x, y = rep.images[0], rep.images[1]
     configs = [H, H.apply(x), H.apply(y), H.apply(x * y.inverse())]
     return [c.realize(place, precision_bits) for c in configs]
-
-
-def _word_matrix(rep: MatrixRep, w: Word) -> Mat2:
-    from .knotgroup import evaluate_word
-
-    return evaluate_word(rep, w)
 
 
 def _render_check(record: KnotRecord, precision_bits: int) -> dict:

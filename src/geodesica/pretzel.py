@@ -28,7 +28,7 @@ from .knotgroup import (
     evaluate_word,
     evaluate_word_poly,
 )
-from .numfield import NumberField, nf_inverse
+from .numfield import NumberField, is_prime, nf_inverse
 from .polycore import (
     RatPoly,
     complex_roots,
@@ -365,24 +365,13 @@ def sigma_conjugation_matrix(K: NumberField) -> Mat2:
     return Mat2(K.one(), (K.one() - z) / z, K.zero(), -K.one())
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def tangency_chain(k: int) -> dict:
     """Verify the exact identities behind the chain-of-tangent-circles
     picture for prime 2k+1: the shared point g_{2k}(0) = (z-1)/(2z), the
     order-two symmetry, its conjugation action on the generators, and the
     non-integrality of tr((s2 s1^-1)^r) for 1 <= r <= k.
     """
-    if not _is_prime(2 * k + 1):
+    if not is_prime(2 * k + 1):
         raise BadArgument(f"tangency chain requires 2k+1 prime, got {2*k+1}")
     data = pretzel_holonomy(k)
     K, rep = data.field, data.rep

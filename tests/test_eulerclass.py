@@ -2,10 +2,12 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from geodesica.errors import MilnorWoodViolated, NoLiftExists, PrecisionExhausted
 from geodesica.eulerclass import (
     EulerResult,
+    LiftedElement,
     canonical_section,
     euler_number,
     euler_tuple,
@@ -20,7 +22,7 @@ from geodesica.eulerclass import (
     ucover_mul,
     ucover_pow,
 )
-from geodesica.intervals import ComplexIv, iv, prec_guard
+from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from geodesica.knotgroup import Word, evaluate_word
 
 
@@ -136,6 +138,106 @@ class TestGroupLaw:
             assert float((p3.gamma - m3.gamma).abs_upper()) < 1e-25
             p_neg = ucover_mul(p3, ucover_pow(x, -3))
             assert abs(float(p_neg.omega.mid.a)) < 1e-20
+
+
+# Reference lift kernel: the group law on ((re, im), omega) with iv.mpf
+# operators and separate iv.cos / iv.sin, every power started from the
+# identity and every letter multiplied onto an identity-started product.
+
+
+def _ref_cmul(p, q):
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c
+
+
+def _ref_ucover_mul(x, y):
+    (xg, xw), (yg, yw) = x, y
+    t = -2 * xw
+    g2ph = _ref_cmul(yg, (iv.cos(t), iv.sin(t)))
+    p = _ref_cmul(g2ph, (xg[0], -xg[1]))
+    u = (iv.mpf(1) + p[0], iv.mpf(0) + p[1])
+    if not (u[0].a > 0):
+        raise PrecisionExhausted("branch certificate")
+    num = (xg[0] + g2ph[0], xg[1] + g2ph[1])
+    den = u[0] * u[0] + u[1] * u[1]
+    gamma = ((num[0] * u[0] + num[1] * u[1]) / den, (num[1] * u[0] - num[0] * u[1]) / den)
+    return gamma, xw + yw + iv.atan2(u[1] / u[0], iv.mpf(1))
+
+
+def _ref_ucover_inv(x):
+    g, w = x
+    t = 2 * w
+    p = _ref_cmul(g, (iv.cos(t), iv.sin(t)))
+    return (-p[0], -p[1]), -w
+
+
+def _ref_identity():
+    return (iv.mpf(0), iv.mpf(0)), iv.mpf(0)
+
+
+def _ref_ucover_eval(letters, lifts):
+    out = _ref_identity()
+    for g, e in letters:
+        x, n = lifts[g], e
+        if n < 0:
+            x, n = _ref_ucover_inv(x), -n
+        power = _ref_identity()
+        for _ in range(n):
+            power = _ref_ucover_mul(power, x)
+        out = _ref_ucover_mul(out, power)
+    return out
+
+
+def _endpoints(lift):
+    if isinstance(lift, LiftedElement):
+        return lift.gamma.re._mpi_, lift.gamma.im._mpi_, lift.omega._mpi_
+    (re, im), w = lift
+    return re._mpi_, im._mpi_, w._mpi_
+
+
+_ENTRY = st.fractions(min_value=-5, max_value=5, max_denominator=50)
+
+
+@st.composite
+def _lift_case(draw):
+    prec = draw(st.integers(min_value=64, max_value=320))
+    ngens = draw(st.integers(min_value=1, max_value=3))
+    mats = []
+    for _ in range(ngens):
+        a = draw(_ENTRY.filter(lambda q: q != 0))
+        b, c = draw(_ENTRY), draw(_ENTRY)
+        mats.append((a, b, c, (1 + b * c) / a, draw(st.integers(-2, 2))))
+    letters = draw(st.lists(
+        st.tuples(st.integers(0, ngens - 1), st.integers(-4, 4).filter(bool)),
+        max_size=12,
+    ))
+    return prec, mats, letters
+
+
+@given(_lift_case())
+@settings(max_examples=120, deadline=None)
+def test_ucover_eval_matches_identity_start_reference(case):
+    prec, mats, letters = case
+    with prec_guard(prec):
+        lifts = []
+        for *entries, shift in mats:
+            try:
+                lift = to_su11(tuple(iv_from_fraction(q) for q in entries))
+            except PrecisionExhausted:
+                assume(False)
+            lifts.append(lift.central_shift(shift))
+        w = Word(letters)
+        ref_lifts = [((L.gamma.re, L.gamma.im), L.omega) for L in lifts]
+        try:
+            expected = _ref_ucover_eval(w.letters, ref_lifts)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                ucover_eval(w, lifts)
+            return
+        assert _endpoints(ucover_eval(w, lifts)) == _endpoints(expected)
+        for g, e in w.letters[:2]:
+            got = ucover_pow(lifts[g], e)
+            assert _endpoints(got) == _endpoints(_ref_ucover_eval(((g, e),), ref_lifts))
 
 
 class TestCanonicalSection:

@@ -460,6 +460,18 @@ class TestInputValidation:
         assert cli.main(argv) == 2
         assert "BadArgument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--knot", "nope"],
+        ["slopes", "--knot", "nope"],
+        ["render", "--knot", "nope", "--config", "74-strip"],
+    ])
+    def test_unknown_knot_name(self, argv, tmp_path, capsys):
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "strip.svg")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "BadArgument" in err and "'nope'" in err
+
     def test_library_entry_points_validate(self, census_records):
         with _deadline(120), pytest.raises(BadArgument):
             run(census_records, checks=("euler",), precision_bits=0, names=["7_4"])
