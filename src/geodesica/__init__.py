@@ -13,7 +13,6 @@ from .polycore import (
     RatPoly,
     complex_roots,
     irreducibility_certificate,
-    poly_reduce_mod,
     sturm_real_roots,
 )
 from .numfield import (

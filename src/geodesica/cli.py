@@ -4,7 +4,9 @@
     geodesica pretzel --k 3 --check all
     geodesica euler   --knot 7_3 --place all --precision-bits 128 --json
     geodesica slopes  --knot 7_4 --json
-    geodesica render  --knot "P(3,3,3)" --config pretzel-chain --out chain.svg
+    geodesica render  --knot "P(3,3,3)" --out chain.svg
+
+slopes, pretzel and render print or draw what the report's own checks return.
 
 GEODESICA_PRECISION_CAP overrides the precision-ladder cap.
 """
@@ -15,26 +17,29 @@ import argparse
 import json
 import sys
 
-from .errors import GeodesicaError
+from .errors import BadArgument, GeodesicaError
 from .eulerclass import euler_number, euler_tuple
 from .pipeline import (
     ALL_CHECKS,
+    KnotRecord,
     get_knot,
     load_census,
-    pretzel_chain_clines,
+    pretzel_check,
+    render_config,
+    render_figure,
     run,
-    strip_74_clines,
+    slopes_check,
     summarize,
 )
-from .mobius import render_svg
-from .pretzel import (
-    lambda_closed_formula,
-    lambda_poly,
-    psi_root_census,
-    relator_factorization_check,
-    tangency_chain,
-)
-from .slopes import slope_set_for_knot
+from .pretzel import pretzel_holonomy
+
+# keys of the report's pretzel entry that each ``pretzel --check`` part prints
+_PRETZEL_PARTS = {
+    "recursion": ("lambda", "degree", "recursion_matches_closed_form"),
+    "relators": ("entry_identities",),
+    "census": ("root_census",),
+    "tangency": ("tangency_chain",),
+}
 
 
 def _add_census_arg(p):
@@ -59,8 +64,7 @@ def main(argv=None) -> int:
 
     p_pret = sub.add_parser("pretzel", help="balanced-pretzel checks")
     p_pret.add_argument("--k", type=int, required=True)
-    p_pret.add_argument("--check", default="all",
-                        choices=["recursion", "relators", "census", "tangency", "all"])
+    p_pret.add_argument("--check", default="all", choices=[*_PRETZEL_PARTS, "all"])
     p_pret.add_argument("--precision-bits", type=int, default=128)
 
     p_euler = sub.add_parser("euler", help="Euler numbers at real places")
@@ -78,7 +82,8 @@ def main(argv=None) -> int:
     p_render = sub.add_parser("render", help="SVG of a boundary configuration")
     _add_census_arg(p_render)
     p_render.add_argument("--knot", required=True)
-    p_render.add_argument("--config", required=True, choices=["pretzel-chain", "74-strip"])
+    p_render.add_argument("--config", default=None, choices=["pretzel-chain", "74-strip"],
+                          help="must match the knot's configuration (default: the knot's)")
     p_render.add_argument("--precision-bits", type=int, default=128)
     p_render.add_argument("--out", required=True)
 
@@ -106,43 +111,27 @@ def _dispatch(args) -> int:
         return report.exit_status
 
     if args.command == "pretzel":
-        k = args.k
-        out = {"k": k}
-        if args.check in ("recursion", "all"):
-            lam = lambda_poly(k)
-            out["lambda"] = lam.to_json()
-            out["degree"] = lam.degree
-            out["matches_closed_form"] = lam == lambda_closed_formula(k)
-        if args.check in ("relators", "all"):
-            out["entry_identities"] = relator_factorization_check(k)
-        if args.check in ("census", "all"):
-            c = psi_root_census(k, args.precision_bits)
-            out["root_census"] = {
-                "real_roots": c.real_count,
-                "per_quadrant": list(c.per_quadrant),
-                "right_half_moduli_exceed_one": c.right_half_moduli_exceed_one,
-            }
-        if args.check in ("tangency", "all"):
-            out["tangency_chain"] = tangency_chain(k)
+        data = pretzel_holonomy(args.k)
+        out = {**pretzel_check(data, args.precision_bits), "lambda": data.lam.to_json()}
+        if args.check != "all":
+            keys = _PRETZEL_PARTS[args.check]
+            if not all(key in out for key in keys):
+                raise BadArgument(
+                    f"{data.rep.presentation.name}: the pretzel check has no "
+                    f"{args.check} part at k={args.k}"
+                )
+            out = {"k": out["k"], **{key: out[key] for key in keys}}
         json.dump(out, sys.stdout, indent=2, sort_keys=True)
         print()
         return 0
 
     if args.command == "euler":
-        records = load_census(args.census)
-        record = get_knot(records, args.knot)
-        if record.rep is None:
-            print(f"{args.knot} is a stub awaiting representation data", file=sys.stderr)
-            return 2
+        record = _knot_with_rep(args)
         if args.place == "all":
             results = euler_tuple(record.rep, args.precision_bits)
         else:
             places = record.rep.field.real_places()
-            try:
-                place = places[int(args.place)]
-            except (ValueError, IndexError):
-                print(f"--place must be 'all' or 0..{len(places) - 1}", file=sys.stderr)
-                return 2
+            place = places[_place_index(record, args.place, len(places))]
             results = (euler_number(record.rep, place, args.precision_bits),)
         payload = {
             "knot": record.name,
@@ -161,47 +150,54 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "slopes":
-        records = load_census(args.census)
-        record = get_knot(records, args.knot)
-        if record.rep is None or not record.slope_cases:
-            print(f"{args.knot}: no slope case descriptors", file=sys.stderr)
-            return 2
-        res = slope_set_for_knot(record.rep, record.slope_cases)
-        payload = {
-            "knot": record.name,
-            "slopes": [str(s) for s in res["slopes"]],
-            "exhaustive": res["exhaustive"],
-            "cases": [
-                {"label": c["label"], "equations": [list(e) for e in c["equations"]],
-                 "pairs": c["pairs"]}
-                for c in res["cases"]
-            ],
-        }
+        record = _knot_with_rep(args)
+        if not record.slope_cases:
+            raise BadArgument(f"{record.name}: no slope case descriptors")
+        payload = {"knot": record.name, **slopes_check(record)}
         if args.json:
             json.dump(payload, sys.stdout, indent=2, sort_keys=True)
             print()
         else:
             print(f"{record.name}: slopes {{{', '.join(payload['slopes'])}}} "
-                  f"(exhaustive: {res['exhaustive']})")
+                  f"(exhaustive: {payload['exhaustive']})")
         return 0
 
     if args.command == "render":
-        records = load_census(args.census)
-        record = get_knot(records, args.knot)
-        if args.config == "pretzel-chain":
-            if record.kind != "pretzel":
-                print("pretzel-chain needs a pretzel knot", file=sys.stderr)
-                return 2
-            clines = pretzel_chain_clines(record.pretzel_k, args.precision_bits)
-        else:
-            clines = strip_74_clines(record, args.precision_bits)
-        svg = render_svg(clines)
+        record = _knot_with_rep(args)
+        config = render_config(record)
+        if args.config is not None and args.config != config:
+            raise BadArgument(
+                f"{record.name}: --config {args.config} does not fit this knot "
+                f"(its configuration: {config or 'none'})"
+            )
+        _, clines, svg = render_figure(record, args.precision_bits)
         with open(args.out, "w") as f:
             f.write(svg)
         print(f"wrote {args.out} ({len(clines)} clines)", file=sys.stderr)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+
+
+def _knot_with_rep(args) -> KnotRecord:
+    record = get_knot(load_census(args.census), args.knot)
+    if record.rep is None:
+        raise BadArgument(f"{record.name} is a stub awaiting representation data")
+    return record
+
+
+def _place_index(record: KnotRecord, text: str, count: int) -> int:
+    """The real-place index ``--place`` names; anything but 0..count-1 is refused."""
+    try:
+        index = int(text)
+    except ValueError:
+        index = -1
+    if not 0 <= index < count:
+        raise BadArgument(
+            f"{record.name}: --place must be 'all' or a real place index "
+            f"0..{count - 1}, got {text!r}"
+        )
+    return index
 
 
 if __name__ == "__main__":

@@ -112,22 +112,24 @@ class Word:
         return tuple(sums)
 
 
-def abelianization_exponents(w: Word, generator_count: int) -> tuple[int, ...]:
-    """Per-generator exponent sums of the word."""
-    return w.exponent_sums(generator_count)
-
-
 class Mat2:
-    """2x2 matrix over a number field."""
+    """2x2 matrix over an exact ring: a number field, or Q[z] as RatPoly for
+    the Riley polynomial and the pretzel entry identities, where no modulus
+    is in play.  The ring supplies 0 and 1 through ``one()`` and ``zero()``."""
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
+    def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
-    def identity(cls, K: NumberField) -> "Mat2":
-        return cls(K.one(), K.zero(), K.zero(), K.one())
+    def identity(cls, ring) -> "Mat2":
+        """The identity over ``ring``: a NumberField, or the RatPoly class."""
+        return cls(ring.one(), ring.zero(), ring.zero(), ring.one())
+
+    def ring(self):
+        """What supplies the entries' 0 and 1 (see ``identity``)."""
+        return self.a.field if isinstance(self.a, FieldElement) else type(self.a)
 
     def __mul__(self, o: "Mat2") -> "Mat2":
         return Mat2(
@@ -137,10 +139,10 @@ class Mat2:
             self.c * o.b + self.d * o.d,
         )
 
-    def det(self) -> FieldElement:
+    def det(self):
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> FieldElement:
+    def trace(self):
         return self.a + self.d
 
     def adjugate(self) -> "Mat2":
@@ -148,7 +150,7 @@ class Mat2:
 
     def inverse(self) -> "Mat2":
         """Inverse of a det-1 matrix: its adjugate, after an exact det check."""
-        if self.det() != self.a.field.one():
+        if self.det() != self.ring().one():
             raise NotARepresentation("Mat2.inverse needs a det-1 matrix")
         return self.adjugate()
 
@@ -171,8 +173,7 @@ class Mat2:
         return self == other or self == -other
 
     def is_proj_identity(self) -> bool:
-        K = self.a.field
-        return self.proj_equal(Mat2.identity(K))
+        return self.proj_equal(Mat2.identity(self.ring()))
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -190,7 +191,7 @@ class Mat2:
             n >>= 1
             if n:
                 base = base * base
-        return Mat2.identity(self.a.field) if out is None else out
+        return Mat2.identity(self.ring()) if out is None else out
 
 
 @dataclass
@@ -259,66 +260,6 @@ def two_bridge_presentation(
     )
 
 
-# ---------------------------------------------------------------------------
-# Symbolic 2x2 matrices over Z[z] (for Riley polynomials and the pretzel
-# entry identities, where no modulus is in play)
-# ---------------------------------------------------------------------------
-
-
-class PolyMat2:
-    """2x2 matrix with RatPoly entries and determinant 1."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: RatPoly, b: RatPoly, c: RatPoly, d: RatPoly):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def identity(cls) -> "PolyMat2":
-        return cls(RatPoly.one(), RatPoly.zero(), RatPoly.zero(), RatPoly.one())
-
-    def __mul__(self, o: "PolyMat2") -> "PolyMat2":
-        return PolyMat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
-    def adjugate(self) -> "PolyMat2":
-        return PolyMat2(self.d, -self.b, -self.c, self.a)
-
-    def det(self) -> RatPoly:
-        return self.a * self.d - self.b * self.c
-
-    def trace(self) -> RatPoly:
-        return self.a + self.d
-
-    def __pow__(self, n: int) -> "PolyMat2":
-        base = self if n >= 0 else self.adjugate()  # valid for det 1
-        n = abs(n)
-        out = PolyMat2.identity()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __sub__(self, o: "PolyMat2") -> "PolyMat2":
-        return PolyMat2(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-
-def evaluate_word_poly(w: Word, images: Sequence[PolyMat2]) -> PolyMat2:
-    out = PolyMat2.identity()
-    for g, e in w.letters:
-        out = out * (images[g] ** e)
-    return out
-
-
 def riley_polynomial(pres: KnotPresentation) -> RatPoly:
     """Square-free polynomial whose roots parameterize the parabolic
     representations a -> (1 1; 0 1), b -> (1 0; z 1) of a two-bridge group.
@@ -328,12 +269,12 @@ def riley_polynomial(pres: KnotPresentation) -> RatPoly:
     """
     w = _two_bridge_w(pres)
     z = RatPoly.x()
-    A = PolyMat2(RatPoly.one(), RatPoly.one(), RatPoly.zero(), RatPoly.one())
-    B = PolyMat2(RatPoly.one(), RatPoly.zero(), z, RatPoly.one())
-    W = evaluate_word_poly(w, [A, B])
-    D = (A * W) - (W * B)
+    A = Mat2(RatPoly.one(), RatPoly.one(), RatPoly.zero(), RatPoly.one())
+    B = Mat2(RatPoly.one(), RatPoly.zero(), z, RatPoly.one())
+    W = evaluate_word((A, B), w)
     g = RatPoly.zero()
-    for entry in D.entries():
+    for x, y in zip((A * W).entries(), (W * B).entries()):
+        entry = x - y
         g = entry if g.is_zero() else poly_gcd(g, entry)
     if g.is_zero():
         raise NotTwoBridge("a.w == w.b identically; degenerate presentation")
@@ -433,13 +374,16 @@ class MatrixRep:
         return self._tau
 
 
-def evaluate_word(rep: MatrixRep, w: Word) -> Mat2:
-    """Exact product of generator-image powers, reduced mod the minpoly."""
+def evaluate_word(rep: MatrixRep | Sequence[Mat2], w: Word) -> Mat2:
+    """Exact product of generator-image powers, taken from a representation
+    or from the generator images themselves (matrices over Q[z] for the
+    Riley polynomial and the pretzel identities)."""
+    images = rep.images if isinstance(rep, MatrixRep) else rep
     out = None
     for g, e in w.letters:
-        m = rep.images[g] ** e
+        m = images[g] ** e
         out = m if out is None else out * m
-    return Mat2.identity(rep.field) if out is None else out
+    return Mat2.identity(images[0].ring()) if out is None else out
 
 
 def build_representation(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .errors import DivisionByZero, PrecisionExhausted
-from .intervals import ComplexIv, iv, prec_guard
+from .intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from .polycore import (
     ComplexRootSet,
     RatPoly,
@@ -196,7 +196,7 @@ class RealPlace:
         while bits <= _PRECISION_HARD_CAP:
             with prec_guard(bits + 16):
                 x = self.root_interval(bits)
-                val = RatPoly(e.coeffs).eval_iv(x)
+                val = RatPoly(e.coeffs).eval(x, iv_from_fraction)
                 if mp.mpf(val.delta.b) < target:
                     return val
             bits *= 2
@@ -227,7 +227,7 @@ class ComplexPlace:
         while bits <= _PRECISION_HARD_CAP:
             with prec_guard(bits + 16):
                 box = self.root_box(bits)
-                val = RatPoly(e.coeffs).eval_civ(box)
+                val = RatPoly(e.coeffs).eval(box, ComplexIv.from_fraction)
                 if val.max_width() < target:
                     return val
             bits *= 2

@@ -50,11 +50,11 @@ from .mobius import (
     uniqueness_system,
 )
 from .mobius import tangency as mobius_tangency
-from .numfield import NumberField
+from .numfield import NumberField, is_prime
 from .polycore import RatPoly, irreducibility_certificate
 from .pretzel import (
+    PretzelData,
     lambda_closed_formula,
-    lambda_poly,
     pretzel_holonomy,
     psi_root_census,
     relator_factorization_check,
@@ -76,7 +76,7 @@ class KnotRecord:
     manual_field_flags: dict
     expected: dict
     rep: Optional[MatrixRep] = None
-    pretzel_k: Optional[int] = None
+    pretzel: Optional[PretzelData] = None  # the loader's holonomy, for pretzel rows
     awaiting_data: bool = False
     irreducibility: Optional[str] = None
 
@@ -223,14 +223,12 @@ def _load_record(row, index: int) -> KnotRecord:
     elif kind == "pretzel":
         k = row.get("k")
         _require(_is_int(k) and k >= 1, name, "k", "(expected an integer >= 1)")
-        record.pretzel_k = k
-        data = pretzel_holonomy(record.pretzel_k, name=name)
+        data = pretzel_holonomy(k, name=name)
         data.rep.presentation.genus = genus if genus is not None else 1
         data.rep.presentation.fibered = fibered
+        record.pretzel = data
         record.rep = data.rep
-        record.irreducibility = (
-            "certified" if data.irreducibility == "certified" else "assumed"
-        )
+        record.irreducibility = data.irreducibility
     else:  # explicit
         images = row.get("images")
         _require(images is None or isinstance(images, list), name, "images",
@@ -339,7 +337,7 @@ def _euler_check(record: KnotRecord, precision_bits: int) -> dict:
     return out
 
 
-def _slopes_check(record: KnotRecord) -> dict:
+def slopes_check(record: KnotRecord) -> dict:
     cases = record.slope_cases
     res = slope_set_for_knot(record.rep, cases)
     out = {
@@ -368,7 +366,9 @@ def _slope_sort_key(s: str):
     return (0, Fraction(s))
 
 
-def _uniqueness_check(record: KnotRecord) -> dict:
+def uniqueness_check(record: KnotRecord) -> dict:
+    """Solve each endpoint system of the knot's uniqueness cases once; for
+    a knot with a known unique surface, assemble the theorem from them."""
     rep = record.rep
     K = rep.field
     out_cases = []
@@ -390,51 +390,44 @@ def _uniqueness_check(record: KnotRecord) -> dict:
             entry["verdict_matches"] = verdict == case["verdict"]
         out_cases.append(entry)
     out = {"cases": out_cases, "all_excluded": all_excluded}
-    if record.known_unique and record.uniqueness_cases:
-        out["theorem"] = uniqueness_theorem_check(record)
+    if record.known_unique and out_cases:
+        out["theorem"] = _uniqueness_theorem(record, all_excluded)
     return out
 
 
-def uniqueness_theorem_check(record: KnotRecord, precision_bits: int = 160) -> dict:
+def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool,
+                        precision_bits: int = 160) -> dict:
     """Assembled uniqueness verification for a knot with pinned case data.
 
     Two ingredients: (1) a candidate vertical lift cannot avoid the known
     surface's lifts -- for the 15/11 knot the two hemispherical lifts cross
     (certified Secant), for the pretzel the chain identities hold exactly --
-    and (2) every endpoint system excludes a transverse geodesic, so no
-    candidate surface distinct from the known one exists.
+    and (2) every endpoint system excludes a transverse geodesic (the
+    verdicts ``uniqueness_check`` has just computed), so no candidate
+    surface distinct from the known one exists.
     """
-    rep = record.rep
-    K = rep.field
-    coverage = None
-    if record.kind == "pretzel":
-        chain = tangency_chain(record.pretzel_k)
+    if record.pretzel is not None:
+        chain = tangency_chain(record.pretzel)
         coverage = {"kind": "chain_identities", "ok": all(chain.values())}
     else:
         clines = strip_74_clines(record, precision_bits)
         t = mobius_tangency(clines[2], clines[3])
         coverage = {"kind": "lift_pair_crossing", "classification": t.kind,
                     "ok": t.kind == "Secant"}
-    exclusions = []
-    for case in record.uniqueness_cases:
-        word = Word.from_string(case["word"], rep.presentation.generator_names)
-        direction = K.element([Fraction(x) for x in case["direction"]])
-        _, verdict = uniqueness_system(word, direction, rep, case["label"])
-        exclusions.append(excludes_surface(verdict))
-    ok = bool(coverage["ok"] and exclusions and all(exclusions))
     return {
         "coverage": coverage,
-        "all_cases_excluded": bool(exclusions and all(exclusions)),
-        "unique_surface_confirmed": ok,
+        "all_cases_excluded": all_cases_excluded,
+        "unique_surface_confirmed": coverage["ok"] and all_cases_excluded,
     }
 
 
-def _pretzel_check(record: KnotRecord, precision_bits: int) -> dict:
-    k = record.pretzel_k
+def pretzel_check(data: PretzelData, precision_bits: int) -> dict:
+    """The pretzel check on the holonomy the loader (or ``pretzel --k``)
+    built: recursion, entry identities, root census and tangency chain."""
+    k = data.k
     out = {"k": k}
-    lam = lambda_poly(k)
-    out["recursion_matches_closed_form"] = lam == lambda_closed_formula(k)
-    out["degree"] = lam.degree
+    out["recursion_matches_closed_form"] = data.lam == lambda_closed_formula(k)
+    out["degree"] = data.lam.degree
     out["entry_identities"] = relator_factorization_check(k)
     census = psi_root_census(k, min(precision_bits, 256))
     out["root_census"] = {
@@ -442,22 +435,21 @@ def _pretzel_check(record: KnotRecord, precision_bits: int) -> dict:
         "per_quadrant": list(census.per_quadrant),
         "right_half_moduli_exceed_one": census.right_half_moduli_exceed_one,
     }
-    if (2 * k + 1) in (3, 5, 7, 11, 13):
-        out["tangency_chain"] = tangency_chain(k)
-    out["irreducibility"] = record.irreducibility
+    if is_prime(2 * k + 1):
+        out["tangency_chain"] = tangency_chain(data)
+    out["irreducibility"] = data.irreducibility
     return out
 
 
-def pretzel_chain_clines(k: int, precision_bits: int = 128):
+def pretzel_chain_clines(data: PretzelData, precision_bits: int = 128):
     """The chain configuration: boundary lines of H_tau and s1(H_tau), and
     the circles C_1..C_2k, D_1..D_2k, realized at the geometric embedding."""
-    data = pretzel_holonomy(k)
     K, rep = data.field, data.rep
     tau = rep.longitude_translation()
     h_tau = ExactCline((K.zero(), tau, INF))
     place = K.geometric_place(precision_bits)
     clines = [h_tau, h_tau.apply(rep.images[0])]
-    for j in range(1, 2 * k + 1):
+    for j in range(1, 2 * data.k + 1):
         for fam in ("g", "h"):
             word = data.words[f"{fam}{j}"]
             clines.append(h_tau.apply(evaluate_word(rep, word)))
@@ -477,15 +469,29 @@ def strip_74_clines(record: KnotRecord, precision_bits: int = 128):
     return [c.realize(place, precision_bits) for c in configs]
 
 
-def _render_check(record: KnotRecord, precision_bits: int) -> dict:
-    if record.kind == "pretzel":
-        clines = pretzel_chain_clines(record.pretzel_k, precision_bits)
-        svg = render_svg(clines)
-        config = "pretzel-chain"
-    else:
+def render_config(record: KnotRecord) -> Optional[str]:
+    """The boundary configuration the render check draws for the knot, if any."""
+    if record.pretzel is not None:
+        return "pretzel-chain"
+    if record.name == "7_4":
+        return "74-strip"
+    return None
+
+
+def render_figure(record: KnotRecord, precision_bits: int) -> tuple[str, list, str]:
+    """(config, clines, SVG) of the knot's boundary configuration."""
+    config = render_config(record)
+    if config == "pretzel-chain":
+        clines = pretzel_chain_clines(record.pretzel, precision_bits)
+    elif config == "74-strip":
         clines = strip_74_clines(record, precision_bits)
-        svg = render_svg(clines)
-        config = "74-strip"
+    else:
+        raise BadArgument(f"{record.name}: no boundary configuration to render")
+    return config, clines, render_svg(clines)
+
+
+def _render_check(record: KnotRecord, precision_bits: int) -> dict:
+    config, clines, svg = render_figure(record, precision_bits)
     return {
         "config": config,
         "cline_count": len(clines),
@@ -530,19 +536,19 @@ def _knot_entry(record: KnotRecord, checks: Sequence[str], precision_bits: int) 
             continue
         if check == "uniqueness" and not record.uniqueness_cases:
             continue
-        if check == "pretzel" and record.kind != "pretzel":
+        if check == "pretzel" and record.pretzel is None:
             continue
-        if check == "render" and record.kind not in ("pretzel",) and record.name != "7_4":
+        if check == "render" and render_config(record) is None:
             continue
         try:
             if check == "euler":
                 entry["euler"] = _euler_check(record, precision_bits)
             elif check == "slopes":
-                entry["slopes"] = _slopes_check(record)
+                entry["slopes"] = slopes_check(record)
             elif check == "uniqueness":
-                entry["uniqueness"] = _uniqueness_check(record)
+                entry["uniqueness"] = uniqueness_check(record)
             elif check == "pretzel":
-                entry["pretzel"] = _pretzel_check(record, precision_bits)
+                entry["pretzel"] = pretzel_check(record.pretzel, precision_bits)
             elif check == "render":
                 entry["render"] = _render_check(record, precision_bits)
         except GeodesicaError as exc:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import mpmath as mp
 
 from .errors import BadArgument, NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
-from .intervals import ComplexIv, iv, prec_guard
+from .intervals import ComplexIv, prec_guard
 
 _Q = Fraction
 
@@ -208,29 +208,14 @@ class RatPoly:
 
     # -- evaluation -----------------------------------------------------
 
-    def eval(self, x: Fraction) -> Fraction:
-        acc = _Q(0)
+    def eval(self, x, coeff=_Q):
+        """Horner evaluation at x.  ``coeff`` maps each rational coefficient
+        into the ring of x: the default keeps exact rationals exact, and
+        ``iv_from_fraction`` or ``ComplexIv.from_fraction`` give an
+        outward-rounded interval or complex-box enclosure."""
+        acc = coeff(_Q(0))
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_iv(self, x) -> "iv.mpf":
-        """Horner evaluation at an iv.mpf interval (outward-rounded)."""
-        acc = iv.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + iv.mpf(c.numerator) / c.denominator
-        return acc
-
-    def eval_civ(self, x: ComplexIv) -> ComplexIv:
-        acc = ComplexIv(iv.mpf(0), iv.mpf(0))
-        for c in reversed(self.coeffs):
-            acc = acc * x + ComplexIv.from_fraction(c)
-        return acc
-
-    def eval_mpc(self, x):
-        acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + mp.mpf(c.numerator) / c.denominator
+            acc = acc * x + coeff(c)
         return acc
 
     # -- content and integer normalization -------------------------------
@@ -273,13 +258,6 @@ def square_free_part(p: RatPoly) -> RatPoly:
     if g.degree <= 0:
         return p.monic()
     return (p // g).monic()
-
-
-def poly_reduce_mod(a: RatPoly, m: RatPoly) -> RatPoly:
-    """Remainder of a mod m, exact arithmetic."""
-    if m.is_zero():
-        raise ZeroModulus("reduction modulo the zero polynomial")
-    return a % m
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +409,6 @@ def refine_interval(p: RatPoly, interval: tuple[Fraction, Fraction], width: Frac
     return a, b
 
 
-def count_roots_by_grid(p: RatPoly, step: Fraction = Fraction(1, 64)) -> int:
-    """Independent oracle: count sign changes of the square-free part on a
-    fine rational grid over the Cauchy box.  Misses nothing when the grid is
-    finer than the minimal root gap; intended for test polynomials only.
-    """
-    sf = square_free_part(p)
-    bound = root_bound(sf)
-    x = -bound
-    count = 0
-    prev = sf.eval(x)
-    while x < bound:
-        x += step
-        cur = sf.eval(x)
-        if cur == 0:
-            count += 1
-            x += step / 2
-            cur = sf.eval(x)
-        elif (prev > 0) != (cur > 0):
-            count += 1
-        prev = cur
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Certified complex roots (Durand-Kerner + Weierstrass disk certification)
 # ---------------------------------------------------------------------------
@@ -504,7 +459,7 @@ def _weierstrass_radii(p: RatPoly, approx: list, bits: int):
         lc = ComplexIv.from_fraction(p.leading())
         radii = []
         for i, zi in enumerate(pts):
-            num = p.eval_civ(ComplexIv.from_mpc(approx[i]))
+            num = p.eval(ComplexIv.from_mpc(approx[i]), ComplexIv.from_fraction)
             den = lc
             for j, zj in enumerate(pts):
                 if j != i:
@@ -551,6 +506,10 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
     raise PrecisionExhausted(f"could not certify disjoint root disks for {p!r}")
 
 
+def _mpf_rational(c: Fraction):
+    return mp.mpf(c.numerator) / c.denominator
+
+
 def _durand_kerner(monic: RatPoly, n: int, bits: int, max_iter: int):
     with mp.workprec(bits + 20):
         # perturbed roots of unity, radius from the Cauchy bound
@@ -563,7 +522,7 @@ def _durand_kerner(monic: RatPoly, n: int, bits: int, max_iter: int):
             maxstep = mp.mpf(0)
             new = []
             for i, zi in enumerate(zs):
-                num = monic.eval_mpc(zi)
+                num = monic.eval(zi, _mpf_rational)
                 den = mp.mpc(1)
                 for j, zj in enumerate(zs):
                     if i != j:

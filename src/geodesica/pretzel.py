@@ -23,10 +23,8 @@ from .knotgroup import (
     KnotPresentation,
     Mat2,
     MatrixRep,
-    PolyMat2,
     Word,
     evaluate_word,
-    evaluate_word_poly,
 )
 from .numfield import NumberField, is_prime, nf_inverse
 from .polycore import (
@@ -102,12 +100,12 @@ def alpha_beta_delta(k: int) -> tuple[RatPoly, RatPoly, RatPoly]:
 
 # generator images over Z[z] (no modulus)
 
-def _poly_generators() -> tuple[PolyMat2, PolyMat2, PolyMat2]:
+def _poly_generators() -> tuple[Mat2, Mat2, Mat2]:
     one, zero, z = RatPoly.one(), RatPoly.zero(), RatPoly.x()
     z2 = RatPoly((0, 0, 1))
-    s1 = PolyMat2(one, one, zero, one)
-    s2 = PolyMat2(one, zero, -z2, one)
-    s3 = PolyMat2(one + z, one, -z2, one - z)
+    s1 = Mat2(one, one, zero, one)
+    s2 = Mat2(one, zero, -z2, one)
+    s3 = Mat2(one + z, one, -z2, one - z)
     return s1, s2, s3
 
 
@@ -226,8 +224,8 @@ def relator_factorization_check(k: int) -> dict:
     z2 = RatPoly((0, 0, 1))
 
     words = pretzel_words(k)
-    V = evaluate_word_poly(words["v"], [s1, s2, s3])
-    W = evaluate_word_poly(words["w"], [s1, s2, s3])
+    V = evaluate_word((s1, s2, s3), words["v"])
+    W = evaluate_word((s1, s2, s3), words["w"])
 
     quad = b * z2 + (b - a) * z + a     # equals -lambda_k
     linear = -(b * z) + a
@@ -249,7 +247,7 @@ def relator_factorization_check(k: int) -> dict:
         raise FactorIdentityFailed(f"k={k}: w12 z + w22 != v11 factorization")
     report["w_entry_identity"] = True
 
-    prefix = evaluate_word_poly((Word.gen(0) * Word.gen(2, -1)) ** k * Word.gen(0), [s1, s2, s3])
+    prefix = evaluate_word((s1, s2, s3), (Word.gen(0) * Word.gen(2, -1)) ** k * Word.gen(0))
     if prefix.trace() != RatPoly((2,)) * linear:
         raise FactorIdentityFailed(f"k={k}: tr((s1 s3^-1)^k s1) != 2(-beta z + alpha)")
     report["trace_identity"] = True
@@ -365,15 +363,16 @@ def sigma_conjugation_matrix(K: NumberField) -> Mat2:
     return Mat2(K.one(), (K.one() - z) / z, K.zero(), -K.one())
 
 
-def tangency_chain(k: int) -> dict:
+def tangency_chain(data: PretzelData) -> dict:
     """Verify the exact identities behind the chain-of-tangent-circles
-    picture for prime 2k+1: the shared point g_{2k}(0) = (z-1)/(2z), the
-    order-two symmetry, its conjugation action on the generators, and the
-    non-integrality of tr((s2 s1^-1)^r) for 1 <= r <= k.
+    picture for prime 2k+1, on the holonomy ``pretzel_holonomy`` built: the
+    shared point g_{2k}(0) = (z-1)/(2z), the order-two symmetry, its
+    conjugation action on the generators, and the non-integrality of
+    tr((s2 s1^-1)^r) for 1 <= r <= k.
     """
+    k = data.k
     if not is_prime(2 * k + 1):
         raise BadArgument(f"tangency chain requires 2k+1 prime, got {2*k+1}")
-    data = pretzel_holonomy(k)
     K, rep = data.field, data.rep
     z = K.gen()
     report = {}
@@ -417,8 +416,7 @@ def tangency_chain(k: int) -> dict:
     for r in range(1, k + 1):
         a_r, b_r, _ = alpha_beta_delta(r)
         tr = RatPoly((2,)) * a_r - RatPoly((0, 2)) * b_r + RatPoly((0, 0, 1)) * b_r
-        s2s1 = _poly_generators()
-        M = evaluate_word_poly((Word.gen(1) * Word.gen(0, -1)) ** r, list(s2s1))
+        M = evaluate_word(_poly_generators(), (Word.gen(1) * Word.gen(0, -1)) ** r)
         if M.trace() != tr:
             raise FactorIdentityFailed(f"k={k}: trace recursion failed at r={r}")
         if tr.degree != 2 * r or not (1 <= tr.degree < 2 * k + 1):

@@ -146,7 +146,7 @@ def test_criterion_05_74_subgroup_identities(rep_74):
 def test_criterion_06_tangency_chain():
     t0 = time.perf_counter()
     for k in (1, 2, 3):
-        report = tangency_chain(k)
+        report = tangency_chain(pretzel_holonomy(k))
         assert report["g2k_fixed_point"]
         assert report["sigma_squared"]
         assert report["sigma_conjugation"]

@@ -351,7 +351,7 @@ class TestRenderSVG:
     def test_deterministic(self, pretzel_1):
         from geodesica.pipeline import pretzel_chain_clines
 
-        clines = pretzel_chain_clines(1, 128)
+        clines = pretzel_chain_clines(pretzel_1, 128)
         assert render_svg(clines) == render_svg(clines)
         # combinatorics of the published chain figure: 2 lines + 4 circles
         kinds = sorted(c.kind for c in clines)

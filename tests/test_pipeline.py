@@ -117,11 +117,11 @@ class TestRun:
         assert serial.to_json_bytes() == pooled.to_json_bytes()
 
     def test_uniqueness_theorem_assembled(self, census_records):
-        from geodesica.pipeline import uniqueness_theorem_check
+        from geodesica.pipeline import uniqueness_check
 
         for name in ("7_4", "P(3,3,3)"):
             record = get_knot(census_records, name)
-            rec = uniqueness_theorem_check(record)
+            rec = uniqueness_check(record)["theorem"]
             assert rec["unique_surface_confirmed"]
             assert rec["coverage"]["ok"]
 
@@ -219,8 +219,8 @@ class TestExplicitRepresentations:
 
 
 class TestRenderConfigs:
-    def test_pretzel_chain_counts(self):
-        clines = pretzel_chain_clines(1, 128)
+    def test_pretzel_chain_counts(self, pretzel_1):
+        clines = pretzel_chain_clines(pretzel_1, 128)
         # H_tau, s1(H_tau), C_1, C_2, D_1, D_2
         assert len(clines) == 6
 
@@ -242,7 +242,7 @@ class TestCLI:
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["lambda"] == ["-1", "3", "-1", "1"]
-        assert payload["matches_closed_form"]
+        assert payload["recursion_matches_closed_form"]
 
     def test_euler_command(self):
         res = self._run("euler", "--knot", "7_4", "--json")
@@ -265,6 +265,26 @@ class TestCLI:
         assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>')
         assert text.count("<circle") == 4
         assert text.count("<line") == 2
+
+    def test_slopes_prints_the_report_entry(self, census_records, capsys):
+        assert cli.main(["slopes", "--knot", "7_4", "--json"]) == 0
+        report = run(census_records, checks=("slopes",), names=["7_4"])
+        entry = json.loads(report.to_json_bytes())["knots"][0]
+        assert json.loads(capsys.readouterr().out) == {"knot": "7_4", **entry["slopes"]}
+
+    def test_pretzel_prints_the_report_entry(self, census_records, capsys):
+        assert cli.main(["pretzel", "--k", "1", "--check", "all"]) == 0
+        report = run(census_records, checks=("pretzel",), names=["P(3,3,3)"])
+        entry = json.loads(report.to_json_bytes())["knots"][0]
+        lam = ["-1", "3", "-1", "1"]
+        assert json.loads(capsys.readouterr().out) == {**entry["pretzel"], "lambda": lam}
+
+    @pytest.mark.parametrize("knot", ["7_4", "P(5,5,5)"])
+    def test_render_draws_the_report_figure(self, census_records, knot, tmp_path):
+        out = tmp_path / "figure.svg"
+        assert cli.main(["render", "--knot", knot, "--out", str(out)]) == 0
+        entry = run(census_records, checks=("render",), names=[knot]).payload["knots"][0]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["render"]["svg_sha256"]
 
     def test_report_command(self, tmp_path):
         out = tmp_path / "report.json"
@@ -290,6 +310,34 @@ def test_golden_report_bytes_serial_and_pool():
     for workers in (1, 2):
         data = run(records, ALL_CHECKS, 128, workers=workers).to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORT_SHA256, workers
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every geodesica namespace that
+    binds it (``from .x import y`` copies the reference)."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "geodesica" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_full_run_solves_each_case_and_builds_each_holonomy_once(monkeypatch):
+    from geodesica import mobius, pretzel
+
+    holonomies = _count_calls(monkeypatch, pretzel, "pretzel_holonomy")
+    systems = _count_calls(monkeypatch, mobius, "uniqueness_system")
+    records = load_census()
+    run(records, ALL_CHECKS, 128)
+    assert len(holonomies) == sum(r.kind == "pretzel" for r in records) == 3
+    cases = sum(len(r.uniqueness_cases) for r in records if not r.awaiting_data)
+    assert len(systems) == cases == 4
 
 
 def test_pool_computes_on_the_records_passed_in(census_records):
@@ -471,6 +519,21 @@ class TestInputValidation:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "BadArgument" in err and "'nope'" in err
+
+    @pytest.mark.parametrize("argv, knot", [
+        (["euler", "--knot", "7_3", "--place", "-1"], "7_3"),
+        (["euler", "--knot", "8_15"], "8_15"),  # stub awaiting data
+        (["slopes", "--knot", "7_3"], "7_3"),  # no slope cases
+        (["render", "--knot", "7_3", "--config", "74-strip"], "7_3"),
+        (["render", "--knot", "7_4", "--config", "pretzel-chain"], "7_4"),
+    ])
+    def test_bad_subcommand_argument_names_the_knot(self, argv, knot, tmp_path, capsys):
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "out.svg")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadArgument: ") and knot in err
+        assert not (tmp_path / "out.svg").exists()
 
     def test_library_entry_points_validate(self, census_records):
         with _deadline(120), pytest.raises(BadArgument):

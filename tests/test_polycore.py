@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+import mpmath as mp
 from hypothesis import given, settings, strategies as st
 
 from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
+from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from geodesica.polycore import (
     RatPoly,
+    _mpf_rational,
     complex_roots,
-    count_roots_by_grid,
     irreducibility_certificate,
     poly_gcd,
-    poly_reduce_mod,
     rational_roots,
+    root_bound,
     refine_interval,
     square_free_part,
     sturm_real_roots,
@@ -26,17 +28,17 @@ PHI_1 = RatPoly([-1, -1, -1, 0, 0, 0, 1, -1, 1])  # x^8 - x^7 + x^6 - x^2 - x - 
 class TestReduceMod:
     def test_cubic_example(self):
         # long division of z^3 by the 15/11 cubic
-        assert poly_reduce_mod(RatPoly([0, 0, 0, 1]), M74) == RatPoly([-1, -4, 4])
+        assert RatPoly([0, 0, 0, 1]) % M74 == RatPoly([-1, -4, 4])
 
     def test_already_reduced(self):
-        assert poly_reduce_mod(RatPoly([0, 1]), M74) == RatPoly([0, 1])
+        assert RatPoly([0, 1]) % M74 == RatPoly([0, 1])
 
     def test_zero(self):
-        assert poly_reduce_mod(RatPoly([]), M74) == RatPoly([])
+        assert RatPoly([]) % M74 == RatPoly([])
 
     def test_zero_modulus(self):
         with pytest.raises(ZeroModulus):
-            poly_reduce_mod(RatPoly([1]), RatPoly([]))
+            RatPoly([1]) % RatPoly([])
 
     def test_remultiply_oracle(self):
         a = RatPoly([3, -2, 0, 7, 1, 5])
@@ -56,9 +58,86 @@ small_polys = st.lists(small_rationals, min_size=0, max_size=6).map(RatPoly)
 def test_reduce_mod_multiplicative(a, b, m):
     if m.degree < 1:
         return
-    lhs = poly_reduce_mod(a * b, m)
-    rhs = poly_reduce_mod(poly_reduce_mod(a, m) * poly_reduce_mod(b, m), m)
+    lhs = (a * b) % m
+    rhs = ((a % m) * (b % m)) % m
     assert lhs == rhs
+
+
+# the four Horner loops RatPoly had before they became one ``eval``; the
+# merged loop must reproduce each bit for bit
+def _ref_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_eval_iv(p, x):
+    acc = iv.mpf(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + iv.mpf(c.numerator) / c.denominator
+    return acc
+
+
+def _ref_eval_civ(p, x):
+    acc = ComplexIv(iv.mpf(0), iv.mpf(0))
+    for c in reversed(p.coeffs):
+        acc = acc * x + ComplexIv.from_fraction(c)
+    return acc
+
+
+def _ref_eval_mpc(p, x):
+    acc = mp.mpc(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + mp.mpf(c.numerator) / c.denominator
+    return acc
+
+
+wide_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=1000)
+
+
+@given(
+    st.lists(wide_rationals, max_size=9).map(RatPoly),
+    wide_rationals, wide_rationals, wide_rationals, wide_rationals,
+    st.integers(0, 3).map(lambda e: 53 * 2 ** e),
+)
+@settings(max_examples=80, deadline=None)
+def test_one_horner_loop_is_bit_identical_to_the_four(p, a, b, c, d, bits):
+    assert p.eval(a) == _ref_eval(p, a)
+    with prec_guard(bits):
+        re = iv.mpf([str(min(a, b)), str(max(a, b))])
+        im = iv.mpf([str(min(c, d)), str(max(c, d))])
+        got, want = p.eval(re, iv_from_fraction), _ref_eval_iv(p, re)
+        assert got._mpi_ == want._mpi_
+        box = ComplexIv(re, im)
+        got, want = p.eval(box, ComplexIv.from_fraction), _ref_eval_civ(p, box)
+        assert (got.re._mpi_, got.im._mpi_) == (want.re._mpi_, want.im._mpi_)
+    with mp.workprec(bits):
+        z = mp.mpc(mp.mpf(a.numerator) / a.denominator, mp.mpf(c.numerator) / c.denominator)
+        assert mp.mpc(p.eval(z, _mpf_rational))._mpc_ == _ref_eval_mpc(p, z)._mpc_
+
+
+def count_roots_by_grid(p: RatPoly, step: Fraction = Fraction(1, 64)) -> int:
+    """Independent oracle: count sign changes of the square-free part on a
+    fine rational grid over the Cauchy box.  Misses nothing when the grid is
+    finer than the minimal root gap; intended for test polynomials only.
+    """
+    sf = square_free_part(p)
+    bound = root_bound(sf)
+    x = -bound
+    count = 0
+    prev = sf.eval(x)
+    while x < bound:
+        x += step
+        cur = sf.eval(x)
+        if cur == 0:
+            count += 1
+            x += step / 2
+            cur = sf.eval(x)
+        elif (prev > 0) != (cur > 0):
+            count += 1
+        prev = cur
+    return count
 
 
 class TestSturm:

@@ -159,12 +159,12 @@ class TestPsi:
 class TestTangencyChain:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_chain(self, k):
-        report = tangency_chain(k)
+        report = tangency_chain(pretzel_holonomy(k))
         assert all(report.values())
 
     def test_requires_prime(self):
         with pytest.raises(ValueError):
-            tangency_chain(4)  # 2k+1 = 9 is not prime
+            tangency_chain(pretzel_holonomy(4))  # 2k+1 = 9 is not prime
 
     def test_g2k_fixed_point_is_sigma_axis(self, pretzel_1):
         K = pretzel_1.field
