@@ -391,28 +391,24 @@ def build_representation(
     minpoly: RatPoly,
     images: Optional[Sequence[Mat2]] = None,
     name: str = "Q(z)",
-    check_riley: bool = True,
 ) -> MatrixRep:
     """Riley representation of a two-bridge presentation over Q[z]/(minpoly),
     or an explicitly supplied image list for other presentations.
 
-    For the Riley form the minpoly must divide the Riley polynomial (exact
-    division check); the relators are then verified to evaluate to +-I.
+    For the Riley form the minpoly must divide the Riley polynomial, the
+    square-free part of the gcd of the entries of A.W - W.B: decided in
+    K = Q[z]/(minpoly) as A.W == W.B and minpoly square-free.  The relators
+    are then verified to evaluate to +-I.
     """
     K = NumberField(minpoly, name)
     if images is None:
-        if check_riley:
-            riley = riley_polynomial(pres)
-            if not (riley % minpoly).is_zero():
-                raise NotARepresentation(
-                    f"{pres.name}: minpoly does not divide the Riley polynomial"
-                )
-        z = K.gen()
         one, zero = K.one(), K.zero()
-        images = (
-            Mat2(one, one, zero, one),
-            Mat2(one, zero, z, one),
-        )
+        A, B = images = (Mat2(one, one, zero, one), Mat2(one, zero, K.gen(), one))
+        W = evaluate_word(images, _two_bridge_w(pres))
+        if A * W != W * B or poly_gcd(minpoly, minpoly.derivative()).degree > 0:
+            raise NotARepresentation(
+                f"{pres.name}: minpoly does not divide the Riley polynomial"
+            )
     return MatrixRep(presentation=pres, field=K, images=tuple(images))
 
 

@@ -2,9 +2,9 @@
 
 Elements live in the power basis 1, z, ..., z^{d-1}: an integer vector over
 Z[z] and one positive common denominator, in lowest terms.  Products are
-integer convolutions reduced by the monic integer minimal polynomial.
-Embeddings return outward-rounded intervals refined on demand; refining
-precision only shrinks the enclosure.
+integer convolutions over the nonzero terms of both operands, reduced by the
+monic integer minimal polynomial.  Embeddings return outward-rounded
+intervals refined on demand; refining precision only shrinks the enclosure.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .polycore import (
     ComplexRootSet,
     RatPoly,
     RootIsolation,
+    _int_convolve,
     complex_roots,
-    poly_gcd,
     refine_interval,
     sturm_real_roots,
 )
@@ -310,13 +310,7 @@ class FieldElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        b = other.num
-        out = [0] * (2 * len(b) - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
-        return self.field._make(out, self.den * other.den)
+        return self.field._make(_int_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 

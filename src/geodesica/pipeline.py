@@ -58,7 +58,6 @@ from .pretzel import (
     pretzel_holonomy,
     psi_root_census,
     relator_factorization_check,
-    tangency_chain,
 )
 from .slopes import SlopeCase, slope_set_for_knot
 
@@ -407,7 +406,7 @@ def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool,
     surface distinct from the known one exists.
     """
     if record.pretzel is not None:
-        chain = tangency_chain(record.pretzel)
+        chain = record.pretzel.chain
         coverage = {"kind": "chain_identities", "ok": all(chain.values())}
     else:
         clines = strip_74_clines(record, precision_bits)
@@ -436,7 +435,7 @@ def pretzel_check(data: PretzelData, precision_bits: int) -> dict:
         "right_half_moduli_exceed_one": census.right_half_moduli_exceed_one,
     }
     if is_prime(2 * k + 1):
-        out["tangency_chain"] = tangency_chain(data)
+        out["tangency_chain"] = data.chain
     out["irreducibility"] = data.irreducibility
     return out
 
@@ -598,6 +597,10 @@ def run(
     require_positive_int(workers, "workers")
     if "euler" in checks:
         precision_cap()  # a bad GEODESICA_PRECISION_CAP fails here, not per knot
+    known = {r.name for r in records}
+    unknown = [n for n in names or () if n not in known]
+    if unknown:
+        raise BadArgument(f"knots not in census: {', '.join(map(repr, unknown))}")
     selected = [r for r in records if not names or r.name in names]
 
     if workers > 1 and len(selected) > 1:

@@ -32,6 +32,18 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+def _int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer convolution of two nonempty coefficient lists over the nonzero
+    terms of both: a product with 0, +-1 or +-z^k costs O(len)."""
+    out = [0] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                out[i + j] += x * y
+    return out
+
+
 class RatPoly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -140,13 +152,11 @@ class RatPoly:
         other = self._coerce(other)
         if not self.coeffs or not other.coeffs:
             return RatPoly.zero()
-        out = [_Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        # one integer convolution over the common denominators
+        (na, da), (nb, db) = _integer_multiple(self), _integer_multiple(other)
+        out = _int_convolve(na, nb)
+        den = da * db
+        return RatPoly(out if den == 1 else (_Q(c, den) for c in out))
 
     __rmul__ = __mul__
 
@@ -289,11 +299,11 @@ def sturm_chain(p: RatPoly) -> list[RatPoly]:
     return chain
 
 
-def _integer_multiple(p: RatPoly) -> list[int]:
-    """Coefficients of L*p with L > 0 the lcm of the denominators; L*p has
+def _integer_multiple(p: RatPoly) -> tuple[list[int], int]:
+    """Coefficients of L*p, and L > 0 the lcm of the denominators; L*p has
     the sign of p everywhere."""
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _sign_at(ints: Sequence[int], x: Fraction) -> int:
@@ -354,7 +364,7 @@ def sturm_real_roots(p: RatPoly, refine_to: Fraction = Fraction(1, 4)) -> RootIs
     lo, hi = -bound, bound
     # endpoints of the search box are not roots (Cauchy bound is strict)
     intervals: list[tuple[Fraction, Fraction]] = []
-    int_chain = [_integer_multiple(q) for q in chain]
+    int_chain = [_integer_multiple(q)[0] for q in chain]
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
         n = va - vb
@@ -387,7 +397,7 @@ def refine_interval(p: RatPoly, interval: tuple[Fraction, Fraction], width: Frac
     signs there.
     """
     a, b = interval
-    ints = _integer_multiple(p)
+    ints = _integer_multiple(p)[0]
     sa = _sign_at(ints, a)
     if sa == 0 or _sign_at(ints, b) != -sa:
         raise NotIsolating(f"[{a}, {b}] does not isolate a root of {p!r}")
@@ -512,6 +522,8 @@ def _mpf_rational(c: Fraction):
 
 def _durand_kerner(monic: RatPoly, n: int, bits: int, max_iter: int):
     with mp.workprec(bits + 20):
+        # mpf coefficients once, at the working precision, for polyval below
+        coeffs = [_mpf_rational(c) for c in reversed(monic.coeffs)]
         # perturbed roots of unity, radius from the Cauchy bound
         b = float(root_bound(monic))
         rad = mp.mpf(max(1.0, min(b, 1e6))) * mp.mpf("0.9")
@@ -522,7 +534,7 @@ def _durand_kerner(monic: RatPoly, n: int, bits: int, max_iter: int):
             maxstep = mp.mpf(0)
             new = []
             for i, zi in enumerate(zs):
-                num = monic.eval(zi, _mpf_rational)
+                num = mp.polyval(coeffs, zi)
                 den = mp.mpc(1)
                 for j, zj in enumerate(zs):
                     if i != j:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import (
@@ -159,6 +159,12 @@ class PretzelData:
     rep: MatrixRep
     words: dict[str, Word]
     irreducibility: str  # "certified" | "assumed"
+
+    @cached_property
+    def chain(self) -> dict:
+        """``tangency_chain(self)``, verified on first use and shared by every
+        check that reads it (2k+1 must be prime)."""
+        return tangency_chain(self)
 
 
 def pretzel_holonomy(k: int, name: Optional[str] = None) -> PretzelData:

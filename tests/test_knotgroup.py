@@ -1,7 +1,10 @@
+import json
+import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geodesica.errors import BadFraction, IdentityFailed, NotARepresentation
 from geodesica.knotgroup import (
@@ -245,3 +248,96 @@ def test_polymat_pow_adjugate():
     m = Mat2(RatPoly.one(), RatPoly.zero(), z, RatPoly.one())
     assert (m ** -1).c == -z
     assert (m ** 3).c == 3 * z
+
+
+# ---------------------------------------------------------------------------
+# Riley divisibility decided in Q[z]/(m) against riley_polynomial % m
+# ---------------------------------------------------------------------------
+
+
+def _bundled_two_bridge():
+    rows = json.loads(resources.files("geodesica").joinpath("data/census.json").read_text())
+    return [
+        (row["p"], row["q"], RatPoly.from_json(row["minpoly"]))
+        for row in rows["knots"] if row["kind"] == "two_bridge"
+    ]
+
+
+BUNDLED_TWO_BRIDGE = _bundled_two_bridge()
+BUNDLED_MINPOLYS = [m for _, _, m in BUNDLED_TWO_BRIDGE]
+
+
+def _decided_in_field(pres, m) -> bool:
+    try:
+        build_representation(pres, m)
+    except NotARepresentation as exc:
+        assert "minpoly does not divide the Riley polynomial" in str(exc)
+        return False
+    return True
+
+
+@st.composite
+def fraction_and_candidate(draw):
+    if draw(st.booleans()):
+        p, q, bundled = draw(st.sampled_from(BUNDLED_TWO_BRIDGE))
+    else:
+        p = draw(st.sampled_from(range(3, 32, 2)))
+        q = draw(st.sampled_from([q for q in range(1, p) if math.gcd(p, q) == 1]))
+        bundled = draw(st.sampled_from(BUNDLED_MINPOLYS))
+    pres = two_bridge_presentation(p, q)
+    riley = riley_polynomial(pres)
+    kind = draw(st.sampled_from(["riley", "bundled", "riley_times_linear", "square", "random"]))
+    if kind == "riley":
+        m = riley
+    elif kind == "bundled":
+        m = bundled
+    elif kind == "riley_times_linear":
+        m = riley * RatPoly([draw(st.integers(-3, 3)), 1])
+    elif kind == "square":
+        m = draw(st.sampled_from([riley, bundled])) ** 2
+    else:
+        low = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+        m = RatPoly(low + [1])
+    # a constant Riley polynomial (3/2 is one) leaves no field to decide in
+    assume(m.degree >= 1)
+    return pres, riley, m, kind
+
+
+@given(fraction_and_candidate())
+@settings(max_examples=120, deadline=None)
+def test_riley_decision_in_field_matches_riley_polynomial(data):
+    pres, riley, m, kind = data
+    decided = _decided_in_field(pres, m)
+    assert decided == (riley % m).is_zero()
+    if kind == "square":
+        assert not decided
+    if kind == "riley":
+        assert decided
+
+
+def test_bundled_minpolys_divide_their_riley_polynomials():
+    for p, q, m in BUNDLED_TWO_BRIDGE:
+        pres = two_bridge_presentation(p, q)
+        assert (riley_polynomial(pres) % m).is_zero()
+        assert _decided_in_field(pres, m)
+        assert not _decided_in_field(pres, m * m)
+
+
+def test_repeated_factor_refused_where_the_relation_holds(monkeypatch):
+    # the gcd of the entries of A.W - W.B is square-free for every two-bridge
+    # fraction with p <= 31, so there a square m never satisfies A.W == W.B;
+    # stand in a W that satisfies it in every ring, (1 1; z 0), to show that
+    # the square-free test refuses m = f^2 on its own
+    from geodesica import knotgroup
+
+    real = knotgroup.evaluate_word
+
+    def relation_holds(rep, word):
+        if isinstance(rep, knotgroup.MatrixRep):  # relator verification
+            return real(rep, word)
+        one, zero, z = rep[0].a, rep[0].c, rep[1].c
+        return Mat2(one, one, z, zero)
+
+    monkeypatch.setattr(knotgroup, "evaluate_word", relation_holds)
+    with pytest.raises(NotARepresentation, match="does not divide the Riley polynomial"):
+        build_representation(two_bridge_presentation(15, 11), M74 * M74)

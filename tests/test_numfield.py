@@ -268,3 +268,58 @@ def test_enclosure_resumed_from_coarser_matches_fresh():
     for bits in (24, 72, 136):
         warm.real_root_enclosure(1, bits)
     assert warm.real_root_enclosure(1, 264) == fresh.real_root_enclosure(1, 264)
+
+
+# ---------------------------------------------------------------------------
+# Sparse products against a dense convolution reduced by the minpoly
+# ---------------------------------------------------------------------------
+
+
+def _dense_product(K, x, y):
+    """Every term of x times every term of y, zeros included, reduced mod m."""
+    a, b = x.coeffs, y.coeffs
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return RatPoly(out) % K.minpoly
+
+
+@st.composite
+def sparse_element(draw, K):
+    d = K.degree
+    kind = draw(st.sampled_from(["zero", "unit", "power", "mostly_zero"]))
+    if kind == "zero":
+        return K.zero()
+    if kind == "unit":
+        return K.rational(draw(st.sampled_from([1, -1])))
+    if kind == "power":
+        # +-z^k, past the degree too so the reduction is exercised
+        return draw(st.sampled_from([1, -1])) * K.gen() ** draw(st.integers(0, 2 * d))
+    terms = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    )
+    coords = draw(st.lists(terms, min_size=d, max_size=d))
+    keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    return K.element([c if k else 0 for c, k in zip(coords, keep)])
+
+
+@st.composite
+def sparse_pair(draw):
+    K = draw(st.sampled_from(KERNEL_FIELDS))
+    return K, draw(sparse_element(K)), draw(sparse_element(K))
+
+
+@given(sparse_pair())
+@settings(max_examples=300, deadline=None)
+def test_sparse_products_match_dense_convolution(data):
+    K, x, y = data
+    want = _dense_product(K, x, y)
+    for got in (x * y, y * x):
+        assert as_poly(got) == want
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+    if x == K.one():
+        assert x * y == y
+    if x.is_zero():
+        assert (x * y).is_zero()

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodesica import cli
 from geodesica.errors import BadArgument, BadCensus, NotARepresentation
+from geodesica.numfield import is_prime
 from geodesica.pipeline import (
     ALL_CHECKS,
     get_knot,
@@ -333,9 +334,13 @@ def test_full_run_solves_each_case_and_builds_each_holonomy_once(monkeypatch):
 
     holonomies = _count_calls(monkeypatch, pretzel, "pretzel_holonomy")
     systems = _count_calls(monkeypatch, mobius, "uniqueness_system")
+    chains = _count_calls(monkeypatch, pretzel, "tangency_chain")
     records = load_census()
     run(records, ALL_CHECKS, 128)
     assert len(holonomies) == sum(r.kind == "pretzel" for r in records) == 3
+    # the pretzel check and the uniqueness theorem share one chain per row
+    prime = [r for r in records if r.pretzel and is_prime(2 * r.pretzel.k + 1)]
+    assert len(chains) == len(prime) == 3
     cases = sum(len(r.uniqueness_cases) for r in records if not r.awaiting_data)
     assert len(systems) == cases == 4
 
@@ -519,6 +524,22 @@ class TestInputValidation:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "BadArgument" in err and "'nope'" in err
+
+    def test_report_with_unknown_knot_names(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["report", "--knot", "nope", "--knot", "7_4", "--knot", "nada",
+                "--checks", "euler", "--json", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadArgument: ")
+        assert "'nope'" in err and "'nada'" in err and "'7_4'" not in err
+        assert not out.exists()
+
+    def test_run_with_unknown_knot_names(self, census_records):
+        with pytest.raises(BadArgument, match="'nope'"):
+            run(census_records, checks=("euler",), names=["nope"])
+        with pytest.raises(BadArgument, match="'nope'.*'nada'"):
+            run(census_records, checks=(), names=["7_4", "nope", "nada"])
 
     @pytest.mark.parametrize("argv, knot", [
         (["euler", "--knot", "7_3", "--place", "-1"], "7_3"),

@@ -8,6 +8,7 @@ from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolyn
 from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from geodesica.polycore import (
     RatPoly,
+    _durand_kerner,
     _mpf_rational,
     complex_roots,
     irreducibility_certificate,
@@ -351,3 +352,88 @@ def test_json_round_trip():
     p = RatPoly([Fraction(1, 2), -3, 0, 7])
     assert RatPoly.from_json(p.to_json()) == p
     assert p.to_json() == ["1/2", "-3", "0", "7"]
+
+
+# ---------------------------------------------------------------------------
+# Sparse integer products, the square-free test and Durand-Kerner against
+# the loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _fraction_product(a, b):
+    """The Fraction double loop RatPoly.__mul__ ran before its integer form."""
+    if not a.coeffs or not b.coeffs:
+        return RatPoly.zero()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return RatPoly(out)
+
+
+sparse_rationals = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+sparse_polys = st.lists(sparse_rationals, max_size=12).map(RatPoly)
+
+
+@given(sparse_polys, sparse_polys)
+@settings(max_examples=300, deadline=None)
+def test_integer_product_matches_fraction_loop(a, b):
+    want = _fraction_product(a, b)
+    for got in (a * b, b * a):
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
+    assert (a * 3).coeffs == _fraction_product(a, RatPoly([3])).coeffs
+    assert (Fraction(1, 3) * a).coeffs == _fraction_product(RatPoly([Fraction(1, 3)]), a).coeffs
+
+
+def _durand_kerner_per_step(monic, n, bits, max_iter):
+    """_durand_kerner as it was: every Horner step converts its Fraction
+    coefficient to an mpf again."""
+    with mp.workprec(bits + 20):
+        b = float(root_bound(monic))
+        rad = mp.mpf(max(1.0, min(b, 1e6))) * mp.mpf("0.9")
+        zs = [rad * mp.exp(2j * mp.pi * (k + mp.mpf("0.25")) / n) + mp.mpf("0.1") * (k % 3)
+              for k in range(n)]
+        tol = mp.mpf(2) ** (-(bits - 4))
+        for _ in range(max_iter):
+            maxstep = mp.mpf(0)
+            new = []
+            for i, zi in enumerate(zs):
+                num = monic.eval(zi, _mpf_rational)
+                den = mp.mpc(1)
+                for j, zj in enumerate(zs):
+                    if i != j:
+                        den *= (zi - zj)
+                if den == 0:
+                    den = mp.mpc(tol)
+                step = num / den
+                maxstep = max(maxstep, abs(step))
+                new.append(zi - step)
+            zs = new
+            if maxstep < tol:
+                break
+        return zs
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("poly", ["psi_1", "psi_2", "psi_3", "lambda_1", "lambda_2",
+                                  "lambda_3", "7_4", "thirds_sevenths"])
+def test_durand_kerner_converts_once_bit_identically(poly, bits):
+    from geodesica.pretzel import lambda_poly, psi_poly
+
+    if poly == "7_4":
+        monic = M74
+    elif poly == "thirds_sevenths":
+        # coefficients an mpf cannot hold exactly: the conversion's precision shows
+        monic = RatPoly([Fraction(1, 7), Fraction(-1, 3), 0, 0, 1])
+    else:
+        family, k = poly.split("_")
+        monic = (psi_poly if family == "psi" else lambda_poly)(int(k)).monic()
+    got = _durand_kerner(monic, monic.degree, bits, 400)
+    want = _durand_kerner_per_step(monic, monic.degree, bits, 400)
+    assert [z._mpc_ for z in got] == [z._mpc_ for z in want]

@@ -1,4 +1,5 @@
-"""Source-level lint: no ``assert`` statement in the package, and every
+"""Source-level lint: no ``assert`` statement in the package, no name a
+package module imports with ``from ... import`` and never reads, and every
 function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
@@ -48,3 +49,46 @@ def test_every_traced_function_resolves():
         if not callable(vars(owner).get(attr)):
             missing.append(f"{module}.{path}")
     assert not missing, f"traced functions not in the package: {missing}"
+
+
+def _unused_from_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """Names bound by ``from ... import`` that nothing in the module reads;
+    quoted annotations count as reads of the names they spell."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        # an argument's or assignment's annotation, or a function's return one
+        ann = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used.update(
+                n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                if isinstance(n, ast.Name)
+            )
+    return sorted((name, line) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_from_imports_in_package():
+    # __init__.py binds names to re-export them, so it is exempt
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{line} {name}"
+        for path in modules
+        for name, line in _unused_from_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"names imported and never used: {found}"
+
+
+def test_unused_import_detector():
+    tree = ast.parse(
+        "from a import b, c as d, e, g\n"
+        "from __future__ import annotations\n"
+        "def f(x: 'e') -> 'g':\n"
+        "    return b\n"
+    )
+    assert _unused_from_imports(tree) == [("d", 1)]
