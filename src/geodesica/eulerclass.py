@@ -27,7 +27,11 @@ from .errors import (
     PrecisionExhausted,
     require_positive_int,
 )
-from .intervals import ComplexIv, iv, iv_atan, iv_contains_zero, iv_cos_sin, prec_guard
+from .intervals import (
+    ONE, ZERO, ComplexIv, cx_add, cx_conj, cx_div, cx_mul, cx_neg, iv, iv_atan,
+    iv_contains_zero, lower_positive, mpi_add, mpi_atan2, mpi_cos_sin, mpi_div,
+    mpi_mul, mpi_neg, prec_guard,
+)
 from .knotgroup import MatrixRep, Word, evaluate_word
 from .numfield import RealPlace, contains_obvious_subfield_flags, is_algebraic_integer
 
@@ -94,26 +98,39 @@ def to_su11(entries: Sequence) -> LiftedElement:
     return LiftedElement(gamma, _arg_mod_pi(alpha))
 
 
+# the exact factors of the phases e^{-2i omega} (product) and e^{2i omega}
+# (inverse)
+_MINUS_TWO = iv.mpf(-2)._mpi_
+_TWO = iv.mpf(2)._mpi_
+
+
 def ucover_mul(x: LiftedElement, y: LiftedElement) -> LiftedElement:
     """Group law of the universal cover.
 
     The log factor in the published formula is arg(u) for
     u = 1 + gamma_2 conj(gamma_1) e^{-2 i omega_1}; |gamma_i| < 1 keeps
-    Re(u) > 0, so the principal branch never meets the cut.
+    Re(u) > 0, so the principal branch never meets the cut.  Runs on raw
+    endpoint tuples, with the operands and order of the ComplexIv and iv.mpf
+    operators, so it gives their endpoints.
     """
-    phase = ComplexIv(*iv_cos_sin(-2 * x.omega))
-    g2ph = y.gamma * phase
-    u = ComplexIv.one() + g2ph * x.gamma.conj()
-    if not (u.re.a > 0):
+    prec = iv.prec
+    xg, xw = x.gamma.raw(), x.omega._mpi_
+    g2ph = cx_mul(y.gamma.raw(), mpi_cos_sin(mpi_mul(_MINUS_TWO, xw, prec), prec), prec)
+    u = cx_add((ONE, ZERO), cx_mul(g2ph, cx_conj(xg, prec), prec), prec)
+    if not lower_positive(u[0]):
         raise PrecisionExhausted("branch certificate Re(u) > 0 failed in ucover_mul")
-    gamma = (x.gamma + g2ph) / u
-    omega = x.omega + y.omega + iv_atan(u.im / u.re)
-    return LiftedElement(gamma, omega)
+    gamma = cx_div(cx_add(xg, g2ph, prec), u, prec)
+    turn = mpi_atan2(mpi_div(u[1], u[0], prec), ONE, prec)
+    omega = mpi_add(mpi_add(xw, y.omega._mpi_, prec), turn, prec)
+    return LiftedElement(ComplexIv.from_raw(gamma), iv.make_mpf(omega))
 
 
 def ucover_inv(x: LiftedElement) -> LiftedElement:
-    phase = ComplexIv(*iv_cos_sin(2 * x.omega))
-    return LiftedElement(-(x.gamma * phase), -x.omega)
+    prec = iv.prec
+    xw = x.omega._mpi_
+    phase = mpi_cos_sin(mpi_mul(_TWO, xw, prec), prec)
+    gamma = cx_neg(cx_mul(x.gamma.raw(), phase, prec), prec)
+    return LiftedElement(ComplexIv.from_raw(gamma), iv.make_mpf(mpi_neg(xw, prec)))
 
 
 def ucover_identity() -> LiftedElement:
@@ -282,15 +299,20 @@ def lift_representation(
                 )
             defects.append(k)
         if any(defects):
+            name = rep.presentation.name
             E = rep.presentation.relator_exponent_matrix()
-            m = solve_integer_system(E, [-k for k in defects])
+            try:
+                m = solve_integer_system(E, [-k for k in defects])
+            except NoLiftExists as exc:
+                raise NoLiftExists(f"{name}: place {place.index}: {exc}") from None
             lifts = [L.central_shift(mi) for L, mi in zip(lifts, m)]
             for relator in rep.presentation.relators:
                 val = ucover_eval(relator, lifts)
                 k, residual = _integer_defect(val.omega, tol)
                 if k != 0 or residual > tol:
                     raise NoLiftExists(
-                        "defect correction failed to annihilate a relator"
+                        f"{name}: place {place.index}: defect correction failed "
+                        "to annihilate a relator"
                     )
         return lifts
 
@@ -325,9 +347,10 @@ def euler_number(
     """
     require_positive_int(precision_bits, "precision_bits")
     cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
+    name = rep.presentation.name
     if cap < precision_bits:
         raise PrecisionExhausted(
-            f"euler number at place {place.index}: no rung ran, the start "
+            f"{name}: euler number at place {place.index}: no rung ran, the start "
             f"precision {precision_bits} bits exceeds the cap {cap} bits"
         )
     bits = precision_bits
@@ -339,7 +362,7 @@ def euler_number(
             last_err = exc
             bits *= 2
     raise PrecisionExhausted(
-        f"euler number at place {place.index} failed up to {cap} bits: {last_err}"
+        f"{name}: euler number at place {place.index} failed up to {cap} bits: {last_err}"
     )
 
 

@@ -4,9 +4,12 @@ Real quantities use iv.mpf directly; complex quantities are rectangles
 (re, im) of iv.mpf.  Everything rounds outward, so any containment or
 strict-inequality decision made here is sound.
 
-ComplexIv arithmetic, iv_atan and iv_cos_sin run mpmath's interval kernels on
-raw endpoint tuples at iv.prec, in the iv.mpf operators' order: the same
-endpoints without the conversion wrappers.  No other module uses them.
+This is the only module that imports mpmath.libmp.  Its raw kernels work on
+endpoint tuples: a real interval is mpmath's (lo, hi) pair of raw mpfs, a
+complex rectangle an (re, im) pair of those.  ComplexIv arithmetic, iv_atan,
+iv_cos_sin and the universal-cover product in eulerclass run them at
+iv.prec, in the iv.mpf operators' order: the same endpoints without the
+conversion wrappers.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath import iv
-from mpmath.libmp import mpi_add, mpi_atan2, mpi_cos_sin, mpi_div, mpi_mul, mpi_neg, mpi_sub
+from mpmath.libmp import (
+    fzero, mpf_gt, mpi_add, mpi_atan2, mpi_cos_sin, mpi_div, mpi_mul, mpi_neg, mpi_sub,
+)
 
 _make_mpf = iv.make_mpf
 # 0 and 1 are exact at every precision
-_ZERO = iv.mpf(0)._mpi_
-_ONE = iv.mpf(1)._mpi_
+ZERO = iv.mpf(0)._mpi_
+ONE = iv.mpf(1)._mpi_
 
 
 @contextmanager
@@ -43,13 +48,47 @@ def iv_from_fraction(q: Fraction):
 
 def iv_atan(x):
     """arctan on intervals; the iv context only ships atan2."""
-    return _make_mpf(mpi_atan2(iv.mpf(x)._mpi_, _ONE, iv.prec))
+    return _make_mpf(mpi_atan2(iv.mpf(x)._mpi_, ONE, iv.prec))
 
 
 def iv_cos_sin(x):
     """(iv.cos(x), iv.sin(x)) from a single cos/sin evaluation."""
     c, s = mpi_cos_sin(iv.mpf(x)._mpi_, iv.prec)
     return _make_mpf(c), _make_mpf(s)
+
+
+def lower_positive(x) -> bool:
+    """Whether the raw interval x lies strictly right of 0."""
+    return mpf_gt(x[0], fzero)
+
+
+def cx_add(p, q, prec):
+    return mpi_add(p[0], q[0], prec), mpi_add(p[1], q[1], prec)
+
+
+def cx_neg(p, prec):
+    return mpi_neg(p[0], prec), mpi_neg(p[1], prec)
+
+
+def cx_conj(p, prec):
+    return p[0], mpi_neg(p[1], prec)
+
+
+def cx_mul(p, q, prec):
+    (a, b), (c, d) = p, q
+    return (
+        mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec),
+        mpi_add(mpi_mul(a, d, prec), mpi_mul(b, c, prec), prec),
+    )
+
+
+def cx_div(p, q, prec):
+    (a, b), (c, d) = p, q
+    den = mpi_add(mpi_mul(c, c, prec), mpi_mul(d, d, prec), prec)
+    return (
+        mpi_div(mpi_add(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec), den, prec),
+        mpi_div(mpi_sub(mpi_mul(b, c, prec), mpi_mul(a, d, prec), prec), den, prec),
+    )
 
 
 def iv_width(x) -> mp.mpf:
@@ -84,28 +123,34 @@ class ComplexIv:
 
     @staticmethod
     def zero() -> "ComplexIv":
-        return _complex(_ZERO, _ZERO)
+        return ComplexIv.from_raw((ZERO, ZERO))
 
     @staticmethod
     def one() -> "ComplexIv":
-        return _complex(_ONE, _ZERO)
+        return ComplexIv.from_raw((ONE, ZERO))
+
+    @staticmethod
+    def from_raw(p) -> "ComplexIv":
+        """ComplexIv from a raw (re, im) pair of endpoint tuples."""
+        z = object.__new__(ComplexIv)
+        z.re = _make_mpf(p[0])
+        z.im = _make_mpf(p[1])
+        return z
+
+    def raw(self):
+        """The raw (re, im) pair of endpoint tuples."""
+        return self.re._mpi_, self.im._mpi_
 
     def __repr__(self):
         return f"ComplexIv({self.re}, {self.im})"
 
     def __add__(self, other):
-        other = self._coerce(other)
-        prec = iv.prec
-        return _complex(
-            mpi_add(self.re._mpi_, other.re._mpi_, prec),
-            mpi_add(self.im._mpi_, other.im._mpi_, prec),
-        )
+        return ComplexIv.from_raw(cx_add(self.raw(), self._coerce(other).raw(), iv.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        prec = iv.prec
-        return _complex(mpi_neg(self.re._mpi_, prec), mpi_neg(self.im._mpi_, prec))
+        return ComplexIv.from_raw(cx_neg(self.raw(), iv.prec))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -114,27 +159,12 @@ class ComplexIv:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        prec = iv.prec
-        a, b = self.re._mpi_, self.im._mpi_
-        c, d = other.re._mpi_, other.im._mpi_
-        return _complex(
-            mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec),
-            mpi_add(mpi_mul(a, d, prec), mpi_mul(b, c, prec), prec),
-        )
+        return ComplexIv.from_raw(cx_mul(self.raw(), self._coerce(other).raw(), iv.prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        prec = iv.prec
-        a, b = self.re._mpi_, self.im._mpi_
-        c, d = other.re._mpi_, other.im._mpi_
-        den = mpi_add(mpi_mul(c, c, prec), mpi_mul(d, d, prec), prec)
-        return _complex(
-            mpi_div(mpi_add(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec), den, prec),
-            mpi_div(mpi_sub(mpi_mul(b, c, prec), mpi_mul(a, d, prec), prec), den, prec),
-        )
+        return ComplexIv.from_raw(cx_div(self.raw(), self._coerce(other).raw(), iv.prec))
 
     @staticmethod
     def _coerce(other) -> "ComplexIv":
@@ -145,7 +175,7 @@ class ComplexIv:
         return ComplexIv(iv.mpf(other), iv.mpf(0))
 
     def conj(self) -> "ComplexIv":
-        return _complex(self.re._mpi_, mpi_neg(self.im._mpi_, iv.prec))
+        return ComplexIv.from_raw(cx_conj(self.raw(), iv.prec))
 
     def abs2(self):
         val = self.re * self.re + self.im * self.im
@@ -167,10 +197,3 @@ class ComplexIv:
     def max_width(self) -> mp.mpf:
         return max(iv_width(self.re), iv_width(self.im))
 
-
-def _complex(re, im) -> ComplexIv:
-    """ComplexIv from two raw mpi endpoint tuples."""
-    z = object.__new__(ComplexIv)
-    z.re = _make_mpf(re)
-    z.im = _make_mpf(im)
-    return z

@@ -194,9 +194,30 @@ class Mat2:
         return Mat2.identity(self.ring()) if out is None else out
 
 
+# A word held as a product of factor words: (word, 1) for the word itself and
+# (word, -1) for its inverse.  A representation evaluates each distinct
+# factor word once.
+Factors = tuple[tuple[Word, int], ...]
+
+
+def flatten(factors: Factors) -> Word:
+    """The freely reduced word a product of factor words spells."""
+    return Word(tuple(
+        letter
+        for word, sign in factors
+        for letter in (word if sign > 0 else word.inverse()).letters
+    ))
+
+
 @dataclass
 class KnotPresentation:
-    """Finite presentation with a marked meridian and homological longitude."""
+    """Finite presentation with a marked meridian and homological longitude.
+
+    Each relator and the longitude are also held as products of factor
+    words; by default each is its own single factor.  A two-bridge
+    presentation keeps its word w, and factors its relator as a w b^-1 w^-1
+    and its longitude as w v a^-2e.
+    """
 
     name: str
     generator_names: tuple[str, ...]
@@ -205,8 +226,20 @@ class KnotPresentation:
     longitude: Word
     genus: Optional[int] = None
     fibered: Optional[bool] = None
+    relator_factors: Optional[tuple[Factors, ...]] = None
+    longitude_factors: Optional[Factors] = None
+    w: Optional[Word] = None
 
     def __post_init__(self):
+        if self.relator_factors is None:
+            self.relator_factors = tuple(((r, 1),) for r in self.relators)
+        if self.longitude_factors is None:
+            self.longitude_factors = ((self.longitude, 1),)
+        if (
+            tuple(map(flatten, self.relator_factors)) != tuple(self.relators)
+            or flatten(self.longitude_factors) != self.longitude
+        ):
+            raise ValueError(f"{self.name}: factors do not spell the relators and longitude")
         n = len(self.generator_names)
         total = sum(self.longitude.exponent_sums(n))
         if total != 0:
@@ -235,29 +268,39 @@ def two_bridge_presentation(
     Generators a, b; relator a w b^-1 w^-1 with
     w = b^{e_1} a^{e_2} ... a^{e_{p-1}}, e_i = (-1)^floor(i q / p);
     longitude w v a^{-2e} with v the word w spelled backwards and
-    e = sum(e_i).
+    e = sum(e_i).  The sign formula needs an odd q, so an even q is replaced
+    by q - p, which names the same knot (K(p, q) depends on q mod p).
     """
     if p <= 0 or p % 2 == 0 or not (0 < q < p) or math.gcd(p, q) != 1:
         raise BadFraction(f"invalid two-bridge fraction {p}/{q}")
-    eps = [(-1) ** ((i * q) // p) for i in range(1, p)]
-    letters = []
-    for i, e in enumerate(eps, start=1):
-        gen = 1 if i % 2 == 1 else 0  # odd positions are b
-        letters.append((gen, e))
-    w = Word(letters)
-    v = w.reversed_letters()
+    odd_q = q if q % 2 else q - p
+    eps = [1 if ((i * odd_q) // p) % 2 == 0 else -1 for i in range(1, p)]
+    # odd positions are b
+    w = Word([(1 if i % 2 == 1 else 0, e) for i, e in enumerate(eps, start=1)])
+    a, b = Word.gen(0), Word.gen(1)
+    relator = ((a, 1), (w, 1), (b, -1), (w, -1))
     e = sum(eps)
-    longitude = w * v * Word.gen(0, -2 * e)
-    relator = Word.gen(0) * w * Word.gen(1, -1) * w.inverse()
+    longitude = ((w, 1), (w.reversed_letters(), 1))
+    if e:
+        longitude += ((Word.gen(0, -2 * e), 1),)
     return KnotPresentation(
         name=name or f"two_bridge({p}/{q})",
         generator_names=("a", "b"),
-        relators=(relator,),
-        meridian=Word.gen(0),
-        longitude=longitude,
+        relators=(flatten(relator),),
+        meridian=a,
+        longitude=flatten(longitude),
         genus=genus,
         fibered=fibered,
+        relator_factors=(relator,),
+        longitude_factors=longitude,
+        w=w,
     )
+
+
+def _two_bridge_word(pres: KnotPresentation) -> Word:
+    if pres.w is None:
+        raise NotTwoBridge(f"{pres.name}: not a two-bridge presentation")
+    return pres.w
 
 
 def riley_polynomial(pres: KnotPresentation) -> RatPoly:
@@ -267,7 +310,7 @@ def riley_polynomial(pres: KnotPresentation) -> RatPoly:
     Expands a.w - w.b over Z[z] and returns the monic square-free gcd of the
     four entries.
     """
-    w = _two_bridge_w(pres)
+    w = _two_bridge_word(pres)
     z = RatPoly.x()
     A = Mat2(RatPoly.one(), RatPoly.one(), RatPoly.zero(), RatPoly.one())
     B = Mat2(RatPoly.one(), RatPoly.zero(), z, RatPoly.one())
@@ -279,28 +322,6 @@ def riley_polynomial(pres: KnotPresentation) -> RatPoly:
     if g.is_zero():
         raise NotTwoBridge("a.w == w.b identically; degenerate presentation")
     return square_free_part(g)
-
-
-def _two_bridge_w(pres: KnotPresentation) -> Word:
-    """Extract w from the relator shape a w b^-1 w^-1."""
-    if pres.generator_count != 2 or len(pres.relators) != 1:
-        raise NotTwoBridge(f"{pres.name}: not a two-generator one-relator presentation")
-    r = pres.relators[0]
-    letters = r.letters
-    if not letters or letters[0][0] != 0 or letters[0][1] < 1:
-        raise NotTwoBridge(f"{pres.name}: relator does not start with the meridian a")
-    # strip the leading a, then split at the b^-1 between w and w^-1
-    rest = Word((letters[0][0], letters[0][1] - 1),) * Word(letters[1:]) if letters[0][1] > 1 else Word(letters[1:])
-    n = len(rest.letters)
-    # try every split: rest == w * b^-1 * w^-1
-    flat = rest.letters
-    for cut in range(n + 1):
-        w = Word(flat[:cut])
-        tail = Word(flat[cut:])
-        candidate = Word.gen(1, -1) * w.inverse()
-        if tail == candidate:
-            return w
-    raise NotTwoBridge(f"{pres.name}: relator is not of the form a w b^-1 w^-1")
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +336,12 @@ class MatrixRep:
     presentation: KnotPresentation
     field: NumberField
     images: tuple[Mat2, ...]
+    # exact matrices of words (the presentation's factor words among them),
+    # each evaluated once and shared by verify, the longitude and every
+    # place; build_representation enters the W of its Riley decision
+    word_table: dict[Word, Mat2] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
     # exact peripheral data, computed on first use and shared by every
     # place, precision rung and check that reads it
     _longitude: Optional[Mat2] = dataclasses.field(
@@ -334,24 +361,36 @@ class MatrixRep:
                 raise NotARepresentation(
                     f"{self.presentation.name}: generator {i} image has det != 1"
                 )
-        for r in self.relators_as_words():
-            if not evaluate_word(self, r).is_proj_identity():
+        pres = self.presentation
+        for r, factors in zip(pres.relators, pres.relator_factors):
+            if not self.factor_product(factors).is_proj_identity():
                 raise NotARepresentation(
-                    f"{self.presentation.name}: relator {r!r} does not evaluate to +-I"
+                    f"{pres.name}: relator {r!r} does not evaluate to +-I"
                 )
-        mer = evaluate_word(self, self.presentation.meridian)
-        tr = mer.trace()
+        tr = self.word_matrix(pres.meridian).trace()
         if tr != K.rational(2) and tr != K.rational(-2):
-            raise NotARepresentation(
-                f"{self.presentation.name}: meridian image is not parabolic"
-            )
+            raise NotARepresentation(f"{pres.name}: meridian image is not parabolic")
 
-    def relators_as_words(self):
-        return self.presentation.relators
+    def word_matrix(self, w: Word) -> Mat2:
+        m = self.word_table.get(w)
+        if m is None:
+            m = self.word_table[w] = evaluate_word(self, w)
+        return m
+
+    def factor_product(self, factors: Factors) -> Mat2:
+        """Product of factor words, an inverse factor taken as the adjugate
+        (verify checks first that every image has det 1)."""
+        out = None
+        for w, sign in factors:
+            m = self.word_matrix(w)
+            if sign < 0:
+                m = m.adjugate()
+            out = m if out is None else out * m
+        return Mat2.identity(self.field) if out is None else out
 
     def longitude_matrix(self) -> Mat2:
         if self._longitude is None:
-            self._longitude = evaluate_word(self, self.presentation.longitude)
+            self._longitude = self.factor_product(self.presentation.longitude_factors)
         return self._longitude
 
     def longitude_translation(self) -> FieldElement:
@@ -404,11 +443,13 @@ def build_representation(
     if images is None:
         one, zero = K.one(), K.zero()
         A, B = images = (Mat2(one, one, zero, one), Mat2(one, zero, K.gen(), one))
-        W = evaluate_word(images, _two_bridge_w(pres))
+        w = _two_bridge_word(pres)
+        W = evaluate_word(images, w)
         if A * W != W * B or poly_gcd(minpoly, minpoly.derivative()).degree > 0:
             raise NotARepresentation(
                 f"{pres.name}: minpoly does not divide the Riley polynomial"
             )
+        return MatrixRep(presentation=pres, field=K, images=images, word_table={w: W})
     return MatrixRep(presentation=pres, field=K, images=tuple(images))
 
 
@@ -448,7 +489,7 @@ def verify_subgroup_identities(rep: MatrixRep) -> dict:
     z = K.gen()
     x = Word.gen(0)
     y = Word.gen(1)
-    w = _two_bridge_w(pres)
+    w = _two_bridge_word(pres)
     ell = pres.longitude
 
     u = (z - 1) * (z - 2)  # (z-1)(z-2)
@@ -481,7 +522,7 @@ def verify_subgroup_identities(rep: MatrixRep) -> dict:
         raise IdentityFailed("7_4 identity failed for word d = a^-1 c b^-1 c^-1 b")
     verified["d = a^-1 c b^-1 c^-1 b"] = True
 
-    w_m = evaluate_word(rep, w)
+    w_m = rep.word_matrix(w)
     lhs = w_m * d_m * w_m.inverse()
     rhs = evaluate_word(rep, x ** -2 * ell)
     if not lhs.proj_equal(rhs):

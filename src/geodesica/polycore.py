@@ -306,10 +306,9 @@ def _integer_multiple(p: RatPoly) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
-def _sign_at(ints: Sequence[int], x: Fraction) -> int:
-    """Sign of an integer polynomial at x = u/v, from the homogeneous
-    Horner sum of c_i u^i v^(n-i) (v > 0 leaves the sign unchanged)."""
-    u, v = x.numerator, x.denominator
+def _sign_at(ints: Sequence[int], u: int, v: int) -> int:
+    """Sign of an integer polynomial at u/v, v > 0 (not necessarily in
+    lowest terms), from the homogeneous Horner sum of c_i u^i v^(n-i)."""
     acc, vp = 0, 1
     for c in reversed(ints):
         acc = acc * u + c * vp
@@ -318,7 +317,7 @@ def _sign_at(ints: Sequence[int], x: Fraction) -> int:
 
 
 def _sign_variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+    signs = [s for s in (_sign_at(q, x.numerator, x.denominator) for q in chain) if s]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -374,7 +373,7 @@ def sturm_real_roots(p: RatPoly, refine_to: Fraction = Fraction(1, 4)) -> RootIs
             intervals.append((a, b))
             return
         mid = (a + b) / 2
-        while _sign_at(int_chain[0], mid) == 0:
+        while _sign_at(int_chain[0], mid.numerator, mid.denominator) == 0:
             # nudge the cut off a root; roots are finitely many
             mid = (a + mid) / 2
         vm = _sign_variations_at(int_chain, mid)
@@ -396,27 +395,36 @@ def refine_interval(p: RatPoly, interval: tuple[Fraction, Fraction], width: Frac
     Raises NotIsolating unless p is nonzero at both endpoints with opposite
     signs there.
     """
-    a, b = interval
+    # the walk runs on integer numerators A, B over one denominator d that
+    # grows by powers of two, so no midpoint is reduced by a gcd
     ints = _integer_multiple(p)[0]
-    sa = _sign_at(ints, a)
-    if sa == 0 or _sign_at(ints, b) != -sa:
-        raise NotIsolating(f"[{a}, {b}] does not isolate a root of {p!r}")
-    while b - a > width:
-        mid = (a + b) / 2
-        sm = _sign_at(ints, mid)
+    a, b = interval
+    d = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    wn, wd = width.numerator, width.denominator
+
+    def endpoint_sign() -> int:
+        sa = _sign_at(ints, A, d)
+        if sa == 0 or _sign_at(ints, B, d) != -sa:
+            raise NotIsolating(f"[{_Q(A, d)}, {_Q(B, d)}] does not isolate a root of {p!r}")
+        return sa
+
+    sa = endpoint_sign()
+    while (B - A) * wd > wn * d:
+        M = A + B  # the midpoint, over 2d
+        sm = _sign_at(ints, M, 2 * d)
         if sm == 0:
-            # the only root is mid; centre a quarter-width interval on it
-            quarter = (b - a) / 8
-            a, b = mid - quarter, mid + quarter
-            sa = _sign_at(ints, a)
-            if sa == 0 or _sign_at(ints, b) != -sa:
-                raise NotIsolating(f"[{a}, {b}] does not isolate a root of {p!r}")
+            # the only root is the midpoint; centre a quarter-width interval
+            # on it: M/2d -+ (B - A)/8d
+            A, B, d = 4 * M - (B - A), 4 * M + (B - A), 8 * d
+            sa = endpoint_sign()
             continue
         if sm == sa:
-            a = mid
+            A, B = M, 2 * B
         else:
-            b = mid
-    return a, b
+            A, B = 2 * A, M
+        d *= 2
+    return _Q(A, d), _Q(B, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -22,7 +23,14 @@ from geodesica.eulerclass import (
     ucover_mul,
     ucover_pow,
 )
-from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
+from geodesica.intervals import (
+    ComplexIv,
+    iv,
+    iv_atan,
+    iv_cos_sin,
+    iv_from_fraction,
+    prec_guard,
+)
 from geodesica.knotgroup import Word, evaluate_word
 
 
@@ -238,6 +246,88 @@ def test_ucover_eval_matches_identity_start_reference(case):
         for g, e in w.letters[:2]:
             got = ucover_pow(lifts[g], e)
             assert _endpoints(got) == _endpoints(_ref_ucover_eval(((g, e),), ref_lifts))
+
+
+# Reference: the ComplexIv / iv_cos_sin / iv_atan formulas the raw-tuple
+# product, inverse and power replaced.  They must agree endpoint for endpoint.
+
+
+def _civ_ucover_mul(x, y):
+    phase = ComplexIv(*iv_cos_sin(-2 * x.omega))
+    g2ph = y.gamma * phase
+    u = ComplexIv.one() + g2ph * x.gamma.conj()
+    if not (u.re.a > 0):
+        raise PrecisionExhausted("branch certificate Re(u) > 0 failed")
+    gamma = (x.gamma + g2ph) / u
+    omega = x.omega + y.omega + iv_atan(u.im / u.re)
+    return LiftedElement(gamma, omega)
+
+
+def _civ_ucover_inv(x):
+    phase = ComplexIv(*iv_cos_sin(2 * x.omega))
+    return LiftedElement(-(x.gamma * phase), -x.omega)
+
+
+def _civ_ucover_pow(x, n):
+    if n == 0:
+        return ucover_identity()
+    if n < 0:
+        x, n = _civ_ucover_inv(x), -n
+    out = x
+    for _ in range(n - 1):
+        out = _civ_ucover_mul(out, x)
+    return out
+
+
+@st.composite
+def _raw_interval(draw, prec, lo, hi):
+    """An iv.mpf of random centre in [lo, hi] and half-width 2^-k: narrow
+    ones like the lifts of a certified walk, wide ones that break Re(u) > 0."""
+    centre = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=2 ** 20))
+    k = draw(st.integers(0, prec))
+    with mp.workprec(prec + 40):
+        c = mp.mpf(centre.numerator) / centre.denominator
+        return iv.mpf([c - mp.ldexp(1, -k), c + mp.ldexp(1, -k)])
+
+
+@st.composite
+def _random_lift(draw, prec):
+    re = draw(_raw_interval(prec, Fraction(-7, 10), Fraction(7, 10)))
+    im = draw(_raw_interval(prec, Fraction(-7, 10), Fraction(7, 10)))
+    return LiftedElement(ComplexIv(re, im), draw(_raw_interval(prec, -12, 12)))
+
+
+def _both(fn, ref, *args):
+    """fn(*args) and ref(*args), or None for each when both raise."""
+    try:
+        expected = ref(*args)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            fn(*args)
+        return None, None
+    return _endpoints(fn(*args)), _endpoints(expected)
+
+
+@given(st.data(), st.integers(64, 512), st.integers(-4, 4))
+@settings(max_examples=200, deadline=None)
+def test_raw_lift_kernels_match_complexiv_formulas(data, prec, n):
+    with prec_guard(prec):
+        x = data.draw(_random_lift(prec))
+        y = data.draw(_random_lift(prec))
+        got, want = _both(ucover_mul, _civ_ucover_mul, x, y)
+        assert got == want
+        assert _endpoints(ucover_inv(x)) == _endpoints(_civ_ucover_inv(x))
+        got, want = _both(ucover_pow, _civ_ucover_pow, x, n)
+        assert got == want
+
+
+def test_raw_product_raises_where_the_formula_does():
+    # a gamma rectangle this wide leaves 0 inside Re(u)
+    with prec_guard(64):
+        wide = LiftedElement(ComplexIv(iv.mpf([-0.9, 0.9]), iv.mpf([-0.9, 0.9])), iv.mpf(0))
+        for fn in (ucover_mul, _civ_ucover_mul):
+            with pytest.raises(PrecisionExhausted):
+                fn(wide, wide)
 
 
 class TestCanonicalSection:

@@ -15,7 +15,6 @@ from geodesica.knotgroup import (
     riley_polynomial,
     two_bridge_presentation,
     verify_subgroup_identities,
-    _two_bridge_w,
 )
 from geodesica.polycore import RatPoly
 
@@ -70,7 +69,7 @@ def test_evaluate_word_homomorphism(w1, w2):
 class TestTwoBridge:
     def test_15_11_sign_sequence(self):
         pres = two_bridge_presentation(15, 11)
-        w = _two_bridge_w(pres)
+        w = pres.w
         # + - + + - + - - + - + + - +
         assert w.to_string(("a", "b")) == (
             "b a^-1 b a b^-1 a b^-1 a^-1 b a^-1 b a b^-1 a"
@@ -79,13 +78,13 @@ class TestTwoBridge:
 
     def test_13_9(self):
         pres = two_bridge_presentation(13, 9)
-        w = _two_bridge_w(pres)
+        w = pres.w
         assert w.to_string(("a", "b")) == "b a^-1 b a b^-1 a b a^-1 b a b^-1 a"
         assert pres.longitude == w * w.reversed_letters() * Word.gen(0, -8)
 
     def test_trefoil(self):
         pres = two_bridge_presentation(3, 1)
-        assert _two_bridge_w(pres) == Word([(1, 1), (0, 1)])
+        assert pres.w == Word([(1, 1), (0, 1)])
         # relator a(ba)b^-1(ba)^-1 is equivalent to aba = bab
         assert pres.relators[0] == Word([(0, 1), (1, 1), (0, 1), (1, -1), (0, -1), (1, -1)])
 
@@ -93,6 +92,12 @@ class TestTwoBridge:
     def test_bad_fractions(self, p, q):
         with pytest.raises(BadFraction):
             two_bridge_presentation(p, q)
+
+    def test_even_q_builds_the_odd_representative(self):
+        # 13/4 is built from 13/-9: every sign of 13/9 flipped
+        assert two_bridge_presentation(13, 4).w == Word(
+            [(g, -e) for g, e in two_bridge_presentation(13, 9).w.letters]
+        )
 
     @given(st.integers(1, 400))
     @settings(max_examples=60, deadline=None)
@@ -126,6 +131,14 @@ class TestRiley:
     def test_trefoil(self):
         assert riley_polynomial(two_bridge_presentation(3, 1)) == RatPoly([1, 1])
 
+    def test_even_q_riley_degree(self):
+        # an even q once gave the constant 1 (5/2, 7/2, 7/4, 9/2, 13/4)
+        for p in range(3, 32, 2):
+            for q in range(2, p, 2):
+                if math.gcd(p, q) == 1:
+                    pres = two_bridge_presentation(p, q)
+                    assert riley_polynomial(pres).degree == (p - 1) // 2, (p, q)
+
     def test_self_inverse_fraction_pairs(self):
         # q^2 = 1 mod p for the bundled fractions 15/11 and 45/19: the
         # equivalence q q' = 1 mod p pairs each with itself
@@ -151,7 +164,7 @@ class TestRiley:
         B = sympy.Matrix([[1, 0], [z, 1]])
         pres = two_bridge_presentation(15, 11)
         W = sympy.eye(2)
-        for g, e in _two_bridge_w(pres).letters:
+        for g, e in pres.w.letters:
             W = W * ((A if g == 0 else B) ** e)
         D = sympy.expand(A * W - W * B)
         g = sympy.gcd(sympy.gcd(D[0, 0], D[0, 1]), sympy.gcd(D[1, 0], D[1, 1]))
@@ -240,7 +253,7 @@ class TestAbelianization:
 
     def test_w_15_11(self):
         pres = two_bridge_presentation(15, 11)
-        assert _two_bridge_w(pres).exponent_sums(2) == (1, 1)
+        assert pres.w.exponent_sums(2) == (1, 1)
 
 
 def test_polymat_pow_adjugate():
@@ -341,3 +354,58 @@ def test_repeated_factor_refused_where_the_relation_holds(monkeypatch):
     monkeypatch.setattr(knotgroup, "evaluate_word", relation_holds)
     with pytest.raises(NotARepresentation, match="does not divide the Riley polynomial"):
         build_representation(two_bridge_presentation(15, 11), M74 * M74)
+
+
+# ---------------------------------------------------------------------------
+# The word table: factor products against the flattened words
+# ---------------------------------------------------------------------------
+
+
+def _assert_factors_match_flat_words(rep):
+    pres = rep.presentation
+    for r, factors in zip(pres.relators, pres.relator_factors):
+        assert rep.factor_product(factors) == evaluate_word(rep, r)
+    assert rep.longitude_matrix() == evaluate_word(rep, pres.longitude)
+    for w, m in rep.word_table.items():
+        assert m == evaluate_word(rep, w)
+
+
+def test_word_table_matches_flat_words_on_the_bundled_census(census_records):
+    reps = [r.rep for r in census_records if r.rep is not None]
+    assert len(reps) == 22
+    for rep in reps:
+        _assert_factors_match_flat_words(rep)
+    two_bridge = [r.rep for r in census_records if r.kind == "two_bridge"]
+    for rep in two_bridge:
+        # the W of the Riley decision is the table's entry for w
+        assert rep.presentation.w in rep.word_table
+        assert len(rep.presentation.relator_factors[0]) == 4
+
+
+@given(st.sampled_from([
+    (p, q) for p in range(3, 32, 2) for q in range(1, p) if math.gcd(p, q) == 1
+]), st.integers(-6, 6))
+@settings(max_examples=60, deadline=None)
+def test_word_table_matches_flat_words_on_random_fractions(fraction, c):
+    pres = two_bridge_presentation(*fraction)
+    riley = riley_polynomial(pres)
+    # Q[z]/(riley) is a product of fields; the words are evaluated all the same
+    _assert_factors_match_flat_words(build_representation(pres, riley))
+    # z - c divides the Riley polynomial exactly when c is a root of it
+    linear = RatPoly([-c, 1])
+    if riley.eval(Fraction(c)) == 0:
+        _assert_factors_match_flat_words(build_representation(pres, linear))
+    else:
+        with pytest.raises(NotARepresentation, match="does not divide the Riley polynomial"):
+            build_representation(pres, linear)
+
+
+def test_factors_must_spell_the_words():
+    pres = two_bridge_presentation(5, 3)
+    with pytest.raises(ValueError, match="factors do not spell"):
+        type(pres)(
+            name="bad", generator_names=pres.generator_names,
+            relators=pres.relators, meridian=pres.meridian,
+            longitude=pres.longitude,
+            relator_factors=(((pres.w, 1),),),
+        )

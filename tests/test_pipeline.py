@@ -68,6 +68,17 @@ class TestLoad:
         with pytest.raises(NotARepresentation):
             load_census(path)
 
+    def test_even_q_row_loads_as_the_mirror(self, tmp_path):
+        # 4 = -9 mod 13, so 13/4 is the mirror of 7_3 (13/9): 7_3's sextic
+        # divides its Riley polynomial and the Euler numbers change sign
+        row = _row("7_3", q=4,
+                   expected={"euler": [-3, -1], "verdict": "NoTGS_euler_bound"})
+        row["name"] = "7_3_mirror"
+        records = _load_rows(tmp_path, [row])
+        report = run(records, checks=("euler",))
+        assert report.exit_status == 0
+        assert report.payload["knots"][0]["euler"]["euler"] == [-3, -1]
+
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "nokinds.json"
         path.write_text(json.dumps({"knots": [{"name": "x", "kind": "nope"}]}))
@@ -162,7 +173,7 @@ class TestExplicitRepresentations:
         # feed a deliberately conjugated copy of the 13/9 representation
         # through the explicit-knot interface: the loader must re-normalize
         # the peripheral elements and reproduce the same Euler data
-        from geodesica.knotgroup import Mat2, _two_bridge_w
+        from geodesica.knotgroup import Mat2
 
         K = rep_73.field
         z = K.gen()
@@ -495,6 +506,13 @@ class TestInputValidation:
     def test_workers_below_one(self, workers, capsys):
         assert cli.main(self.REPORT + ["--workers", workers]) == 2
         assert "workers must be a positive integer" in capsys.readouterr().err
+
+    def test_ladder_failure_names_the_knot_and_place(self, monkeypatch, capsys):
+        # 9_13's first real place needs 256 bits
+        monkeypatch.setenv("GEODESICA_PRECISION_CAP", "128")
+        assert cli.main(["euler", "--knot", "9_13"]) == 2
+        err = capsys.readouterr().err
+        assert "PrecisionExhausted: 9_13: euler number at place 0 failed up to 128 bits" in err
 
     def test_cap_below_start_says_no_rung_ran(self, monkeypatch, capsys):
         monkeypatch.setenv("GEODESICA_PRECISION_CAP", "64")

@@ -238,6 +238,58 @@ def test_refinement_endpoints_match_fraction_bisection(coeffs, bits):
         assert refine_interval(sf, itv, width) == _bisect_by_fractions(sf, itv, width)
 
 
+# The integer bisection against the Fraction loop: random square-free
+# polynomials, walks resumed from a coarser enclosure, and rational roots
+# that land on a midpoint.
+
+_COEFFS = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=2, max_size=7
+)
+
+
+@given(_COEFFS, st.integers(1, 120), st.integers(0, 120))
+@settings(max_examples=120, deadline=None)
+def test_integer_bisection_matches_fraction_loop(coeffs, coarse_bits, extra_bits):
+    p = RatPoly(coeffs)
+    if p.is_zero() or p.degree < 1:
+        return
+    sf = square_free_part(p)
+    coarse = Fraction(1, 2 ** coarse_bits)
+    fine = Fraction(1, 2 ** (coarse_bits + extra_bits))
+    for itv in sturm_real_roots(sf).real_intervals:
+        got = refine_interval(sf, itv, coarse)
+        assert got == _bisect_by_fractions(sf, itv, coarse)
+        # resuming the walk from the coarser enclosure lands on the same
+        # endpoints as one walk from the base interval
+        assert refine_interval(sf, got, fine) == _bisect_by_fractions(sf, itv, fine)
+
+
+@given(
+    st.integers(-64, 64), st.integers(0, 6), st.integers(1, 8),
+    st.integers(0, 3), st.integers(1, 80),
+)
+@settings(max_examples=120, deadline=None)
+def test_integer_bisection_root_on_a_midpoint(n, k, j, shift, bits):
+    # p = (x - r)(x^2 + 1) has the one real root r = n/2^k; the walk from
+    # [r - d, r + (2^(shift+1) - 1) d] meets r as a midpoint after shift + 1 steps
+    r, d = Fraction(n, 2 ** k), Fraction(1, 2 ** j)
+    p = RatPoly([-r, 1]) * RatPoly([1, 0, 1])
+    itv = (r - d, r + (2 ** (shift + 1) - 1) * d)
+    width = Fraction(1, 2 ** bits)
+    got = refine_interval(p, itv, width)
+    assert got == _bisect_by_fractions(p, itv, width)
+    assert got[0] < r < got[1]
+
+
+def test_root_on_a_midpoint_next_to_two_roots_is_not_isolating():
+    # [0, 1] holds the roots 1/2, 11/20 and 9/10 (so its endpoint signs
+    # differ); the walk meets 1/2 as the first midpoint, and the centred
+    # interval [3/8, 5/8] holds two roots
+    p = RatPoly([-1, 2]) * RatPoly([-11, 20]) * RatPoly([-9, 10])
+    with pytest.raises(NotIsolating):
+        refine_interval(p, (Fraction(0), Fraction(1)), Fraction(1, 64))
+
+
 class TestComplexRoots:
     def test_gaussian_pair(self):
         rs = complex_roots(RatPoly([1, 0, 1]), 64)

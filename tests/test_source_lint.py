@@ -1,5 +1,6 @@
 """Source-level lint: no ``assert`` statement in the package, no name a
-package module imports with ``from ... import`` and never reads, and every
+package module imports with ``from ... import`` and never reads, no package
+module but ``intervals`` that reaches into ``mpmath.libmp``, and every
 function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
@@ -92,3 +93,47 @@ def test_unused_import_detector():
         "    return b\n"
     )
     assert _unused_from_imports(tree) == [("d", 1)]
+
+
+def _libmp_uses(tree: ast.AST) -> list[int]:
+    """Lines that import mpmath.libmp or one of its names, or read a
+    ``.libmp`` attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("mpmath.libmp") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("mpmath.libmp") or (
+                node.module == "mpmath" and any(a.name == "libmp" for a in node.names)
+            )
+        else:
+            hit = isinstance(node, ast.Attribute) and node.attr == "libmp"
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_intervals_uses_mpmath_libmp():
+    # the raw endpoint-tuple kernels stay behind one module
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "intervals.py")
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}"
+        for path in modules
+        for line in _libmp_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"mpmath.libmp used outside intervals: {found}"
+    assert _libmp_uses(ast.parse((PACKAGE / "intervals.py").read_text()))
+
+
+def test_libmp_detector():
+    tree = ast.parse(
+        "import mpmath.libmp\n"
+        "from mpmath.libmp import mpi_add\n"
+        "from mpmath.libmp.libmpi import mpi_mul\n"
+        "from mpmath import libmp, iv\n"
+        "import mpmath as mp\n"
+        "x = mp.libmp.BACKEND\n"
+        "from mpmath import iv\n"
+    )
+    assert _libmp_uses(tree) == [1, 2, 3, 4, 6]
