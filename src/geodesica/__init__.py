@@ -43,14 +43,11 @@ from .pretzel import (
 from .slopes import SlopeCase, build_system, slope_set_for_knot, solve_system
 from .eulerclass import (
     EulerResult,
-    LiftedElement,
-    canonical_section,
     euler_number,
     euler_tuple,
     lift_representation,
     obstruction_verdict,
     closed_surface_obstruction,
-    to_su11,
     ucover_mul,
 )
 from .mobius import (

@@ -8,7 +8,8 @@
 
 slopes, pretzel and render print or draw what the report's own checks return.
 
-GEODESICA_PRECISION_CAP overrides the precision-ladder cap.
+GEODESICA_PRECISION_CAP caps the root-enclosure refinement of the Euler
+check's sign decisions (default 1024 bits).
 """
 
 from __future__ import annotations

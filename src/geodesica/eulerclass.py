@@ -1,24 +1,27 @@
-"""Relative Euler class at real places, computed in the universal cover of
-PSL(2,R), plus the obstruction verdict engine.
+"""Relative Euler class at real places, computed exactly in the universal
+cover of PSL(2,R), plus the obstruction verdict engine.
 
-Elements of the cover are (gamma, omega) with |gamma| < 1 and omega a real
-lift (not reduced mod pi).  All numerics are outward-rounded intervals; an
-integer is only reported when the certified residual clears the tolerance,
-so the rounded output is sound at the stated precision.
+A point of the cover over an exact det-1 matrix M over K = Q[z]/(m) is a sign
+sigma and a winding count m: its angle is omega = Arg alpha(sigma M) + 2 pi m,
+with alpha(M) = ((a + d) + i(b - c))/2 and Arg in (-pi, pi].  A product adds
+the winding counts and two carries read off half-planes (``ucover_mul``), so
+every decision is the sign of an element of K at a real place
+(``RealPlace.sign``): no angle is computed, and the Euler number comes out as
+an exact integer.
 
 Sign convention: places are ordered by ascending real root, generators get
-principal lifts (omega in [0, pi)), and e = (omega_lift - omega_section)/pi.
-That convention reproduces the published anchor value +3 for the first real
-place of the 13/9 two-bridge knot; it is a convention, not a theorem.
+principal lifts (omega in [0, pi)), and e = (omega_lift - omega_section)/pi,
+where the canonical section lifts the longitude (-1, -tau; 0, -1) with
+omega = arctan(tau/2).  That convention reproduces the published anchor value
++3 for the first real place of the 13/9 two-bridge knot; it is a convention,
+not a theorem.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import mpmath as mp
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadArgument,
@@ -27,17 +30,11 @@ from .errors import (
     PrecisionExhausted,
     require_positive_int,
 )
-from .intervals import (
-    ONE, ZERO, ComplexIv, cx_add, cx_conj, cx_div, cx_mul, cx_neg, iv, iv_atan,
-    iv_contains_zero, lower_positive, mpi_add, mpi_atan2, mpi_cos_sin, mpi_div,
-    mpi_mul, mpi_neg, prec_guard,
-)
-from .knotgroup import MatrixRep, Word, evaluate_word
-from .numfield import RealPlace, contains_obvious_subfield_flags, is_algebraic_integer
+from .knotgroup import Factors, Mat2, MatrixRep, Word, evaluate_word
+from .numfield import FieldElement, RealPlace, contains_obvious_subfield_flags, is_algebraic_integer
 
 DEFAULT_START_BITS = 128
 DEFAULT_PRECISION_CAP = 1024
-RESIDUAL_TOL = mp.mpf("1e-9")
 EULER_SIGN = 1  # fixed by the 7_3 -> (3, 1) anchor
 
 
@@ -54,120 +51,147 @@ def precision_cap() -> int:
     return require_positive_int(cap, "GEODESICA_PRECISION_CAP")
 
 
-@dataclass
-class LiftedElement:
-    """Point (gamma, omega) of the universal cover, |gamma| < 1."""
-
-    gamma: ComplexIv
-    omega: object  # iv.mpf
-
-    def central_shift(self, k: int) -> "LiftedElement":
-        return LiftedElement(self.gamma, self.omega + k * iv.pi)
+# 2 alpha(M) = (a + d) + i (b - c), an element of K[i] as its (re, im) pair
+Gauss = tuple[FieldElement, FieldElement]
+Sign = Callable[[FieldElement], int]
+# one product of lifts over M1 and M2: 4 alpha(M1) alpha(M2) and 2 alpha(M1 M2)
+Step = tuple[Gauss, Gauss]
 
 
-def _arg_mod_pi(z: ComplexIv):
-    """Angle of the line through z, as an interval near [0, pi).
+def _alpha2(M: Mat2) -> Gauss:
+    return M.a + M.d, M.b - M.c
 
-    The boundary cases (z near the real axis) keep the representative near 0
-    or pi rather than splitting the interval; any resulting central offset is
-    absorbed by the relator-defect correction.
+
+class Lift(NamedTuple):
+    """Point of the universal cover over an exact matrix M, which the walk
+    holds: omega = Arg alpha(sigma M) + 2 pi m.  ``upper`` records whether
+    alpha(sigma M) lies in U = {Arg in (0, pi]} or in L = {Arg in (-pi, 0]}."""
+
+    sigma: int
+    m: int
+    upper: bool
+
+
+def _upper(z: Gauss, sigma: int, sign: Sign) -> bool:
+    """Whether sigma z lies in U: Im > 0, or Im = 0 and Re < 0 (z != 0)."""
+    return sigma * (sign(z[1]) or -sign(z[0])) > 0
+
+
+def ucover_mul(x: Lift, y: Lift, step: Step, sign: Sign) -> Lift:
+    """Group law of the universal cover, over the product M1 M2 of ``step``.
+
+    omega12 = omega1 + omega2 + Arg u with u = alpha12 / (alpha1 alpha2) and
+    Re u > 0, so m12 = m1 + m2 + c(alpha1, alpha2) + c(alpha1 alpha2, u).
+    The carry c(z1, z2) = (Arg z1 + Arg z2 - Arg z1 z2) / 2 pi is +1 when z1
+    and z2 lie in U and z1 z2 in L, -1 when z1 and z2 lie in L and z1 z2 in
+    U, and 0 otherwise.  Because Re u > 0, c(alpha1 alpha2, u) is nonzero
+    exactly when Re(alpha1 alpha2) < 0 and alpha1 alpha2 and alpha12 lie in
+    opposite half-planes, +1 when alpha1 alpha2 lies in U.  The factors'
+    half-planes are known, so a step decides only the signs of
+    alpha1 alpha2 and alpha12.
     """
-    re, im = z.re, z.im
-    if not iv_contains_zero(re):
-        theta = iv_atan(im / re)
-        if theta.b < 0:
-            theta = theta + iv.pi
-        return theta
-    if not iv_contains_zero(im):
-        return iv.pi / 2 - iv_atan(re / im)
-    raise PrecisionExhausted("argument of an interval containing 0")
+    pair, alpha = step
+    sigma = x.sigma * y.sigma
+    pair_upper = _upper(pair, sigma, sign)
+    upper = _upper(alpha, sigma, sign)
+    m = x.m + y.m
+    if x.upper == y.upper != pair_upper:
+        m += 1 if x.upper else -1
+    if pair_upper != upper and sigma * sign(pair[0]) < 0:
+        m += 1 if pair_upper else -1
+    return Lift(sigma, m, upper)
 
 
-def to_su11(entries: Sequence) -> LiftedElement:
-    """Principal lift of a real det-1 matrix through the disk-model
-    isomorphism: alpha = (a+d+(b-c)i)/2, beta = (a-d-(b+c)i)/2,
-    gamma = conj(beta)/alpha, omega = arg(alpha) mod pi."""
-    a, b, c, d = entries
-    alpha = ComplexIv((a + d) / 2, (b - c) / 2)
-    beta = ComplexIv((a - d) / 2, -(b + c) / 2)
-    if alpha.contains_zero():
-        raise PrecisionExhausted("alpha enclosure contains 0 in to_su11")
-    gamma = beta.conj() / alpha
-    if not (gamma.abs2().b < 1):
-        raise PrecisionExhausted("could not certify |gamma| < 1")
-    return LiftedElement(gamma, _arg_mod_pi(alpha))
+def ucover_inv(x: Lift, M: Mat2) -> Lift:
+    """Inverse of a lift over M: -omega over adj M, whose alpha is conj
+    alpha(M).  Conjugation swaps U and L off the real axis; a negative real
+    alpha(sigma M) keeps Arg pi, so its count drops by one more."""
+    if M.b == M.c:
+        return Lift(x.sigma, -x.m - int(x.upper), x.upper)
+    return Lift(x.sigma, -x.m, not x.upper)
 
 
-# the exact factors of the phases e^{-2i omega} (product) and e^{2i omega}
-# (inverse)
-_MINUS_TWO = iv.mpf(-2)._mpi_
-_TWO = iv.mpf(2)._mpi_
+def _letters(w: Word) -> Factors:
+    """w as the product of its letters, each a generator or its inverse."""
+    return tuple((Word.gen(g), 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e)))
 
 
-def ucover_mul(x: LiftedElement, y: LiftedElement) -> LiftedElement:
-    """Group law of the universal cover.
-
-    The log factor in the published formula is arg(u) for
-    u = 1 + gamma_2 conj(gamma_1) e^{-2 i omega_1}; |gamma_i| < 1 keeps
-    Re(u) > 0, so the principal branch never meets the cut.  Runs on raw
-    endpoint tuples, with the operands and order of the ComplexIv and iv.mpf
-    operators, so it gives their endpoints.
-    """
-    prec = iv.prec
-    xg, xw = x.gamma.raw(), x.omega._mpi_
-    g2ph = cx_mul(y.gamma.raw(), mpi_cos_sin(mpi_mul(_MINUS_TWO, xw, prec), prec), prec)
-    u = cx_add((ONE, ZERO), cx_mul(g2ph, cx_conj(xg, prec), prec), prec)
-    if not lower_positive(u[0]):
-        raise PrecisionExhausted("branch certificate Re(u) > 0 failed in ucover_mul")
-    gamma = cx_div(cx_add(xg, g2ph, prec), u, prec)
-    turn = mpi_atan2(mpi_div(u[1], u[0], prec), ONE, prec)
-    omega = mpi_add(mpi_add(xw, y.omega._mpi_, prec), turn, prec)
-    return LiftedElement(ComplexIv.from_raw(gamma), iv.make_mpf(omega))
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def ucover_inv(x: LiftedElement) -> LiftedElement:
-    prec = iv.prec
-    xw = x.omega._mpi_
-    phase = mpi_cos_sin(mpi_mul(_TWO, xw, prec), prec)
-    gamma = cx_neg(cx_mul(x.gamma.raw(), phase, prec), prec)
-    return LiftedElement(ComplexIv.from_raw(gamma), iv.make_mpf(mpi_neg(xw, prec)))
+class EulerWalk:
+    """Exact data of the Euler computation of one representation, built on
+    first use and shared by the places it is passed to: the matrix of each
+    word, and the steps that lift a product of factor words factor by factor
+    (a word is the product of its letters)."""
+
+    def __init__(self, rep: MatrixRep):
+        self.images = rep.images
+        self.identity = Mat2.identity(rep.field)
+        self.matrices = {Word.gen(g): M for g, M in enumerate(rep.images)}
+        self.products: dict[Factors, tuple[list[Step], Mat2]] = {}
+
+    def matrix(self, w: Word) -> Mat2:
+        M = self.matrices.get(w)
+        if M is None:
+            M = self.matrices[w] = self.product(_letters(w))[1]
+        return M
+
+    def product(self, factors: Factors) -> tuple[list[Step], Mat2]:
+        data = self.products.get(factors)
+        if data is None:
+            mats = [self.matrix(w) if s > 0 else self.matrix(w).adjugate() for w, s in factors]
+            steps = []
+            out = mats[0] if mats else self.identity
+            x1, y1 = _alpha2(out)
+            for M in mats[1:]:
+                x2, y2 = _alpha2(M)
+                out = out * M
+                steps.append(((x1 * x2 - y1 * y2, x1 * y2 + x2 * y1), _alpha2(out)))
+                x1, y1 = steps[-1][1]
+            data = self.products[factors] = (steps, out)
+        return data
 
 
-def ucover_identity() -> LiftedElement:
-    return LiftedElement(ComplexIv.zero(), iv.mpf(0))
+class PlaceLift:
+    """A representation lifted at one real place: principal generator lifts
+    (+-G with Arg alpha in [0, pi)), each word lifted once, and the central
+    shifts (in units of pi, one per generator) under which every relator
+    lifts to the identity.  ``bits`` is the widest root enclosure a sign
+    decision has needed so far."""
 
+    def __init__(self, walk: EulerWalk, place: RealPlace, bits: int, cap: int):
+        self.walk, self.place, self.bits, self.cap = walk, place, bits, cap
+        self.words: dict[Word, Lift] = {}
+        for g, M in enumerate(walk.images):
+            s = self.sign(M.b - M.c)
+            self.words[Word.gen(g)] = Lift(s, 0, True) if s else Lift(self.sign(M.trace()), 0, False)
+        self.shifts: tuple[int, ...] = (0,) * len(walk.images)
 
-def ucover_pow(x: LiftedElement, n: int) -> LiftedElement:
-    """x^n, started from x: the identity is an exact left unit of
-    ucover_mul (phase exactly (1, 0), u = 1, atan2(0, 1) = 0), so skipping
-    the identity product leaves every endpoint unchanged."""
-    if n == 0:
-        return ucover_identity()
-    if n < 0:
-        x, n = ucover_inv(x), -n
-    out = x
-    for _ in range(n - 1):
-        out = ucover_mul(out, x)
-    return out
+    def sign(self, e: FieldElement) -> int:
+        s, self.bits = self.place.sign(e, self.bits, self.cap)
+        return s
 
+    def word(self, w: Word) -> Lift:
+        """Lift of w under the principal generator lifts."""
+        lift = self.words.get(w)
+        if lift is None:
+            lift = self.words[w] = self.product(_letters(w))[0]
+        return lift
 
-def ucover_eval(w: Word, lifts: Sequence[LiftedElement]) -> LiftedElement:
-    """Lift of a word: each distinct (generator, exponent) power is built
-    once per call, and the product starts from the first letter's power."""
-    powers: dict[tuple[int, int], LiftedElement] = {}
-    out: Optional[LiftedElement] = None
-    for letter in w.letters:
-        p = powers.get(letter)
-        if p is None:
-            g, e = letter
-            p = powers[letter] = ucover_pow(lifts[g], e)
-        out = p if out is None else ucover_mul(out, p)
-    return ucover_identity() if out is None else out
-
-
-def embed_matrix(rep: MatrixRep, w: Word, place: RealPlace, bits: int):
-    m = evaluate_word(rep, w)
-    return tuple(place.embed(entry, bits) for entry in m.entries())
+    def product(self, factors: Factors) -> tuple[Lift, Mat2]:
+        """Lift of a product of factor words under the principal generator
+        lifts (the shifts are not applied), with its exact matrix."""
+        steps, M = self.walk.product(factors)
+        lifts = [
+            self.word(w) if s > 0 else ucover_inv(self.word(w), self.walk.matrix(w))
+            for w, s in factors
+        ]
+        lift = lifts[0] if lifts else Lift(1, 0, False)
+        for step, y in zip(steps, lifts[1:]):
+            lift = ucover_mul(lift, y, step, self.sign)
+        return lift, M
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +278,10 @@ def solve_integer_system(E: Sequence[Sequence[int]], b: Sequence[int]) -> list[i
 # ---------------------------------------------------------------------------
 
 
-def _integer_defect(omega, tol) -> tuple[int, mp.mpf]:
-    mid = mp.mpf(omega.mid.a)
-    ratio = mid / mp.pi
-    k = int(mp.nint(ratio))
-    residual = abs(ratio - k)
-    width = mp.mpf(omega.delta.b) / mp.pi
-    return k, residual + width
+def _relator_defect(lift: Lift, M: Mat2) -> int:
+    """Central defect, in units of pi, of a lift over M = +-I: omega is
+    2 pi m at sigma M = I and pi + 2 pi m at sigma M = -I."""
+    return 2 * lift.m + ((lift.sigma > 0) != (M.a == 1))
 
 
 def lift_representation(
@@ -268,71 +289,46 @@ def lift_representation(
     place: RealPlace,
     precision_bits: int = DEFAULT_START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    tol=RESIDUAL_TOL,
-) -> list[LiftedElement]:
+    cap: Optional[int] = None,
+    walk: Optional[EulerWalk] = None,
+) -> PlaceLift:
     """Principal lifts of the generator images with every relator defect
-    annihilated.
-
-    Starts from the principal lift of each generator (optionally shifted by
-    the given central offsets, exercising lift-independence), measures the
-    central defect c^{k_r} of each relator, and solves the integer system
-    E m = -k over the relator abelianization matrix E.
-    """
-    with prec_guard(precision_bits + 32):
-        lifts = [
-            to_su11(embed_matrix(rep, Word.gen(i), place, precision_bits))
-            for i in range(rep.presentation.generator_count)
-        ]
-        if offsets:
-            lifts = [L.central_shift(k) for L, k in zip(lifts, offsets)]
-        defects = []
-        for relator in rep.presentation.relators:
-            val = ucover_eval(relator, lifts)
-            if not (val.gamma.abs2().b < float(tol) ** 2):
-                raise PrecisionExhausted(
-                    "relator gamma defect not certified small; raise precision"
-                )
-            k, residual = _integer_defect(val.omega, tol)
-            if residual > tol:
-                raise PrecisionExhausted(
-                    f"relator omega defect {residual} not within {tol} of an integer"
-                )
-            defects.append(k)
-        if any(defects):
-            name = rep.presentation.name
-            E = rep.presentation.relator_exponent_matrix()
-            try:
-                m = solve_integer_system(E, [-k for k in defects])
-            except NoLiftExists as exc:
-                raise NoLiftExists(f"{name}: place {place.index}: {exc}") from None
-            lifts = [L.central_shift(mi) for L, mi in zip(lifts, m)]
-            for relator in rep.presentation.relators:
-                val = ucover_eval(relator, lifts)
-                k, residual = _integer_defect(val.omega, tol)
-                if k != 0 or residual > tol:
-                    raise NoLiftExists(
-                        f"{name}: place {place.index}: defect correction failed "
-                        "to annihilate a relator"
-                    )
-        return lifts
-
-
-def canonical_section(tau_value) -> LiftedElement:
-    """Canonical boundary section at the longitude (-1, -tau; 0, -1):
-    s(l) = (i tau / (2 + i tau), arctan(tau / 2))."""
-    tau = tau_value if isinstance(tau_value, iv.mpf) else iv.mpf(tau_value)
-    denom = ComplexIv(iv.mpf(2), tau)
-    gamma = ComplexIv(iv.mpf(0), tau) / denom
-    omega = iv_atan(tau / 2)
-    return LiftedElement(gamma, omega)
+    annihilated: starts from the principal lift of each generator (shifted by
+    the optional central offsets, exercising lift-independence), measures the
+    central defect c^{k_r} of each relator, and solves E m = -k over the
+    relator abelianization matrix E.  A central shift moves a word's lift by
+    its exponent sums, so no word is walked twice.  A walk of rep, when
+    given, shares its exact data with the knot's other places."""
+    require_positive_int(precision_bits, "precision_bits")
+    cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
+    pres = rep.presentation
+    start = (list(offsets or ()) + [0] * pres.generator_count)[:pres.generator_count]
+    lifting = PlaceLift(walk or EulerWalk(rep), place, precision_bits, cap)
+    E = pres.relator_exponent_matrix()
+    defects = [
+        _relator_defect(*lifting.product(factors)) + _dot(row, start)
+        for factors, row in zip(pres.relator_factors, E)
+    ]
+    shifts = start
+    if any(defects):
+        where = f"{pres.name}: place {place.index}"
+        try:
+            m = solve_integer_system(E, [-k for k in defects])
+        except NoLiftExists as exc:
+            raise NoLiftExists(f"{where}: {exc}") from None
+        if any(_dot(row, m) + k for row, k in zip(E, defects)):
+            raise NoLiftExists(f"{where}: defect correction failed to annihilate a relator")
+        shifts = [s + k for s, k in zip(start, m)]
+    lifting.shifts = tuple(shifts)
+    return lifting
 
 
 @dataclass(frozen=True)
 class EulerResult:
     place_index: int
     n: int
-    residual: float
-    precision_bits: int
+    residual: float  # 0.0: the integer is exact
+    precision_bits: int  # the widest root enclosure a sign decision needed
 
 
 def euler_number(
@@ -341,63 +337,53 @@ def euler_number(
     precision_bits: int = DEFAULT_START_BITS,
     offsets: Optional[Sequence[int]] = None,
     cap: Optional[int] = None,
+    walk: Optional[EulerWalk] = None,
 ) -> EulerResult:
-    """Euler number e([F]) at a real place: the central gap between the
-    lifted longitude and the canonical section, with a precision ladder.
-    """
+    """Euler number e([F]) at a real place: the central gap, in units of pi,
+    between the lifted longitude and the canonical section.  The longitude
+    lifts over sigma (-1, -tau; 0, -1) with count m: for sigma = -1 its Arg
+    is the section's arctan(tau/2), so the gap is 2m; for sigma = 1 its Arg
+    is arctan(tau/2) + pi if tau <= 0, else arctan(tau/2) - pi.  The relator
+    shifts then add their exponent sums along the longitude."""
     require_positive_int(precision_bits, "precision_bits")
     cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
-    name = rep.presentation.name
+    pres = rep.presentation
+    name = pres.name
     if cap < precision_bits:
         raise PrecisionExhausted(
             f"{name}: euler number at place {place.index}: no rung ran, the start "
             f"precision {precision_bits} bits exceeds the cap {cap} bits"
         )
-    bits = precision_bits
-    last_err: Exception | None = None
-    while bits <= cap:
-        try:
-            return _euler_once(rep, place, bits, offsets)
-        except PrecisionExhausted as exc:
-            last_err = exc
-            bits *= 2
-    raise PrecisionExhausted(
-        f"{name}: euler number at place {place.index} failed up to {cap} bits: {last_err}"
+    try:
+        lifting = lift_representation(rep, place, precision_bits, offsets, cap, walk)
+        lift, L = lifting.product(pres.longitude_factors)
+        tau = rep.longitude_translation()
+        sigma = lift.sigma if L.a == -1 else -lift.sigma
+        n = 2 * lift.m
+        if sigma == 1:
+            n += 1 if lifting.sign(tau) <= 0 else -1
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(
+            f"{name}: euler number at place {place.index} failed up to {cap} bits: {exc}"
+        ) from None
+    n += _dot(pres.longitude.exponent_sums(pres.generator_count), lifting.shifts)
+    return EulerResult(
+        place_index=place.index,
+        n=EULER_SIGN * n,
+        residual=0.0,
+        precision_bits=lifting.bits,
     )
-
-
-def _euler_once(rep, place, bits, offsets) -> EulerResult:
-    with prec_guard(bits + 32):
-        lifts = lift_representation(rep, place, bits, offsets)
-        lifted = ucover_eval(rep.presentation.longitude, lifts)
-        tau = place.embed(rep.longitude_translation(), bits)
-        section = canonical_section(tau)
-        # the projections must agree: certified sanity check on gamma
-        diff = lifted.gamma - section.gamma
-        if not (diff.abs2().b < float(RESIDUAL_TOL) ** 2):
-            raise PrecisionExhausted(
-                "lifted longitude and section disagree beyond tolerance"
-            )
-        gap = lifted.omega - section.omega
-        n, residual = _integer_defect(gap, RESIDUAL_TOL)
-        if residual > RESIDUAL_TOL:
-            raise PrecisionExhausted(
-                f"omega gap {residual} not within tolerance of an integer multiple of pi"
-            )
-        return EulerResult(
-            place_index=place.index,
-            n=EULER_SIGN * n,
-            residual=float(residual),
-            precision_bits=bits,
-        )
 
 
 def euler_tuple(rep: MatrixRep, precision_bits: int = DEFAULT_START_BITS) -> tuple[EulerResult, ...]:
-    """Euler numbers at every real place, ordered by ascending real root."""
+    """Euler numbers at every real place, ordered by ascending real root;
+    the places share one walk."""
+    walk = EulerWalk(rep)
     return tuple(
-        euler_number(rep, place, precision_bits)
+        euler_number(rep, place, precision_bits, walk=walk)
         for place in rep.field.real_places()
     )
+
 
 
 # ---------------------------------------------------------------------------

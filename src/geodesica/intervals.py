@@ -6,9 +6,8 @@ strict-inequality decision made here is sound.
 
 This is the only module that imports mpmath.libmp.  Its raw kernels work on
 endpoint tuples: a real interval is mpmath's (lo, hi) pair of raw mpfs, a
-complex rectangle an (re, im) pair of those.  ComplexIv arithmetic, iv_atan,
-iv_cos_sin and the universal-cover product in eulerclass run them at
-iv.prec, in the iv.mpf operators' order: the same endpoints without the
+complex rectangle an (re, im) pair of those.  ComplexIv arithmetic runs them
+at iv.prec, in the iv.mpf operators' order: the same endpoints without the
 conversion wrappers.
 """
 
@@ -19,9 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath import iv
-from mpmath.libmp import (
-    fzero, mpf_gt, mpi_add, mpi_atan2, mpi_cos_sin, mpi_div, mpi_mul, mpi_neg, mpi_sub,
-)
+from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
 
 _make_mpf = iv.make_mpf
 # 0 and 1 are exact at every precision
@@ -44,22 +41,6 @@ def prec_guard(bits: int):
 
 def iv_from_fraction(q: Fraction):
     return iv.mpf(q.numerator) / q.denominator
-
-
-def iv_atan(x):
-    """arctan on intervals; the iv context only ships atan2."""
-    return _make_mpf(mpi_atan2(iv.mpf(x)._mpi_, ONE, iv.prec))
-
-
-def iv_cos_sin(x):
-    """(iv.cos(x), iv.sin(x)) from a single cos/sin evaluation."""
-    c, s = mpi_cos_sin(iv.mpf(x)._mpi_, iv.prec)
-    return _make_mpf(c), _make_mpf(s)
-
-
-def lower_positive(x) -> bool:
-    """Whether the raw interval x lies strictly right of 0."""
-    return mpf_gt(x[0], fzero)
 
 
 def cx_add(p, q, prec):
@@ -190,9 +171,6 @@ class ComplexIv:
 
     def abs_upper(self) -> mp.mpf:
         return mp.mpf(self.abs_iv().b)
-
-    def contains_zero(self) -> bool:
-        return iv_contains_zero(self.re) and iv_contains_zero(self.im)
 
     def max_width(self) -> mp.mpf:
         return max(iv_width(self.re), iv_width(self.im))

@@ -184,24 +184,50 @@ class RealPlace:
     field: NumberField
     index: int
 
-    def root_interval(self, precision_bits: int = 64):
-        lo, hi = self.field.real_root_enclosure(self.index, precision_bits + 8)
-        with prec_guard(precision_bits + 16):
-            return iv.mpf([str(lo), str(hi)])
-
     def embed(self, e: "FieldElement", precision_bits: int = 64):
         """iv.mpf enclosure of e at this place, radius < 2^-(precision_bits/2)."""
         target = mp.mpf(2) ** (-(precision_bits // 2))
         bits = precision_bits
         while bits <= _PRECISION_HARD_CAP:
             with prec_guard(bits + 16):
-                x = self.root_interval(bits)
+                lo, hi = self.field.real_root_enclosure(self.index, bits + 8)
+                x = iv.mpf([str(lo), str(hi)])
                 val = RatPoly(e.coeffs).eval(x, iv_from_fraction)
                 if mp.mpf(val.delta.b) < target:
                     return val
             bits *= 2
         raise PrecisionExhausted(
             f"embedding at real place {self.index} did not reach 2^-{precision_bits // 2}"
+        )
+
+    def sign(self, e: "FieldElement", bits: int, cap: int) -> tuple[int, int]:
+        """(sign of e here, the bits that decided it): 0 when e is zero in K,
+        else by exact integer interval Horner of e's numerator over the root
+        enclosure of width 2^-bits, doubling bits up to cap."""
+        num = e.num
+        top = max((j for j, c in enumerate(num) if c), default=-1)
+        if top < 0:
+            return 0, bits
+        while bits <= cap:
+            lo, hi = self.field.real_root_enclosure(self.index, bits)
+            d = math.lcm(lo.denominator, hi.denominator)
+            A, B = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+            # d^top * e(x) for x in [A/d, B/d]: H <- H * X + num[j] * d^(top - j)
+            low = high = num[top]
+            scale = 1
+            for c in reversed(num[:top]):
+                scale *= d
+                p, q, r, s = low * A, low * B, high * A, high * B
+                low, high = min(p, q, r, s), max(p, q, r, s)
+                if c:
+                    low += c * scale
+                    high += c * scale
+            if low > 0 or high < 0:
+                return (1 if low > 0 else -1), bits
+            bits *= 2
+        raise PrecisionExhausted(
+            f"{self.field.name}: sign at real place {self.index} not certified "
+            f"up to {cap} bits"
         )
 
 

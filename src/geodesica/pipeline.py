@@ -423,6 +423,7 @@ def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool,
 def pretzel_check(data: PretzelData, precision_bits: int) -> dict:
     """The pretzel check on the holonomy the loader (or ``pretzel --k``)
     built: recursion, entry identities, root census and tangency chain."""
+    require_positive_int(precision_bits, "precision_bits")
     k = data.k
     out = {"k": k}
     out["recursion_matches_closed_form"] = data.lam == lambda_closed_formula(k)
@@ -581,7 +582,8 @@ def run(
     names: Optional[Sequence[str]] = None,
     workers: int = 1,
 ) -> RunReport:
-    """Execute the selected checks per knot and assemble the report.
+    """Execute the selected checks per knot, each once however often it is
+    named, and assemble the report.
 
     Anchor comparisons come from each record's `expected` block; any
     mismatch or hard error makes the exit status nonzero.  With workers > 1
@@ -590,6 +592,7 @@ def run(
     data; assembly stays a single deterministic reduction in census order.
     """
     t0 = time.perf_counter()
+    checks = tuple(dict.fromkeys(checks))
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
         raise BadArgument(f"unknown checks: {bad}; valid: {ALL_CHECKS}")
@@ -612,7 +615,7 @@ def run(
             results = list(
                 pool.map(
                     _pool_entry,
-                    [(i, tuple(checks), precision_bits) for i in range(len(selected))],
+                    [(i, checks, precision_bits) for i in range(len(selected))],
                 )
             )
     else:

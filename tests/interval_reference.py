@@ -1,0 +1,301 @@
+"""Reference interval engine for the Euler number, kept as a test oracle.
+
+This is the outward-rounded cos/sin/atan lift that ``geodesica.eulerclass``
+used before its exact winding count: points (gamma, omega) of the universal
+cover of PSL(2,R) with |gamma| < 1 and omega a real lift, the group law on
+raw mpmath endpoint tuples, the relator-defect correction, the canonical
+boundary section and the precision ladder.  An integer is only reported when
+the certified residual clears RESIDUAL_TOL.  The tests run it against the
+exact engine and check its own kernels against the ComplexIv / iv.mpf
+formulas.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import mpmath as mp
+from mpmath.libmp import (
+    fzero, mpf_gt, mpi_add, mpi_atan2, mpi_cos_sin, mpi_div, mpi_mul, mpi_neg,
+)
+
+from geodesica.errors import NoLiftExists, PrecisionExhausted, require_positive_int
+from geodesica.eulerclass import (
+    DEFAULT_START_BITS,
+    EULER_SIGN,
+    EulerResult,
+    precision_cap,
+    solve_integer_system,
+)
+from geodesica.intervals import (
+    ONE, ZERO, ComplexIv, cx_add, cx_conj, cx_div, cx_mul, cx_neg, iv,
+    iv_contains_zero, prec_guard,
+)
+from geodesica.knotgroup import MatrixRep, Word, evaluate_word
+from geodesica.numfield import RealPlace
+
+RESIDUAL_TOL = mp.mpf("1e-9")
+_make_mpf = iv.make_mpf
+
+
+def iv_atan(x):
+    """arctan on intervals; the iv context only ships atan2."""
+    return _make_mpf(mpi_atan2(iv.mpf(x)._mpi_, ONE, iv.prec))
+
+
+def iv_cos_sin(x):
+    """(iv.cos(x), iv.sin(x)) from a single cos/sin evaluation."""
+    c, s = mpi_cos_sin(iv.mpf(x)._mpi_, iv.prec)
+    return _make_mpf(c), _make_mpf(s)
+
+
+def lower_positive(x) -> bool:
+    """Whether the raw interval x lies strictly right of 0."""
+    return mpf_gt(x[0], fzero)
+
+
+@dataclass
+class LiftedElement:
+    """Point (gamma, omega) of the universal cover, |gamma| < 1."""
+
+    gamma: ComplexIv
+    omega: object  # iv.mpf
+
+    def central_shift(self, k: int) -> "LiftedElement":
+        return LiftedElement(self.gamma, self.omega + k * iv.pi)
+
+
+def _arg_mod_pi(z: ComplexIv):
+    """Angle of the line through z, as an interval near [0, pi).
+
+    The boundary cases (z near the real axis) keep the representative near 0
+    or pi rather than splitting the interval; any resulting central offset is
+    absorbed by the relator-defect correction.
+    """
+    re, im = z.re, z.im
+    if not iv_contains_zero(re):
+        theta = iv_atan(im / re)
+        if theta.b < 0:
+            theta = theta + iv.pi
+        return theta
+    if not iv_contains_zero(im):
+        return iv.pi / 2 - iv_atan(re / im)
+    raise PrecisionExhausted("argument of an interval containing 0")
+
+
+def to_su11(entries: Sequence) -> LiftedElement:
+    """Principal lift of a real det-1 matrix through the disk-model
+    isomorphism: alpha = (a+d+(b-c)i)/2, beta = (a-d-(b+c)i)/2,
+    gamma = conj(beta)/alpha, omega = arg(alpha) mod pi."""
+    a, b, c, d = entries
+    alpha = ComplexIv((a + d) / 2, (b - c) / 2)
+    beta = ComplexIv((a - d) / 2, -(b + c) / 2)
+    if iv_contains_zero(alpha.re) and iv_contains_zero(alpha.im):
+        raise PrecisionExhausted("alpha enclosure contains 0 in to_su11")
+    gamma = beta.conj() / alpha
+    if not (gamma.abs2().b < 1):
+        raise PrecisionExhausted("could not certify |gamma| < 1")
+    return LiftedElement(gamma, _arg_mod_pi(alpha))
+
+
+# the exact factors of the phases e^{-2i omega} (product) and e^{2i omega}
+# (inverse)
+_MINUS_TWO = iv.mpf(-2)._mpi_
+_TWO = iv.mpf(2)._mpi_
+
+
+def ucover_mul(x: LiftedElement, y: LiftedElement) -> LiftedElement:
+    """Group law of the universal cover.
+
+    The log factor in the published formula is arg(u) for
+    u = 1 + gamma_2 conj(gamma_1) e^{-2 i omega_1}; |gamma_i| < 1 keeps
+    Re(u) > 0, so the principal branch never meets the cut.  Runs on raw
+    endpoint tuples, with the operands and order of the ComplexIv and iv.mpf
+    operators, so it gives their endpoints.
+    """
+    prec = iv.prec
+    xg, xw = x.gamma.raw(), x.omega._mpi_
+    g2ph = cx_mul(y.gamma.raw(), mpi_cos_sin(mpi_mul(_MINUS_TWO, xw, prec), prec), prec)
+    u = cx_add((ONE, ZERO), cx_mul(g2ph, cx_conj(xg, prec), prec), prec)
+    if not lower_positive(u[0]):
+        raise PrecisionExhausted("branch certificate Re(u) > 0 failed in ucover_mul")
+    gamma = cx_div(cx_add(xg, g2ph, prec), u, prec)
+    turn = mpi_atan2(mpi_div(u[1], u[0], prec), ONE, prec)
+    omega = mpi_add(mpi_add(xw, y.omega._mpi_, prec), turn, prec)
+    return LiftedElement(ComplexIv.from_raw(gamma), iv.make_mpf(omega))
+
+
+def ucover_inv(x: LiftedElement) -> LiftedElement:
+    prec = iv.prec
+    xw = x.omega._mpi_
+    phase = mpi_cos_sin(mpi_mul(_TWO, xw, prec), prec)
+    gamma = cx_neg(cx_mul(x.gamma.raw(), phase, prec), prec)
+    return LiftedElement(ComplexIv.from_raw(gamma), iv.make_mpf(mpi_neg(xw, prec)))
+
+
+def ucover_identity() -> LiftedElement:
+    return LiftedElement(ComplexIv.zero(), iv.mpf(0))
+
+
+def ucover_pow(x: LiftedElement, n: int) -> LiftedElement:
+    """x^n, started from x: the identity is an exact left unit of
+    ucover_mul (phase exactly (1, 0), u = 1, atan2(0, 1) = 0), so skipping
+    the identity product leaves every endpoint unchanged."""
+    if n == 0:
+        return ucover_identity()
+    if n < 0:
+        x, n = ucover_inv(x), -n
+    out = x
+    for _ in range(n - 1):
+        out = ucover_mul(out, x)
+    return out
+
+
+def ucover_eval(w: Word, lifts: Sequence[LiftedElement]) -> LiftedElement:
+    """Lift of a word: each distinct (generator, exponent) power is built
+    once per call, and the product starts from the first letter's power."""
+    powers: dict[tuple[int, int], LiftedElement] = {}
+    out: Optional[LiftedElement] = None
+    for letter in w.letters:
+        p = powers.get(letter)
+        if p is None:
+            g, e = letter
+            p = powers[letter] = ucover_pow(lifts[g], e)
+        out = p if out is None else ucover_mul(out, p)
+    return ucover_identity() if out is None else out
+
+
+def embed_matrix(rep: MatrixRep, w: Word, place: RealPlace, bits: int):
+    m = evaluate_word(rep, w)
+    return tuple(place.embed(entry, bits) for entry in m.entries())
+
+
+def _integer_defect(omega, tol) -> tuple[int, mp.mpf]:
+    mid = mp.mpf(omega.mid.a)
+    ratio = mid / mp.pi
+    k = int(mp.nint(ratio))
+    residual = abs(ratio - k)
+    width = mp.mpf(omega.delta.b) / mp.pi
+    return k, residual + width
+
+
+def lift_representation(
+    rep: MatrixRep,
+    place: RealPlace,
+    precision_bits: int = DEFAULT_START_BITS,
+    offsets: Optional[Sequence[int]] = None,
+    tol=RESIDUAL_TOL,
+) -> list[LiftedElement]:
+    """Principal lifts of the generator images with every relator defect
+    annihilated.
+
+    Starts from the principal lift of each generator (optionally shifted by
+    the given central offsets, exercising lift-independence), measures the
+    central defect c^{k_r} of each relator, and solves the integer system
+    E m = -k over the relator abelianization matrix E.
+    """
+    with prec_guard(precision_bits + 32):
+        lifts = [
+            to_su11(embed_matrix(rep, Word.gen(i), place, precision_bits))
+            for i in range(rep.presentation.generator_count)
+        ]
+        if offsets:
+            lifts = [L.central_shift(k) for L, k in zip(lifts, offsets)]
+        defects = []
+        for relator in rep.presentation.relators:
+            val = ucover_eval(relator, lifts)
+            if not (val.gamma.abs2().b < float(tol) ** 2):
+                raise PrecisionExhausted(
+                    "relator gamma defect not certified small; raise precision"
+                )
+            k, residual = _integer_defect(val.omega, tol)
+            if residual > tol:
+                raise PrecisionExhausted(
+                    f"relator omega defect {residual} not within {tol} of an integer"
+                )
+            defects.append(k)
+        if any(defects):
+            name = rep.presentation.name
+            E = rep.presentation.relator_exponent_matrix()
+            try:
+                m = solve_integer_system(E, [-k for k in defects])
+            except NoLiftExists as exc:
+                raise NoLiftExists(f"{name}: place {place.index}: {exc}") from None
+            lifts = [L.central_shift(mi) for L, mi in zip(lifts, m)]
+            for relator in rep.presentation.relators:
+                val = ucover_eval(relator, lifts)
+                k, residual = _integer_defect(val.omega, tol)
+                if k != 0 or residual > tol:
+                    raise NoLiftExists(
+                        f"{name}: place {place.index}: defect correction failed "
+                        "to annihilate a relator"
+                    )
+        return lifts
+
+
+def canonical_section(tau_value) -> LiftedElement:
+    """Canonical boundary section at the longitude (-1, -tau; 0, -1):
+    s(l) = (i tau / (2 + i tau), arctan(tau / 2))."""
+    tau = tau_value if isinstance(tau_value, iv.mpf) else iv.mpf(tau_value)
+    denom = ComplexIv(iv.mpf(2), tau)
+    gamma = ComplexIv(iv.mpf(0), tau) / denom
+    omega = iv_atan(tau / 2)
+    return LiftedElement(gamma, omega)
+
+
+def euler_number(
+    rep: MatrixRep,
+    place: RealPlace,
+    precision_bits: int = DEFAULT_START_BITS,
+    offsets: Optional[Sequence[int]] = None,
+    cap: Optional[int] = None,
+) -> EulerResult:
+    """Euler number e([F]) at a real place: the central gap between the
+    lifted longitude and the canonical section, with a precision ladder.
+    """
+    require_positive_int(precision_bits, "precision_bits")
+    cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
+    name = rep.presentation.name
+    if cap < precision_bits:
+        raise PrecisionExhausted(
+            f"{name}: euler number at place {place.index}: no rung ran, the start "
+            f"precision {precision_bits} bits exceeds the cap {cap} bits"
+        )
+    bits = precision_bits
+    last_err: Exception | None = None
+    while bits <= cap:
+        try:
+            return _euler_once(rep, place, bits, offsets)
+        except PrecisionExhausted as exc:
+            last_err = exc
+            bits *= 2
+    raise PrecisionExhausted(
+        f"{name}: euler number at place {place.index} failed up to {cap} bits: {last_err}"
+    )
+
+
+def _euler_once(rep, place, bits, offsets) -> EulerResult:
+    with prec_guard(bits + 32):
+        lifts = lift_representation(rep, place, bits, offsets)
+        lifted = ucover_eval(rep.presentation.longitude, lifts)
+        tau = place.embed(rep.longitude_translation(), bits)
+        section = canonical_section(tau)
+        # the projections must agree: certified sanity check on gamma
+        diff = lifted.gamma - section.gamma
+        if not (diff.abs2().b < float(RESIDUAL_TOL) ** 2):
+            raise PrecisionExhausted(
+                "lifted longitude and section disagree beyond tolerance"
+            )
+        gap = lifted.omega - section.omega
+        n, residual = _integer_defect(gap, RESIDUAL_TOL)
+        if residual > RESIDUAL_TOL:
+            raise PrecisionExhausted(
+                f"omega gap {residual} not within tolerance of an integer multiple of pi"
+            )
+        return EulerResult(
+            place_index=place.index,
+            n=EULER_SIGN * n,
+            residual=float(residual),
+            precision_bits=bits,
+        )

@@ -5,17 +5,40 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from geodesica import eulerclass
 from geodesica.errors import MilnorWoodViolated, NoLiftExists, PrecisionExhausted
 from geodesica.eulerclass import (
     EulerResult,
-    LiftedElement,
-    canonical_section,
     euler_number,
     euler_tuple,
-    lift_representation,
     obstruction_verdict,
     closed_surface_obstruction,
     solve_integer_system,
+)
+from geodesica.intervals import (
+    ComplexIv,
+    iv,
+    iv_from_fraction,
+    prec_guard,
+)
+from geodesica.knotgroup import (
+    Word,
+    build_representation,
+    evaluate_word,
+    flatten,
+    riley_polynomial,
+    two_bridge_presentation,
+)
+from geodesica.pipeline import get_knot
+from geodesica.polycore import RatPoly, irreducibility_certificate, rational_roots
+from interval_reference import (
+    LiftedElement,
+    canonical_section,
+    embed_matrix,
+    euler_number as reference_euler_number,
+    iv_atan,
+    iv_cos_sin,
+    lift_representation,
     to_su11,
     ucover_eval,
     ucover_identity,
@@ -23,15 +46,6 @@ from geodesica.eulerclass import (
     ucover_mul,
     ucover_pow,
 )
-from geodesica.intervals import (
-    ComplexIv,
-    iv,
-    iv_atan,
-    iv_cos_sin,
-    iv_from_fraction,
-    prec_guard,
-)
-from geodesica.knotgroup import Word, evaluate_word
 
 
 def _iv4(a, b, c, d):
@@ -84,9 +98,6 @@ class TestGroupLaw:
 
     def test_central_element_squares(self):
         with prec_guard(96):
-            c = type("L", (), {})
-            from geodesica.eulerclass import LiftedElement
-
             c = LiftedElement(ComplexIv.zero(), iv.pi)
             c2 = ucover_mul(c, c)
             assert abs(float(c2.omega.mid.a) - float(2 * mp.pi)) < 1e-25
@@ -510,3 +521,129 @@ class TestVerdicts:
         for rep, genus in ((rep_73, 2), (rep_74, 1), (pretzel_1.rep, 1)):
             for r in euler_tuple(rep):
                 assert abs(r.n) <= 2 * genus - 1
+
+
+# ---------------------------------------------------------------------------
+# The exact winding count against the reference interval engine
+# ---------------------------------------------------------------------------
+
+
+def _census_reps(records):
+    return [r.rep for r in records if r.rep is not None]
+
+
+def _words(generator_count):
+    letter = st.tuples(st.integers(0, generator_count - 1), st.integers(-3, 3).filter(bool))
+    return st.lists(letter, min_size=1, max_size=8).map(Word)
+
+
+def _factors(generator_count):
+    """One to three factor words, each taken as itself or as its inverse."""
+    factor = st.tuples(_words(generator_count), st.sampled_from((1, -1)))
+    return st.lists(factor, min_size=1, max_size=3).map(tuple)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_winding_count_matches_reference_lift(census_records, data):
+    rep = data.draw(st.sampled_from(_census_reps(census_records)), label="rep")
+    place = data.draw(st.sampled_from(rep.field.real_places()), label="place")
+    factors = data.draw(_factors(rep.presentation.generator_count), label="factors")
+    lift, M = eulerclass.lift_representation(rep, place).product(factors)
+    word = flatten(factors)
+    assert M == evaluate_word(rep, word)
+    bits = 160
+    with prec_guard(bits + 32):
+        gens = range(rep.presentation.generator_count)
+        try:
+            lifts = [to_su11(embed_matrix(rep, Word.gen(g), place, bits)) for g in gens]
+            omega = ucover_eval(word, lifts).omega
+        except PrecisionExhausted:
+            assume(False)
+        a, b, c, d = (place.embed(x, bits) for x in M.entries())
+        arg = iv.atan2(lift.sigma * (b - c), lift.sigma * (a + d))
+        turns = (omega - arg) / (2 * iv.pi)
+    # where the reference certifies omega, Arg alpha(sigma M) + 2 pi m is it
+    assume(mp.mpf(turns.delta.b) < 0.25)
+    assert turns.a <= lift.m <= turns.b
+    if arg.a > 0:
+        assert lift.upper
+    if arg.b <= 0:
+        assert not lift.upper
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_word_times_its_inverse_lifts_to_the_identity(census_records, data):
+    rep = data.draw(st.sampled_from(_census_reps(census_records)), label="rep")
+    place = data.draw(st.sampled_from(rep.field.real_places()), label="place")
+    w = data.draw(_words(rep.presentation.generator_count), label="word")
+    lifting = eulerclass.lift_representation(rep, place)
+    for factors in (((w, 1), (w, -1)), ((w, -1), (w, 1))):
+        assert lifting.product(factors)[0] == eulerclass.Lift(1, 0, False)
+
+
+def test_reference_ladder_agrees_with_winding_count(rep_73, rep_74, pretzel_1):
+    for rep in (rep_73, rep_74, pretzel_1.rep):
+        for place in rep.field.real_places():
+            exact = euler_number(rep, place)
+            assert exact.n == reference_euler_number(rep, place).n
+            assert exact.residual == 0.0 and exact.precision_bits == 128
+
+
+def test_winding_count_names_the_knot_and_place_when_exhausted(rep_73):
+    # the first place needs an 8-bit root enclosure
+    place = rep_73.field.real_places()[0]
+    with pytest.raises(PrecisionExhausted, match="7_3: euler number at place 0 failed up to 4 bits"):
+        euler_number(rep_73, place, precision_bits=1, cap=4)
+    assert euler_number(rep_73, place, precision_bits=1, cap=8).precision_bits == 8
+
+
+# ---------------------------------------------------------------------------
+# Schubert equivalence (Schubert, "Knoten mit zwei Bruecken", Math. Z. 65,
+# 1956): K(p, q') is K(p, q) for q' = q^(+-1) mod p, and its mirror for
+# q' = -q^(+-1) mod p
+# ---------------------------------------------------------------------------
+
+TWO_BRIDGE_ROWS = [
+    "7_3", "7_5", "8_4", "8_6", "8_14", "9_3", "9_4", "9_6", "9_7", "9_8",
+    "9_9", "9_10", "9_12", "9_13", "9_15", "9_18", "9_21", "9_23", "7_4",
+]
+
+
+def _equivalent_fractions(p, q):
+    """Each q' != q in (0, p) with q' = +-q^(+-1) mod p, with the signs it
+    takes: 1 for q^(+-1), -1 for -q^(+-1)."""
+    inverse = pow(q, -1, p)
+    out = {}
+    for r, sign in ((q, 1), (inverse, 1), (p - q, -1), (p - inverse, -1)):
+        if r != q:
+            out.setdefault(r, set()).add(sign)
+    return out
+
+
+def _without_rational_roots(poly):
+    for r in rational_roots(poly):
+        poly, _ = poly.divmod(RatPoly([-r, 1]))
+    return poly
+
+
+@pytest.mark.parametrize("name", TWO_BRIDGE_ROWS)
+def test_schubert_equivalent_fractions_give_the_same_euler_numbers(census_records, name):
+    record = get_knot(census_records, name)
+    p, q = record.raw["p"], record.raw["q"]
+    euler = [r.n for r in euler_tuple(record.rep)]
+    # the mirror over the row's own field negates every place's number
+    mirror = build_representation(two_bridge_presentation(p, p - q), record.rep.field.minpoly)
+    assert [r.n for r in euler_tuple(mirror)] == [-n for n in euler]
+    # each other equivalent fraction whose Riley polynomial, rational roots
+    # divided out, is certified irreducible: the same multiset over that
+    # field, negated for a mirror (16 of the 19 rows have three such)
+    for q2, signs in _equivalent_fractions(p, q).items():
+        pres = two_bridge_presentation(p, q2)
+        minpoly = _without_rational_roots(riley_polynomial(pres))
+        if irreducibility_certificate(minpoly).status != "irreducible":
+            continue
+        got = sorted(r.n for r in euler_tuple(build_representation(pres, minpoly)))
+        for sign in signs:
+            assert got == sorted(sign * n for n in euler), (q2, sign)

@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from geodesica.intervals import (
     ComplexIv,
     iv,
-    iv_atan,
     iv_contains_zero,
-    iv_cos_sin,
     iv_from_fraction,
     prec_guard,
 )
+from interval_reference import iv_atan, iv_cos_sin
 
 
 def test_prec_guard_restores():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geodesica.errors import DivisionByZero
+from geodesica.errors import DivisionByZero, PrecisionExhausted
 from geodesica.numfield import (
     NumberField,
     contains_obvious_subfield_flags,
@@ -131,6 +131,41 @@ class TestEmbedding:
         v0 = place_mid(places[0])
         v1 = place_mid(places[1])
         assert v0 < v1
+
+
+class TestSign:
+    def test_zero_is_decided_exactly(self):
+        place = K73.real_places()[0]
+        z = K73.gen()
+        assert place.sign(K73.zero(), 128, 128) == (0, 128)
+        assert place.sign(z * nf_inverse(z) - 1, 1, 1) == (0, 1)
+
+    def test_enclosure_doubles_until_the_sign_certifies(self):
+        # z - lo for the lower end lo of a 2^-60 root enclosure: 0 < z - lo <= 2^-60
+        place = K73.real_places()[0]
+        lo, _ = K73.real_root_enclosure(0, 60)
+        s, bits = place.sign(K73.gen() - lo, 8, 1 << 16)
+        assert s == 1 and bits >= 64 and bits & (bits - 1) == 0
+        assert place.sign(lo - K73.gen(), 8, 1 << 16) == (-1, bits)
+        with pytest.raises(PrecisionExhausted, match=r"Q\(z_73\): sign at real place 0 .* 32 bits"):
+            place.sign(K73.gen() - lo, 8, 32)
+
+
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=6),
+    st.sampled_from([0, 1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_sign_agrees_with_the_embedding(coeffs, index):
+    place = K73.real_places()[index]
+    e = K73.element(coeffs)
+    s, bits = place.sign(e, 16, 1 << 16)
+    assert (s == 0) == e.is_zero()
+    value = place.embed(e, 2 * bits + 64)
+    if s > 0:
+        assert value.b > 0
+    if s < 0:
+        assert value.a < 0
 
 
 def place_mid(place):

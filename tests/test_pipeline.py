@@ -314,7 +314,19 @@ class TestCLI:
 # ---------------------------------------------------------------------------
 
 # sha256 of the bundled-census report with every check at the default start
-GOLDEN_REPORT_SHA256 = "9baf4622c21ec358630ab5a11816b742721be74b50221b05639c58c0fe08bf2c"
+GOLDEN_REPORT_SHA256 = "382c5732d8bfa41a37a489c3915258c5cf85664f871c532b697e8e6b60a3bf96"
+# sha256 of that report without the euler entries' euler_residual_max and
+# precision_bits, computed with the interval Euler engine (whose full report
+# hashed to 9baf4622...bf2c): the exact winding count changed only those keys
+GOLDEN_PROJECTION_SHA256 = "87b7cf569bfa6eac82a7509e1c5bee39353062a9b0627859b6825cd4bc3244ca"
+
+
+def _without_euler_precision(data: bytes) -> bytes:
+    payload = json.loads(data)
+    for knot in payload["knots"]:
+        for key in ("euler_residual_max", "precision_bits"):
+            knot.get("euler", {}).pop(key, None)
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_golden_report_bytes_serial_and_pool():
@@ -322,6 +334,8 @@ def test_golden_report_bytes_serial_and_pool():
     for workers in (1, 2):
         data = run(records, ALL_CHECKS, 128, workers=workers).to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORT_SHA256, workers
+        projection = _without_euler_precision(data)
+        assert hashlib.sha256(projection).hexdigest() == GOLDEN_PROJECTION_SHA256, workers
 
 
 def _count_calls(monkeypatch, module, name):
@@ -354,6 +368,18 @@ def test_full_run_solves_each_case_and_builds_each_holonomy_once(monkeypatch):
     assert len(chains) == len(prime) == 3
     cases = sum(len(r.uniqueness_cases) for r in records if not r.awaiting_data)
     assert len(systems) == cases == 4
+
+
+def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):
+    from geodesica import pipeline
+
+    calls = _count_calls(monkeypatch, pipeline, "_euler_check")
+    report = run(census_records, checks=("euler", "euler"), names=["7_4"])
+    assert len(calls) == 1 and report.payload["checks"] == ["euler"]
+    out = tmp_path / "report.json"
+    argv = ["report", "--checks", "euler,euler", "--knot", "7_4", "--json", str(out)]
+    assert cli.main(argv) == 0
+    assert len(calls) == 2 and json.loads(out.read_text())["checks"] == ["euler"]
 
 
 def test_pool_computes_on_the_records_passed_in(census_records):
@@ -508,11 +534,11 @@ class TestInputValidation:
         assert "workers must be a positive integer" in capsys.readouterr().err
 
     def test_ladder_failure_names_the_knot_and_place(self, monkeypatch, capsys):
-        # 9_13's first real place needs 256 bits
-        monkeypatch.setenv("GEODESICA_PRECISION_CAP", "128")
-        assert cli.main(["euler", "--knot", "9_13"]) == 2
+        # 9_13's first real place needs a 16-bit root enclosure
+        monkeypatch.setenv("GEODESICA_PRECISION_CAP", "8")
+        assert cli.main(["euler", "--knot", "9_13", "--precision-bits", "4"]) == 2
         err = capsys.readouterr().err
-        assert "PrecisionExhausted: 9_13: euler number at place 0 failed up to 128 bits" in err
+        assert "PrecisionExhausted: 9_13: euler number at place 0 failed up to 8 bits" in err
 
     def test_cap_below_start_says_no_rung_ran(self, monkeypatch, capsys):
         monkeypatch.setenv("GEODESICA_PRECISION_CAP", "64")
@@ -524,6 +550,8 @@ class TestInputValidation:
         ["pretzel", "--k", "0", "--check", "relators"],
         ["pretzel", "--k", "4", "--check", "tangency"],  # 2k+1 = 9 is not prime
         ["render", "--knot", "7_4", "--config", "74-strip", "--precision-bits", "8"],
+        ["pretzel", "--k", "2", "--precision-bits", "0"],
+        ["pretzel", "--k", "2", "--precision-bits", "-5"],
     ])
     def test_out_of_range_subcommand_arguments(self, argv, tmp_path, capsys):
         if argv[0] == "render":

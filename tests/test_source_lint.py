@@ -1,7 +1,8 @@
 """Source-level lint: no ``assert`` statement in the package, no name a
 package module imports with ``from ... import`` and never reads, no package
-module but ``intervals`` that reaches into ``mpmath.libmp``, and every
-function the benchmark tracer wraps still exists.
+module but ``intervals`` that reaches into ``mpmath.libmp``, an Euler engine
+that imports no interval code, and every function the benchmark tracer wraps
+still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -137,3 +138,42 @@ def test_libmp_detector():
         "from mpmath import iv\n"
     )
     assert _libmp_uses(tree) == [1, 2, 3, 4, 6]
+
+
+def _imported_modules(tree: ast.AST, package: str) -> set[str]:
+    """Absolute names of the modules a module of ``package`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            names.add(module)
+            # "from . import intervals" and "from mpmath import libmp" bind modules
+            names.update(f"{module}.{a.name}" for a in node.names)
+    return names
+
+
+def test_eulerclass_imports_no_interval_code():
+    # the Euler engine decides signs in K exactly; intervals stay out of it
+    tree = ast.parse((PACKAGE / "eulerclass.py").read_text())
+    imported = _imported_modules(tree, "geodesica")
+    found = sorted(
+        name for name in imported
+        if name.split(".")[0] == "mpmath" or name.startswith("geodesica.intervals")
+    )
+    assert not found, f"eulerclass imports interval code: {found}"
+    assert "geodesica.numfield" in imported
+
+
+def test_imported_modules_detector():
+    tree = ast.parse(
+        "import mpmath as mp\n"
+        "from .intervals import iv\n"
+        "from . import intervals\n"
+        "from .numfield import RealPlace\n"
+    )
+    assert {"mpmath", "geodesica.intervals", "geodesica.numfield"} <= _imported_modules(
+        tree, "geodesica"
+    )
