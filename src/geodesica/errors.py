@@ -34,6 +34,11 @@ class PrecisionExhausted(GeodesicaError):
     """Certified decision impossible within the configured precision cap."""
 
 
+class NoComplexPlace(GeodesicaError):
+    """The field has no certified root with positive imaginary part, so it
+    has no geometric (holonomy) embedding."""
+
+
 class BadFraction(GeodesicaError):
     """Invalid two-bridge fraction (p even, or gcd(p, q) != 1, or q out of range)."""
 

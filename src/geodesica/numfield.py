@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .errors import DivisionByZero, PrecisionExhausted
+from .errors import DivisionByZero, NoComplexPlace, PrecisionExhausted
 from .intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from .polycore import (
     ComplexRootSet,
@@ -148,15 +148,20 @@ class NumberField:
     def geometric_place(self, precision_bits: int = 128) -> "ComplexPlace":
         """The complex root with positive imaginary part of largest modulus;
         the conventional choice for the holonomy embedding when the census
-        does not pin one explicitly."""
+        does not pin one explicitly.  A root counts when its whole disk lies
+        in the upper half-plane, so a real root never does.  Raises
+        NoComplexPlace when no root qualifies."""
         rs = self.complex_root_set(precision_bits)
         best = None
         for idx, r in enumerate(rs.roots):
-            if mp.im(r.center) > 0:
+            if mp.im(r.center) > r.radius:
                 if best is None or abs(r.center) > abs(rs.roots[best].center):
                     best = idx
         if best is None:
-            raise ValueError("no complex root with positive imaginary part")
+            raise NoComplexPlace(
+                f"{self.name}: no complex root with positive imaginary part "
+                f"at {precision_bits} bits"
+            )
         return ComplexPlace(self, best)
 
     def real_root_enclosure(self, index: int, width_bits: int) -> tuple[Fraction, Fraction]:

@@ -8,6 +8,7 @@ are certified afterwards with outward-rounded interval arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,8 +17,15 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .errors import BadArgument, NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
-from .intervals import ComplexIv, prec_guard
+from .errors import (
+    BadArgument,
+    NotIsolating,
+    PrecisionExhausted,
+    RepeatedRoots,
+    ZeroModulus,
+    ZeroPolynomial,
+)
+from .intervals import ComplexIv, iv, prec_guard
 
 _Q = Fraction
 
@@ -468,30 +476,41 @@ def _weierstrass_radii(p: RatPoly, approx: list, bits: int):
 
     All roots of p lie in the union of disks D(z_i, n*|W_i|) where W_i is the
     Weierstrass correction p(z_i) / (lc * prod_{j != i} (z_i - z_j)); when the
-    disks are pairwise disjoint each contains exactly one root.  The radii are
-    computed with outward-rounded interval arithmetic so the bound is sound.
+    disks are pairwise disjoint each contains exactly one root.  Each radius
+    is the upper endpoint of an outward-rounded enclosure of n*|W_i|, so it
+    is never below the exact bound.
     """
     n = p.degree
     with prec_guard(2 * bits + 40):
         pts = [ComplexIv.from_mpc(z) for z in approx]
-        lc = ComplexIv.from_fraction(p.leading())
+        coeffs = [ComplexIv.from_fraction(c) for c in reversed(p.coeffs)]
+        lc = coeffs[0]
         radii = []
         for i, zi in enumerate(pts):
-            num = p.eval(ComplexIv.from_mpc(approx[i]), ComplexIv.from_fraction)
+            num = lc
+            for c in coeffs[1:]:
+                num = num * zi + c
             den = lc
             for j, zj in enumerate(pts):
                 if j != i:
                     den = den * (zi - zj)
-            w = num / den
-            radii.append(mp.mpf(str((w.abs_upper()) * n)))
+            # iv.prec == mp.prec here, so the endpoint converts exactly
+            radii.append(mp.mpf(((num / den).abs_iv() * n).b))
         return radii
 
 
 def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) -> ComplexRootSet:
     """All complex roots of a square-free polynomial with certified radii.
 
-    Durand-Kerner iteration started from perturbed roots of unity; the
-    returned disks are pairwise disjoint and each contains exactly one root.
+    Durand-Kerner runs twice: in machine floats from perturbed roots of
+    unity until every step is about 2^-40 of its root, then in mpmath at
+    ``bits + 20`` from those seeds (from the roots of unity themselves when
+    a coefficient overflows a float or the seeds are not finite and
+    distinct) until every step is below 2^-(bits-4).  The float stage only
+    chooses where the mpmath iteration starts; what is returned rests on
+    outward-rounded Weierstrass radii alone.  The returned disks are
+    pairwise disjoint, each contains exactly one root, and every radius is
+    below 2^-(precision_bits/2).
     Raises RepeatedRoots if gcd(p, p') is nontrivial and PrecisionExhausted
     if disjoint certified disks cannot be produced at 8x the requested
     precision.
@@ -503,16 +522,15 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
     if poly_gcd(p, p.derivative()).degree > 0:
         raise RepeatedRoots("input has repeated roots; deflate first")
 
-    from .errors import PrecisionExhausted
-
     monic = p.monic()
-    n = monic.degree
+    seeds = _float_seeds(monic, max_iter)
     target = mp.mpf(2) ** (-(precision_bits // 2))
     bits = precision_bits
     while bits <= 8 * precision_bits:
-        roots = _durand_kerner(monic, n, bits, max_iter)
+        start = seeds if seeds is not None else _unity_start(monic, bits)
+        roots = _durand_kerner(monic, start, bits, max_iter)
         radii = _weierstrass_radii(p, roots, bits)
-        ok = all(r < target for r in radii) and _disks_disjoint(roots, radii)
+        ok = all(r < target for r in radii) and _disks_disjoint(roots, radii, bits)
         if ok:
             certified = tuple(
                 CertifiedRoot(z, r) for z, r in sorted(
@@ -528,15 +546,71 @@ def _mpf_rational(c: Fraction):
     return mp.mpf(c.numerator) / c.denominator
 
 
-def _durand_kerner(monic: RatPoly, n: int, bits: int, max_iter: int):
+def _start_radius(monic: RatPoly) -> float:
+    """Radius of the Durand-Kerner start circle: the Cauchy bound clamped to
+    [1, 10^6], compared exactly so that a bound beyond the float range
+    clamps too."""
+    return max(1.0, float(min(root_bound(monic), _Q(10 ** 6))))
+
+
+def _unity_start(monic: RatPoly, bits: int) -> list:
+    """Perturbed roots of unity on 0.9 times the start circle, as mpc at the
+    working precision ``bits + 20``."""
+    n = monic.degree
+    with mp.workprec(bits + 20):
+        rad = mp.mpf(_start_radius(monic)) * mp.mpf("0.9")
+        return [rad * mp.exp(2j * mp.pi * (k + mp.mpf("0.25")) / n) + mp.mpf("0.1") * (k % 3)
+                for k in range(n)]
+
+
+# The float stage stops at this relative step: one more sweep reaches the
+# float's own precision, and the mpmath stage's quadratic convergence takes
+# it from there.
+_SEED_STEP = 2.0 ** -40
+
+
+def _float_seeds(monic: RatPoly, max_iter: int) -> list[complex] | None:
+    """Durand-Kerner in machine floats from the perturbed roots of unity,
+    until every step is at most 2^-40 of its root or after max_iter sweeps.
+    None when a coefficient or an iterate leaves the float range, or when the
+    seeds are not finite and pairwise distinct."""
+    n = monic.degree
+    try:
+        coeffs = [float(c) for c in reversed(monic.coeffs)]
+        rad = _start_radius(monic) * 0.9
+        zs = [rad * cmath.exp(2j * math.pi * (k + 0.25) / n) + 0.1 * (k % 3) for k in range(n)]
+        for _ in range(max_iter):
+            converged = True
+            new = []
+            for i, zi in enumerate(zs):
+                num = 0j
+                for c in coeffs:
+                    num = num * zi + c
+                den = 1 + 0j
+                for j, zj in enumerate(zs):
+                    if i != j:
+                        den *= zi - zj
+                step = num / den
+                if abs(step) > _SEED_STEP * abs(zi):
+                    converged = False
+                new.append(zi - step)
+            zs = new
+            if converged:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if all(cmath.isfinite(z) for z in zs) and len(set(zs)) == n:
+        return zs
+    return None
+
+
+def _durand_kerner(monic: RatPoly, start: Sequence, bits: int, max_iter: int):
+    """Durand-Kerner at ``bits + 20`` from the start points until every step
+    is below 2^-(bits-4), or after max_iter sweeps."""
     with mp.workprec(bits + 20):
         # mpf coefficients once, at the working precision, for polyval below
         coeffs = [_mpf_rational(c) for c in reversed(monic.coeffs)]
-        # perturbed roots of unity, radius from the Cauchy bound
-        b = float(root_bound(monic))
-        rad = mp.mpf(max(1.0, min(b, 1e6))) * mp.mpf("0.9")
-        zs = [rad * mp.exp(2j * mp.pi * (k + mp.mpf("0.25")) / n) + mp.mpf("0.1") * (k % 3)
-              for k in range(n)]
+        zs = [mp.mpc(z) for z in start]
         tol = mp.mpf(2) ** (-(bits - 4))
         for _ in range(max_iter):
             maxstep = mp.mpf(0)
@@ -558,10 +632,18 @@ def _durand_kerner(monic: RatPoly, n: int, bits: int, max_iter: int):
         return zs
 
 
-def _disks_disjoint(centers, radii) -> bool:
-    for (zi, ri), (zj, rj) in itertools.combinations(zip(centers, radii), 2):
-        if abs(zi - zj) <= ri + rj:
-            return False
+def _disks_disjoint(centers, radii, bits: int) -> bool:
+    """Whether the disks are pairwise disjoint, decided soundly: an
+    outward-rounded lower bound of |z_i - z_j| must exceed an upper bound of
+    r_i + r_j."""
+    with prec_guard(2 * bits + 40):
+        pts = [ComplexIv.from_mpc(z) for z in centers]
+        rs = [iv.mpf(r) for r in radii]
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            # iv.prec == mp.prec here, so the endpoints convert exactly
+            gap = mp.mpf((pts[i] - pts[j]).abs_iv().a)
+            if gap <= mp.mpf((rs[i] + rs[j]).b):
+                return False
     return True
 
 

@@ -602,6 +602,26 @@ class TestInputValidation:
         assert err.startswith("error: BadArgument: ") and knot in err
         assert not (tmp_path / "out.svg").exists()
 
+    def test_field_without_complex_place(self, tmp_path, capsys):
+        # z + 1 has no root off the real axis, so no geometric embedding
+        census = tmp_path / "census.json"
+        census.write_text(json.dumps({"knots": [{
+            "name": "7_4", "kind": "two_bridge", "p": 3, "q": 1, "minpoly": ["1", "1"],
+            "genus": 1, "fibered": True,
+        }]}))
+        out = tmp_path / "x.svg"
+        argv = ["render", "--census", str(census), "--knot", "7_4", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NoComplexPlace: Q(z_7_4): ") and "at 128 bits" in err
+        assert not out.exists()
+        report = tmp_path / "report.json"
+        argv = ["report", "--census", str(census), "--checks", "render", "--json", str(report)]
+        assert cli.main(argv) == 1
+        (entry,) = json.loads(report.read_text())["knots"]
+        assert entry["status"] == "error"
+        assert [e["type"] for e in entry["errors"]] == ["NoComplexPlace"]
+
     def test_library_entry_points_validate(self, census_records):
         with _deadline(120), pytest.raises(BadArgument):
             run(census_records, checks=("euler",), precision_bits=0, names=["7_4"])

@@ -1,15 +1,21 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import mpmath as mp
 from hypothesis import given, settings, strategies as st
 
 from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
+from geodesica import polycore
 from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from geodesica.polycore import (
     RatPoly,
+    _disks_disjoint,
     _durand_kerner,
+    _float_seeds,
     _mpf_rational,
+    _unity_start,
+    _weierstrass_radii,
     complex_roots,
     irreducibility_certificate,
     poly_gcd,
@@ -19,6 +25,7 @@ from geodesica.polycore import (
     square_free_part,
     sturm_real_roots,
 )
+from geodesica.pretzel import lambda_poly, psi_poly, psi_root_census
 
 M74 = RatPoly([1, 4, -4, 1])  # z^3 - 4z^2 + 4z + 1
 SEXTIC_73 = RatPoly([1, 5, -6, -4, 9, -5, 1])
@@ -443,14 +450,22 @@ def test_integer_product_matches_fraction_loop(a, b):
     assert (Fraction(1, 3) * a).coeffs == _fraction_product(RatPoly([Fraction(1, 3)]), a).coeffs
 
 
-def _durand_kerner_per_step(monic, n, bits, max_iter):
+_ROOT_INPUTS = [f"{f}_{k}" for f in ("psi", "lambda") for k in (1, 2, 3, 4)] + ["7_4"]
+
+
+def _root_input(name):
+    """psi_k, lambda_k or the 7_4 minpoly, by name."""
+    if name == "7_4":
+        return M74
+    family, k = name.split("_")
+    return (psi_poly if family == "psi" else lambda_poly)(int(k))
+
+
+def _durand_kerner_per_step(monic, start, bits, max_iter):
     """_durand_kerner as it was: every Horner step converts its Fraction
     coefficient to an mpf again."""
     with mp.workprec(bits + 20):
-        b = float(root_bound(monic))
-        rad = mp.mpf(max(1.0, min(b, 1e6))) * mp.mpf("0.9")
-        zs = [rad * mp.exp(2j * mp.pi * (k + mp.mpf("0.25")) / n) + mp.mpf("0.1") * (k % 3)
-              for k in range(n)]
+        zs = [mp.mpc(z) for z in start]
         tol = mp.mpf(2) ** (-(bits - 4))
         for _ in range(max_iter):
             maxstep = mp.mpf(0)
@@ -476,16 +491,142 @@ def _durand_kerner_per_step(monic, n, bits, max_iter):
 @pytest.mark.parametrize("poly", ["psi_1", "psi_2", "psi_3", "lambda_1", "lambda_2",
                                   "lambda_3", "7_4", "thirds_sevenths"])
 def test_durand_kerner_converts_once_bit_identically(poly, bits):
-    from geodesica.pretzel import lambda_poly, psi_poly
-
-    if poly == "7_4":
-        monic = M74
-    elif poly == "thirds_sevenths":
+    if poly == "thirds_sevenths":
         # coefficients an mpf cannot hold exactly: the conversion's precision shows
         monic = RatPoly([Fraction(1, 7), Fraction(-1, 3), 0, 0, 1])
     else:
-        family, k = poly.split("_")
-        monic = (psi_poly if family == "psi" else lambda_poly)(int(k)).monic()
-    got = _durand_kerner(monic, monic.degree, bits, 400)
-    want = _durand_kerner_per_step(monic, monic.degree, bits, 400)
-    assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
+        monic = _root_input(poly).monic()
+    seeds = _float_seeds(monic, 400)
+    assert seeds is not None
+    unity = _unity_start(monic, bits)
+    # the fallback starts where the single-stage iteration started
+    with mp.workprec(bits + 20):
+        rad = mp.mpf(max(1.0, min(float(root_bound(monic)), 1e6))) * mp.mpf("0.9")
+        want_unity = [rad * mp.exp(2j * mp.pi * (k + mp.mpf("0.25")) / monic.degree)
+                      + mp.mpf("0.1") * (k % 3) for k in range(monic.degree)]
+    assert [z._mpc_ for z in unity] == [z._mpc_ for z in want_unity]
+    for start in (seeds, unity):
+        got = _durand_kerner(monic, start, bits, 400)
+        want = _durand_kerner_per_step(monic, start, bits, 400)
+        assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
+
+
+def _exact(x) -> Fraction:
+    """The binary value of a finite mpf, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _exact_c(z) -> tuple[Fraction, Fraction]:
+    return _exact(mp.re(z)), _exact(mp.im(z))
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _weierstrass_bound_squared(p, centers, i):
+    """(n |W_i|)^2 in exact rational arithmetic, W_i = p(z_i) / (lc prod (z_i - z_j))."""
+    zs = [_exact_c(z) for z in centers]
+    zi = zs[i]
+    num = (Fraction(0), Fraction(0))
+    for c in reversed(p.coeffs):
+        num = _cmul(num, zi)
+        num = (num[0] + c, num[1])
+    den = (p.leading(), Fraction(0))
+    for j, zj in enumerate(zs):
+        if j != i:
+            den = _cmul(den, (zi[0] - zj[0], zi[1] - zj[1]))
+    return p.degree ** 2 * (num[0] ** 2 + num[1] ** 2) / (den[0] ** 2 + den[1] ** 2)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", _ROOT_INPUTS + ["thirds_sevenths"])
+def test_radii_bound_the_exact_weierstrass_correction(name, bits):
+    if name == "thirds_sevenths":
+        p = RatPoly([Fraction(1, 7), Fraction(-1, 3), 0, 0, 1])
+    else:
+        p = _root_input(name)
+    centers = [r.center for r in complex_roots(p, bits).roots]
+    # at the certified centers the interval slack dwarfs a rounding error;
+    # at their double roundings |W_i| is near 2^-53 and the enclosure is
+    # tight, so a radius rounded to nearest falls below n |W_i| about half
+    # the time
+    for approx in (centers, [mp.mpc(complex(z)) for z in centers]):
+        radii = _weierstrass_radii(p, approx, bits)
+        for i, r in enumerate(radii):
+            assert _exact(r) ** 2 >= _weierstrass_bound_squared(p, approx, i)
+
+
+@pytest.mark.parametrize("shift, disjoint", [(-1, False), (0, False), (1, True)])
+def test_disks_disjoint_decides_below_double_precision(shift, disjoint):
+    # centers 0 and i(1 + shift 2^-200), radii 1/2 and 1/2: the gap differs
+    # from the sum of the radii by less than a double can show
+    with mp.workprec(400):
+        centers = [mp.mpc(0), mp.mpc(0, 1 + shift * mp.mpf(2) ** -200)]
+    radii = [mp.mpf(0.5), mp.mpf(0.5)]
+    assert _disks_disjoint(centers, radii, 128) is disjoint
+
+
+def _roots_of_unity_start():
+    """The float stage declines, so every polish starts from the perturbed
+    roots of unity, as the single-stage iteration did."""
+    return mock.patch.object(polycore, "_float_seeds", return_value=None)
+
+
+def _disks_meet(a, b) -> bool:
+    (ax, ay), (bx, by) = _exact_c(a.center), _exact_c(b.center)
+    reach = _exact(a.radius) + _exact(b.radius)
+    return (ax - bx) ** 2 + (ay - by) ** 2 <= reach ** 2
+
+
+def _assert_same_roots(p, bits=128):
+    new = complex_roots(p, bits).roots
+    with _roots_of_unity_start():
+        old = complex_roots(p, bits).roots
+    assert len(new) == len(old) == p.degree
+    for disk in new:
+        assert sum(_disks_meet(disk, o) for o in old) == 1
+
+
+@pytest.mark.parametrize("name", _ROOT_INPUTS)
+def test_seeded_roots_match_the_roots_of_unity_start(name):
+    p = _root_input(name)
+    assert _float_seeds(p.monic(), 400) is not None
+    _assert_same_roots(p)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=13))
+@settings(max_examples=40, deadline=None)
+def test_seeded_roots_match_on_square_free_integer_polys(coeffs):
+    p = RatPoly(coeffs)
+    if p.degree < 1:
+        return
+    _assert_same_roots(square_free_part(p).clear_denominators())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_psi_root_census_is_the_same_from_either_start(k):
+    seeded = psi_root_census(k)
+    with _roots_of_unity_start():
+        unseeded = psi_root_census(k)
+    assert seeded == unseeded
+    assert seeded.real_count == 2 and seeded.per_quadrant == (k, k, k, k)
+
+
+@pytest.mark.parametrize("e", [20, 40, 60, 100])
+def test_close_roots_still_certify(e):
+    # (z - 1)(z - 1 - 2^-e)(z^2 + 1): two roots 2^-e apart
+    p = RatPoly([-1, 1]) * RatPoly([-1 - Fraction(1, 2 ** e), 1]) * RatPoly([1, 0, 1])
+    _assert_same_roots(p)
+
+
+def test_float_overflow_certifies_through_the_fallback():
+    # roots 10^400 - 10^-400 and about 10^-400; the float stage declines
+    p = RatPoly([1, -10 ** 400, 1])
+    assert _float_seeds(p.monic(), 400) is None
+    rs = complex_roots(p, 128)
+    assert len(rs.roots) == 2
+    small, big = (_exact_c(r.center) for r in rs.roots)
+    assert abs(big[0] - 10 ** 400) < 1 and abs(big[1]) < 1
+    assert abs(small[0]) + abs(small[1]) < Fraction(1, 10 ** 399)

@@ -1,8 +1,8 @@
 """Source-level lint: no ``assert`` statement in the package, no name a
 package module imports with ``from ... import`` and never reads, no package
 module but ``intervals`` that reaches into ``mpmath.libmp``, an Euler engine
-that imports no interval code, and every function the benchmark tracer wraps
-still exists.
+that imports no interval code, no ``mpf(str(...))`` round trip, and every
+function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -177,3 +177,44 @@ def test_imported_modules_detector():
     assert {"mpmath", "geodesica.intervals", "geodesica.numfield"} <= _imported_modules(
         tree, "geodesica"
     )
+
+
+def _mpf_str_round_trips(tree: ast.AST) -> list[int]:
+    """Lines that build an mpf (``mpf``, ``mp.mpf``, ``iv.mpf``, ...) from a
+    ``str(...)`` call: both conversions round to nearest, so a bound that
+    passes through them can come out on the wrong side."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "mpf" and any(
+            isinstance(a, ast.Call) and getattr(a.func, "id", None) == "str" for a in node.args
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_mpf_str_round_trip_in_package():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}"
+        for path in modules
+        for line in _mpf_str_round_trips(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"mpf(str(...)) round trips in the package: {found}"
+
+
+def test_mpf_str_round_trip_detector():
+    tree = ast.parse(
+        "r = mp.mpf(str(w * n))\n"
+        "r = mpf(str(x))\n"
+        "r = iv.mpf(str(x))\n"
+        "r = mp.mpf(x)\n"
+        "s = str(mp.mpf(x))\n"
+        "y = iv.mpf([str(lo), str(hi)])\n"
+        "z = mp.mpc(str(x))\n"
+    )
+    assert _mpf_str_round_trips(tree) == [1, 2, 3]
