@@ -105,8 +105,7 @@ def _dispatch(args) -> int:
                      workers=args.workers)
         print(summarize(report), file=sys.stderr)
         if args.json_out:
-            with open(args.json_out, "wb") as f:
-                f.write(report.to_json_bytes())
+            _write_file(args.json_out, report.to_json_bytes(), "--json")
         else:
             sys.stdout.write(report.to_json_bytes().decode())
         return report.exit_status
@@ -172,12 +171,21 @@ def _dispatch(args) -> int:
                 f"(its configuration: {config or 'none'})"
             )
         _, clines, svg = render_figure(record, args.precision_bits)
-        with open(args.out, "w") as f:
-            f.write(svg)
+        _write_file(args.out, svg.encode(), "--out")
         print(f"wrote {args.out} ({len(clines)} clines)", file=sys.stderr)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+
+
+def _write_file(path: str, data: bytes, flag: str) -> None:
+    """Write an output file; a path that cannot be written is refused with
+    the flag that named it."""
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+    except OSError as exc:
+        raise BadArgument(f"{flag} {path}: cannot write: {exc.strerror}") from None
 
 
 def _knot_with_rep(args) -> KnotRecord:

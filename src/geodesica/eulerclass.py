@@ -122,25 +122,30 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 class EulerWalk:
     """Exact data of the Euler computation of one representation, built on
-    first use and shared by the places it is passed to: the matrix of each
-    word, and the steps that lift a product of factor words factor by factor
-    (a word is the product of its letters)."""
+    first use and shared by the places it is passed to: the steps that lift
+    a product of factor words factor by factor (a word is the product of its
+    letters).  Word matrices live in the representation's word table, so the
+    longitude and tau read what the walk evaluated, and the other way round."""
 
     def __init__(self, rep: MatrixRep):
         self.images = rep.images
         self.identity = Mat2.identity(rep.field)
-        self.matrices = {Word.gen(g): M for g, M in enumerate(rep.images)}
+        self.dot = rep.field.dot
+        self.table = rep.word_table
+        for g, M in enumerate(rep.images):
+            self.table.setdefault(Word.gen(g), M)
         self.products: dict[Factors, tuple[list[Step], Mat2]] = {}
 
     def matrix(self, w: Word) -> Mat2:
-        M = self.matrices.get(w)
+        M = self.table.get(w)
         if M is None:
-            M = self.matrices[w] = self.product(_letters(w))[1]
+            M = self.table[w] = self.product(_letters(w))[1]
         return M
 
     def product(self, factors: Factors) -> tuple[list[Step], Mat2]:
         data = self.products.get(factors)
         if data is None:
+            dot = self.dot
             mats = [self.matrix(w) if s > 0 else self.matrix(w).adjugate() for w, s in factors]
             steps = []
             out = mats[0] if mats else self.identity
@@ -148,7 +153,7 @@ class EulerWalk:
             for M in mats[1:]:
                 x2, y2 = _alpha2(M)
                 out = out * M
-                steps.append(((x1 * x2 - y1 * y2, x1 * y2 + x2 * y1), _alpha2(out)))
+                steps.append(((dot(x1, x2, -y1, y2), dot(x1, y2, x2, y1)), _alpha2(out)))
                 x1, y1 = steps[-1][1]
             data = self.products[factors] = (steps, out)
         return data

@@ -169,9 +169,6 @@ class ComplexIv:
     def abs_iv(self):
         return iv.sqrt(self.abs2())
 
-    def abs_upper(self) -> mp.mpf:
-        return mp.mpf(self.abs_iv().b)
-
     def max_width(self) -> mp.mpf:
         return max(iv_width(self.re), iv_width(self.im))
 

@@ -115,7 +115,8 @@ class Word:
 class Mat2:
     """2x2 matrix over an exact ring: a number field, or Q[z] as RatPoly for
     the Riley polynomial and the pretzel entry identities, where no modulus
-    is in play.  The ring supplies 0 and 1 through ``one()`` and ``zero()``."""
+    is in play.  The ring supplies 0 and 1 through ``one()`` and ``zero()``,
+    and each product entry a*b + c*d through ``dot``."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -132,11 +133,12 @@ class Mat2:
         return self.a.field if isinstance(self.a, FieldElement) else type(self.a)
 
     def __mul__(self, o: "Mat2") -> "Mat2":
+        dot = self.ring().dot
         return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
+            dot(self.a, o.a, self.b, o.c),
+            dot(self.a, o.b, self.b, o.d),
+            dot(self.c, o.a, self.d, o.c),
+            dot(self.c, o.b, self.d, o.d),
         )
 
     def det(self):

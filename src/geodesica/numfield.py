@@ -3,7 +3,8 @@
 Elements live in the power basis 1, z, ..., z^{d-1}: an integer vector over
 Z[z] and one positive common denominator, in lowest terms.  Products are
 integer convolutions over the nonzero terms of both operands, reduced by the
-monic integer minimal polynomial.  Embeddings return outward-rounded
+monic integer minimal polynomial; a sum of two products (``NumberField.dot``,
+the matrix-product kernel) is reduced once.  Embeddings return outward-rounded
 intervals refined on demand; refining precision only shrinks the enclosure.
 """
 
@@ -23,6 +24,7 @@ from .polycore import (
     RatPoly,
     RootIsolation,
     _int_convolve,
+    _int_divide,
     complex_roots,
     refine_interval,
     sturm_real_roots,
@@ -120,6 +122,20 @@ class NumberField:
                 num = [c // g for c in num]
                 den //= g
         return FieldElement(self, tuple(num), den)
+
+    def dot(self, a: "FieldElement", b: "FieldElement", c: "FieldElement",
+            d: "FieldElement") -> "FieldElement":
+        """a*b + c*d for elements of this field: both integer convolutions
+        summed into one list over the common denominator, which ``_make``
+        reduces and puts in lowest terms once."""
+        x, y = a.den * b.den, c.den * d.den
+        g = math.gcd(x, y)
+        an, cn = a.num, c.num
+        if y != g:
+            an = [v * (y // g) for v in an]
+        if x != g:
+            cn = [v * (x // g) for v in cn]
+        return self._make(_int_convolve(cn, d.num, _int_convolve(an, b.num)), x // g * y)
 
     # -- places ----------------------------------------------------------
 
@@ -365,24 +381,34 @@ class FieldElement:
 
 
 def nf_inverse(e: FieldElement) -> FieldElement:
-    """Multiplicative inverse via the extended Euclidean algorithm in Q[z]."""
+    """Multiplicative inverse by the extended Euclidean algorithm on integer
+    vectors: pairs (r, s) with s*num(e) = r mod m, where each next r is the
+    pseudo-remainder ``_int_divide`` leaves (a positive multiple of the
+    rational remainder), and each pair is divided by its content."""
     if e.is_zero():
         raise DivisionByZero("inverse of zero field element")
-    m = e.field.minpoly
-    a = RatPoly(e.coeffs)
-    # extended gcd: s*a + t*m = g
-    r0, r1 = a, m
-    s0, s1 = RatPoly.one(), RatPoly.zero()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise DivisionByZero(
-            "element is a zero divisor; minimal polynomial is reducible"
-        )
-    inv = s0.scale(1 / r0.coeffs[0])
-    return e.field.from_poly(inv)
+    K = e.field
+    r0, s0 = [c.numerator for c in K.minpoly.coeffs], [0]
+    r1, s1 = list(e.num), [1]
+    while not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        rem = r0[:]
+        quot, scale = _int_divide(rem, r1)
+        if not rem:
+            raise DivisionByZero(
+                "element is a zero divisor; minimal polynomial is reducible"
+            )
+        # s2 = scale*s0 - Q*s1, with Q the integer quotient over this scale
+        s2 = _int_convolve([-k * (scale // sk) for k, sk in quot], s1)
+        for i, c in enumerate(s0):
+            s2[i] += scale * c
+        g = math.gcd(*rem, *s2)
+        r0, s0, r1, s1 = r1, s1, [c // g for c in rem], [c // g for c in s2]
+    # s1 * num = c with c = r1[0] a nonzero integer, so 1/e = den * s1 / c
+    c = r1[0]
+    sign = 1 if c > 0 else -1
+    return K._make([sign * e.den * x for x in s1], abs(c))
 
 
 def minimal_polynomial(e: FieldElement) -> RatPoly:

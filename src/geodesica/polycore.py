@@ -40,10 +40,13 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-def _int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _int_convolve(a: Sequence[int], b: Sequence[int], out: list[int] | None = None) -> list[int]:
     """Integer convolution of two nonempty coefficient lists over the nonzero
-    terms of both: a product with 0, +-1 or +-z^k costs O(len)."""
-    out = [0] * (len(a) + len(b) - 1)
+    terms of both: a product with 0, +-1 or +-z^k costs O(len).  With
+    ``out`` (at least len(a) + len(b) - 1 long) the product is added into
+    it, so a sum of products is reduced once."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
     b = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
@@ -186,25 +189,28 @@ class RatPoly:
             return other
         return RatPoly.constant(other)
 
+    @staticmethod
+    def dot(a: "RatPoly", b: "RatPoly", c: "RatPoly", d: "RatPoly") -> "RatPoly":
+        """a*b + c*d; the ring operation ``Mat2`` products are built from."""
+        return a * b + c * d
+
     def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
+        """(q, r) with self = q*other + r and deg r < deg other, by integer
+        long division (``_int_divide``) of A = la*self by B = lb*other
+        (``_integer_multiple``): with A = Q*B + R/s, the Fractions are built
+        once, at the end, as q = Q*lb/la and r = R/(s*la)."""
         if other.is_zero():
             raise ZeroModulus("division by the zero polynomial")
-        q = [_Q(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlc = other.leading()
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlc
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return RatPoly(q), RatPoly(rem)
+        if self.degree < other.degree:
+            return RatPoly.zero(), self
+        rem, la = _integer_multiple(self)
+        div, lb = _integer_multiple(other)
+        quot, s = _int_divide(rem, div)
+        den = s * la
+        return (
+            RatPoly(_Q(k * lb, s_k * la) for k, s_k in quot),
+            RatPoly(rem if den == 1 else (_Q(c, den) for c in rem)),
+        )
 
     def __mod__(self, other: "RatPoly") -> "RatPoly":
         return self.divmod(other)[1]
@@ -260,13 +266,56 @@ class RatPoly:
         return out
 
 
+def _int_divide(rem: list[int], div: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+    """Long division of integer coefficient lists, div nonzero, in place.
+
+    The remainder is one integer vector R over a single positive scale s,
+    standing for A - Q*B = R/s; a step whose leading term t is not a
+    multiple of lc = lc(B) first scales R and s by |lc| / gcd(lc, t).
+    Returns the quotient Q as (k, s_k) pairs, its coefficients k/s_k, and
+    the final s; rem is left holding R, without trailing zeros.
+    """
+    dd = len(div) - 1
+    lc = div[-1]
+    terms = [(i, c) for i, c in enumerate(div[:-1]) if c]
+    s = 1
+    quot = [(0, 1)] * max(0, len(rem) - dd)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        t = rem[top]
+        if not t:
+            continue
+        m = abs(lc) // math.gcd(lc, t)
+        if m != 1:
+            for i in range(top):
+                rem[i] *= m
+            s *= m
+            t *= m
+        k = t // lc
+        shift = top - dd
+        for i, c in terms:
+            rem[shift + i] -= k * c
+        quot[shift] = (k, s)
+    del rem[dd:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, s
+
+
+def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The remainder of a by b over Q, b nonzero, as a primitive integer
+    list: a positive multiple of it, so it has the remainder's signs."""
+    rem = list(a)
+    _int_divide(rem, b)
+    g = math.gcd(*rem)
+    return [c // g for c in rem] if g > 1 else rem
+
+
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd over Q, by Euclid on primitive integer remainders."""
+    x, y = _integer_multiple(a)[0], _integer_multiple(b)[0]
+    while y:
+        x, y = y, _primitive_remainder(x, y)
+    return RatPoly(x).monic() if x else RatPoly.zero()
 
 
 def square_free_part(p: RatPoly) -> RatPoly:
@@ -299,11 +348,15 @@ class RootIsolation:
         return len(self.real_intervals)
 
 
-def sturm_chain(p: RatPoly) -> list[RatPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
+def sturm_chain(p: RatPoly) -> list[list[int]]:
+    """Sturm sequence p, p', ..., p_{i+1} = -(p_{i-1} mod p_i), as integer
+    coefficient lists: each term is a positive multiple of the rational one,
+    so the sign variations are the same everywhere."""
+    chain = [_integer_multiple(p)[0]]
+    nxt = _integer_multiple(p.derivative())[0]
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in _primitive_remainder(chain[-2], chain[-1])]
     return chain
 
 
@@ -329,14 +382,11 @@ def _sign_variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _sign_variations_at_inf(chain: Sequence[RatPoly], positive: bool) -> int:
+def _sign_variations_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
     signs = []
     for q in chain:
-        if q.is_zero():
-            continue
-        lc = q.leading()
-        s = 1 if lc > 0 else -1
-        if not positive and q.degree % 2 == 1:
+        s = 1 if q[-1] > 0 else -1
+        if not positive and len(q) % 2 == 0:
             s = -s
         signs.append(s)
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
@@ -371,7 +421,6 @@ def sturm_real_roots(p: RatPoly, refine_to: Fraction = Fraction(1, 4)) -> RootIs
     lo, hi = -bound, bound
     # endpoints of the search box are not roots (Cauchy bound is strict)
     intervals: list[tuple[Fraction, Fraction]] = []
-    int_chain = [_integer_multiple(q)[0] for q in chain]
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
         n = va - vb
@@ -381,15 +430,15 @@ def sturm_real_roots(p: RatPoly, refine_to: Fraction = Fraction(1, 4)) -> RootIs
             intervals.append((a, b))
             return
         mid = (a + b) / 2
-        while _sign_at(int_chain[0], mid.numerator, mid.denominator) == 0:
+        while _sign_at(chain[0], mid.numerator, mid.denominator) == 0:
             # nudge the cut off a root; roots are finitely many
             mid = (a + mid) / 2
-        vm = _sign_variations_at(int_chain, mid)
+        vm = _sign_variations_at(chain, mid)
         split(a, mid, va, vm)
         split(mid, b, vm, vb)
 
-    va = _sign_variations_at(int_chain, lo)
-    vb = _sign_variations_at(int_chain, hi)
+    va = _sign_variations_at(chain, lo)
+    vb = _sign_variations_at(chain, hi)
     split(lo, hi, va, vb)
     # refine_interval checks each endpoint pair: off-root, with a sign change
     intervals = [refine_interval(sf, itv, refine_to) for itv in intervals]
@@ -504,8 +553,8 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
 
     Durand-Kerner runs twice: in machine floats from perturbed roots of
     unity until every step is about 2^-40 of its root, then in mpmath at
-    ``bits + 20`` from those seeds (from the roots of unity themselves when
-    a coefficient overflows a float or the seeds are not finite and
+    ``bits + 20`` from those seeds (from Bini's Newton-polygon start when a
+    coefficient overflows a float or the seeds are not finite and
     distinct) until every step is below 2^-(bits-4).  The float stage only
     chooses where the mpmath iteration starts; what is returned rests on
     outward-rounded Weierstrass radii alone.  The returned disks are
@@ -527,7 +576,7 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
     target = mp.mpf(2) ** (-(precision_bits // 2))
     bits = precision_bits
     while bits <= 8 * precision_bits:
-        start = seeds if seeds is not None else _unity_start(monic, bits)
+        start = seeds if seeds is not None else _newton_start(monic, bits)
         roots = _durand_kerner(monic, start, bits, max_iter)
         radii = _weierstrass_radii(p, roots, bits)
         ok = all(r < target for r in radii) and _disks_disjoint(roots, radii, bits)
@@ -553,14 +602,36 @@ def _start_radius(monic: RatPoly) -> float:
     return max(1.0, float(min(root_bound(monic), _Q(10 ** 6))))
 
 
-def _unity_start(monic: RatPoly, bits: int) -> list:
-    """Perturbed roots of unity on 0.9 times the start circle, as mpc at the
-    working precision ``bits + 20``."""
+def _newton_start(monic: RatPoly, bits: int) -> list:
+    """Bini's Newton-polygon start, as mpc at the working precision
+    ``bits + 20``: for each edge (i, j) of the upper convex hull of the
+    points (k, log2 |c_k|) over the nonzero coefficients, j - i points on
+    the circle of radius (|c_i| / |c_j|)^(1/(j - i)), at the angles
+    2 pi ((t + 1/4) / (j - i) + i / n); a root at 0 starts at 0.  The
+    logarithms are taken of the exact integer numerators and denominators,
+    so no coefficient has to fit in a float, and the circles follow the
+    root moduli however far apart they lie."""
     n = monic.degree
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(monic.coeffs):
+        if not c:
+            continue
+        y = math.log2(abs(c.numerator)) - math.log2(c.denominator)
+        # drop the last vertex while it lies on or below the chord to (k, y)
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((k, y))
     with mp.workprec(bits + 20):
-        rad = mp.mpf(_start_radius(monic)) * mp.mpf("0.9")
-        return [rad * mp.exp(2j * mp.pi * (k + mp.mpf("0.25")) / n) + mp.mpf("0.1") * (k % 3)
-                for k in range(n)]
+        zs = [mp.mpc(0)] * hull[0][0]
+        for (i, yi), (j, yj) in zip(hull, hull[1:]):
+            m = j - i
+            rad = mp.mpf(2) ** ((yi - yj) / m)
+            zs += [rad * mp.exp(2j * mp.pi * ((t + mp.mpf("0.25")) / m + mp.mpf(i) / n))
+                   for t in range(m)]
+        return zs
 
 
 # The float stage stops at this relative step: one more sweep reaches the

@@ -50,6 +50,11 @@ def iv_cos_sin(x):
     return _make_mpf(c), _make_mpf(s)
 
 
+def abs_upper(z: ComplexIv) -> mp.mpf:
+    """Upper endpoint of the enclosure of |z|."""
+    return mp.mpf(z.abs_iv().b)
+
+
 def lower_positive(x) -> bool:
     """Whether the raw interval x lies strictly right of 0."""
     return mpf_gt(x[0], fzero)

@@ -16,6 +16,7 @@ from geodesica.knotgroup import (
     two_bridge_presentation,
     verify_subgroup_identities,
 )
+from geodesica.numfield import NumberField
 from geodesica.polycore import RatPoly
 
 M74 = RatPoly([1, 4, -4, 1])
@@ -409,3 +410,25 @@ def test_factors_must_spell_the_words():
             longitude=pres.longitude,
             relator_factors=(((pres.w, 1),),),
         )
+
+
+def test_mat2_product_over_a_field_reduces_each_entry_once(monkeypatch):
+    K = NumberField(M74)
+    z = K.gen()
+    x = Mat2(z / 2, 3 * z * z - 1, K.rational(Fraction(-5, 3)), z + 7)
+    y = Mat2(z * z / 4, K.zero(), -z, K.rational(Fraction(2, 9)))
+    want = [p * q + r * s for (p, r), (q, s) in (
+        ((x.a, x.b), (y.a, y.c)), ((x.a, x.b), (y.b, y.d)),
+        ((x.c, x.d), (y.a, y.c)), ((x.c, x.d), (y.b, y.d)),
+    )]
+    calls = []
+    make = NumberField._make
+
+    def counted(self, num, den):
+        calls.append(den)
+        return make(self, num, den)
+
+    monkeypatch.setattr(NumberField, "_make", counted)
+    got = x * y
+    assert len(calls) == 4
+    assert list(got.entries()) == want

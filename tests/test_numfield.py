@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geodesica.errors import DivisionByZero, PrecisionExhausted
 from geodesica.numfield import (
@@ -278,6 +278,39 @@ def test_kernel_inverse_against_reference(data):
     assert x * inv == K.one()
 
 
+def _rational_inverse(e):
+    """nf_inverse as it was: the extended Euclidean algorithm on RatPoly."""
+    m = e.field.minpoly
+    r0, r1 = RatPoly(e.coeffs), m
+    s0, s1 = RatPoly.one(), RatPoly.zero()
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        raise DivisionByZero("zero divisor")
+    return e.field.from_poly(s0.scale(1 / r0.coeffs[0]))
+
+
+@given(field_and_vectors(KERNEL_FIELDS, 1))
+@example((KERNEL_FIELDS[3], [[1, 0, 1]]))  # z^2 + 1 divides (z^2 + 1)^2
+@example((KERNEL_FIELDS[3], [[0, 1]]))  # z is a unit there
+@settings(max_examples=200, deadline=None)
+def test_integer_inverse_matches_rational_euclid(data):
+    K, (a,) = data
+    x = K.element(a)
+    if x.is_zero():
+        return
+    try:
+        want = _rational_inverse(x)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero, match="zero divisor"):
+            nf_inverse(x)
+        return
+    got = nf_inverse(x)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_shared_constants():
     assert K73.one() is K73.one() and K73.zero() is K73.zero()
     assert K73.one() == K73.element([1]) and K73.zero() == K73.element([])
@@ -358,3 +391,31 @@ def test_sparse_products_match_dense_convolution(data):
         assert x * y == y
     if x.is_zero():
         assert (x * y).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The fused product kernel against two products and a sum
+# ---------------------------------------------------------------------------
+
+# one monic minimal polynomial of each degree 1..12 (products need no
+# irreducibility): z^d + sum_k ((k mod 3) - 1) z^k - 2
+DOT_FIELDS = [
+    NumberField(RatPoly([-2] + [(k % 3) - 1 for k in range(1, d)] + [1]))
+    for d in range(1, 13)
+]
+
+
+@st.composite
+def dot_operands(draw):
+    K = draw(st.sampled_from(DOT_FIELDS))
+    return K, [draw(sparse_element(K)) for _ in range(4)]
+
+
+@given(dot_operands())
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_two_products_and_a_sum(data):
+    K, (a, b, c, d) = data
+    got, want = K.dot(a, b, c, d), a * b + c * d
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+    assert RatPoly.dot(*map(as_poly, (a, b, c, d))) % K.minpoly == as_poly(want)

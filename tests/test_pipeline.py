@@ -571,6 +571,16 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "BadArgument" in err and "'nope'" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["report", "--knot", "7_4", "--checks", "", "--json"], "--json"),
+        (["render", "--knot", "7_4", "--out"], "--out"),
+    ])
+    def test_unwritable_output_path(self, argv, flag, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out")
+        assert cli.main(argv + [path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: BadArgument: {flag} {path}: cannot write" in err
+
     def test_report_with_unknown_knot_names(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         argv = ["report", "--knot", "nope", "--knot", "7_4", "--knot", "nada",

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 import mpmath as mp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
 from geodesica import polycore
@@ -14,7 +14,7 @@ from geodesica.polycore import (
     _durand_kerner,
     _float_seeds,
     _mpf_rational,
-    _unity_start,
+    _newton_start,
     _weierstrass_radii,
     complex_roots,
     irreducibility_certificate,
@@ -23,6 +23,7 @@ from geodesica.polycore import (
     root_bound,
     refine_interval,
     square_free_part,
+    sturm_chain,
     sturm_real_roots,
 )
 from geodesica.pretzel import lambda_poly, psi_poly, psi_root_census
@@ -450,6 +451,77 @@ def test_integer_product_matches_fraction_loop(a, b):
     assert (Fraction(1, 3) * a).coeffs == _fraction_product(RatPoly([Fraction(1, 3)]), a).coeffs
 
 
+def _fraction_divmod(a, b):
+    """The Fraction long division RatPoly.divmod ran before its integer form."""
+    if b.is_zero():
+        raise ZeroModulus("division by the zero polynomial")
+    q = [Fraction(0)] * max(0, a.degree - b.degree + 1)
+    rem = list(a.coeffs)
+    dlc = b.leading()
+    dd = b.degree
+    while len(rem) - 1 >= dd and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        shift = len(rem) - 1 - dd
+        factor = rem[-1] / dlc
+        q[shift] = factor
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return RatPoly(q), RatPoly(rem)
+
+
+@given(sparse_polys, sparse_polys)
+@example(RatPoly([]), RatPoly([Fraction(3, 7), 0, -2]))  # zero dividend
+@example(RatPoly([1, 2]), RatPoly([Fraction(1, 3), 0, 5]))  # deg a < deg b
+@example(RatPoly([Fraction(5, 6), 0, -3, 7]), RatPoly([Fraction(-2, 9)]))  # constant
+@example(RatPoly([1, -4, 0, 9, 12, -8]), RatPoly([6, Fraction(1, 2), 0, -4]))  # non-monic
+@example(RatPoly([1, 2, 3]), RatPoly([]))  # zero divisor
+@settings(max_examples=300, deadline=None)
+def test_integer_divmod_matches_fraction_loop(a, b):
+    if b.is_zero():
+        for divide in (RatPoly.divmod, _fraction_divmod):
+            with pytest.raises(ZeroModulus):
+                divide(a, b)
+        return
+    (q, r), (wq, wr) = a.divmod(b), _fraction_divmod(a, b)
+    assert q.coeffs == wq.coeffs and r.coeffs == wr.coeffs
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+    assert (a % b, a // b) == (r, q)
+
+
+def _fraction_gcd(a, b):
+    """poly_gcd as it was: Euclid on Fraction remainders."""
+    while not b.is_zero():
+        a, b = b, _fraction_divmod(a, b)[1]
+    return a.monic() if a else a
+
+
+def _fraction_sturm_chain(p):
+    """sturm_chain as it was, on Fraction remainders."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-_fraction_divmod(chain[-2], chain[-1])[1])
+    chain.pop()
+    return chain
+
+
+@given(sparse_polys, sparse_polys, sparse_polys)
+@settings(max_examples=150, deadline=None)
+def test_integer_gcd_and_sturm_chain_match_fraction_euclid(a, b, c):
+    # the factor c makes the gcd nontrivial
+    assert poly_gcd(a * c, b * c) == _fraction_gcd(a * c, b * c)
+    if (a * c).degree < 1:
+        return
+    got, want = sturm_chain(a * c), _fraction_sturm_chain(a * c)
+    assert len(got) == len(want)
+    for ints, q in zip(got, want):
+        # a positive multiple of the rational term
+        assert RatPoly(ints).monic() == q.monic() and (ints[-1] > 0) == (q.leading() > 0)
+
+
 _ROOT_INPUTS = [f"{f}_{k}" for f in ("psi", "lambda") for k in (1, 2, 3, 4)] + ["7_4"]
 
 
@@ -498,14 +570,7 @@ def test_durand_kerner_converts_once_bit_identically(poly, bits):
         monic = _root_input(poly).monic()
     seeds = _float_seeds(monic, 400)
     assert seeds is not None
-    unity = _unity_start(monic, bits)
-    # the fallback starts where the single-stage iteration started
-    with mp.workprec(bits + 20):
-        rad = mp.mpf(max(1.0, min(float(root_bound(monic)), 1e6))) * mp.mpf("0.9")
-        want_unity = [rad * mp.exp(2j * mp.pi * (k + mp.mpf("0.25")) / monic.degree)
-                      + mp.mpf("0.1") * (k % 3) for k in range(monic.degree)]
-    assert [z._mpc_ for z in unity] == [z._mpc_ for z in want_unity]
-    for start in (seeds, unity):
+    for start in (seeds, _newton_start(monic, bits)):
         got = _durand_kerner(monic, start, bits, 400)
         want = _durand_kerner_per_step(monic, start, bits, 400)
         assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
@@ -569,8 +634,9 @@ def test_disks_disjoint_decides_below_double_precision(shift, disjoint):
 
 
 def _roots_of_unity_start():
-    """The float stage declines, so every polish starts from the perturbed
-    roots of unity, as the single-stage iteration did."""
+    """The float stage declines, so every polish starts from the
+    Newton-polygon fallback: roots of unity on one circle when the hull of
+    the coefficient logarithms is a single edge, one circle per edge else."""
     return mock.patch.object(polycore, "_float_seeds", return_value=None)
 
 
@@ -630,3 +696,37 @@ def test_float_overflow_certifies_through_the_fallback():
     small, big = (_exact_c(r.center) for r in rs.roots)
     assert abs(big[0] - 10 ** 400) < 1 and abs(big[1]) < 1
     assert abs(small[0]) + abs(small[1]) < Fraction(1, 10 ** 399)
+
+
+@pytest.mark.parametrize("times_z", [False, True])
+def test_far_apart_moduli_certify_from_the_newton_polygon(times_z):
+    # (z - 10^400)(z^2 + 1), and z times it: the float stage declines, and
+    # the hull of (k, log2 |c_k|) has an edge of radius 1 and one of radius
+    # 10^400 (a root at 0 starts at 0)
+    p = RatPoly([-10 ** 400, 1]) * RatPoly([1, 0, 1])
+    roots = [(Fraction(10 ** 400), Fraction(0)), (Fraction(0), Fraction(1)),
+             (Fraction(0), Fraction(-1))]
+    if times_z:
+        p = p * RatPoly.x()
+        roots.append((Fraction(0), Fraction(0)))
+    assert _float_seeds(p.monic(), 400) is None
+    moduli = sorted(abs(z) for z in _newton_start(p.monic(), 128))
+    assert moduli[:times_z] == [0] * times_z
+    for m, want in zip(moduli[times_z:], [1, 1, mp.mpf(10) ** 400]):
+        assert abs(m / want - 1) < 1e-9
+    disks = complex_roots(p, 128).roots
+    assert len(disks) == p.degree
+    for rx, ry in roots:
+        inside = [
+            (cx - rx) ** 2 + (cy - ry) ** 2 <= _exact(d.radius) ** 2
+            for d in disks for cx, cy in [_exact_c(d.center)]
+        ]
+        assert sum(inside) == 1
+
+
+def test_newton_start_on_one_edge_is_a_circle_of_roots_of_unity():
+    # z^3 - 8: one hull edge, radius 8^(1/3) = 2
+    start = _newton_start(RatPoly([-8, 0, 0, 1]), 128)
+    with mp.workprec(148):
+        want = [2 * mp.exp(2j * mp.pi * (t + mp.mpf("0.25")) / 3) for t in range(3)]
+        assert all(abs(z - w) < mp.mpf(2) ** -140 for z, w in zip(start, want))
