@@ -54,8 +54,6 @@ from .mobius import (
     Cline,
     ExactCline,
     INF,
-    cline_image,
-    endpoint_type,
     mobius_apply,
     render_svg,
     tangency,

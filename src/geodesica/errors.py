@@ -79,10 +79,6 @@ class DegenerateCline(GeodesicaError):
     """Three defining points do not determine a circle or line."""
 
 
-class NotAGeodesicEndpoint(GeodesicaError):
-    """Endpoint parameter has degree > 2 over Q."""
-
-
 class BadCensus(GeodesicaError):
     """Census file violates the schema; message carries record name and field."""
 

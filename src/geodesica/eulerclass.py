@@ -448,7 +448,6 @@ class ObstructionReport:
     euler: tuple[int, ...]
     verdict: str
     justification: str
-    euler_details: tuple[EulerResult, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -514,7 +513,6 @@ def obstruction_verdict(
             euler=euler,
             verdict=verdict,
             justification=justification,
-            euler_details=tuple(euler_results),
         )
 
     if known_unique:

@@ -1,13 +1,15 @@
 """Boundary geometry on the sphere at infinity: Mobius images of circles
-and lines, tangency classification, geodesic-endpoint typing, the
-uniqueness-system checker, and a deterministic SVG renderer.
+and lines, tangency classification, the uniqueness-system checker, and a
+deterministic SVG renderer.
 
-Clines carry exact three-point data over the field whenever it is available;
-infinity detection (circle vs line) is then exact along with every shared
-tangency point asserted by matrix identities.  Numeric realizations use
-rectangular complex intervals, and numeric classification is conservative:
-Secant and Disjoint are decided strictly, exact tangency is never claimed
-from intervals alone.
+An ExactCline is three exact points over the field, so its Mobius images
+and whether it passes through infinity (line or circle) are exact.  It is
+realized at a complex place as a Cline of one grade: rectangular complex
+intervals with an interval radius.  `tangency` classifies Clines strictly:
+Secant and Disjoint only when the intervals separate, otherwise
+Indeterminate, so tangency is never claimed from intervals.  Tangency at a
+point two images share exactly is decided in the field by
+`tangency_via_shared_point`.
 """
 
 from __future__ import annotations
@@ -17,22 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import (
-    DegenerateCline,
-    NotAGeodesicEndpoint,
-    UnsupportedCase,
-)
-from .intervals import (
-    ComplexIv,
-    iv,
-    iv_contains_zero,
-    iv_from_fraction,
-    iv_mid,
-    prec_guard,
-)
+from .errors import DegenerateCline, UnsupportedCase
+from .intervals import ComplexIv, iv_contains_zero, iv_mid, prec_guard
 from .knotgroup import Mat2, MatrixRep, Word, evaluate_word
 from .numfield import ComplexPlace, FieldElement
-from .polycore import RatPoly
 
 
 class _Infinity:
@@ -87,10 +77,6 @@ class ExactCline:
         if len(finite) < 2:
             raise DegenerateCline("at least two defining points must be finite")
 
-    @property
-    def contains_infinity(self) -> bool:
-        return any(p is INF for p in self.points)
-
     def apply(self, m: Mat2) -> "ExactCline":
         return ExactCline(tuple(mobius_apply(m, p) for p in self.points))
 
@@ -108,11 +94,6 @@ class ExactCline:
                 p0, p1 = finite[0], finite[1]
                 return Cline.line(p0, p1 - p0)
             return _circumcircle(*finite)
-
-
-def vertical_line_cline(p0: Point, p1: Point) -> ExactCline:
-    """The cline through two finite points and infinity."""
-    return ExactCline((p0, p1, INF))
 
 
 def _circumcircle(p1: ComplexIv, p2: ComplexIv, p3: ComplexIv) -> "Cline":
@@ -135,44 +116,22 @@ def _circumcircle(p1: ComplexIv, p2: ComplexIv, p3: ComplexIv) -> "Cline":
 
 @dataclass(frozen=True)
 class Cline:
-    """Numeric (or exact-rational) circle/line.
-
-    kind "circle": center is ComplexIv or (Fraction, Fraction), radius is an
-    iv.mpf or a Fraction-squared carrier (radius2) for exact data.
-    kind "line": point and direction, same dual representation.
-    """
+    """A circle (interval center and radius) or a line (interval point and
+    direction) realized at a complex place, rounded outward."""
 
     kind: str
-    center: Optional[object] = None
-    radius: Optional[object] = None      # interval radius (numeric grade)
-    radius2: Optional[Fraction] = None   # exact squared radius (exact grade)
-    point: Optional[object] = None
-    direction: Optional[object] = None
+    center: Optional[ComplexIv] = None
+    radius: Optional[object] = None  # iv.mpf
+    point: Optional[ComplexIv] = None
+    direction: Optional[ComplexIv] = None
 
     @classmethod
-    def circle(cls, center, radius=None, radius2=None) -> "Cline":
-        if radius is None and radius2 is None:
-            raise ValueError("circle needs a radius")
-        if radius2 is not None and radius2 <= 0:
-            raise DegenerateCline("circle radius must be positive")
-        return cls(kind="circle", center=center, radius=radius, radius2=radius2)
+    def circle(cls, center: ComplexIv, radius) -> "Cline":
+        return cls(kind="circle", center=center, radius=radius)
 
     @classmethod
-    def line(cls, point, direction) -> "Cline":
-        if isinstance(direction, tuple) and direction == (Fraction(0), Fraction(0)):
-            raise DegenerateCline("line direction must be nonzero")
+    def line(cls, point: ComplexIv, direction: ComplexIv) -> "Cline":
         return cls(kind="line", point=point, direction=direction)
-
-    @property
-    def is_exact(self) -> bool:
-        if self.kind == "circle":
-            return isinstance(self.center, tuple)
-        return isinstance(self.point, tuple)
-
-
-def cline_image(m: Mat2, c: ExactCline) -> ExactCline:
-    """Image cline via exact three-point transport."""
-    return c.apply(m)
 
 
 # ---------------------------------------------------------------------------
@@ -190,112 +149,13 @@ class Tangency:
 
 
 def tangency(c1: Cline, c2: Cline) -> Tangency:
-    """Classify the intersection of two clines.
-
-    Exact rational data is decided exactly; interval data is decided only
-    when strict (tangency can never be certified from intervals alone, so
-    near-tangent interval input returns Indeterminate).
-    """
-    if c1.is_exact and c2.is_exact:
-        return _tangency_exact(c1, c2)
-    return _tangency_interval(c1, c2)
-
-
-def _q2(p) -> tuple[Fraction, Fraction]:
-    return (Fraction(p[0]), Fraction(p[1]))
-
-
-def _tangency_exact(c1: Cline, c2: Cline) -> Tangency:
-    if c1.kind == "line" and c2.kind == "line":
-        d1, d2 = _q2(c1.direction), _q2(c2.direction)
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        p1, p2 = _q2(c1.point), _q2(c2.point)
-        if cross == 0:
-            dp = (p2[0] - p1[0], p2[1] - p1[1])
-            if dp[0] * d1[1] - dp[1] * d1[0] == 0:
-                raise DegenerateCline("identical lines")
-            return Tangency("Tangent", (INF,))  # parallel lines touch at infinity
-        return Tangency("Secant", (INF,))  # distinct lines cross once plus infinity
-    if c1.kind == "line":
-        c1, c2 = c2, c1
-    if c2.kind == "line":
-        cx, cy = _q2(c1.center)
-        r2 = c1.radius2
-        px, py = _q2(c2.point)
-        dx, dy = _q2(c2.direction)
-        n2 = dx * dx + dy * dy
-        # squared distance from center to the line
-        cross = (cx - px) * dy - (cy - py) * dx
-        dist2 = cross * cross / n2
-        if dist2 > r2:
-            return Tangency("Disjoint")
-        if dist2 < r2:
-            return Tangency("Secant")
-        foot = _foot_of_perpendicular((cx, cy), (px, py), (dx, dy))
-        return Tangency("Tangent", (foot,))
-    (x1, y1), (x2, y2) = _q2(c1.center), _q2(c2.center)
-    r1sq, r2sq = c1.radius2, c2.radius2
-    dist2 = (x1 - x2) ** 2 + (y1 - y2) ** 2
-    t = dist2 - r1sq - r2sq
-    lhs = t * t
-    rhs = 4 * r1sq * r2sq
-    if lhs == rhs:
-        if dist2 == 0:
-            raise DegenerateCline("concentric equal circles")
-        lam = _exact_ratio(r1sq, r2sq, dist2, external=t > 0)
-        pt = (x1 + lam * (x2 - x1), y1 + lam * (y2 - y1))
-        return Tangency("Tangent", (pt,))
-    if lhs < rhs:
-        return Tangency("Secant")
-    return Tangency("Disjoint")
-
-
-def _exact_ratio(r1sq: Fraction, r2sq: Fraction, dist2: Fraction, external: bool) -> Fraction:
-    # at tangency dist = r1 +- r2, so r1/dist = sqrt(r1sq/dist2) is rational;
-    # the point sits at c1 + lam (c2 - c1) with lam = +-r1/dist, the sign
-    # negative exactly for internal tangency with the smaller first circle
-    ratio2 = r1sq / dist2
-    num = _fraction_sqrt(ratio2)
-    if num is None:
-        raise DegenerateCline("tangency ratio is irrational; data inconsistent")
-    return num if (external or r1sq > r2sq) else -num
-
-
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    a, b = q.numerator, q.denominator
-    ra, rb = math.isqrt(a), math.isqrt(b)
-    if ra * ra == a and rb * rb == b:
-        return Fraction(ra, rb)
-    return None
-
-
-def _foot_of_perpendicular(c, p, d) -> tuple[Fraction, Fraction]:
-    cx, cy = c
-    px, py = p
-    dx, dy = d
-    t = ((cx - px) * dx + (cy - py) * dy) / (dx * dx + dy * dy)
-    return (px + t * dx, py + t * dy)
-
-
-def _tangency_interval(c1: Cline, c2: Cline) -> Tangency:
-    def as_interval_circle(c):
-        if c.kind != "circle":
-            return None
-        if c.is_exact:
-            center = ComplexIv(
-                iv.mpf(c.center[0].numerator) / c.center[0].denominator,
-                iv.mpf(c.center[1].numerator) / c.center[1].denominator,
-            )
-            radius = iv.sqrt(iv.mpf(c.radius2.numerator) / c.radius2.denominator)
-            return center, radius
-        return c.center, c.radius
-
+    """Classify the intersection of two clines, strictly: Disjoint or Secant
+    only when the intervals decide it, otherwise Indeterminate (tangency is
+    never certified from intervals)."""
     if c1.kind == "circle" and c2.kind == "circle":
-        ctr1, r1 = as_interval_circle(c1)
-        ctr2, r2 = as_interval_circle(c2)
-        dist = (ctr1 - ctr2).abs_iv()
-        outer = r1 + r2
-        inner = abs(r1 - r2)
+        dist = (c1.center - c2.center).abs_iv()
+        outer = c1.radius + c2.radius
+        inner = abs(c1.radius - c2.radius)
         if dist.a > outer.b:
             return Tangency("Disjoint")
         if dist.b < inner.a:
@@ -304,27 +164,20 @@ def _tangency_interval(c1: Cline, c2: Cline) -> Tangency:
             return Tangency("Secant")
         return Tangency("Indeterminate")
     if c1.kind == "line" and c2.kind == "line":
-        d1 = c1.direction if not c1.is_exact else ComplexIv(
-            iv_from_fraction(c1.direction[0]), iv_from_fraction(c1.direction[1])
-        )
-        d2 = c2.direction if not c2.is_exact else ComplexIv(
-            iv_from_fraction(c2.direction[0]), iv_from_fraction(c2.direction[1])
-        )
+        d1, d2 = c1.direction, c2.direction
         cross = d1.re * d2.im - d1.im * d2.re
         if not iv_contains_zero(cross):
             return Tangency("Secant")
         return Tangency("Indeterminate")
     if c1.kind == "line":
         c1, c2 = c2, c1
-    ctr, r = as_interval_circle(c1)
-    p = c2.point
     d = c2.direction
-    rel = ctr - p
+    rel = c1.center - c2.point
     cross = rel.re * d.im - rel.im * d.re
     dist = abs(cross) / d.abs_iv()
-    if dist.a > r.b:
+    if dist.a > c1.radius.b:
         return Tangency("Disjoint")
-    if dist.b < r.a:
+    if dist.b < c1.radius.a:
         return Tangency("Secant")
     return Tangency("Indeterminate")
 
@@ -470,34 +323,6 @@ def excludes_surface(verdict: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint typing
-# ---------------------------------------------------------------------------
-
-
-def endpoint_type(sigma) -> str:
-    """CuspToCusp for rational endpoint parameters, ClosedGeodesicCandidate
-    for quadratic irrationals; anything of higher degree is not a geodesic
-    endpoint in this setting."""
-    if isinstance(sigma, (int, Fraction)):
-        return "CuspToCusp"
-    if isinstance(sigma, RatPoly):
-        deg = sigma.degree
-        if deg == 1:
-            return "CuspToCusp"
-        if deg == 2:
-            if not _has_real_root(sigma):
-                raise NotAGeodesicEndpoint("quadratic with no real roots")
-            return "ClosedGeodesicCandidate"
-        raise NotAGeodesicEndpoint(f"degree {deg} endpoint parameter")
-    raise NotAGeodesicEndpoint(f"unsupported endpoint {sigma!r}")
-
-
-def _has_real_root(q: RatPoly) -> bool:
-    c, b, a = (q.coeffs + (Fraction(0),) * 3)[:3]
-    return b * b - 4 * a * c >= 0
-
-
-# ---------------------------------------------------------------------------
 # SVG rendering
 # ---------------------------------------------------------------------------
 
@@ -506,47 +331,32 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0 if x != 0 else 0.0:.6f}"
 
 
-def render_svg(
-    clines: Sequence[Cline],
-    labels: Optional[Sequence[tuple[float, float, str]]] = None,
-    width: int = 640,
-) -> str:
+def _circle_params(c: Cline) -> tuple[float, float, float]:
+    return float(iv_mid(c.center.re)), float(iv_mid(c.center.im)), float(iv_mid(c.radius))
+
+
+def _line_params(c: Cline) -> tuple[float, float, float, float]:
+    return (
+        float(iv_mid(c.point.re)),
+        float(iv_mid(c.point.im)),
+        float(iv_mid(c.direction.re)),
+        float(iv_mid(c.direction.im)),
+    )
+
+
+def render_svg(clines: Sequence[Cline], width: int = 640) -> str:
     """Deterministic SVG: fixed viewBox (bounding box + 10% margin), elements
     in input order, y-axis flipped to match the complex plane."""
-    labels = labels or []
     xs, ys = [], []
-
-    def circle_params(c: Cline):
-        if c.is_exact:
-            cx, cy = float(c.center[0]), float(c.center[1])
-            r = math.sqrt(float(c.radius2))
-        else:
-            cx = float(iv_mid(c.center.re))
-            cy = float(iv_mid(c.center.im))
-            r = float(iv_mid(c.radius))
-        return cx, cy, r
-
-    def line_params(c: Cline):
-        if c.is_exact:
-            px, py = float(c.point[0]), float(c.point[1])
-            dx, dy = float(c.direction[0]), float(c.direction[1])
-        else:
-            px, py = float(iv_mid(c.point.re)), float(iv_mid(c.point.im))
-            dx, dy = float(iv_mid(c.direction.re)), float(iv_mid(c.direction.im))
-        return px, py, dx, dy
-
     for c in clines:
         if c.kind == "circle":
-            cx, cy, r = circle_params(c)
+            cx, cy, r = _circle_params(c)
             xs += [cx - r, cx + r]
             ys += [cy - r, cy + r]
         else:
-            px, py, _, _ = line_params(c)
+            px, py, _, _ = _line_params(c)
             xs.append(px)
             ys.append(py)
-    for (x, y, _t) in labels:
-        xs.append(x)
-        ys.append(y)
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs), max(xs)
@@ -564,13 +374,13 @@ def render_svg(
     ]
     for c in clines:
         if c.kind == "circle":
-            cx, cy, r = circle_params(c)
+            cx, cy, r = _circle_params(c)
             parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" '
                 f'fill="none" stroke="black" stroke-width="{_fmt(stroke)}"/>'
             )
         else:
-            px, py, dx, dy = line_params(c)
+            px, py, dx, dy = _line_params(c)
             norm = math.hypot(dx, dy)
             dx, dy = dx / norm, dy / norm
             reach = 2 * max(span_x, span_y)
@@ -579,9 +389,5 @@ def render_svg(
                 f'x2="{_fmt(px + reach * dx)}" y2="{_fmt(-(py + reach * dy))}" '
                 f'stroke="black" stroke-width="{_fmt(stroke)}"/>'
             )
-    for (x, y, text) in labels:
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(-y)}" font-size="{_fmt(8 * stroke)}">{text}</text>'
-        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

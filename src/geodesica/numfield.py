@@ -139,13 +139,6 @@ class NumberField:
 
     # -- places ----------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"minpoly": self.minpoly.to_json(), "name": self.name}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "NumberField":
-        return cls(RatPoly.from_json(data["minpoly"]), data.get("name", "Q(z)"))
-
     def real_isolation(self) -> RootIsolation:
         if self._real_isolation is None:
             self._real_isolation = sturm_real_roots(self.minpoly)

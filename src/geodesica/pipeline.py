@@ -609,8 +609,12 @@ def run(
     if workers > 1 and len(selected) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # the fork start method launches every worker at the first submit,
+        # so a pool wider than the knot list would fork idle processes
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(selected,)
+            max_workers=min(workers, len(selected)),
+            initializer=_pool_init,
+            initargs=(selected,),
         ) as pool:
             results = list(
                 pool.map(

@@ -88,12 +88,8 @@ class RatPoly:
     def constant(cls, c) -> "RatPoly":
         return cls((c,))
 
-    @classmethod
-    def from_json(cls, items: Sequence[str]) -> "RatPoly":
-        """Little-endian list of "num" or "num/den" strings."""
-        return cls(Fraction(s) for s in items)
-
     def to_json(self) -> list[str]:
+        """Little-endian list of "num" or "num/den" strings."""
         return [str(c) for c in self.coeffs]
 
     # -- basic queries -------------------------------------------------

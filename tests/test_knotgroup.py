@@ -272,7 +272,7 @@ def test_polymat_pow_adjugate():
 def _bundled_two_bridge():
     rows = json.loads(resources.files("geodesica").joinpath("data/census.json").read_text())
     return [
-        (row["p"], row["q"], RatPoly.from_json(row["minpoly"]))
+        (row["p"], row["q"], RatPoly(Fraction(s) for s in row["minpoly"]))
         for row in rows["knots"] if row["kind"] == "two_bridge"
     ]
 

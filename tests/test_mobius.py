@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geodesica.errors import DegenerateCline, NotAGeodesicEndpoint, UnsupportedCase
+from geodesica.errors import UnsupportedCase
+from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from geodesica.knotgroup import Mat2, Word, evaluate_word
 from geodesica.mobius import (
     Cline,
     ExactCline,
     INF,
-    cline_image,
-    endpoint_type,
     excludes_surface,
     mobius_apply,
     mobius_derivative,
@@ -18,10 +18,22 @@ from geodesica.mobius import (
     tangency,
     tangency_via_shared_point,
     uniqueness_system,
-    vertical_line_cline,
 )
 from geodesica.numfield import nf_inverse
 from geodesica.polycore import RatPoly
+
+
+def _pt(x, y) -> ComplexIv:
+    return ComplexIv(iv_from_fraction(Fraction(x)), iv_from_fraction(Fraction(y)))
+
+
+def _circle(cx, cy, r2) -> Cline:
+    """The interval circle of a rational center and squared radius."""
+    return Cline.circle(_pt(cx, cy), iv.sqrt(iv_from_fraction(Fraction(r2))))
+
+
+def _line(px, py, dx, dy) -> Cline:
+    return Cline.line(_pt(px, py), _pt(dx, dy))
 
 
 class TestMobiusApply:
@@ -60,18 +72,18 @@ class TestMobiusApply:
 class TestClineImage:
     def test_identity(self, rep_74):
         K = rep_74.field
-        c = vertical_line_cline(K.zero(), K.one())
-        assert cline_image(Mat2.identity(K), c).points == c.points
+        c = ExactCline((K.zero(), K.one(), INF))
+        assert c.apply(Mat2.identity(K)).points == c.points
 
     def test_composition(self, rep_74):
         rng = random.Random(5)
         K = rep_74.field
-        c = vertical_line_cline(K.zero(), K.one())
+        c = ExactCline((K.zero(), K.one(), INF))
         for _ in range(10):
             w1 = Word([(rng.randint(0, 1), rng.choice([-1, 1])) for _ in range(3)])
             w2 = Word([(rng.randint(0, 1), rng.choice([-1, 1])) for _ in range(3)])
             m1, m2 = evaluate_word(rep_74, w1), evaluate_word(rep_74, w2)
-            assert cline_image(m1 * m2, c).points == cline_image(m1, cline_image(m2, c)).points
+            assert c.apply(m1 * m2).points == c.apply(m2).apply(m1).points
 
     def test_74_image_is_line_of_slope_minus_two(self, rep_74):
         # the image of the vertical plane over (0, (tau+2)/4) under b^-1 a b^-1
@@ -83,7 +95,7 @@ class TestClineImage:
         pt = (tau + K.rational(2)) / K.rational(4)
         src = ExactCline((K.zero(), pt, INF))
         img = src.apply(m)
-        assert img.contains_infinity
+        assert INF in img.points
         finite = [p for p in img.points if p is not INF]
         diff = finite[0] - finite[1]
         ratio = diff / (tau - K.rational(2))
@@ -110,47 +122,102 @@ class TestClineImage:
 
 
 class TestTangencyExact:
+    """Exact rational data, realized as interval clines: strict cases are
+    decided, exact tangency is Indeterminate."""
+
     def test_unit_circle_vs_vertical_line(self):
-        c = Cline.circle((Fraction(0), Fraction(0)), radius2=Fraction(1))
-        l = Cline.line((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        t = tangency(c, l)
-        assert t.kind == "Tangent"
-        assert t.points == ((Fraction(1), Fraction(0)),)
+        assert tangency(_circle(0, 0, 1), _line(1, 0, 0, 1)).kind == "Indeterminate"
 
     def test_external_tangent_circles(self):
-        c1 = Cline.circle((Fraction(0), Fraction(0)), radius2=Fraction(1))
-        c2 = Cline.circle((Fraction(3), Fraction(0)), radius2=Fraction(4))
-        t = tangency(c1, c2)
-        assert t.kind == "Tangent" and t.points == ((Fraction(1), Fraction(0)),)
+        assert tangency(_circle(0, 0, 1), _circle(3, 0, 4)).kind == "Indeterminate"
 
     def test_internal_tangent_circles(self):
-        c1 = Cline.circle((Fraction(0), Fraction(0)), radius2=Fraction(9))
-        c2 = Cline.circle((Fraction(1), Fraction(0)), radius2=Fraction(4))
-        t = tangency(c1, c2)
-        assert t.kind == "Tangent" and t.points == ((Fraction(3), Fraction(0)),)
+        assert tangency(_circle(0, 0, 9), _circle(1, 0, 4)).kind == "Indeterminate"
 
     def test_secant_and_disjoint(self):
-        c1 = Cline.circle((Fraction(0), Fraction(0)), radius2=Fraction(1))
-        assert tangency(c1, Cline.circle((Fraction(1), Fraction(0)), radius2=Fraction(1))).kind == "Secant"
-        assert tangency(c1, Cline.circle((Fraction(5), Fraction(0)), radius2=Fraction(1))).kind == "Disjoint"
-        nested = Cline.circle((Fraction(0), Fraction(0)), radius2=Fraction(1, 100))
+        c1 = _circle(0, 0, 1)
+        assert tangency(c1, _circle(1, 0, 1)).kind == "Secant"
+        assert tangency(c1, _circle(5, 0, 1)).kind == "Disjoint"
+        nested = _circle(0, 0, Fraction(1, 100))
         assert tangency(c1, nested).kind == "Disjoint"
+        assert tangency(c1, _line(0, Fraction(1, 2), 1, 0)).kind == "Secant"
+        assert tangency(_line(0, 2, 1, 1), c1).kind == "Disjoint"
 
     def test_parallel_lines_tangent_at_infinity(self):
-        l1 = Cline.line((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)))
-        l2 = Cline.line((Fraction(1), Fraction(0)), (Fraction(2), Fraction(4)))
-        t = tangency(l1, l2)
-        assert t.kind == "Tangent" and t.points == (INF,)
+        l1 = _line(0, 0, 1, 2)
+        l2 = _line(1, 0, 2, 4)
+        assert tangency(l1, l2).kind == "Indeterminate"
 
     def test_crossing_lines_secant(self):
-        l1 = Cline.line((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-        l2 = Cline.line((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
+        l1 = _line(0, 0, 1, 0)
+        l2 = _line(0, 1, 0, 1)
         assert tangency(l1, l2).kind == "Secant"
 
     def test_symmetry(self):
-        c1 = Cline.circle((Fraction(0), Fraction(0)), radius2=Fraction(1))
-        c2 = Cline.circle((Fraction(3), Fraction(0)), radius2=Fraction(4))
-        assert tangency(c1, c2).kind == tangency(c2, c1).kind
+        pairs = [
+            (_circle(0, 0, 1), _circle(3, 0, 4)),
+            (_circle(0, 0, 1), _circle(1, 0, 1)),
+            (_circle(0, 0, 1), _line(0, 2, 1, 1)),
+        ]
+        for c1, c2 in pairs:
+            assert tangency(c1, c2).kind == tangency(c2, c1).kind
+
+
+_COORD = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+_RADIUS = st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=50)
+_SLOPE = st.fractions(min_value=-5, max_value=5, max_denominator=20)
+# the fraction of the way between touching positions, kept away from both
+_SHARE = st.fractions(min_value=Fraction(1, 64), max_value=Fraction(63, 64), max_denominator=64)
+_BITS = st.integers(min_value=53, max_value=256)
+
+
+def _unit(t: Fraction) -> tuple[Fraction, Fraction]:
+    """A rational unit vector: ((1 - t^2), 2t) / (1 + t^2)."""
+    n = 1 + t * t
+    return (1 - t * t) / n, 2 * t / n
+
+
+def _pair_at(kind, cx, cy, r1, r2, t, dist):
+    """Circle (c, r1) and a second cline placed `dist` from c along the unit
+    vector of t: a circle of radius r2 there, or for kind "line" the line
+    through that point perpendicular to the unit vector."""
+    ux, uy = _unit(t)
+    px, py = cx + dist * ux, cy + dist * uy
+    other = _line(px, py, -uy, ux) if kind == "line" else _circle(px, py, r2 * r2)
+    return _circle(cx, cy, r1 * r1), other
+
+
+@given(st.sampled_from(["external", "internal", "line"]), _COORD, _COORD,
+       _RADIUS, _RADIUS, _SLOPE, _BITS)
+@settings(max_examples=200, deadline=None)
+def test_touching_rational_pairs_are_indeterminate(kind, cx, cy, r1, r2, t, bits):
+    if kind == "internal" and r1 == r2:
+        r1 += r2  # internally tangent circles differ in radius
+    dist = {"external": r1 + r2, "internal": abs(r1 - r2), "line": r1}[kind]
+    with prec_guard(bits):
+        c1, c2 = _pair_at(kind, cx, cy, r1, r2, t, dist)
+        assert tangency(c1, c2).kind == "Indeterminate"
+        assert tangency(c2, c1).kind == "Indeterminate"
+
+
+@given(st.sampled_from(["apart", "nested", "crossing", "line apart", "line crossing"]),
+       _COORD, _COORD, _RADIUS, _RADIUS, _SLOPE, _SHARE, _BITS)
+@settings(max_examples=200, deadline=None)
+def test_clearly_separated_or_crossing_pairs_are_decided(kind, cx, cy, r1, r2, t, share, bits):
+    if kind == "nested" and r1 == r2:
+        r1 += r2
+    inner, outer = abs(r1 - r2), r1 + r2
+    dist, expected = {
+        "apart": (outer * (1 + share), "Disjoint"),
+        "nested": (inner * (1 - share), "Disjoint"),
+        "crossing": (inner + (outer - inner) * share, "Secant"),
+        "line apart": (r1 * (1 + share), "Disjoint"),
+        "line crossing": (r1 * (1 - share), "Secant"),
+    }[kind]
+    with prec_guard(bits):
+        c1, c2 = _pair_at(kind.split()[0], cx, cy, r1, r2, t, dist)
+        assert tangency(c1, c2).kind == expected
+        assert tangency(c2, c1).kind == expected
 
 
 class TestTangencyInterval:
@@ -319,23 +386,6 @@ class TestUniquenessSystems:
             uniqueness_system(Word.gen(1), rep.field.gen(), rep)
 
 
-class TestEndpoints:
-    def test_rational(self):
-        assert endpoint_type(Fraction(3, 2)) == "CuspToCusp"
-        assert endpoint_type(RatPoly([-3, 2])) == "CuspToCusp"
-
-    def test_quadratic_irrational(self):
-        assert endpoint_type(RatPoly([-2, 0, 1])) == "ClosedGeodesicCandidate"
-
-    def test_cubic_rejected(self):
-        with pytest.raises(NotAGeodesicEndpoint):
-            endpoint_type(RatPoly([-1, -1, 0, 1]))
-
-    def test_complex_quadratic_rejected(self):
-        with pytest.raises(NotAGeodesicEndpoint):
-            endpoint_type(RatPoly([1, 0, 1]))
-
-
 class TestRenderSVG:
     def test_empty(self):
         svg = render_svg([])
@@ -343,8 +393,7 @@ class TestRenderSVG:
         assert '<svg xmlns' in svg and svg.rstrip().endswith("</svg>")
 
     def test_unit_circle_golden(self):
-        c = Cline.circle((Fraction(0), Fraction(0)), radius2=Fraction(1))
-        svg = render_svg([c])
+        svg = render_svg([_circle(0, 0, 1)])
         assert '<circle cx="0.000000" cy="0.000000" r="1.000000"' in svg
         assert 'viewBox="-1.200000 -1.200000 2.400000 2.400000"' in svg
 
@@ -365,7 +414,3 @@ class TestRenderSVG:
         kinds = [c.kind for c in clines]
         # H and x(H) vertical; C1, C2 hemispherical
         assert kinds == ["line", "line", "circle", "circle"]
-
-    def test_labels(self):
-        svg = render_svg([], labels=[(0.0, 0.0, "origin")])
-        assert ">origin</text>" in svg

@@ -396,6 +396,35 @@ def test_pool_computes_on_the_records_passed_in(census_records):
     assert serial.to_json_bytes() == pooled.to_json_bytes()
 
 
+def test_pool_is_no_wider_than_the_knot_list(monkeypatch, census_records):
+    # a stand-in executor runs the entries in this process and records the
+    # width asked for, so no large pool is ever started
+    import concurrent.futures
+
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            widths.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    names = ["7_4", "P(3,3,3)"]
+    pooled = run(census_records, checks=("slopes",), names=names, workers=10**6)
+    assert widths == [2]
+    serial = run(census_records, checks=("slopes",), names=names)
+    assert pooled.to_json_bytes() == serial.to_json_bytes()
+
+
 def _bundled_rows():
     text = resources.files("geodesica").joinpath("data/census.json").read_text()
     return json.loads(text)["knots"]

