@@ -1,174 +1,165 @@
-"""Thin layer over mpmath's directed-rounding intervals.
+"""Integer dyadic intervals, the one interval kernel.
 
-Real quantities use iv.mpf directly; complex quantities are rectangles
-(re, im) of iv.mpf.  Everything rounds outward, so any containment or
-strict-inequality decision made here is sound.
-
-This is the only module that imports mpmath.libmp.  Its raw kernels work on
-endpoint tuples: a real interval is mpmath's (lo, hi) pair of raw mpfs, a
-complex rectangle an (re, im) pair of those.  ComplexIv arithmetic runs them
-at iv.prec, in the iv.mpf operators' order: the same endpoints without the
-conversion wrappers.
+A real interval ``Iv(lo, hi, s)`` is [lo / 2^s, hi / 2^s] for integers
+lo <= hi; a complex value is a ``Box``, the rectangle of two of them.  The
+scale s travels with the value, and a binary operation works at the larger
+scale of its operands (a left shift is exact).  Sums and differences are
+exact; a product, square or quotient is rounded outward to that scale by a
+floor and a ceiling shift or division, and a square root by ``math.isqrt``.
+So every containment or strict-inequality decision made from these
+enclosures is sound, and no global precision is read or set.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from fractions import Fraction
 
-import mpmath as mp
-from mpmath import iv
-from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
-
-_make_mpf = iv.make_mpf
-# 0 and 1 are exact at every precision
-ZERO = iv.mpf(0)._mpi_
-ONE = iv.mpf(1)._mpi_
+from .errors import DivisionByZero
 
 
-@contextmanager
-def prec_guard(bits: int):
-    """Temporarily set the interval (and float) working precision."""
-    old_iv, old_mp = iv.prec, mp.mp.prec
-    iv.prec = bits
-    mp.mp.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old_iv
-        mp.mp.prec = old_mp
+def _outward(lo: int, hi: int, shift: int, s: int) -> "Iv":
+    """[floor(lo / 2^shift), ceil(hi / 2^shift)] at scale s."""
+    return Iv(lo >> shift, -((-hi) >> shift), s)
 
 
-def iv_from_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / q.denominator
+class Iv:
+    """The real interval [lo, hi] / 2^s."""
 
+    __slots__ = ("lo", "hi", "s")
 
-def cx_add(p, q, prec):
-    return mpi_add(p[0], q[0], prec), mpi_add(p[1], q[1], prec)
-
-
-def cx_neg(p, prec):
-    return mpi_neg(p[0], prec), mpi_neg(p[1], prec)
-
-
-def cx_conj(p, prec):
-    return p[0], mpi_neg(p[1], prec)
-
-
-def cx_mul(p, q, prec):
-    (a, b), (c, d) = p, q
-    return (
-        mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec),
-        mpi_add(mpi_mul(a, d, prec), mpi_mul(b, c, prec), prec),
-    )
-
-
-def cx_div(p, q, prec):
-    (a, b), (c, d) = p, q
-    den = mpi_add(mpi_mul(c, c, prec), mpi_mul(d, d, prec), prec)
-    return (
-        mpi_div(mpi_add(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec), den, prec),
-        mpi_div(mpi_sub(mpi_mul(b, c, prec), mpi_mul(a, d, prec), prec), den, prec),
-    )
-
-
-def iv_width(x) -> mp.mpf:
-    return mp.mpf(x.delta.b)
-
-
-def iv_mid(x) -> mp.mpf:
-    return mp.mpf(x.mid.a)
-
-
-def iv_contains_zero(x) -> bool:
-    return x.a <= 0 <= x.b
-
-
-class ComplexIv:
-    """Rectangular complex interval: re and im are iv.mpf."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re if isinstance(re, iv.mpf) else iv.mpf(re)
-        self.im = im if isinstance(im, iv.mpf) else iv.mpf(im)
+    def __init__(self, lo: int, hi: int, s: int):
+        self.lo = lo
+        self.hi = hi
+        self.s = s
 
     @classmethod
-    def from_fraction(cls, q: Fraction) -> "ComplexIv":
-        return cls(iv_from_fraction(q), iv.mpf(0))
-
-    @classmethod
-    def from_mpc(cls, z) -> "ComplexIv":
-        z = mp.mpc(z)
-        return cls(iv.mpf(z.real), iv.mpf(z.imag))
-
-    @staticmethod
-    def zero() -> "ComplexIv":
-        return ComplexIv.from_raw((ZERO, ZERO))
-
-    @staticmethod
-    def one() -> "ComplexIv":
-        return ComplexIv.from_raw((ONE, ZERO))
-
-    @staticmethod
-    def from_raw(p) -> "ComplexIv":
-        """ComplexIv from a raw (re, im) pair of endpoint tuples."""
-        z = object.__new__(ComplexIv)
-        z.re = _make_mpf(p[0])
-        z.im = _make_mpf(p[1])
-        return z
-
-    def raw(self):
-        """The raw (re, im) pair of endpoint tuples."""
-        return self.re._mpi_, self.im._mpi_
+    def enclose(cls, lo, hi, s: int) -> "Iv":
+        """The narrowest interval at scale s that holds the rationals lo <= hi."""
+        lo, hi = Fraction(lo), Fraction(hi)
+        return cls(
+            (lo.numerator << s) // lo.denominator,
+            -((-hi.numerator << s) // hi.denominator),
+            s,
+        )
 
     def __repr__(self):
-        return f"ComplexIv({self.re}, {self.im})"
+        return f"Iv({self.lo}, {self.hi}, {self.s})"
 
-    def __add__(self, other):
-        return ComplexIv.from_raw(cx_add(self.raw(), self._coerce(other).raw(), iv.prec))
+    def _align(self, other) -> tuple[int, int, int, int, int]:
+        """Endpoints of both operands at their larger scale, and that scale;
+        an int is a point."""
+        s = self.s
+        if isinstance(other, int):
+            return self.lo, self.hi, other << s, other << s, s
+        t = other.s
+        if s == t:
+            return self.lo, self.hi, other.lo, other.hi, s
+        if s < t:
+            return self.lo << (t - s), self.hi << (t - s), other.lo, other.hi, t
+        return self.lo, self.hi, other.lo << (s - t), other.hi << (s - t), s
 
-    __radd__ = __add__
+    def __add__(self, other) -> "Iv":
+        a, b, c, d, s = self._align(other)
+        return Iv(a + c, b + d, s)
 
-    def __neg__(self):
-        return ComplexIv.from_raw(cx_neg(self.raw(), iv.prec))
+    def __sub__(self, other) -> "Iv":
+        a, b, c, d, s = self._align(other)
+        return Iv(a - d, b - c, s)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        return ComplexIv.from_raw(cx_mul(self.raw(), self._coerce(other).raw(), iv.prec))
+    def __mul__(self, other) -> "Iv":
+        if isinstance(other, int):
+            lo, hi = self.lo * other, self.hi * other
+            return Iv(lo, hi, self.s) if other >= 0 else Iv(hi, lo, self.s)
+        a, b, c, d, s = self._align(other)
+        ps = (a * c, a * d, b * c, b * d)
+        return _outward(min(ps), max(ps), s, s)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return ComplexIv.from_raw(cx_div(self.raw(), self._coerce(other).raw(), iv.prec))
+    def __truediv__(self, other) -> "Iv":
+        a, b, c, d, s = self._align(other)
+        if c <= 0 <= d:
+            raise DivisionByZero("interval divisor contains 0")
+        a, b = a << s, b << s
+        return Iv(
+            min(a // c, a // d, b // c, b // d),
+            -min(-a // c, -a // d, -b // c, -b // d),
+            s,
+        )
 
-    @staticmethod
-    def _coerce(other) -> "ComplexIv":
-        if isinstance(other, ComplexIv):
-            return other
-        if isinstance(other, Fraction):
-            return ComplexIv.from_fraction(other)
-        return ComplexIv(iv.mpf(other), iv.mpf(0))
+    def __lt__(self, other) -> bool:
+        """Whether every point of self lies below every point of other."""
+        a, b, c, d, s = self._align(other)
+        return b < c
 
-    def conj(self) -> "ComplexIv":
-        return ComplexIv.from_raw(cx_conj(self.raw(), iv.prec))
+    def __gt__(self, other) -> bool:
+        """Whether every point of self lies above every point of other."""
+        a, b, c, d, s = self._align(other)
+        return a > d
 
-    def abs2(self):
-        val = self.re * self.re + self.im * self.im
-        if val.a < 0:
-            # outward rounding can push the lower bound of a square sum
-            # below zero; the true value cannot be negative
-            val = iv.mpf([0, mp.mpf(val.b)])
-        return val
+    def sqr(self) -> "Iv":
+        """The squares of the points of self; 0 is the bottom when self
+        holds 0, so the lower end is never negative."""
+        lo, hi = self.lo, self.hi
+        if lo >= 0:
+            a, b = lo * lo, hi * hi
+        elif hi <= 0:
+            a, b = hi * hi, lo * lo
+        else:
+            a, b = 0, max(lo * lo, hi * hi)
+        return _outward(a, b, self.s, self.s)
 
-    def abs_iv(self):
-        return iv.sqrt(self.abs2())
+    def sqrt(self) -> "Iv":
+        """The square roots of the nonnegative points of self (hi >= 0)."""
+        s = self.s
+        top = self.hi << s
+        r = math.isqrt(top)
+        return Iv(math.isqrt(max(self.lo, 0) << s), r + (r * r < top), s)
 
-    def max_width(self) -> mp.mpf:
-        return max(iv_width(self.re), iv_width(self.im))
+    def contains_zero(self) -> bool:
+        return self.lo <= 0 <= self.hi
 
+    def width(self) -> Fraction:
+        return Fraction(self.hi - self.lo, 1 << self.s)
+
+    def mid(self) -> float:
+        """The midpoint, correctly rounded to a float."""
+        return float(Fraction(self.lo + self.hi, 2 << self.s))
+
+
+class Box:
+    """The complex rectangle re + i im of two real intervals."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Iv, im: Iv):
+        self.re = re
+        self.im = im
+
+    def __repr__(self):
+        return f"Box({self.re!r}, {self.im!r})"
+
+    def __add__(self, other) -> "Box":
+        if isinstance(other, Box):
+            return Box(self.re + other.re, self.im + other.im)
+        return Box(self.re + other, self.im)
+
+    def __sub__(self, other: "Box") -> "Box":
+        return Box(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other) -> "Box":
+        if isinstance(other, int):
+            return Box(self.re * other, self.im * other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Box(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other: int) -> "Box":
+        return Box(self.re / other, self.im / other)
+
+    def abs2(self) -> Iv:
+        """|z|^2 over the box, with a lower end that is never negative."""
+        return self.re.sqr() + self.im.sqr()
+
+    def width(self) -> Fraction:
+        return max(self.re.width(), self.im.width())

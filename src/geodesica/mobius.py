@@ -4,10 +4,11 @@ deterministic SVG renderer.
 
 An ExactCline is three exact points over the field, so its Mobius images
 and whether it passes through infinity (line or circle) are exact.  It is
-realized at a complex place as a Cline of one grade: rectangular complex
-intervals with an interval radius.  `tangency` classifies Clines strictly:
-Secant and Disjoint only when the intervals separate, otherwise
-Indeterminate, so tangency is never claimed from intervals.  Tangency at a
+realized at a complex place as a Cline of one grade: integer dyadic boxes
+with an interval radius (``intervals``).  `tangency` classifies Clines
+strictly, comparing squared distances with squared radii: Secant and
+Disjoint only when the intervals separate, otherwise Indeterminate, so
+tangency is never claimed from intervals.  Tangency at a
 point two images share exactly is decided in the field by
 `tangency_via_shared_point`.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import DegenerateCline, UnsupportedCase
-from .intervals import ComplexIv, iv_contains_zero, iv_mid, prec_guard
+from .intervals import Box, Iv
 from .knotgroup import Mat2, MatrixRep, Word, evaluate_word
 from .numfield import ComplexPlace, FieldElement
 
@@ -82,36 +83,28 @@ class ExactCline:
 
     def realize(self, place: ComplexPlace, precision_bits: int = 128) -> "Cline":
         """Numeric Cline at a complex embedding (outward-rounded)."""
-        pts = []
-        for p in self.points:
-            if p is INF:
-                pts.append(INF)
-            else:
-                pts.append(place.embed(p, precision_bits))
-        with prec_guard(precision_bits + 16):
-            finite = [p for p in pts if p is not INF]
-            if any(p is INF for p in pts):
-                p0, p1 = finite[0], finite[1]
-                return Cline.line(p0, p1 - p0)
-            return _circumcircle(*finite)
+        finite = [place.embed(p, precision_bits) for p in self.points if p is not INF]
+        if len(finite) < 3:
+            return Cline.line(finite[0], finite[1] - finite[0])
+        return _circumcircle(*finite, place)
 
 
-def _circumcircle(p1: ComplexIv, p2: ComplexIv, p3: ComplexIv) -> "Cline":
+def _circumcircle(p1: Box, p2: Box, p3: Box, place: ComplexPlace) -> "Cline":
     d = 2 * (
         p1.re * (p2.im - p3.im)
         + p2.re * (p3.im - p1.im)
         + p3.re * (p1.im - p2.im)
     )
-    if iv_contains_zero(d):
+    if d.contains_zero():
         raise DegenerateCline(
-            "defining points are collinear at this precision; escalate or use INF"
+            f"{place.field.name}: complex place at root {place.root_index}: defining "
+            "points are collinear at this precision; escalate or use INF"
         )
     s1, s2, s3 = p1.abs2(), p2.abs2(), p3.abs2()
     ux = (s1 * (p2.im - p3.im) + s2 * (p3.im - p1.im) + s3 * (p1.im - p2.im)) / d
     uy = (s1 * (p3.re - p2.re) + s2 * (p1.re - p3.re) + s3 * (p2.re - p1.re)) / d
-    center = ComplexIv(ux, uy)
-    radius = (p1 - center).abs_iv()
-    return Cline.circle(center, radius)
+    center = Box(ux, uy)
+    return Cline.circle(center, (p1 - center).abs2().sqrt())
 
 
 @dataclass(frozen=True)
@@ -120,17 +113,17 @@ class Cline:
     direction) realized at a complex place, rounded outward."""
 
     kind: str
-    center: Optional[ComplexIv] = None
-    radius: Optional[object] = None  # iv.mpf
-    point: Optional[ComplexIv] = None
-    direction: Optional[ComplexIv] = None
+    center: Optional[Box] = None
+    radius: Optional[Iv] = None
+    point: Optional[Box] = None
+    direction: Optional[Box] = None
 
     @classmethod
-    def circle(cls, center: ComplexIv, radius) -> "Cline":
+    def circle(cls, center: Box, radius: Iv) -> "Cline":
         return cls(kind="circle", center=center, radius=radius)
 
     @classmethod
-    def line(cls, point: ComplexIv, direction: ComplexIv) -> "Cline":
+    def line(cls, point: Box, direction: Box) -> "Cline":
         return cls(kind="line", point=point, direction=direction)
 
 
@@ -151,33 +144,33 @@ class Tangency:
 def tangency(c1: Cline, c2: Cline) -> Tangency:
     """Classify the intersection of two clines, strictly: Disjoint or Secant
     only when the intervals decide it, otherwise Indeterminate (tangency is
-    never certified from intervals)."""
+    never certified from intervals).  Distances and radii are compared
+    squared, so no square root of a distance is taken."""
     if c1.kind == "circle" and c2.kind == "circle":
-        dist = (c1.center - c2.center).abs_iv()
-        outer = c1.radius + c2.radius
-        inner = abs(c1.radius - c2.radius)
-        if dist.a > outer.b:
+        dist2 = (c1.center - c2.center).abs2()
+        outer2 = (c1.radius + c2.radius).sqr()
+        inner2 = (c1.radius - c2.radius).sqr()
+        if dist2 > outer2 or dist2 < inner2:  # apart, or nested
             return Tangency("Disjoint")
-        if dist.b < inner.a:
-            return Tangency("Disjoint")  # nested
-        if dist.b < outer.a and dist.a > inner.b:
+        if inner2 < dist2 < outer2:
             return Tangency("Secant")
         return Tangency("Indeterminate")
     if c1.kind == "line" and c2.kind == "line":
         d1, d2 = c1.direction, c2.direction
         cross = d1.re * d2.im - d1.im * d2.re
-        if not iv_contains_zero(cross):
+        if not cross.contains_zero():
             return Tangency("Secant")
         return Tangency("Indeterminate")
     if c1.kind == "line":
         c1, c2 = c2, c1
+    # the distance from the center to the line is |cross| / |d|
     d = c2.direction
     rel = c1.center - c2.point
-    cross = rel.re * d.im - rel.im * d.re
-    dist = abs(cross) / d.abs_iv()
-    if dist.a > c1.radius.b:
+    cross2 = (rel.re * d.im - rel.im * d.re).sqr()
+    reach2 = c1.radius.sqr() * d.abs2()
+    if cross2 > reach2:
         return Tangency("Disjoint")
-    if dist.b < c1.radius.a:
+    if cross2 < reach2:
         return Tangency("Secant")
     return Tangency("Indeterminate")
 
@@ -332,15 +325,15 @@ def _fmt(x: float) -> str:
 
 
 def _circle_params(c: Cline) -> tuple[float, float, float]:
-    return float(iv_mid(c.center.re)), float(iv_mid(c.center.im)), float(iv_mid(c.radius))
+    return c.center.re.mid(), c.center.im.mid(), c.radius.mid()
 
 
 def _line_params(c: Cline) -> tuple[float, float, float, float]:
     return (
-        float(iv_mid(c.point.re)),
-        float(iv_mid(c.point.im)),
-        float(iv_mid(c.direction.re)),
-        float(iv_mid(c.direction.im)),
+        c.point.re.mid(),
+        c.point.im.mid(),
+        c.direction.re.mid(),
+        c.direction.im.mid(),
     )
 
 

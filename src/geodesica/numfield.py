@@ -5,7 +5,7 @@ Z[z] and one positive common denominator, in lowest terms.  Products are
 integer convolutions over the nonzero terms of both operands, reduced by the
 monic integer minimal polynomial; a sum of two products (``NumberField.dot``,
 the matrix-product kernel) is reduced once.  Embeddings return outward-rounded
-intervals refined on demand; refining precision only shrinks the enclosure.
+integer dyadic intervals (``intervals``) refined on demand.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath as mp
-
 from .errors import DivisionByZero, NoComplexPlace, PrecisionExhausted
-from .intervals import ComplexIv, iv, iv_from_fraction, prec_guard
+from .intervals import Box, Iv
 from .polycore import (
     ComplexRootSet,
     RatPoly,
@@ -84,9 +82,6 @@ class NumberField:
         vec = [Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in vec))
         return self._make([c.numerator * (den // c.denominator) for c in vec], den)
-
-    def from_poly(self, p: RatPoly) -> "FieldElement":
-        return self.element(p.coeffs)
 
     def zero(self) -> "FieldElement":
         return self._zero
@@ -160,12 +155,11 @@ class NumberField:
         does not pin one explicitly.  A root counts when its whole disk lies
         in the upper half-plane, so a real root never does.  Raises
         NoComplexPlace when no root qualifies."""
-        rs = self.complex_root_set(precision_bits)
-        best = None
-        for idx, r in enumerate(rs.roots):
-            if mp.im(r.center) > r.radius:
-                if best is None or abs(r.center) > abs(rs.roots[best].center):
-                    best = idx
+        best, best_m2 = None, None
+        for idx, r in enumerate(self.complex_root_set(precision_bits).roots):
+            m2 = r.re ** 2 + r.im ** 2
+            if r.im > r.radius and (best is None or m2 > best_m2):
+                best, best_m2 = idx, m2
         if best is None:
             raise NoComplexPlace(
                 f"{self.name}: no complex root with positive imaginary part "
@@ -198,20 +192,19 @@ class RealPlace:
     field: NumberField
     index: int
 
-    def embed(self, e: "FieldElement", precision_bits: int = 64):
-        """iv.mpf enclosure of e at this place, radius < 2^-(precision_bits/2)."""
-        target = mp.mpf(2) ** (-(precision_bits // 2))
+    def embed(self, e: "FieldElement", precision_bits: int = 64) -> Iv:
+        """Enclosure of e at this place, of width < 2^-(precision_bits/2)."""
+        target = Fraction(1, 2 ** (precision_bits // 2))
         bits = precision_bits
         while bits <= _PRECISION_HARD_CAP:
-            with prec_guard(bits + 16):
-                lo, hi = self.field.real_root_enclosure(self.index, bits + 8)
-                x = iv.mpf([str(lo), str(hi)])
-                val = RatPoly(e.coeffs).eval(x, iv_from_fraction)
-                if mp.mpf(val.delta.b) < target:
-                    return val
+            lo, hi = self.field.real_root_enclosure(self.index, bits + 8)
+            val = _horner(e, Iv.enclose(lo, hi, bits + 16))
+            if val.width() < target:
+                return val
             bits *= 2
         raise PrecisionExhausted(
-            f"embedding at real place {self.index} did not reach 2^-{precision_bits // 2}"
+            f"{self.field.name}: embedding at real place {self.index} did not "
+            f"reach 2^-{precision_bits // 2}"
         )
 
     def sign(self, e: "FieldElement", bits: int, cap: int) -> tuple[int, int]:
@@ -252,28 +245,39 @@ class ComplexPlace:
     field: NumberField
     root_index: int
 
-    def root_box(self, precision_bits: int = 128) -> ComplexIv:
+    def root_box(self, precision_bits: int = 128) -> Box:
+        """The square around the certified root disk, at scale
+        precision_bits + 16."""
         r = self.field.complex_root_set(precision_bits).roots[self.root_index]
-        with prec_guard(precision_bits + 16):
-            rad = iv.mpf(r.radius)
-            return ComplexIv(
-                iv.mpf(mp.re(r.center)) + iv.mpf([-1, 1]) * rad,
-                iv.mpf(mp.im(r.center)) + iv.mpf([-1, 1]) * rad,
-            )
+        s = precision_bits + 16
+        return Box(
+            Iv.enclose(r.re - r.radius, r.re + r.radius, s),
+            Iv.enclose(r.im - r.radius, r.im + r.radius, s),
+        )
 
-    def embed(self, e: "FieldElement", precision_bits: int = 128) -> ComplexIv:
-        target = mp.mpf(2) ** (-(precision_bits // 2))
+    def embed(self, e: "FieldElement", precision_bits: int = 128) -> Box:
+        """Enclosure of e at this place, of width < 2^-(precision_bits/2)."""
+        target = Fraction(1, 2 ** (precision_bits // 2))
         bits = precision_bits
         while bits <= _PRECISION_HARD_CAP:
-            with prec_guard(bits + 16):
-                box = self.root_box(bits)
-                val = RatPoly(e.coeffs).eval(box, ComplexIv.from_fraction)
-                if val.max_width() < target:
-                    return val
+            val = _horner(e, self.root_box(bits))
+            if val.width() < target:
+                return val
             bits *= 2
         raise PrecisionExhausted(
-            f"complex embedding at root {self.root_index} did not converge"
+            f"{self.field.name}: complex embedding at root {self.root_index} "
+            f"did not reach 2^-{precision_bits // 2}"
         )
+
+
+def _horner(e: "FieldElement", x):
+    """e over the interval or box x: Horner on the integer numerator, then
+    one outward division by the denominator."""
+    num = e.num
+    acc = x * 0 + num[-1]  # the top coefficient as a point at x's scale
+    for c in reversed(num[:-1]):
+        acc = acc * x + c
+    return acc / e.den
 
 
 class FieldElement:

@@ -565,8 +565,8 @@ _POOL_RECORDS: list = []
 
 def _pool_init(records):
     # the records the caller passed to run(), handed over at worker start;
-    # mpmath state is per-process, so process (not thread) fan-out is the
-    # safe parallelism here
+    # the checks are CPU-bound pure Python, which threads would serialize
+    # under the GIL, so the fan-out is over processes
     _POOL_RECORDS[:] = records
 
 

@@ -2,8 +2,8 @@
 certified complex roots, and irreducibility certificates.
 
 Coefficients are `fractions.Fraction` throughout; nothing in this module
-touches floating point except the complex root finder, whose output disks
-are certified afterwards with outward-rounded interval arithmetic.
+touches floating point except the seeds of the complex root finder, whose
+output disks are certified afterwards by exact integer comparisons.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath as mp
-
 from .errors import (
     BadArgument,
     NotIsolating,
@@ -25,7 +23,6 @@ from .errors import (
     ZeroModulus,
     ZeroPolynomial,
 )
-from .intervals import ComplexIv, iv, prec_guard
 
 _Q = Fraction
 
@@ -228,14 +225,11 @@ class RatPoly:
 
     # -- evaluation -----------------------------------------------------
 
-    def eval(self, x, coeff=_Q):
-        """Horner evaluation at x.  ``coeff`` maps each rational coefficient
-        into the ring of x: the default keeps exact rationals exact, and
-        ``iv_from_fraction`` or ``ComplexIv.from_fraction`` give an
-        outward-rounded interval or complex-box enclosure."""
-        acc = coeff(_Q(0))
+    def eval(self, x):
+        """Horner evaluation at x; exact at a rational x."""
+        acc = _Q(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + coeff(c)
+            acc = acc * x + c
         return acc
 
     # -- content and integer normalization -------------------------------
@@ -487,14 +481,17 @@ def refine_interval(p: RatPoly, interval: tuple[Fraction, Fraction], width: Frac
 
 @dataclass(frozen=True)
 class CertifiedRoot:
-    center: complex  # mpmath mpc, midpoint approximation
-    radius: object   # iv-sound upper bound, as mpmath mpf
+    """The disk |z - (re + i im)| <= radius, which holds exactly one root;
+    center and radius are exact dyadic rationals."""
+
+    re: Fraction
+    im: Fraction
+    radius: Fraction
 
     def contains_strictly_in_quadrant(self) -> int | None:
         """Quadrant index 1..4 if the disk lies strictly inside an open
         quadrant, else None."""
-        re, im = self.center.real, self.center.imag
-        r = self.radius
+        re, im, r = self.re, self.im, self.radius
         if abs(re) <= r or abs(im) <= r:
             return None
         if re > 0:
@@ -502,10 +499,12 @@ class CertifiedRoot:
         return 2 if im > 0 else 3
 
     def modulus_exceeds_one(self) -> bool | None:
-        m = abs(self.center)
-        if m - self.radius > 1:
+        """True if the disk lies outside the unit circle, False if inside,
+        None if it meets it: |center|^2 against (1 +- radius)^2, exactly."""
+        m2, r = self.re ** 2 + self.im ** 2, self.radius
+        if m2 > (1 + r) ** 2:
             return True
-        if m + self.radius < 1:
+        if r < 1 and m2 < (1 - r) ** 2:
             return False
         return None
 
@@ -516,46 +515,97 @@ class ComplexRootSet:
     precision_bits: int
 
 
-def _weierstrass_radii(p: RatPoly, approx: list, bits: int):
-    """Certified inclusion disks around pairwise-distinct approximations.
+# A point of the polish is a Gaussian integer (x, y) standing for
+# (x + i y) / 2^s, at the scale s = bits + _GUARD_BITS.
+_GUARD_BITS = 20
+# The polish stops once every step is below 2^-(bits - 4), which is
+# 2^(_GUARD_BITS + 4) units of the scale; compared squared.
+_STOP_STEP2 = 1 << 2 * (_GUARD_BITS + 4)
 
-    All roots of p lie in the union of disks D(z_i, n*|W_i|) where W_i is the
-    Weierstrass correction p(z_i) / (lc * prod_{j != i} (z_i - z_j)); when the
-    disks are pairwise disjoint each contains exactly one root.  Each radius
-    is the upper endpoint of an outward-rounded enclosure of n*|W_i|, so it
-    is never below the exact bound.
-    """
-    n = p.degree
-    with prec_guard(2 * bits + 40):
-        pts = [ComplexIv.from_mpc(z) for z in approx]
-        coeffs = [ComplexIv.from_fraction(c) for c in reversed(p.coeffs)]
-        lc = coeffs[0]
-        radii = []
-        for i, zi in enumerate(pts):
-            num = lc
-            for c in coeffs[1:]:
-                num = num * zi + c
-            den = lc
-            for j, zj in enumerate(pts):
-                if j != i:
-                    den = den * (zi - zj)
-            # iv.prec == mp.prec here, so the endpoint converts exactly
-            radii.append(mp.mpf(((num / den).abs_iv() * n).b))
-        return radii
+
+def _corrections(ints: Sequence[int], zs: Sequence[tuple[int, int]], s: int):
+    """Exact Weierstrass corrections at the points z_i = Z_i / 2^s of the
+    integer polynomial ``ints`` (ascending, degree n, leading coefficient
+    lc): pairs (N_i, D_i) of Gaussian integers with
+    W_i = p(z_i) / (lc prod_{j != i} (z_i - z_j)) = N_i / (D_i 2^s), where
+    N_i = 2^(sn) p(z_i) and D_i = 2^(s(n-1)) lc prod_{j != i} (z_i - z_j).
+    Where two points coincide the product 2^-(bits - 4) stands in for the
+    zero one, so the step moves them apart and the radius fails."""
+    n = len(ints) - 1
+    lc = ints[-1]
+    # 2^(sn) p(Z / 2^s) = sum_k c_k Z^k 2^(s(n-k)): Horner on these
+    shifted = [c << (s * (n - k)) for k, c in enumerate(ints)]
+    out = []
+    for i, (x, y) in enumerate(zs):
+        a, b = lc, 0
+        for c in reversed(shifted[:-1]):
+            a, b = a * x - b * y + c, a * y + b * x
+        c, d = lc, 0
+        for j, (u, v) in enumerate(zs):
+            if j != i:
+                u, v = x - u, y - v
+                c, d = c * u - d * v, c * v + d * u
+        if not (c or d):
+            c = lc << (s * (n - 2) + _GUARD_BITS + 4)
+        out.append(((a, b), (c, d)))
+    return out
+
+
+def _weierstrass_radii(n: int, ws) -> list[int]:
+    """For each correction (N, D) the least integer R with
+    R^2 >= n^2 |N|^2 / |D|^2, by ``math.isqrt``: the radius r = R / 2^s
+    bounds n |W| from above, so n^2 |p(z)|^2 <= r^2 |lc prod (z - z_j)|^2
+    holds exactly."""
+    radii = []
+    for (a, b), (c, d) in ws:
+        q = -(-n * n * (a * a + b * b) // (c * c + d * d))
+        r = math.isqrt(q)
+        radii.append(r + (r * r < q))
+    return radii
+
+
+def _durand_kerner(ints: Sequence[int], zs: list[tuple[int, int]], s: int, max_iter: int):
+    """Durand-Kerner on Gaussian integers over 2^s: each step is the exact
+    Weierstrass correction rounded to the nearest point of the grid.  Stops
+    when every step is below 2^-(s - _GUARD_BITS - 4), or after max_iter
+    sweeps; returns the points and the exact corrections at them."""
+    for _ in range(max_iter):
+        ws = _corrections(ints, zs, s)
+        steps = []
+        for (a, b), (c, d) in ws:
+            # N / D = N conj(D) / |D|^2, each part rounded to nearest
+            q = c * c + d * d
+            steps.append(((2 * (a * c + b * d) + q) // (2 * q),
+                          (2 * (b * c - a * d) + q) // (2 * q)))
+        if all(x * x + y * y < _STOP_STEP2 for x, y in steps):
+            return zs, ws
+        zs = [(x - u, y - v) for (x, y), (u, v) in zip(zs, steps)]
+    return zs, _corrections(ints, zs, s)
+
+
+def _disks_disjoint(zs: Sequence[tuple[int, int]], radii: Sequence[int]) -> bool:
+    """Whether the disks of integer centers and radii (one scale) are
+    pairwise disjoint: |z_i - z_j|^2 > (r_i + r_j)^2, exactly."""
+    return all(
+        (x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2
+        for ((x, y), r), ((u, v), t) in itertools.combinations(zip(zs, radii), 2)
+    )
 
 
 def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) -> ComplexRootSet:
     """All complex roots of a square-free polynomial with certified radii.
 
     Durand-Kerner runs twice: in machine floats from perturbed roots of
-    unity until every step is about 2^-40 of its root, then in mpmath at
-    ``bits + 20`` from those seeds (from Bini's Newton-polygon start when a
-    coefficient overflows a float or the seeds are not finite and
-    distinct) until every step is below 2^-(bits-4).  The float stage only
-    chooses where the mpmath iteration starts; what is returned rests on
-    outward-rounded Weierstrass radii alone.  The returned disks are
-    pairwise disjoint, each contains exactly one root, and every radius is
-    below 2^-(precision_bits/2).
+    unity until every step is about 2^-40 of its root, then on Gaussian
+    integers over 2^s, s = bits + 20, from those seeds (from Bini's
+    Newton-polygon start when a coefficient overflows a float or the seeds
+    are not finite and distinct) until every step is below 2^-(bits-4).
+    Neither stage certifies anything: the radii are n |W_i| for the exact
+    Weierstrass corrections at the final centers, rounded up, and all roots
+    lie in the union of those disks, one in each when they are pairwise
+    disjoint.  Centers and radii are dyadic, so the disjointness test is an
+    exact integer comparison.  Every returned radius is below
+    2^-(precision_bits/2).
     Raises RepeatedRoots if gcd(p, p') is nontrivial and PrecisionExhausted
     if disjoint certified disks cannot be produced at 8x the requested
     precision.
@@ -568,27 +618,31 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
         raise RepeatedRoots("input has repeated roots; deflate first")
 
     monic = p.monic()
+    ints = _integer_multiple(p)[0]
     seeds = _float_seeds(monic, max_iter)
-    target = mp.mpf(2) ** (-(precision_bits // 2))
     bits = precision_bits
     while bits <= 8 * precision_bits:
-        start = seeds if seeds is not None else _newton_start(monic, bits)
-        roots = _durand_kerner(monic, start, bits, max_iter)
-        radii = _weierstrass_radii(p, roots, bits)
-        ok = all(r < target for r in radii) and _disks_disjoint(roots, radii, bits)
-        if ok:
-            certified = tuple(
-                CertifiedRoot(z, r) for z, r in sorted(
-                    zip(roots, radii), key=lambda t: (mp.re(t[0]), mp.im(t[0]))
-                )
-            )
-            return ComplexRootSet(certified, precision_bits)
+        s = bits + _GUARD_BITS
+        if seeds is None:
+            start = _newton_start(monic, s)
+        else:
+            start = [(_fixed(z.real, s), _fixed(z.imag, s)) for z in seeds]
+        zs, ws = _durand_kerner(ints, start, s, max_iter)
+        radii = _weierstrass_radii(p.degree, ws)
+        if max(radii) < 1 << (s - precision_bits // 2) and _disks_disjoint(zs, radii):
+            unit = 1 << s
+            return ComplexRootSet(tuple(
+                CertifiedRoot(_Q(x, unit), _Q(y, unit), _Q(r, unit))
+                for (x, y), r in sorted(zip(zs, radii))
+            ), precision_bits)
         bits *= 2
     raise PrecisionExhausted(f"could not certify disjoint root disks for {p!r}")
 
 
-def _mpf_rational(c: Fraction):
-    return mp.mpf(c.numerator) / c.denominator
+def _fixed(x: float, shift: int) -> int:
+    """floor(x * 2^shift), exactly."""
+    m, d = x.as_integer_ratio()
+    return (m << shift) // d if shift >= 0 else m // (d << -shift)
 
 
 def _start_radius(monic: RatPoly) -> float:
@@ -598,14 +652,15 @@ def _start_radius(monic: RatPoly) -> float:
     return max(1.0, float(min(root_bound(monic), _Q(10 ** 6))))
 
 
-def _newton_start(monic: RatPoly, bits: int) -> list:
-    """Bini's Newton-polygon start, as mpc at the working precision
-    ``bits + 20``: for each edge (i, j) of the upper convex hull of the
-    points (k, log2 |c_k|) over the nonzero coefficients, j - i points on
-    the circle of radius (|c_i| / |c_j|)^(1/(j - i)), at the angles
+def _newton_start(monic: RatPoly, s: int) -> list[tuple[int, int]]:
+    """Bini's Newton-polygon start, as Gaussian integers over 2^s: for each
+    edge (i, j) of the upper convex hull of the points (k, log2 |c_k|) over
+    the nonzero coefficients, j - i points on the circle of radius
+    (|c_i| / |c_j|)^(1/(j - i)), at the angles
     2 pi ((t + 1/4) / (j - i) + i / n); a root at 0 starts at 0.  The
     logarithms are taken of the exact integer numerators and denominators,
-    so no coefficient has to fit in a float, and the circles follow the
+    and each radius splits into a power of two and a float in [1, 2), so no
+    coefficient or radius has to fit in a float, and the circles follow the
     root moduli however far apart they lie."""
     n = monic.degree
     hull: list[tuple[int, float]] = []
@@ -620,18 +675,20 @@ def _newton_start(monic: RatPoly, bits: int) -> list:
         ):
             hull.pop()
         hull.append((k, y))
-    with mp.workprec(bits + 20):
-        zs = [mp.mpc(0)] * hull[0][0]
-        for (i, yi), (j, yj) in zip(hull, hull[1:]):
-            m = j - i
-            rad = mp.mpf(2) ** ((yi - yj) / m)
-            zs += [rad * mp.exp(2j * mp.pi * ((t + mp.mpf("0.25")) / m + mp.mpf(i) / n))
-                   for t in range(m)]
-        return zs
+    zs = [(0, 0)] * hull[0][0]
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        m = j - i
+        e = (yi - yj) / m
+        whole = math.floor(e)
+        rad = 2.0 ** (e - whole)
+        for t in range(m):
+            a = 2 * math.pi * ((t + 0.25) / m + i / n)
+            zs.append((_fixed(rad * math.cos(a), s + whole), _fixed(rad * math.sin(a), s + whole)))
+    return zs
 
 
 # The float stage stops at this relative step: one more sweep reaches the
-# float's own precision, and the mpmath stage's quadratic convergence takes
+# float's own precision, and the integer stage's quadratic convergence takes
 # it from there.
 _SEED_STEP = 2.0 ** -40
 
@@ -669,49 +726,6 @@ def _float_seeds(monic: RatPoly, max_iter: int) -> list[complex] | None:
     if all(cmath.isfinite(z) for z in zs) and len(set(zs)) == n:
         return zs
     return None
-
-
-def _durand_kerner(monic: RatPoly, start: Sequence, bits: int, max_iter: int):
-    """Durand-Kerner at ``bits + 20`` from the start points until every step
-    is below 2^-(bits-4), or after max_iter sweeps."""
-    with mp.workprec(bits + 20):
-        # mpf coefficients once, at the working precision, for polyval below
-        coeffs = [_mpf_rational(c) for c in reversed(monic.coeffs)]
-        zs = [mp.mpc(z) for z in start]
-        tol = mp.mpf(2) ** (-(bits - 4))
-        for _ in range(max_iter):
-            maxstep = mp.mpf(0)
-            new = []
-            for i, zi in enumerate(zs):
-                num = mp.polyval(coeffs, zi)
-                den = mp.mpc(1)
-                for j, zj in enumerate(zs):
-                    if i != j:
-                        den *= (zi - zj)
-                if den == 0:
-                    den = mp.mpc(tol)
-                step = num / den
-                maxstep = max(maxstep, abs(step))
-                new.append(zi - step)
-            zs = new
-            if maxstep < tol:
-                break
-        return zs
-
-
-def _disks_disjoint(centers, radii, bits: int) -> bool:
-    """Whether the disks are pairwise disjoint, decided soundly: an
-    outward-rounded lower bound of |z_i - z_j| must exceed an upper bound of
-    r_i + r_j."""
-    with prec_guard(2 * bits + 40):
-        pts = [ComplexIv.from_mpc(z) for z in centers]
-        rs = [iv.mpf(r) for r in radii]
-        for i, j in itertools.combinations(range(len(pts)), 2):
-            # iv.prec == mp.prec here, so the endpoints convert exactly
-            gap = mp.mpf((pts[i] - pts[j]).abs_iv().a)
-            if gap <= mp.mpf((rs[i] + rs[j]).b):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,25 @@ boundary section and the precision ladder.  An integer is only reported when
 the certified residual clears RESIDUAL_TOL.  The tests run it against the
 exact engine and check its own kernels against the ComplexIv / iv.mpf
 formulas.
+
+It runs on mpmath's directed-rounding intervals, which the package no
+longer uses: real quantities are iv.mpf, complex ones the ComplexIv
+rectangles below, whose raw kernels work on endpoint tuples at iv.prec in
+the iv.mpf operators' order.  ``prec_guard`` sets the working precision.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath as mp
+from mpmath import iv
 from mpmath.libmp import (
-    fzero, mpf_gt, mpi_add, mpi_atan2, mpi_cos_sin, mpi_div, mpi_mul, mpi_neg,
+    from_man_exp, fzero, mpf_gt, mpi_add, mpi_atan2, mpi_cos_sin, mpi_div, mpi_mul,
+    mpi_neg, mpi_sub,
 )
 
 from geodesica.errors import NoLiftExists, PrecisionExhausted, require_positive_int
@@ -28,15 +37,164 @@ from geodesica.eulerclass import (
     precision_cap,
     solve_integer_system,
 )
-from geodesica.intervals import (
-    ONE, ZERO, ComplexIv, cx_add, cx_conj, cx_div, cx_mul, cx_neg, iv,
-    iv_contains_zero, prec_guard,
-)
 from geodesica.knotgroup import MatrixRep, Word, evaluate_word
 from geodesica.numfield import RealPlace
 
 RESIDUAL_TOL = mp.mpf("1e-9")
 _make_mpf = iv.make_mpf
+# 0 and 1 are exact at every precision
+ZERO = iv.mpf(0)._mpi_
+ONE = iv.mpf(1)._mpi_
+
+
+@contextmanager
+def prec_guard(bits: int):
+    """Temporarily set the interval (and float) working precision."""
+    old_iv, old_mp = iv.prec, mp.mp.prec
+    iv.prec = bits
+    mp.mp.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old_iv
+        mp.mp.prec = old_mp
+
+
+def iv_from_fraction(q: Fraction):
+    return iv.mpf(q.numerator) / q.denominator
+
+
+def iv_contains_zero(x) -> bool:
+    return x.a <= 0 <= x.b
+
+
+def to_iv(x):
+    """The package's integer dyadic interval as an iv.mpf, rounded outward
+    at iv.prec."""
+    return _make_mpf((
+        from_man_exp(x.lo, -x.s, iv.prec, "f"),
+        from_man_exp(x.hi, -x.s, iv.prec, "c"),
+    ))
+
+
+def embed_iv(place: RealPlace, e, bits: int):
+    """``place.embed(e, bits)`` as an iv.mpf."""
+    return to_iv(place.embed(e, bits))
+
+
+def cx_add(p, q, prec):
+    return mpi_add(p[0], q[0], prec), mpi_add(p[1], q[1], prec)
+
+
+def cx_neg(p, prec):
+    return mpi_neg(p[0], prec), mpi_neg(p[1], prec)
+
+
+def cx_conj(p, prec):
+    return p[0], mpi_neg(p[1], prec)
+
+
+def cx_mul(p, q, prec):
+    (a, b), (c, d) = p, q
+    return (
+        mpi_sub(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec),
+        mpi_add(mpi_mul(a, d, prec), mpi_mul(b, c, prec), prec),
+    )
+
+
+def cx_div(p, q, prec):
+    (a, b), (c, d) = p, q
+    den = mpi_add(mpi_mul(c, c, prec), mpi_mul(d, d, prec), prec)
+    return (
+        mpi_div(mpi_add(mpi_mul(a, c, prec), mpi_mul(b, d, prec), prec), den, prec),
+        mpi_div(mpi_sub(mpi_mul(b, c, prec), mpi_mul(a, d, prec), prec), den, prec),
+    )
+
+
+class ComplexIv:
+    """Rectangular complex interval: re and im are iv.mpf."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re if isinstance(re, iv.mpf) else iv.mpf(re)
+        self.im = im if isinstance(im, iv.mpf) else iv.mpf(im)
+
+    @classmethod
+    def from_fraction(cls, q: Fraction) -> "ComplexIv":
+        return cls(iv_from_fraction(q), iv.mpf(0))
+
+    @classmethod
+    def from_mpc(cls, z) -> "ComplexIv":
+        z = mp.mpc(z)
+        return cls(iv.mpf(z.real), iv.mpf(z.imag))
+
+    @staticmethod
+    def zero() -> "ComplexIv":
+        return ComplexIv.from_raw((ZERO, ZERO))
+
+    @staticmethod
+    def one() -> "ComplexIv":
+        return ComplexIv.from_raw((ONE, ZERO))
+
+    @staticmethod
+    def from_raw(p) -> "ComplexIv":
+        """ComplexIv from a raw (re, im) pair of endpoint tuples."""
+        z = object.__new__(ComplexIv)
+        z.re = _make_mpf(p[0])
+        z.im = _make_mpf(p[1])
+        return z
+
+    def raw(self):
+        """The raw (re, im) pair of endpoint tuples."""
+        return self.re._mpi_, self.im._mpi_
+
+    def __repr__(self):
+        return f"ComplexIv({self.re}, {self.im})"
+
+    def __add__(self, other):
+        return ComplexIv.from_raw(cx_add(self.raw(), self._coerce(other).raw(), iv.prec))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ComplexIv.from_raw(cx_neg(self.raw(), iv.prec))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        return ComplexIv.from_raw(cx_mul(self.raw(), self._coerce(other).raw(), iv.prec))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return ComplexIv.from_raw(cx_div(self.raw(), self._coerce(other).raw(), iv.prec))
+
+    @staticmethod
+    def _coerce(other) -> "ComplexIv":
+        if isinstance(other, ComplexIv):
+            return other
+        if isinstance(other, Fraction):
+            return ComplexIv.from_fraction(other)
+        return ComplexIv(iv.mpf(other), iv.mpf(0))
+
+    def conj(self) -> "ComplexIv":
+        return ComplexIv.from_raw(cx_conj(self.raw(), iv.prec))
+
+    def abs2(self):
+        val = self.re * self.re + self.im * self.im
+        if val.a < 0:
+            # outward rounding can push the lower bound of a square sum
+            # below zero; the true value cannot be negative
+            val = iv.mpf([0, mp.mpf(val.b)])
+        return val
+
+    def abs_iv(self):
+        return iv.sqrt(self.abs2())
 
 
 def iv_atan(x):
@@ -173,7 +331,7 @@ def ucover_eval(w: Word, lifts: Sequence[LiftedElement]) -> LiftedElement:
 
 def embed_matrix(rep: MatrixRep, w: Word, place: RealPlace, bits: int):
     m = evaluate_word(rep, w)
-    return tuple(place.embed(entry, bits) for entry in m.entries())
+    return tuple(embed_iv(place, entry, bits) for entry in m.entries())
 
 
 def _integer_defect(omega, tol) -> tuple[int, mp.mpf]:
@@ -284,7 +442,7 @@ def _euler_once(rep, place, bits, offsets) -> EulerResult:
     with prec_guard(bits + 32):
         lifts = lift_representation(rep, place, bits, offsets)
         lifted = ucover_eval(rep.presentation.longitude, lifts)
-        tau = place.embed(rep.longitude_translation(), bits)
+        tau = embed_iv(place, rep.longitude_translation(), bits)
         section = canonical_section(tau)
         # the projections must agree: certified sanity check on gamma
         diff = lifted.gamma - section.gamma

@@ -15,12 +15,6 @@ from geodesica.eulerclass import (
     closed_surface_obstruction,
     solve_integer_system,
 )
-from geodesica.intervals import (
-    ComplexIv,
-    iv,
-    iv_from_fraction,
-    prec_guard,
-)
 from geodesica.knotgroup import (
     Word,
     build_representation,
@@ -32,14 +26,19 @@ from geodesica.knotgroup import (
 from geodesica.pipeline import get_knot
 from geodesica.polycore import RatPoly, irreducibility_certificate, rational_roots
 from interval_reference import (
+    ComplexIv,
     LiftedElement,
     abs_upper,
     canonical_section,
+    embed_iv,
     embed_matrix,
     euler_number as reference_euler_number,
+    iv,
     iv_atan,
     iv_cos_sin,
+    iv_from_fraction,
     lift_representation,
+    prec_guard,
     to_su11,
     ucover_eval,
     ucover_identity,
@@ -72,7 +71,7 @@ class TestToSU11:
         # (1 0; z 1) -> (zi/(2-zi), -arctan(z/2)) for the negative real roots
         with prec_guard(128):
             place = rep_73.field.real_places()[0]
-            z = place.embed(rep_73.field.gen(), 96)
+            z = embed_iv(place, rep_73.field.gen(), 96)
             lift = to_su11(_iv4(1, 0, z, 1))
             zm = mp.mpf(z.mid.a)
             expected_gamma = mp.mpc(0, zm) / (2 - mp.mpc(0, zm))
@@ -359,7 +358,7 @@ class TestCanonicalSection:
     def test_pretzel_value(self, pretzel_1):
         with prec_guard(128):
             place = pretzel_1.field.real_places()[0]
-            tau = place.embed(pretzel_1.rep.longitude_translation(), 96)
+            tau = embed_iv(place, pretzel_1.rep.longitude_translation(), 96)
             s = canonical_section(tau)
             # tau = -6/z is about -16.6; omega = arctan(tau/2) is near -pi/2
             assert float(s.omega.mid.a) < -1.4
@@ -440,7 +439,7 @@ class TestEulerNumbers:
         with prec_guard(192):
             lifts = lift_representation(rep_73, place, 160)
             ell = rep_73.presentation.longitude
-            tau = place.embed(rep_73.longitude_translation(), 160)
+            tau = embed_iv(place, rep_73.longitude_translation(), 160)
             section = canonical_section(tau)
             base = ucover_eval(ell, lifts)
             n0 = round(float(((base.omega - section.omega) / iv.pi).mid.a))
@@ -561,7 +560,7 @@ def test_winding_count_matches_reference_lift(census_records, data):
             omega = ucover_eval(word, lifts).omega
         except PrecisionExhausted:
             assume(False)
-        a, b, c, d = (place.embed(x, bits) for x in M.entries())
+        a, b, c, d = (embed_iv(place, x, bits) for x in M.entries())
         arg = iv.atan2(lift.sigma * (b - c), lift.sigma * (a + d))
         turns = (omega - arg) / (2 * iv.pi)
     # where the reference certifies omega, Arg alpha(sigma M) + 2 pi m is it

@@ -1,18 +1,26 @@
+"""The integer dyadic interval kernel (``geodesica.intervals``) encloses
+the exact rational results, and the mpmath interval oracle the tests keep
+(``interval_reference``) matches the iv.mpf formulas bit for bit."""
+
 import random
 from fractions import Fraction
 
 import mpmath as mp
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from geodesica.intervals import (
+from geodesica.intervals import Box, Iv
+from interval_reference import (
     ComplexIv,
     iv,
-    iv_contains_zero,
+    iv_atan,
+    iv_cos_sin,
     iv_from_fraction,
     prec_guard,
 )
-from interval_reference import iv_atan, iv_cos_sin
+
+
+def _holds(x: Iv, q: Fraction) -> bool:
+    return Fraction(x.lo, 1 << x.s) <= q <= Fraction(x.hi, 1 << x.s)
 
 
 def test_prec_guard_restores():
@@ -23,13 +31,12 @@ def test_prec_guard_restores():
 
 
 def test_fraction_enclosure():
-    with prec_guard(64):
-        x = iv_from_fraction(Fraction(1, 3))
-        lo, hi = mp.mpf(x.a), mp.mpf(x.b)
-    with mp.workprec(300):
-        truth = mp.mpf(1) / 3
-        assert lo <= truth <= hi
-        assert hi - lo < mp.mpf(2) ** -60
+    third = Fraction(1, 3)
+    x = Iv.enclose(third, third, 64)
+    assert _holds(x, third)
+    assert 0 < x.width() <= Fraction(1, 2 ** 64)
+    # a dyadic rational at a fine enough scale is a point
+    assert Iv.enclose(Fraction(3, 8), Fraction(3, 8), 3).width() == 0
 
 
 def test_atan_helper_matches_mpmath():
@@ -42,34 +49,95 @@ def test_atan_helper_matches_mpmath():
             assert mp.mpf(got.a) <= expected <= mp.mpf(got.b)
 
 
+def _point(re: Fraction, im: Fraction, s: int) -> Box:
+    return Box(Iv.enclose(re, re, s), Iv.enclose(im, im, s))
+
+
 def test_complex_arithmetic_contains_truth():
     rng = random.Random(2)
-    cases = []
-    with prec_guard(80):
-        for _ in range(30):
-            a = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            b = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            A, B = ComplexIv.from_mpc(a), ComplexIv.from_mpc(b)
-            cases.append((a, b, A * B, A + B, A - B, A / B))
-    with mp.workprec(300):
-        for a, b, prod, add, sub, div in cases:
-            for op, ref in ((prod, a * b), (add, a + b), (sub, a - b), (div, a / b)):
-                assert mp.mpf(op.re.a) <= mp.re(ref) <= mp.mpf(op.re.b)
-                assert mp.mpf(op.im.a) <= mp.im(ref) <= mp.mpf(op.im.b)
+    for _ in range(30):
+        a = [Fraction(rng.randint(-3000, 3000), 997) for _ in range(4)]
+        A, B = _point(a[0], a[1], 80), _point(a[2], a[3], 80)
+        ar, ai, br, bi = a
+        truth = {
+            "mul": (A * B, (ar * br - ai * bi, ar * bi + ai * br)),
+            "add": (A + B, (ar + br, ai + bi)),
+            "sub": (A - B, (ar - br, ai - bi)),
+        }
+        for got, (re, im) in truth.values():
+            assert _holds(got.re, re) and _holds(got.im, im)
+        assert _holds(A.abs2(), ar * ar + ai * ai)
 
 
 def test_abs2_clamps_rounding_dust():
-    with prec_guard(64):
-        tiny = ComplexIv(iv.mpf([-1e-30, 1e-30]), iv.mpf([-1e-30, 1e-30]))
-        val = tiny.abs2()
-        assert float(val.a) >= 0
-        # sqrt must not raise on the clamped interval
-        tiny.abs_iv()
+    tiny = Iv(-1, 1, 64)
+    val = Box(tiny, tiny).abs2()
+    assert val.lo == 0
+    # the square root of the clamped interval is defined
+    assert val.sqrt().lo == 0
 
 
 def test_contains_zero():
-    assert iv_contains_zero(iv.mpf([-1, 1]))
-    assert not iv_contains_zero(iv.mpf([1, 2]))
+    assert Iv(-1, 1, 0).contains_zero()
+    assert not Iv(1, 2, 0).contains_zero()
+
+
+# ---------------------------------------------------------------------------
+# Enclosure of the exact result by every kernel operation, at random scales
+# ---------------------------------------------------------------------------
+
+SCALES = st.integers(min_value=0, max_value=300)
+RATIONALS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 9)
+
+
+@st.composite
+def intervals(draw):
+    """An interval at a random scale and the rational points it holds: its
+    two ends and a point drawn between them."""
+    a, b = sorted((draw(RATIONALS), draw(RATIONALS)))
+    x = Iv.enclose(a, b, draw(SCALES))
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=1000))
+    return x, (a, b, a + t * (b - a))
+
+
+@given(intervals(), intervals(), st.integers(-10 ** 6, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_kernel_operations_enclose_the_exact_result(xp, yp, k):
+    (x, px), (y, py) = xp, yp
+    for p in px:
+        assert _holds(x * k, p * k) and _holds(x + k, p + k)
+        assert _holds(x.sqr(), p * p)
+        if p >= 0:
+            r = x.sqrt()
+            assert Fraction(r.lo, 1 << r.s) ** 2 <= p <= Fraction(r.hi, 1 << r.s) ** 2
+        for q in py:
+            assert _holds(x + y, p + q) and _holds(x - y, p - q) and _holds(x * y, p * q)
+            if not y.contains_zero():
+                assert _holds(x / y, p / q)
+    # |z|^2 over the box of x and y: its lower end is a lower bound of every
+    # point's, its upper end an upper bound, and neither is negative
+    m2 = Box(x, y).abs2()
+    assert m2.lo >= 0
+    for p in px:
+        for q in py:
+            assert _holds(m2, p * p + q * q)
+
+
+@given(st.integers(0, 10 ** 40), st.integers(0, 10 ** 40), SCALES)
+@settings(max_examples=200, deadline=None)
+def test_outward_isqrt_is_the_tightest_grid_enclosure(a, b, s):
+    a, b = sorted((a, b))
+    r = Iv(a, b, s).sqrt()
+    # r.lo / 2^s <= sqrt(a / 2^s) < (r.lo + 1) / 2^s, and the same above for b
+    assert r.lo ** 2 <= a << s < (r.lo + 1) ** 2
+    assert b << s <= r.hi ** 2 and (r.hi == 0 or (r.hi - 1) ** 2 < b << s)
+
+
+def test_comparisons_are_certain():
+    x, y = Iv(0, 2, 1), Iv(3, 8, 2)  # [0, 1] and [3/4, 2]
+    assert not x < y and not x > y
+    assert Iv(0, 1, 1) < y and y > Iv(0, 1, 1)
+    assert x < 2 and not x > 0 and x > -1
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geodesica.errors import UnsupportedCase
-from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
+from geodesica.errors import DegenerateCline, UnsupportedCase
+from geodesica.intervals import Box, Iv
 from geodesica.knotgroup import Mat2, Word, evaluate_word
 from geodesica.mobius import (
     Cline,
@@ -20,20 +20,27 @@ from geodesica.mobius import (
     uniqueness_system,
 )
 from geodesica.numfield import nf_inverse
+from geodesica.pipeline import get_knot
 from geodesica.polycore import RatPoly
 
 
-def _pt(x, y) -> ComplexIv:
-    return ComplexIv(iv_from_fraction(Fraction(x)), iv_from_fraction(Fraction(y)))
+def _iv(x, s: int) -> Iv:
+    x = Fraction(x)
+    return Iv.enclose(x, x, s)
 
 
-def _circle(cx, cy, r2) -> Cline:
-    """The interval circle of a rational center and squared radius."""
-    return Cline.circle(_pt(cx, cy), iv.sqrt(iv_from_fraction(Fraction(r2))))
+def _pt(x, y, s: int = 53) -> Box:
+    return Box(_iv(x, s), _iv(y, s))
 
 
-def _line(px, py, dx, dy) -> Cline:
-    return Cline.line(_pt(px, py), _pt(dx, dy))
+def _circle(cx, cy, r2, s: int = 53) -> Cline:
+    """The interval circle of a rational center and squared radius, at the
+    scale 2^-s."""
+    return Cline.circle(_pt(cx, cy, s), _iv(r2, s).sqrt())
+
+
+def _line(px, py, dx, dy, s: int = 53) -> Cline:
+    return Cline.line(_pt(px, py, s), _pt(dx, dy, s))
 
 
 class TestMobiusApply:
@@ -177,14 +184,14 @@ def _unit(t: Fraction) -> tuple[Fraction, Fraction]:
     return (1 - t * t) / n, 2 * t / n
 
 
-def _pair_at(kind, cx, cy, r1, r2, t, dist):
+def _pair_at(kind, cx, cy, r1, r2, t, dist, s):
     """Circle (c, r1) and a second cline placed `dist` from c along the unit
     vector of t: a circle of radius r2 there, or for kind "line" the line
-    through that point perpendicular to the unit vector."""
+    through that point perpendicular to the unit vector; at the scale 2^-s."""
     ux, uy = _unit(t)
     px, py = cx + dist * ux, cy + dist * uy
-    other = _line(px, py, -uy, ux) if kind == "line" else _circle(px, py, r2 * r2)
-    return _circle(cx, cy, r1 * r1), other
+    other = _line(px, py, -uy, ux, s) if kind == "line" else _circle(px, py, r2 * r2, s)
+    return _circle(cx, cy, r1 * r1, s), other
 
 
 @given(st.sampled_from(["external", "internal", "line"]), _COORD, _COORD,
@@ -194,10 +201,9 @@ def test_touching_rational_pairs_are_indeterminate(kind, cx, cy, r1, r2, t, bits
     if kind == "internal" and r1 == r2:
         r1 += r2  # internally tangent circles differ in radius
     dist = {"external": r1 + r2, "internal": abs(r1 - r2), "line": r1}[kind]
-    with prec_guard(bits):
-        c1, c2 = _pair_at(kind, cx, cy, r1, r2, t, dist)
-        assert tangency(c1, c2).kind == "Indeterminate"
-        assert tangency(c2, c1).kind == "Indeterminate"
+    c1, c2 = _pair_at(kind, cx, cy, r1, r2, t, dist, bits)
+    assert tangency(c1, c2).kind == "Indeterminate"
+    assert tangency(c2, c1).kind == "Indeterminate"
 
 
 @given(st.sampled_from(["apart", "nested", "crossing", "line apart", "line crossing"]),
@@ -214,10 +220,9 @@ def test_clearly_separated_or_crossing_pairs_are_decided(kind, cx, cy, r1, r2, t
         "line apart": (r1 * (1 + share), "Disjoint"),
         "line crossing": (r1 * (1 - share), "Secant"),
     }[kind]
-    with prec_guard(bits):
-        c1, c2 = _pair_at(kind.split()[0], cx, cy, r1, r2, t, dist)
-        assert tangency(c1, c2).kind == expected
-        assert tangency(c2, c1).kind == expected
+    c1, c2 = _pair_at(kind.split()[0], cx, cy, r1, r2, t, dist, bits)
+    assert tangency(c1, c2).kind == expected
+    assert tangency(c2, c1).kind == expected
 
 
 class TestTangencyInterval:
@@ -259,6 +264,17 @@ class TestTangencyInterval:
             a.apply(g).realize(place, 160), b.apply(g).realize(place, 160)
         ).kind
         assert base == moved == "Secant"
+
+
+def test_collinear_cline_names_the_field_and_the_root(census_records):
+    place = get_knot(census_records, "7_4").rep.field.geometric_place(128)
+    K = place.field
+    collinear = ExactCline((K.zero(), K.one(), K.rational(2)))
+    with pytest.raises(DegenerateCline) as exc:
+        collinear.realize(place, 128)
+    message = str(exc.value)
+    assert K.name in message and f"root {place.root_index}" in message
+    assert K.name == "Q(z_7_4)"
 
 
 class TestSharedPointTangency:

@@ -99,16 +99,21 @@ def test_remark_conjugation_identity():
     assert (z * z - 3 * z + 2) * (z * z - z - 1) == K74.rational(-2)
 
 
+def _ends(x) -> tuple[Fraction, Fraction]:
+    return Fraction(x.lo, 1 << x.s), Fraction(x.hi, 1 << x.s)
+
+
 class TestEmbedding:
     def test_rational_exact(self):
         place = K74.real_places()[0]
         v = place.embed(K74.rational(Fraction(7, 3)), 64)
-        assert float(v.delta.b) < 1e-15
+        lo, hi = _ends(v)
+        assert lo <= Fraction(7, 3) <= hi and float(v.width()) < 1e-15
 
     def test_generator_in_unit_interval(self):
         place = K74.real_places()[0]
-        v = place.embed(K74.gen(), 64)
-        assert -1 < float(v.a) and float(v.b) < 0
+        lo, hi = _ends(place.embed(K74.gen(), 64))
+        assert -1 < lo and hi < 0
 
     def test_homomorphism(self):
         place = K74.real_places()[0]
@@ -116,13 +121,14 @@ class TestEmbedding:
         a = place.embed(z + 2, 80)
         b = place.embed(z * z - 1, 80)
         ab = place.embed((z + 2) * (z * z - 1), 80)
+        # both enclose the same real number, so they overlap
         prod = a * b
-        assert prod.a <= ab.mid <= prod.b or abs(float(prod.mid - ab.mid)) < 1e-18
+        assert not (prod < ab or prod > ab)
 
     def test_radius_shrinks_with_precision(self):
         place = K73.real_places()[0]
-        w64 = float(place.embed(K73.gen(), 64).delta.b)
-        w256 = float(place.embed(K73.gen(), 256).delta.b)
+        w64 = place.embed(K73.gen(), 64).width()
+        w256 = place.embed(K73.gen(), 256).width()
         assert w256 < w64
 
     def test_places_ordered_ascending(self):
@@ -163,13 +169,24 @@ def test_sign_agrees_with_the_embedding(coeffs, index):
     assert (s == 0) == e.is_zero()
     value = place.embed(e, 2 * bits + 64)
     if s > 0:
-        assert value.b > 0
+        assert value.hi > 0
     if s < 0:
-        assert value.a < 0
+        assert value.lo < 0
+
+
+def test_embedding_errors_name_the_field_and_the_place():
+    # a start precision above the cap runs no rung
+    with pytest.raises(PrecisionExhausted, match=r"^Q\(z_73\): embedding at real place 1 "):
+        K73.real_places()[1].embed(K73.gen(), 1 << 17)
+    place = K73.geometric_place(128)
+    with pytest.raises(
+        PrecisionExhausted, match=rf"^Q\(z_73\): complex embedding at root {place.root_index} "
+    ):
+        place.embed(K73.gen(), 1 << 17)
 
 
 def place_mid(place):
-    return float(place.embed(place.field.gen(), 64).mid.a)
+    return place.embed(place.field.gen(), 64).mid()
 
 
 class TestSubfieldFlags:
@@ -289,7 +306,7 @@ def _rational_inverse(e):
         s0, s1 = s1, s0 - q * s1
     if r0.degree != 0:
         raise DivisionByZero("zero divisor")
-    return e.field.from_poly(s0.scale(1 / r0.coeffs[0]))
+    return e.field.element(s0.scale(1 / r0.coeffs[0]).coeffs)
 
 
 @given(field_and_vectors(KERNEL_FIELDS, 1))

@@ -1,19 +1,22 @@
 from fractions import Fraction
 from unittest import mock
 
+import cmath
+
 import pytest
-import mpmath as mp
 from hypothesis import example, given, settings, strategies as st
 
 from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
 from geodesica import polycore
-from geodesica.intervals import ComplexIv, iv, iv_from_fraction, prec_guard
 from geodesica.polycore import (
+    CertifiedRoot,
     RatPoly,
+    _corrections,
     _disks_disjoint,
     _durand_kerner,
+    _fixed,
     _float_seeds,
-    _mpf_rational,
+    _integer_multiple,
     _newton_start,
     _weierstrass_radii,
     complex_roots,
@@ -72,8 +75,6 @@ def test_reduce_mod_multiplicative(a, b, m):
     assert lhs == rhs
 
 
-# the four Horner loops RatPoly had before they became one ``eval``; the
-# merged loop must reproduce each bit for bit
 def _ref_eval(p, x):
     acc = Fraction(0)
     for c in reversed(p.coeffs):
@@ -81,49 +82,13 @@ def _ref_eval(p, x):
     return acc
 
 
-def _ref_eval_iv(p, x):
-    acc = iv.mpf(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + iv.mpf(c.numerator) / c.denominator
-    return acc
-
-
-def _ref_eval_civ(p, x):
-    acc = ComplexIv(iv.mpf(0), iv.mpf(0))
-    for c in reversed(p.coeffs):
-        acc = acc * x + ComplexIv.from_fraction(c)
-    return acc
-
-
-def _ref_eval_mpc(p, x):
-    acc = mp.mpc(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + mp.mpf(c.numerator) / c.denominator
-    return acc
-
-
 wide_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=1000)
 
 
-@given(
-    st.lists(wide_rationals, max_size=9).map(RatPoly),
-    wide_rationals, wide_rationals, wide_rationals, wide_rationals,
-    st.integers(0, 3).map(lambda e: 53 * 2 ** e),
-)
+@given(st.lists(wide_rationals, max_size=9).map(RatPoly), wide_rationals)
 @settings(max_examples=80, deadline=None)
-def test_one_horner_loop_is_bit_identical_to_the_four(p, a, b, c, d, bits):
+def test_eval_matches_the_reference_horner_loop(p, a):
     assert p.eval(a) == _ref_eval(p, a)
-    with prec_guard(bits):
-        re = iv.mpf([str(min(a, b)), str(max(a, b))])
-        im = iv.mpf([str(min(c, d)), str(max(c, d))])
-        got, want = p.eval(re, iv_from_fraction), _ref_eval_iv(p, re)
-        assert got._mpi_ == want._mpi_
-        box = ComplexIv(re, im)
-        got, want = p.eval(box, ComplexIv.from_fraction), _ref_eval_civ(p, box)
-        assert (got.re._mpi_, got.im._mpi_) == (want.re._mpi_, want.im._mpi_)
-    with mp.workprec(bits):
-        z = mp.mpc(mp.mpf(a.numerator) / a.denominator, mp.mpf(c.numerator) / c.denominator)
-        assert mp.mpc(p.eval(z, _mpf_rational))._mpc_ == _ref_eval_mpc(p, z)._mpc_
 
 
 def count_roots_by_grid(p: RatPoly, step: Fraction = Fraction(1, 64)) -> int:
@@ -303,8 +268,8 @@ class TestComplexRoots:
         rs = complex_roots(RatPoly([1, 0, 1]), 64)
         assert len(rs.roots) == 2
         for r in rs.roots:
-            assert abs(abs(r.center.imag) - 1) < 1e-15
-            assert r.radius < 2 ** -32
+            assert abs(abs(r.im) - 1) < 1e-15
+            assert r.radius < Fraction(1, 2 ** 32)
 
     def test_psi1_census(self):
         rs = complex_roots(PSI_1, 128)
@@ -326,22 +291,27 @@ class TestComplexRoots:
 
     @pytest.mark.parametrize("coeffs", [[1, 5, -6, -4, 9, -5, 1], [-1, -1, 0, 1, 0, -1, 1], [7, 0, -3, 1]])
     def test_vieta(self, coeffs):
-        import mpmath as mp
-
         p = RatPoly(coeffs)
         rs = complex_roots(p, 96)
         d = p.degree
-        with mp.workprec(200):
-            total = sum((r.center for r in rs.roots), mp.mpc(0))
-            prod = mp.mpc(1)
-            for r in rs.roots:
-                prod *= r.center
-            c = p.coeffs
-            rad = sum((float(r.radius) for r in rs.roots)) * 100 + 1e-25
-            expect_sum = -c[d - 1] / c[d]
-            expect_prod = (-1) ** d * c[0] / c[d]
-            assert abs(total - mp.mpf(expect_sum.numerator) / expect_sum.denominator) < rad
-            assert abs(prod - mp.mpf(expect_prod.numerator) / expect_prod.denominator) < rad
+        total = (sum(r.re for r in rs.roots), sum(r.im for r in rs.roots))
+        prod = (Fraction(1), Fraction(0))
+        for r in rs.roots:
+            prod = _cmul(prod, (r.re, r.im))
+        c = p.coeffs
+        rad = sum(r.radius for r in rs.roots) * 100 + Fraction(1, 10 ** 25)
+        for (x, y), want in ((total, -c[d - 1] / c[d]), (prod, (-1) ** d * c[0] / c[d])):
+            assert (x - want) ** 2 + y ** 2 < rad ** 2
+
+
+@pytest.mark.parametrize("sign, outside", [(1, True), (-1, False)])
+def test_unit_circle_test_is_exact(sign, outside):
+    # the center is 2^-80 off the circle and the radius 2^-100: a double
+    # cannot tell |center| from 1, the exact comparison can
+    disk = CertifiedRoot(1 + sign * Fraction(1, 2 ** 80), Fraction(0), Fraction(1, 2 ** 100))
+    assert disk.modulus_exceeds_one() is outside
+    wide = CertifiedRoot(disk.re, disk.im, Fraction(1, 2 ** 70))
+    assert wide.modulus_exceeds_one() is None
 
 
 class TestIrreducibility:
@@ -533,66 +503,13 @@ def _root_input(name):
     return (psi_poly if family == "psi" else lambda_poly)(int(k))
 
 
-def _durand_kerner_per_step(monic, start, bits, max_iter):
-    """_durand_kerner as it was: every Horner step converts its Fraction
-    coefficient to an mpf again."""
-    with mp.workprec(bits + 20):
-        zs = [mp.mpc(z) for z in start]
-        tol = mp.mpf(2) ** (-(bits - 4))
-        for _ in range(max_iter):
-            maxstep = mp.mpf(0)
-            new = []
-            for i, zi in enumerate(zs):
-                num = monic.eval(zi, _mpf_rational)
-                den = mp.mpc(1)
-                for j, zj in enumerate(zs):
-                    if i != j:
-                        den *= (zi - zj)
-                if den == 0:
-                    den = mp.mpc(tol)
-                step = num / den
-                maxstep = max(maxstep, abs(step))
-                new.append(zi - step)
-            zs = new
-            if maxstep < tol:
-                break
-        return zs
-
-
-@pytest.mark.parametrize("bits", [128, 256])
-@pytest.mark.parametrize("poly", ["psi_1", "psi_2", "psi_3", "lambda_1", "lambda_2",
-                                  "lambda_3", "7_4", "thirds_sevenths"])
-def test_durand_kerner_converts_once_bit_identically(poly, bits):
-    if poly == "thirds_sevenths":
-        # coefficients an mpf cannot hold exactly: the conversion's precision shows
-        monic = RatPoly([Fraction(1, 7), Fraction(-1, 3), 0, 0, 1])
-    else:
-        monic = _root_input(poly).monic()
-    seeds = _float_seeds(monic, 400)
-    assert seeds is not None
-    for start in (seeds, _newton_start(monic, bits)):
-        got = _durand_kerner(monic, start, bits, 400)
-        want = _durand_kerner_per_step(monic, start, bits, 400)
-        assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
-
-
-def _exact(x) -> Fraction:
-    """The binary value of a finite mpf, exactly."""
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-
-
-def _exact_c(z) -> tuple[Fraction, Fraction]:
-    return _exact(mp.re(z)), _exact(mp.im(z))
-
-
 def _cmul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _weierstrass_bound_squared(p, centers, i):
-    """(n |W_i|)^2 in exact rational arithmetic, W_i = p(z_i) / (lc prod (z_i - z_j))."""
-    zs = [_exact_c(z) for z in centers]
+def _exact_correction(p, zs, i):
+    """W_i = p(z_i) / (lc prod_{j != i} (z_i - z_j)) in exact rational
+    arithmetic, at points given as rational pairs."""
     zi = zs[i]
     num = (Fraction(0), Fraction(0))
     for c in reversed(p.coeffs):
@@ -602,7 +519,60 @@ def _weierstrass_bound_squared(p, centers, i):
     for j, zj in enumerate(zs):
         if j != i:
             den = _cmul(den, (zi[0] - zj[0], zi[1] - zj[1]))
-    return p.degree ** 2 * (num[0] ** 2 + num[1] ** 2) / (den[0] ** 2 + den[1] ** 2)
+    q = den[0] ** 2 + den[1] ** 2
+    return (num[0] * den[0] + num[1] * den[1]) / q, (num[1] * den[0] - num[0] * den[1]) / q
+
+
+def _nearest(q: Fraction) -> int:
+    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
+
+
+def _durand_kerner_per_step(monic, start, s, max_iter):
+    """The polish in exact rational arithmetic: each Fraction coefficient
+    enters every Horner step as it is, and each step is the exact correction
+    rounded to the nearest point of the grid 2^-s."""
+    unit = 1 << s
+    zs = list(start)
+    for _ in range(max_iter):
+        pts = [(Fraction(x, unit), Fraction(y, unit)) for x, y in zs]
+        ws = [_exact_correction(monic, pts, i) for i in range(len(pts))]
+        steps = [(_nearest(a * unit), _nearest(b * unit)) for a, b in ws]
+        if all(x * x + y * y < 1 << 48 for x, y in steps):
+            return zs, ws
+        zs = [(x - u, y - v) for (x, y), (u, v) in zip(zs, steps)]
+    return zs, None
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("poly", ["psi_1", "psi_2", "psi_3", "lambda_1", "lambda_2",
+                                  "lambda_3", "7_4", "thirds_sevenths"])
+def test_durand_kerner_converts_once_bit_identically(poly, bits):
+    # the polish shifts the integer coefficients onto the grid once per
+    # scale; its points and exact corrections must be those of the rational
+    # step that converts nothing
+    if poly == "thirds_sevenths":
+        # coefficients with denominators: the integer multiple shows
+        monic = RatPoly([Fraction(1, 7), Fraction(-1, 3), 0, 0, 1])
+    else:
+        monic = _root_input(poly).monic()
+    s = bits + 20
+    seeds = _float_seeds(monic, 400)
+    assert seeds is not None
+    ints = _integer_multiple(monic)[0]
+    for start in ([(_fixed(z.real, s), _fixed(z.imag, s)) for z in seeds],
+                  _newton_start(monic, s)):
+        got, ws = _durand_kerner(ints, start, s, 400)
+        want, exact = _durand_kerner_per_step(monic, start, s, 400)
+        assert got == want
+        for ((a, b), (c, d)), (wr, wi) in zip(ws, exact):
+            q = c * c + d * d
+            assert (Fraction(a * c + b * d, q), Fraction(b * c - a * d, q)) == (wr * (1 << s), wi * (1 << s))
+
+
+def _weierstrass_bound_squared(p, pts, i):
+    """(n |W_i|)^2 in exact rational arithmetic."""
+    wr, wi = _exact_correction(p, pts, i)
+    return p.degree ** 2 * (wr ** 2 + wi ** 2)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -612,25 +582,33 @@ def test_radii_bound_the_exact_weierstrass_correction(name, bits):
         p = RatPoly([Fraction(1, 7), Fraction(-1, 3), 0, 0, 1])
     else:
         p = _root_input(name)
-    centers = [r.center for r in complex_roots(p, bits).roots]
-    # at the certified centers the interval slack dwarfs a rounding error;
-    # at their double roundings |W_i| is near 2^-53 and the enclosure is
-    # tight, so a radius rounded to nearest falls below n |W_i| about half
-    # the time
-    for approx in (centers, [mp.mpc(complex(z)) for z in centers]):
-        radii = _weierstrass_radii(p, approx, bits)
+    s = bits + 20
+    unit = 1 << s
+    centers = []
+    for r in complex_roots(p, bits).roots:
+        x, y = r.re * unit, r.im * unit
+        assert x.denominator == y.denominator == 1
+        centers.append((int(x), int(y)))
+    # at the certified centers |W_i| is near the grid's 2^-s, and at their
+    # double roundings near 2^-53: a radius rounded to nearest would fall
+    # below n |W_i| about half the time
+    doubles = [(_fixed(float(Fraction(x, unit)), s), _fixed(float(Fraction(y, unit)), s))
+               for x, y in centers]
+    ints = _integer_multiple(p)[0]
+    for zs in (centers, doubles):
+        radii = _weierstrass_radii(p.degree, _corrections(ints, zs, s))
+        pts = [(Fraction(x, unit), Fraction(y, unit)) for x, y in zs]
         for i, r in enumerate(radii):
-            assert _exact(r) ** 2 >= _weierstrass_bound_squared(p, approx, i)
+            assert Fraction(r, unit) ** 2 >= _weierstrass_bound_squared(p, pts, i)
 
 
 @pytest.mark.parametrize("shift, disjoint", [(-1, False), (0, False), (1, True)])
 def test_disks_disjoint_decides_below_double_precision(shift, disjoint):
-    # centers 0 and i(1 + shift 2^-200), radii 1/2 and 1/2: the gap differs
-    # from the sum of the radii by less than a double can show
-    with mp.workprec(400):
-        centers = [mp.mpc(0), mp.mpc(0, 1 + shift * mp.mpf(2) ** -200)]
-    radii = [mp.mpf(0.5), mp.mpf(0.5)]
-    assert _disks_disjoint(centers, radii, 128) is disjoint
+    # centers 0 and i(1 + shift 2^-200), radii 1/2 and 1/2, over 2^400: the
+    # gap differs from the sum of the radii by less than a double can show
+    centers = [(0, 0), (0, (1 << 400) + shift * (1 << 200))]
+    radii = [1 << 399, 1 << 399]
+    assert _disks_disjoint(centers, radii) is disjoint
 
 
 def _roots_of_unity_start():
@@ -641,9 +619,8 @@ def _roots_of_unity_start():
 
 
 def _disks_meet(a, b) -> bool:
-    (ax, ay), (bx, by) = _exact_c(a.center), _exact_c(b.center)
-    reach = _exact(a.radius) + _exact(b.radius)
-    return (ax - bx) ** 2 + (ay - by) ** 2 <= reach ** 2
+    reach = a.radius + b.radius
+    return (a.re - b.re) ** 2 + (a.im - b.im) ** 2 <= reach ** 2
 
 
 def _assert_same_roots(p, bits=128):
@@ -693,7 +670,7 @@ def test_float_overflow_certifies_through_the_fallback():
     assert _float_seeds(p.monic(), 400) is None
     rs = complex_roots(p, 128)
     assert len(rs.roots) == 2
-    small, big = (_exact_c(r.center) for r in rs.roots)
+    small, big = ((r.re, r.im) for r in rs.roots)
     assert abs(big[0] - 10 ** 400) < 1 and abs(big[1]) < 1
     assert abs(small[0]) + abs(small[1]) < Fraction(1, 10 ** 399)
 
@@ -710,23 +687,24 @@ def test_far_apart_moduli_certify_from_the_newton_polygon(times_z):
         p = p * RatPoly.x()
         roots.append((Fraction(0), Fraction(0)))
     assert _float_seeds(p.monic(), 400) is None
-    moduli = sorted(abs(z) for z in _newton_start(p.monic(), 128))
-    assert moduli[:times_z] == [0] * times_z
-    for m, want in zip(moduli[times_z:], [1, 1, mp.mpf(10) ** 400]):
-        assert abs(m / want - 1) < 1e-9
+    squares = sorted(x * x + y * y for x, y in _newton_start(p.monic(), 148))
+    assert squares[:times_z] == [0] * times_z
+    for m2, want in zip(squares[times_z:], [1, 1, 10 ** 400]):
+        assert abs(Fraction(m2, 4 ** 148) / want ** 2 - 1) < Fraction(1, 10 ** 9)
     disks = complex_roots(p, 128).roots
     assert len(disks) == p.degree
     for rx, ry in roots:
         inside = [
-            (cx - rx) ** 2 + (cy - ry) ** 2 <= _exact(d.radius) ** 2
-            for d in disks for cx, cy in [_exact_c(d.center)]
+            (d.re - rx) ** 2 + (d.im - ry) ** 2 <= d.radius ** 2
+            for d in disks
         ]
         assert sum(inside) == 1
 
 
 def test_newton_start_on_one_edge_is_a_circle_of_roots_of_unity():
-    # z^3 - 8: one hull edge, radius 8^(1/3) = 2
-    start = _newton_start(RatPoly([-8, 0, 0, 1]), 128)
-    with mp.workprec(148):
-        want = [2 * mp.exp(2j * mp.pi * (t + mp.mpf("0.25")) / 3) for t in range(3)]
-        assert all(abs(z - w) < mp.mpf(2) ** -140 for z, w in zip(start, want))
+    # z^3 - 8: one hull edge, radius 8^(1/3) = 2; the angles come from the
+    # float cos and sin, so the points are good to a double's precision
+    start = _newton_start(RatPoly([-8, 0, 0, 1]), 148)
+    want = [2 * cmath.exp(2j * cmath.pi * (t + 0.25) / 3) for t in range(3)]
+    for (x, y), w in zip(start, want):
+        assert abs(complex(Fraction(x, 1 << 148), Fraction(y, 1 << 148)) - w) < 2 ** -50

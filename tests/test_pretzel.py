@@ -9,16 +9,38 @@ from geodesica.pretzel import (
     alpha_beta_delta,
     lambda_closed_formula,
     lambda_poly,
-    phi_poly,
     pretzel_holonomy,
     pretzel_words,
-    psi_from_lambda,
     psi_poly,
     psi_root_census,
     relator_factorization_check,
     sigma_conjugation_matrix,
     tangency_chain,
 )
+
+
+def phi_poly(k: int) -> RatPoly:
+    """phi_k = (x^2 + 1) psi_k = x^{4k+4} - x^{4k+3} + x^{4k+2} - x^2 - x - 1."""
+    return RatPoly((1, 0, 1)) * psi_poly(k)
+
+
+def psi_from_lambda(k: int) -> RatPoly:
+    """x^{2k+1} lambda_k(x - 1/x), expanded exactly as a polynomial.
+
+    Since (x - 1/x)^i x^{2k+1} = (x^2-1)^i x^{2k+1-i}, the Laurent expansion
+    collapses to an honest polynomial.
+    """
+    lam = lambda_poly(k)
+    x2m1 = RatPoly((-1, 0, 1))
+    out = RatPoly.zero()
+    for i, c in enumerate(lam.coeffs):
+        if c == 0:
+            continue
+        term = (x2m1 ** i) * RatPoly.constant(c)
+        shift = 2 * k + 1 - i
+        term = term * RatPoly([0] * shift + [1]) if shift else term
+        out = out + term
+    return out
 
 
 class TestLambda:

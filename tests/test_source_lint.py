@@ -1,9 +1,9 @@
 """Source-level lint: no ``assert`` statement in the package, no name a
 package module imports with ``from ... import`` and never reads, no function,
-class or method that nothing else in the package reaches, no package module
-but ``intervals`` that reaches into ``mpmath.libmp``, an Euler engine that
-imports no interval code, no ``mpf(str(...))`` round trip, and every function
-the benchmark tracer wraps still exists.
+class or method that nothing else in the package reaches, no import of
+``mpmath`` anywhere in the package, an Euler engine that imports no interval
+code, no ``mpf(str(...))`` round trip, and every function the benchmark
+tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -145,10 +145,6 @@ UNREACHED_ALLOWED = {
     "riley_polynomial": "the benchmark tracer wraps it (knotgroup.riley_polynomial)",
     "verify_subgroup_identities": "acceptance API: the 7_4 subgroup identities",
     "UniqSystem.constants": "acceptance API: the j=2 system's constants",
-    "phi_poly": "test oracle for the pretzel psi factor",
-    "psi_from_lambda": "test oracle for the pretzel psi recursion",
-    "ComplexIv.conj": "test oracle: the interval Euler reference",
-    "NumberField.from_poly": "test oracle for minimal polynomials",
     "tangency_via_shared_point": "the exact check that chain circles touch at a shared point",
     "Word.to_string": "inverse of Word.from_string, the census text form of a word",
 }
@@ -187,48 +183,46 @@ def test_unreached_definitions_detector():
     assert _unreached_definitions(modules) == ["a.py:2 lonely", "a.py:6 C.n"]
 
 
-def _libmp_uses(tree: ast.AST) -> list[int]:
-    """Lines that import mpmath.libmp or one of its names, or read a
-    ``.libmp`` attribute."""
+def _mpmath_imports(tree: ast.AST) -> list[int]:
+    """Lines that import ``mpmath`` or one of its submodules or names."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            hit = any(a.name.startswith("mpmath.libmp") for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            hit = (node.module or "").startswith("mpmath.libmp") or (
-                node.module == "mpmath" and any(a.name == "libmp" for a in node.names)
-            )
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
         else:
-            hit = isinstance(node, ast.Attribute) and node.attr == "libmp"
-        if hit:
+            continue
+        if any(n == "mpmath" or n.startswith("mpmath.") for n in names):
             lines.append(node.lineno)
     return lines
 
 
-def test_only_intervals_uses_mpmath_libmp():
-    # the raw endpoint-tuple kernels stay behind one module
-    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "intervals.py")
+def test_no_mpmath_in_package():
+    # every certified number is an integer dyadic interval; mpmath is a
+    # test oracle only
+    modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     found = [
         f"{path.relative_to(PACKAGE.parent)}:{line}"
         for path in modules
-        for line in _libmp_uses(ast.parse(path.read_text(), filename=str(path)))
+        for line in _mpmath_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert not found, f"mpmath.libmp used outside intervals: {found}"
-    assert _libmp_uses(ast.parse((PACKAGE / "intervals.py").read_text()))
+    assert not found, f"mpmath imported in the package: {found}"
 
 
-def test_libmp_detector():
+def test_mpmath_import_detector():
     tree = ast.parse(
         "import mpmath.libmp\n"
         "from mpmath.libmp import mpi_add\n"
-        "from mpmath.libmp.libmpi import mpi_mul\n"
-        "from mpmath import libmp, iv\n"
-        "import mpmath as mp\n"
-        "x = mp.libmp.BACKEND\n"
+        "import os, mpmath as mp\n"
         "from mpmath import iv\n"
+        "import mpmathx\n"
+        "from .mpmath import iv\n"
+        "from . import intervals\n"
+        "x = mp.libmp.BACKEND\n"
     )
-    assert _libmp_uses(tree) == [1, 2, 3, 4, 6]
+    assert _mpmath_imports(tree) == [1, 2, 3, 4]
 
 
 def _imported_modules(tree: ast.AST, package: str) -> set[str]:
