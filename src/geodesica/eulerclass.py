@@ -20,7 +20,7 @@ not a theorem.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     require_positive_int,
 )
 from .knotgroup import Factors, Mat2, MatrixRep, Word, evaluate_word
-from .numfield import FieldElement, RealPlace, contains_obvious_subfield_flags, is_algebraic_integer
+from .numfield import FieldElement, RealPlace, is_algebraic_integer, is_prime
 
 DEFAULT_START_BITS = 128
 DEFAULT_PRECISION_CAP = 1024
@@ -408,28 +408,50 @@ def _trace_generating_words(rep: MatrixRep) -> list[Word]:
     return words
 
 
-def closed_surface_obstruction(rep: MatrixRep, manual_flags: Optional[dict] = None) -> dict:
-    """Arithmetic closed-surface obstruction: odd degree, no proper real
-    subfield (certified at prime degree, flag-driven otherwise), and integral
-    traces over a generating set of traces."""
-    flags = contains_obvious_subfield_flags(rep.field, manual_flags)
-    integral = all(
-        is_algebraic_integer(evaluate_word(rep, w).trace())
-        for w in _trace_generating_words(rep)
+@dataclass(frozen=True)
+class FieldFacts:
+    """The field hypotheses of the obstruction theorems, decided once per
+    knot; its fields are the report's ``field`` entry."""
+
+    degree: int
+    odd_degree: bool
+    no_real_subfield: Optional[bool]
+    no_real_subfield_certified: bool
+    no_quadratic_subfield: Optional[bool]
+    integral_traces: bool
+
+    @property
+    def no_closed_tgs(self) -> bool:
+        """The arithmetic rule: odd degree, no proper real subfield and
+        integral traces exclude closed totally geodesic surfaces."""
+        return bool(self.odd_degree and self.no_real_subfield and self.integral_traces)
+
+
+def closed_surface_obstruction(rep: MatrixRep, manual_flags: Optional[dict] = None) -> FieldFacts:
+    """The field facts of rep's knot.  An odd prime degree certifies "no
+    proper real subfield" and ignores the flag; otherwise that fact is the
+    census flag, or None.  "No quadratic subfield" is the census flag when
+    one is present, at any degree; without one it holds at odd degree and is
+    None at even degree.  Traces are integral when they are over a
+    generating set of traces."""
+    flags = manual_flags or {}
+    d = rep.field.degree
+    odd = d % 2 == 1
+    certified = odd and is_prime(d)
+    no_quadratic = flags.get("no_quadratic_subfield")
+    if no_quadratic is None and odd:
+        no_quadratic = True
+    return FieldFacts(
+        degree=d,
+        odd_degree=odd,
+        no_real_subfield=True if certified else flags.get("no_real_subfield"),
+        no_real_subfield_certified=certified,
+        no_quadratic_subfield=no_quadratic,
+        integral_traces=all(
+            is_algebraic_integer(evaluate_word(rep, w).trace())
+            for w in _trace_generating_words(rep)
+        ),
     )
-    holds = bool(
-        flags["degree_odd"]
-        and flags["no_proper_real_subfield"]
-        and integral
-    )
-    return {
-        "odd_degree": flags["degree_odd"],
-        "no_real_subfield": flags["no_proper_real_subfield"],
-        "no_real_subfield_certified": flags["certified"],
-        "integral_traces": integral,
-        "no_closed_tgs": holds,
-        "field": flags,
-    }
 
 
 VERDICT_NO_TGS_FIBERED = "NoTGS_fibered"
@@ -442,7 +464,7 @@ VERDICT_KNOWN_UNIQUE = "KnownUniqueSurface"
 @dataclass
 class ObstructionReport:
     name: str
-    field_facts: dict
+    facts: FieldFacts
     genus: Optional[int]
     fibered: Optional[bool]
     euler: tuple[int, ...]
@@ -452,16 +474,7 @@ class ObstructionReport:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "field": {
-                "degree": self.field_facts.get("degree"),
-                "odd_degree": self.field_facts.get("odd_degree"),
-                "no_real_subfield": self.field_facts.get("no_real_subfield"),
-                "no_real_subfield_certified": self.field_facts.get(
-                    "no_real_subfield_certified"
-                ),
-                "no_quadratic_subfield": self.field_facts.get("no_quadratic_subfield"),
-                "integral_traces": self.field_facts.get("integral_traces"),
-            },
+            "field": asdict(self.facts),
             "genus": self.genus,
             "fibered": self.fibered,
             "euler": list(self.euler),
@@ -475,8 +488,7 @@ def obstruction_verdict(
     genus: Optional[int],
     fibered: Optional[bool],
     euler_results: Sequence[EulerResult],
-    arith_record: dict,
-    no_quadratic_subfield: Optional[bool] = None,
+    facts: FieldFacts,
     known_unique: bool = False,
 ) -> ObstructionReport:
     """Apply the obstruction rules in their fixed order.
@@ -487,14 +499,6 @@ def obstruction_verdict(
     Euler-vs-genus inequality, and the closed-surface fallback.
     """
     euler = tuple(r.n for r in euler_results)
-    facts = dict(arith_record)
-    facts["degree"] = arith_record["field"]["degree"]
-    facts["odd_degree"] = arith_record["odd_degree"]
-    facts["no_quadratic_subfield"] = (
-        no_quadratic_subfield
-        if no_quadratic_subfield is not None
-        else arith_record["field"].get("no_quadratic_subfield")
-    )
 
     if genus is not None:
         bound = 2 * genus - 1
@@ -507,7 +511,7 @@ def obstruction_verdict(
     def report(verdict, justification):
         return ObstructionReport(
             name=name,
-            field_facts=facts,
+            facts=facts,
             genus=genus,
             fibered=fibered,
             euler=euler,
@@ -522,7 +526,7 @@ def obstruction_verdict(
             "Euler data cannot improve on it (genus-1 bound is saturated)",
         )
     if genus == 1:
-        if arith_record["no_closed_tgs"]:
+        if facts.no_closed_tgs:
             return report(
                 VERDICT_NO_CLOSED,
                 "genus 1 saturates the Milnor-Wood bound (|e| = 2g-1), so the "
@@ -539,20 +543,18 @@ def obstruction_verdict(
             "fibered knot: the fibered-case Euler-class obstruction applies at "
             "every real place",
         )
-    hypotheses = (
-        arith_record["no_real_subfield"] and facts["no_quadratic_subfield"]
-    )
+    hypotheses = facts.no_real_subfield and facts.no_quadratic_subfield
     if genus is not None and euler and hypotheses:
         bound = 2 * genus - 1
         best = min(abs(n) for n in euler)
         if best < bound:
-            cert = "certified" if arith_record["no_real_subfield_certified"] else "data-flagged"
+            cert = "certified" if facts.no_real_subfield_certified else "data-flagged"
             return report(
                 VERDICT_NO_TGS_EULER,
                 f"some real place has |e| = {best} < 2g-1 = {bound} and the field "
                 f"hypotheses hold ({cert}); no totally geodesic surfaces",
             )
-    if arith_record["no_closed_tgs"]:
+    if facts.no_closed_tgs:
         return report(
             VERDICT_NO_CLOSED,
             "arithmetic rule excludes closed totally geodesic surfaces; nothing "

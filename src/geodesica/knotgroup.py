@@ -226,8 +226,6 @@ class KnotPresentation:
     relators: tuple[Word, ...]
     meridian: Word
     longitude: Word
-    genus: Optional[int] = None
-    fibered: Optional[bool] = None
     relator_factors: Optional[tuple[Factors, ...]] = None
     longitude_factors: Optional[Factors] = None
     w: Optional[Word] = None
@@ -258,13 +256,7 @@ class KnotPresentation:
         return [list(r.exponent_sums(n)) for r in self.relators]
 
 
-def two_bridge_presentation(
-    p: int,
-    q: int,
-    name: str | None = None,
-    genus: Optional[int] = None,
-    fibered: Optional[bool] = None,
-) -> KnotPresentation:
+def two_bridge_presentation(p: int, q: int, name: str | None = None) -> KnotPresentation:
     """Standard two-bridge presentation for the fraction p/q.
 
     Generators a, b; relator a w b^-1 w^-1 with
@@ -291,8 +283,6 @@ def two_bridge_presentation(
         relators=(flatten(relator),),
         meridian=a,
         longitude=flatten(longitude),
-        genus=genus,
-        fibered=fibered,
         relator_factors=(relator,),
         longitude_factors=longitude,
         w=w,

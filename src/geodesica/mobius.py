@@ -255,6 +255,8 @@ def uniqueness_system(
     K = rep.field
     if K.degree < 3:
         raise UnsupportedCase("uniqueness argument needs field degree >= 3")
+    if direction.is_zero():
+        raise UnsupportedCase(f"{K.name}: uniqueness case {label or word}: direction is zero")
     m = evaluate_word(rep, word)
     t = m.c * direction
     d = m.d

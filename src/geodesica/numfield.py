@@ -165,7 +165,7 @@ class NumberField:
                 f"{self.name}: no complex root with positive imaginary part "
                 f"at {precision_bits} bits"
             )
-        return ComplexPlace(self, best)
+        return ComplexPlace(self, best, precision_bits)
 
     def real_root_enclosure(self, index: int, width_bits: int) -> tuple[Fraction, Fraction]:
         """Dyadic rational enclosure of the index-th real root (ascending),
@@ -240,15 +240,33 @@ class RealPlace:
 
 @dataclass(frozen=True)
 class ComplexPlace:
-    """Complex embedding given by a certified root disk of the minpoly."""
+    """Complex embedding given by a certified root disk of the minpoly: the
+    root_index-th disk of the root set at index_bits.  At another precision
+    the place is the one certified disk that lies inside that base disk, so
+    it names the same root whatever order the root sets sort it in."""
 
     field: NumberField
     root_index: int
+    index_bits: int = 128
 
     def root_box(self, precision_bits: int = 128) -> Box:
-        """The square around the certified root disk, at scale
-        precision_bits + 16."""
-        r = self.field.complex_root_set(precision_bits).roots[self.root_index]
+        """The square around the place's certified root disk at
+        precision_bits, at scale precision_bits + 16."""
+        r = base = self.field.complex_root_set(self.index_bits).roots[self.root_index]
+        if precision_bits != self.index_bits:
+            # the disk c lies inside base when |c - base| <= base.radius - c.radius
+            r = next((
+                c for c in self.field.complex_root_set(precision_bits).roots
+                if c.radius <= base.radius
+                and (c.re - base.re) ** 2 + (c.im - base.im) ** 2
+                <= (base.radius - c.radius) ** 2
+            ), None)
+            if r is None:
+                raise PrecisionExhausted(
+                    f"{self.field.name}: complex place at root {self.root_index}: no "
+                    f"certified disk at {precision_bits} bits lies inside the one at "
+                    f"{self.index_bits} bits"
+                )
         s = precision_bits + 16
         return Box(
             Iv.enclose(r.re - r.radius, r.re + r.radius, s),
@@ -448,41 +466,6 @@ def is_algebraic_integer(e: FieldElement) -> bool:
         return True
     mp_e = minimal_polynomial(e)
     return all(c.denominator == 1 for c in mp_e.coeffs)
-
-
-def contains_obvious_subfield_flags(field: NumberField, manual_flags: Optional[dict] = None) -> dict:
-    """Field-hypothesis record for the obstruction theorems.
-
-    Prime degree certifies "no proper subfield" outright; otherwise the
-    verdict relies on ingested flags (the census carries them per knot).
-    """
-    manual_flags = dict(manual_flags or {})
-    d = field.degree
-    degree_odd = d % 2 == 1
-    degree_odd_prime = degree_odd and d > 1 and is_prime(d)
-    record = {
-        "degree": d,
-        "degree_odd": degree_odd,
-        "degree_odd_prime": degree_odd_prime,
-        "no_proper_real_subfield": None,
-        "no_quadratic_subfield": None,
-        "certified": False,
-        "manual_subfield_flag": manual_flags or None,
-    }
-    if degree_odd_prime:
-        record["no_proper_real_subfield"] = True
-        record["no_quadratic_subfield"] = True
-        record["certified"] = True
-        return record
-    if degree_odd:
-        # no quadratic subfield is automatic for odd degree; the real-subfield
-        # claim must come from data
-        record["no_quadratic_subfield"] = True
-    if "no_real_subfield" in manual_flags:
-        record["no_proper_real_subfield"] = bool(manual_flags["no_real_subfield"])
-    if "no_quadratic_subfield" in manual_flags:
-        record["no_quadratic_subfield"] = bool(manual_flags["no_quadratic_subfield"])
-    return record
 
 
 def is_prime(n: int) -> bool:

@@ -183,7 +183,8 @@ def _check_metadata(row: dict, name: str):
             _require(isinstance(c.get(key), str), name, f"{where}.{key}", "(expected a string)")
         _require(c.get("verdict") is None or isinstance(c["verdict"], str), name,
                  f"{where}.verdict", "(expected a string)")
-        _rationals(c.get("direction"), name, f"{where}.direction")
+        _require(any(_rationals(c.get("direction"), name, f"{where}.direction")), name,
+                 f"{where}.direction", "(expected a nonzero direction)")
 
 
 def _load_record(row, index: int) -> KnotRecord:
@@ -194,14 +195,12 @@ def _load_record(row, index: int) -> KnotRecord:
     kind = row.get("kind")
     _require(kind in ("two_bridge", "pretzel", "explicit"), name, "kind")
     _check_metadata(row, name)
-    genus = row.get("genus")
-    fibered = row.get("fibered")
     record = KnotRecord(
         name=name,
         kind=kind,
         raw=row,
-        genus=genus,
-        fibered=fibered,
+        genus=row.get("genus"),
+        fibered=row.get("fibered"),
         known_unique=bool(row.get("known_unique", False)),
         manual_field_flags=row.get("manual_field_flags", {}),
         expected=row.get("expected", {}),
@@ -211,9 +210,7 @@ def _load_record(row, index: int) -> KnotRecord:
             _require(_is_int(row.get(key)), name, key, "(expected an integer)")
         minpoly = _minpoly(row, name)
         try:
-            pres = two_bridge_presentation(
-                row["p"], row["q"], name=name, genus=genus, fibered=fibered
-            )
+            pres = two_bridge_presentation(row["p"], row["q"], name=name)
         except BadFraction as exc:
             raise BadCensus(f"{name}: field 'p/q' invalid ({exc})") from None
         record.rep = build_representation(pres, minpoly, name=f"Q(z_{name})")
@@ -223,8 +220,6 @@ def _load_record(row, index: int) -> KnotRecord:
         k = row.get("k")
         _require(_is_int(k) and k >= 1, name, "k", "(expected an integer >= 1)")
         data = pretzel_holonomy(k, name=name)
-        data.rep.presentation.genus = genus if genus is not None else 1
-        data.rep.presentation.fibered = fibered
         record.pretzel = data
         record.rep = data.rep
         record.irreducibility = data.irreducibility
@@ -264,8 +259,6 @@ def _load_record(row, index: int) -> KnotRecord:
                     ),
                     meridian=_word(row.get("meridian"), names, name, "meridian"),
                     longitude=_word(row.get("longitude"), names, name, "longitude"),
-                    genus=genus,
-                    fibered=fibered,
                 )
             except ValueError as exc:
                 raise BadCensus(f"{name}: field 'longitude' invalid ({exc})") from None
@@ -312,15 +305,12 @@ def get_knot(records: Sequence[KnotRecord], name: str) -> KnotRecord:
 def _euler_check(record: KnotRecord, precision_bits: int) -> dict:
     rep = record.rep
     results = euler_tuple(rep, precision_bits)
-    arith = closed_surface_obstruction(rep, record.manual_field_flags)
-    flags = record.manual_field_flags
     report = obstruction_verdict(
         record.name,
         record.genus,
         record.fibered,
         results,
-        arith,
-        no_quadratic_subfield=flags.get("no_quadratic_subfield"),
+        closed_surface_obstruction(rep, record.manual_field_flags),
         known_unique=record.known_unique,
     )
     out = report.to_json()

@@ -146,8 +146,6 @@ def pretzel_presentation(k: int, name: Optional[str] = None) -> KnotPresentation
         relators=(rel1, rel2),
         meridian=Word.gen(0),
         longitude=words["longitude"],
-        genus=1,
-        fibered=False,
     )
 
 

@@ -13,13 +13,13 @@ def census_records():
 
 @pytest.fixture(scope="session")
 def rep_74():
-    pres = two_bridge_presentation(15, 11, "7_4", genus=1, fibered=False)
+    pres = two_bridge_presentation(15, 11, "7_4")
     return build_representation(pres, RatPoly([1, 4, -4, 1]), name="Q(z_74)")
 
 
 @pytest.fixture(scope="session")
 def rep_73():
-    pres = two_bridge_presentation(13, 9, "7_3", genus=2, fibered=False)
+    pres = two_bridge_presentation(13, 9, "7_3")
     return build_representation(
         pres, RatPoly([1, 5, -6, -4, 9, -5, 1]), name="Q(z_73)"
     )

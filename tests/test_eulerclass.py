@@ -477,45 +477,67 @@ class TestVerdicts:
         return closed_surface_obstruction(rep, flags)
 
     def test_closed_obstruction_74(self, rep_74):
-        rec = self._closed(rep_74)
-        assert rec["no_closed_tgs"]
-        assert rec["no_real_subfield_certified"]
+        facts = self._closed(rep_74)
+        assert facts.no_closed_tgs
+        assert facts.no_real_subfield_certified
 
     def test_closed_obstruction_pretzel(self, pretzel_1):
-        assert self._closed(pretzel_1.rep)["no_closed_tgs"]
+        assert self._closed(pretzel_1.rep).no_closed_tgs
 
     def test_closed_obstruction_flagged_subfield(self, rep_73):
-        rec = self._closed(rep_73, {"no_real_subfield": False})
-        assert rec["no_closed_tgs"] is False
+        facts = self._closed(rep_73, {"no_real_subfield": False})
+        assert facts.no_closed_tgs is False
+
+    @pytest.mark.parametrize("name, flags, no_real, certified, no_quadratic", [
+        # an odd prime degree certifies no real subfield and ignores that flag
+        ("7_4", {}, True, True, True),
+        ("7_4", {"no_real_subfield": False, "no_quadratic_subfield": False},
+         True, True, False),
+        # other degrees take the real-subfield flag, or None
+        ("8_4", {}, None, False, True),
+        ("8_4", {"no_real_subfield": True, "no_quadratic_subfield": False},
+         True, False, False),
+        ("7_3", {}, None, False, None),
+        ("7_3", {"no_real_subfield": False, "no_quadratic_subfield": True},
+         False, False, True),
+    ])
+    def test_field_fact_precedence(self, census_records, name, flags, no_real,
+                                   certified, no_quadratic):
+        # the quadratic-subfield flag wins at any degree; without it the fact
+        # holds at odd degree and is None at even degree
+        rep = get_knot(census_records, name).rep
+        facts = closed_surface_obstruction(rep, flags)
+        assert facts.degree == rep.field.degree
+        assert facts.odd_degree == (facts.degree % 2 == 1)
+        assert (facts.no_real_subfield, facts.no_real_subfield_certified,
+                facts.no_quadratic_subfield) == (no_real, certified, no_quadratic)
 
     def test_thm_verdict(self, rep_73):
         results = euler_tuple(rep_73)
-        arith = self._closed(rep_73, {"no_real_subfield": True, "no_quadratic_subfield": True})
-        report = obstruction_verdict(
-            "7_3", 2, False, results, arith, no_quadratic_subfield=True
-        )
+        facts = self._closed(rep_73, {"no_real_subfield": True, "no_quadratic_subfield": True})
+        report = obstruction_verdict("7_3", 2, False, results, facts)
         assert report.verdict == "NoTGS_euler_bound"
         assert "1 < 2g-1 = 3" in report.justification
 
     def test_genus_one_short_circuit(self, rep_74):
         results = euler_tuple(rep_74)
-        arith = self._closed(rep_74)
-        report = obstruction_verdict("7_4", 1, False, results, arith, known_unique=False)
+        facts = self._closed(rep_74)
+        report = obstruction_verdict("7_4", 1, False, results, facts, known_unique=False)
         assert report.verdict == "NoClosedTGS_arithmetic"
-        known = obstruction_verdict("7_4", 1, False, results, arith, known_unique=True)
+        known = obstruction_verdict("7_4", 1, False, results, facts, known_unique=True)
         assert known.verdict == "KnownUniqueSurface"
 
     def test_fibered_rule(self, rep_73):
         results = euler_tuple(rep_73)
-        arith = self._closed(rep_73, {"no_real_subfield": True})
-        report = obstruction_verdict("6_2-style", 2, True, results, arith)
+        facts = self._closed(rep_73, {"no_real_subfield": True})
+        report = obstruction_verdict("6_2-style", 2, True, results, facts)
         assert report.verdict == "NoTGS_fibered"
 
     def test_milnor_wood_violation_detected(self, rep_73):
         fake = (EulerResult(place_index=0, n=9, residual=0.0, precision_bits=128),)
-        arith = self._closed(rep_73, {"no_real_subfield": True})
+        facts = self._closed(rep_73, {"no_real_subfield": True})
         with pytest.raises(MilnorWoodViolated):
-            obstruction_verdict("bogus", 2, False, fake, arith)
+            obstruction_verdict("bogus", 2, False, fake, facts)
 
     def test_milnor_wood_bound_on_census(self, rep_73, rep_74, pretzel_1):
         for rep, genus in ((rep_73, 2), (rep_74, 1), (pretzel_1.rep, 1)):

@@ -401,6 +401,12 @@ class TestUniquenessSystems:
         with pytest.raises(UnsupportedCase):
             uniqueness_system(Word.gen(1), rep.field.gen(), rep)
 
+    def test_zero_direction_rejected(self, rep_74):
+        # a zero direction makes every row vanish, so no verdict rests on it
+        word = Word.from_string("b a b", ("a", "b"))
+        with pytest.raises(UnsupportedCase, match=r"^Q\(z_74\): uniqueness case c: direction is zero"):
+            uniqueness_system(word, rep_74.field.zero(), rep_74, "c")
+
 
 class TestRenderSVG:
     def test_empty(self):

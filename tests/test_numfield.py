@@ -5,13 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geodesica.errors import DivisionByZero, PrecisionExhausted
+from geodesica.eulerclass import closed_surface_obstruction
 from geodesica.numfield import (
+    ComplexPlace,
     NumberField,
-    contains_obvious_subfield_flags,
     is_algebraic_integer,
     minimal_polynomial,
     nf_inverse,
 )
+from geodesica.pipeline import get_knot
 from geodesica.polycore import RatPoly
 
 K74 = NumberField(RatPoly([1, 4, -4, 1]), "Q(z_74)")
@@ -185,36 +187,66 @@ def test_embedding_errors_name_the_field_and_the_place():
         place.embed(K73.gen(), 1 << 17)
 
 
+def _box_bounds(box):
+    return [Fraction(v, 1 << iv.s) for iv in (box.re, box.im) for v in (iv.lo, iv.hi)]
+
+
+def test_complex_place_names_one_root_across_precisions(census_records):
+    # a conjugate pair can sort in either order at a given precision, so the
+    # index is read at the place's own precision only
+    for record in census_records:
+        if record.rep is None:
+            continue
+        K = record.rep.field
+        for i in range(len(K.complex_root_set(128).roots)):
+            place = ComplexPlace(K, i)
+            re_lo, re_hi, im_lo, im_hi = _box_bounds(place.root_box(128))
+            inner_re_lo, inner_re_hi, inner_im_lo, inner_im_hi = _box_bounds(place.root_box(256))
+            assert re_lo <= inner_re_lo <= inner_re_hi <= re_hi, (record.name, i)
+            assert im_lo <= inner_im_lo <= inner_im_hi <= im_hi, (record.name, i)
+
+
+def test_complex_place_without_an_inner_disk_names_the_root():
+    # the 64-bit disk is wider than the 256-bit one, so it cannot lie inside
+    place = K74.geometric_place(256)
+    with pytest.raises(
+        PrecisionExhausted, match=rf"^Q\(z_74\): complex place at root {place.root_index}: "
+    ):
+        place.root_box(64)
+
+
 def place_mid(place):
     return place.embed(place.field.gen(), 64).mid()
 
 
 class TestSubfieldFlags:
-    def test_cubic_certified(self):
-        rec = contains_obvious_subfield_flags(K74)
-        assert rec["degree_odd_prime"] and rec["certified"]
-        assert rec["no_proper_real_subfield"] is True
+    # the field facts of census reps, one per degree class
+    def _facts(self, census_records, name, flags=None):
+        return closed_surface_obstruction(get_knot(census_records, name).rep, flags)
 
-    def test_degree_seven_certified(self):
-        K = NumberField(RatPoly([-1, 7, -5, 7, -3, 5, -1, 1]))
-        rec = contains_obvious_subfield_flags(K)
-        assert rec["certified"]
+    def test_cubic_certified(self, census_records):
+        facts = self._facts(census_records, "7_4")
+        assert facts.degree == 3 and facts.no_real_subfield_certified
+        assert facts.no_real_subfield is True
 
-    def test_even_degree_needs_flag(self):
-        rec = contains_obvious_subfield_flags(K73)
-        assert not rec["certified"]
-        assert rec["no_proper_real_subfield"] is None
-        rec2 = contains_obvious_subfield_flags(
-            K73, {"no_real_subfield": True, "no_quadratic_subfield": True}
+    def test_degree_seven_certified(self, census_records):
+        facts = self._facts(census_records, "P(7,7,7)")
+        assert facts.degree == 7 and facts.no_real_subfield_certified
+
+    def test_even_degree_needs_flag(self, census_records):
+        facts = self._facts(census_records, "7_3")
+        assert facts.degree == 6 and not facts.no_real_subfield_certified
+        assert facts.no_real_subfield is None
+        flagged = self._facts(
+            census_records, "7_3", {"no_real_subfield": True, "no_quadratic_subfield": True}
         )
-        assert rec2["no_proper_real_subfield"] is True
-        assert not rec2["certified"]
+        assert flagged.no_real_subfield is True
+        assert not flagged.no_real_subfield_certified
 
-    def test_flagged_quadratic_subfield(self):
-        # the one even-degree exception in the data: contains a real quadratic
-        K = NumberField(RatPoly([-1, 2, -1, -2, 1]))
-        rec = contains_obvious_subfield_flags(K, {"no_real_subfield": False})
-        assert rec["no_proper_real_subfield"] is False
+    def test_flagged_quadratic_subfield(self, census_records):
+        # a flag that the field has a proper real subfield is taken as given
+        facts = self._facts(census_records, "7_3", {"no_real_subfield": False})
+        assert facts.no_real_subfield is False
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,8 @@ def _row(name, **changes):
     (_row("7_4", expected={"slopes": ["x"]}), "expected.slopes"),
     (_row("7_4", uniqueness_cases=[{"label": "c", "word": "q", "direction": ["1"]}]),
      "uniqueness_cases[0].word"),
+    (_row("7_4", uniqueness_cases=[{"label": "c", "word": "b a b", "direction": ["0"]}]),
+     "uniqueness_cases[0].direction"),
 ])
 def test_malformed_row_raises_bad_census(tmp_path, row, field_name):
     with pytest.raises(BadCensus) as info:
