@@ -1,15 +1,15 @@
 """Command-line entry points.
 
-    geodesica report  --census FILE --checks euler,slopes --precision-bits 128 --json OUT.json
+    geodesica report  --census FILE --checks euler,slopes --json OUT.json
     geodesica pretzel --k 3 --check all
-    geodesica euler   --knot 7_3 --place all --precision-bits 128 --json
+    geodesica euler   --knot 7_3 --place all --json
     geodesica slopes  --knot 7_4 --json
     geodesica render  --knot "P(3,3,3)" --out chain.svg
 
-slopes, pretzel and render print or draw what the report's own checks return.
-
-GEODESICA_PRECISION_CAP caps the root-enclosure refinement of the Euler
-check's sign decisions (default 1024 bits).
+slopes, pretzel and render print or draw what the report's own checks
+return; render draws the knot's own boundary configuration.  No option sets
+a precision: every decision starts at 128 bits and doubles until it
+certifies, up to 1024 bits for an Euler sign.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .pipeline import (
     get_knot,
     load_census,
     pretzel_check,
-    render_config,
     render_figure,
     run,
     slopes_check,
@@ -55,7 +54,6 @@ def main(argv=None) -> int:
     _add_census_arg(p_report)
     p_report.add_argument("--checks", default="euler",
                           help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
-    p_report.add_argument("--precision-bits", type=int, default=128)
     p_report.add_argument("--json", dest="json_out", default=None,
                           help="write the machine-readable report here")
     p_report.add_argument("--knot", action="append", default=None,
@@ -66,13 +64,11 @@ def main(argv=None) -> int:
     p_pret = sub.add_parser("pretzel", help="balanced-pretzel checks")
     p_pret.add_argument("--k", type=int, required=True)
     p_pret.add_argument("--check", default="all", choices=[*_PRETZEL_PARTS, "all"])
-    p_pret.add_argument("--precision-bits", type=int, default=128)
 
     p_euler = sub.add_parser("euler", help="Euler numbers at real places")
     _add_census_arg(p_euler)
     p_euler.add_argument("--knot", required=True)
     p_euler.add_argument("--place", default="all", help='"all" or a place index')
-    p_euler.add_argument("--precision-bits", type=int, default=128)
     p_euler.add_argument("--json", action="store_true")
 
     p_slopes = sub.add_parser("slopes", help="boundary-slope trace-condition systems")
@@ -83,9 +79,6 @@ def main(argv=None) -> int:
     p_render = sub.add_parser("render", help="SVG of a boundary configuration")
     _add_census_arg(p_render)
     p_render.add_argument("--knot", required=True)
-    p_render.add_argument("--config", default=None, choices=["pretzel-chain", "74-strip"],
-                          help="must match the knot's configuration (default: the knot's)")
-    p_render.add_argument("--precision-bits", type=int, default=128)
     p_render.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
@@ -100,9 +93,7 @@ def _dispatch(args) -> int:
     if args.command == "report":
         records = load_census(args.census)
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        report = run(records, checks=checks,
-                     precision_bits=args.precision_bits, names=args.knot,
-                     workers=args.workers)
+        report = run(records, checks=checks, names=args.knot, workers=args.workers)
         print(summarize(report), file=sys.stderr)
         if args.json_out:
             _write_file(args.json_out, report.to_json_bytes(), "--json")
@@ -112,7 +103,7 @@ def _dispatch(args) -> int:
 
     if args.command == "pretzel":
         data = pretzel_holonomy(args.k)
-        out = {**pretzel_check(data, args.precision_bits), "lambda": data.lam.to_json()}
+        out = {**pretzel_check(data), "lambda": data.lam.to_json()}
         if args.check != "all":
             keys = _PRETZEL_PARTS[args.check]
             if not all(key in out for key in keys):
@@ -128,16 +119,17 @@ def _dispatch(args) -> int:
     if args.command == "euler":
         record = _knot_with_rep(args)
         if args.place == "all":
-            results = euler_tuple(record.rep, args.precision_bits)
+            results = euler_tuple(record.rep)
         else:
             places = record.rep.field.real_places()
             place = places[_place_index(record, args.place, len(places))]
-            results = (euler_number(record.rep, place, args.precision_bits),)
+            results = (euler_number(record.rep, place),)
         payload = {
             "knot": record.name,
             "euler": [r.n for r in results],
             "places": [
-                {"index": r.place_index, "n": r.n, "residual": r.residual,
+                # the Euler numbers are exact integers
+                {"index": r.place_index, "n": r.n, "residual": 0.0,
                  "precision_bits": r.precision_bits}
                 for r in results
             ],
@@ -163,14 +155,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "render":
-        record = _knot_with_rep(args)
-        config = render_config(record)
-        if args.config is not None and args.config != config:
-            raise BadArgument(
-                f"{record.name}: --config {args.config} does not fit this knot "
-                f"(its configuration: {config or 'none'})"
-            )
-        _, clines, svg = render_figure(record, args.precision_bits)
+        _, clines, svg = render_figure(_knot_with_rep(args))
         _write_file(args.out, svg.encode(), "--out")
         print(f"wrote {args.out} ({len(clines)} clines)", file=sys.stderr)
         return 0

@@ -31,7 +31,7 @@ class DivisionByZero(GeodesicaError):
 
 
 class PrecisionExhausted(GeodesicaError):
-    """Certified decision impossible within the configured precision cap."""
+    """Certified decision impossible within the precision cap."""
 
 
 class NoComplexPlace(GeodesicaError):
@@ -84,7 +84,7 @@ class BadCensus(GeodesicaError):
 
 
 class BadArgument(GeodesicaError, ValueError):
-    """A flag, environment variable or argument lies outside its valid range
+    """A flag or argument lies outside its valid range
     (also a ValueError, for callers that catch the builtin)."""
 
 

@@ -19,12 +19,10 @@ not a theorem.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
-    BadArgument,
     MilnorWoodViolated,
     NoLiftExists,
     PrecisionExhausted,
@@ -33,22 +31,12 @@ from .errors import (
 from .knotgroup import Factors, Mat2, MatrixRep, Word, evaluate_word
 from .numfield import FieldElement, RealPlace, is_algebraic_integer, is_prime
 
-DEFAULT_START_BITS = 128
-DEFAULT_PRECISION_CAP = 1024
+# every check starts its certified decisions at START_BITS and doubles the
+# precision until they certify; an Euler sign decision gives up past
+# PRECISION_CAP with a PrecisionExhausted naming the knot and the place
+START_BITS = 128
+PRECISION_CAP = 1024
 EULER_SIGN = 1  # fixed by the 7_3 -> (3, 1) anchor
-
-
-def precision_cap() -> int:
-    env = os.environ.get("GEODESICA_PRECISION_CAP")
-    if not env:
-        return DEFAULT_PRECISION_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        raise BadArgument(
-            f"GEODESICA_PRECISION_CAP must be a positive integer, got {env!r}"
-        ) from None
-    return require_positive_int(cap, "GEODESICA_PRECISION_CAP")
 
 
 # 2 alpha(M) = (a + d) + i (b - c), an element of K[i] as its (re, im) pair
@@ -166,8 +154,8 @@ class PlaceLift:
     lifts to the identity.  ``bits`` is the widest root enclosure a sign
     decision has needed so far."""
 
-    def __init__(self, walk: EulerWalk, place: RealPlace, bits: int, cap: int):
-        self.walk, self.place, self.bits, self.cap = walk, place, bits, cap
+    def __init__(self, walk: EulerWalk, place: RealPlace, bits: int):
+        self.walk, self.place, self.bits = walk, place, bits
         self.words: dict[Word, Lift] = {}
         for g, M in enumerate(walk.images):
             s = self.sign(M.b - M.c)
@@ -175,7 +163,7 @@ class PlaceLift:
         self.shifts: tuple[int, ...] = (0,) * len(walk.images)
 
     def sign(self, e: FieldElement) -> int:
-        s, self.bits = self.place.sign(e, self.bits, self.cap)
+        s, self.bits = self.place.sign(e, self.bits, PRECISION_CAP)
         return s
 
     def word(self, w: Word) -> Lift:
@@ -292,9 +280,8 @@ def _relator_defect(lift: Lift, M: Mat2) -> int:
 def lift_representation(
     rep: MatrixRep,
     place: RealPlace,
-    precision_bits: int = DEFAULT_START_BITS,
+    precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    cap: Optional[int] = None,
     walk: Optional[EulerWalk] = None,
 ) -> PlaceLift:
     """Principal lifts of the generator images with every relator defect
@@ -305,10 +292,9 @@ def lift_representation(
     its exponent sums, so no word is walked twice.  A walk of rep, when
     given, shares its exact data with the knot's other places."""
     require_positive_int(precision_bits, "precision_bits")
-    cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
     pres = rep.presentation
     start = (list(offsets or ()) + [0] * pres.generator_count)[:pres.generator_count]
-    lifting = PlaceLift(walk or EulerWalk(rep), place, precision_bits, cap)
+    lifting = PlaceLift(walk or EulerWalk(rep), place, precision_bits)
     E = pres.relator_exponent_matrix()
     defects = [
         _relator_defect(*lifting.product(factors)) + _dot(row, start)
@@ -332,16 +318,14 @@ def lift_representation(
 class EulerResult:
     place_index: int
     n: int
-    residual: float  # 0.0: the integer is exact
     precision_bits: int  # the widest root enclosure a sign decision needed
 
 
 def euler_number(
     rep: MatrixRep,
     place: RealPlace,
-    precision_bits: int = DEFAULT_START_BITS,
+    precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    cap: Optional[int] = None,
     walk: Optional[EulerWalk] = None,
 ) -> EulerResult:
     """Euler number e([F]) at a real place: the central gap, in units of pi,
@@ -351,16 +335,15 @@ def euler_number(
     is arctan(tau/2) + pi if tau <= 0, else arctan(tau/2) - pi.  The relator
     shifts then add their exponent sums along the longitude."""
     require_positive_int(precision_bits, "precision_bits")
-    cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
     pres = rep.presentation
     name = pres.name
-    if cap < precision_bits:
+    if PRECISION_CAP < precision_bits:
         raise PrecisionExhausted(
             f"{name}: euler number at place {place.index}: no rung ran, the start "
-            f"precision {precision_bits} bits exceeds the cap {cap} bits"
+            f"precision {precision_bits} bits exceeds the cap {PRECISION_CAP} bits"
         )
     try:
-        lifting = lift_representation(rep, place, precision_bits, offsets, cap, walk)
+        lifting = lift_representation(rep, place, precision_bits, offsets, walk)
         lift, L = lifting.product(pres.longitude_factors)
         tau = rep.longitude_translation()
         sigma = lift.sigma if L.a == -1 else -lift.sigma
@@ -369,26 +352,21 @@ def euler_number(
             n += 1 if lifting.sign(tau) <= 0 else -1
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(
-            f"{name}: euler number at place {place.index} failed up to {cap} bits: {exc}"
+            f"{name}: euler number at place {place.index} failed up to {PRECISION_CAP} bits: {exc}"
         ) from None
     n += _dot(pres.longitude.exponent_sums(pres.generator_count), lifting.shifts)
     return EulerResult(
         place_index=place.index,
         n=EULER_SIGN * n,
-        residual=0.0,
         precision_bits=lifting.bits,
     )
 
 
-def euler_tuple(rep: MatrixRep, precision_bits: int = DEFAULT_START_BITS) -> tuple[EulerResult, ...]:
+def euler_tuple(rep: MatrixRep) -> tuple[EulerResult, ...]:
     """Euler numbers at every real place, ordered by ascending real root;
     the places share one walk."""
     walk = EulerWalk(rep)
-    return tuple(
-        euler_number(rep, place, precision_bits, walk=walk)
-        for place in rep.field.real_places()
-    )
-
+    return tuple(euler_number(rep, place, walk=walk) for place in rep.field.real_places())
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,6 @@ class UniqSystem:
     """
 
     rows: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    provenance: str
 
     def constants(self) -> tuple[Fraction, ...]:
         return tuple(r[2] for r in self.rows)
@@ -268,7 +267,7 @@ def uniqueness_system(
         rows.append((td.coeffs[i], t2.coeffs[i], d2.coeffs[i]))
     # drop identically-zero rows
     rows = [r for r in rows if any(x != 0 for x in r)]
-    system = UniqSystem(rows=tuple(rows), provenance=label or str(word))
+    system = UniqSystem(rows=tuple(rows))
 
     verdict = _solve_uniq(rows)
     return system, verdict
@@ -339,7 +338,7 @@ def _line_params(c: Cline) -> tuple[float, float, float, float]:
     )
 
 
-def render_svg(clines: Sequence[Cline], width: int = 640) -> str:
+def render_svg(clines: Sequence[Cline]) -> str:
     """Deterministic SVG: fixed viewBox (bounding box + 10% margin), elements
     in input order, y-axis flipped to match the complex plane."""
     xs, ys = [], []
@@ -364,7 +363,7 @@ def render_svg(clines: Sequence[Cline], width: int = 640) -> str:
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="640" '
         f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
     ]
     for c in clines:

@@ -319,9 +319,6 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({RatPoly(self.coeffs)!r} in {self.field.name})"
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
     def is_zero(self) -> bool:
         return not any(self.num)
 

@@ -26,11 +26,10 @@ from .errors import (
     require_positive_int,
 )
 from .eulerclass import (
-    DEFAULT_START_BITS,
+    START_BITS,
     euler_tuple,
     obstruction_verdict,
     closed_surface_obstruction,
-    precision_cap,
 )
 from .knotgroup import (
     KnotPresentation,
@@ -302,9 +301,9 @@ def get_knot(records: Sequence[KnotRecord], name: str) -> KnotRecord:
 # ---------------------------------------------------------------------------
 
 
-def _euler_check(record: KnotRecord, precision_bits: int) -> dict:
+def _euler_check(record: KnotRecord) -> dict:
     rep = record.rep
-    results = euler_tuple(rep, precision_bits)
+    results = euler_tuple(rep)
     report = obstruction_verdict(
         record.name,
         record.genus,
@@ -314,8 +313,8 @@ def _euler_check(record: KnotRecord, precision_bits: int) -> dict:
         known_unique=record.known_unique,
     )
     out = report.to_json()
-    out["euler_residual_max"] = max((r.residual for r in results), default=0.0)
-    out["precision_bits"] = max((r.precision_bits for r in results), default=precision_bits)
+    out["euler_residual_max"] = 0.0  # the Euler numbers are exact integers
+    out["precision_bits"] = max((r.precision_bits for r in results), default=START_BITS)
     expected = record.expected
     if "euler" in expected:
         out["euler_expected"] = list(expected["euler"])
@@ -384,8 +383,7 @@ def uniqueness_check(record: KnotRecord) -> dict:
     return out
 
 
-def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool,
-                        precision_bits: int = 160) -> dict:
+def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool) -> dict:
     """Assembled uniqueness verification for a knot with pinned case data.
 
     Two ingredients: (1) a candidate vertical lift cannot avoid the known
@@ -393,16 +391,21 @@ def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool,
     (certified Secant), for the pretzel the chain identities hold exactly --
     and (2) every endpoint system excludes a transverse geodesic (the
     verdicts ``uniqueness_check`` has just computed), so no candidate
-    surface distinct from the known one exists.
+    surface distinct from the known one exists.  The coverage comes from
+    the knot's own boundary configuration (``render_config``); a knot
+    without one has no coverage and is not confirmed.
     """
-    if record.pretzel is not None:
+    config = render_config(record)
+    if config == "pretzel-chain":
         chain = record.pretzel.chain
         coverage = {"kind": "chain_identities", "ok": all(chain.values())}
-    else:
-        clines = strip_74_clines(record, precision_bits)
+    elif config == "74-strip":
+        clines = strip_74_clines(record)
         t = mobius_tangency(clines[2], clines[3])
         coverage = {"kind": "lift_pair_crossing", "classification": t.kind,
                     "ok": t.kind == "Secant"}
+    else:
+        coverage = {"kind": "none", "ok": False}
     return {
         "coverage": coverage,
         "all_cases_excluded": all_cases_excluded,
@@ -410,16 +413,15 @@ def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool,
     }
 
 
-def pretzel_check(data: PretzelData, precision_bits: int) -> dict:
+def pretzel_check(data: PretzelData) -> dict:
     """The pretzel check on the holonomy the loader (or ``pretzel --k``)
     built: recursion, entry identities, root census and tangency chain."""
-    require_positive_int(precision_bits, "precision_bits")
     k = data.k
     out = {"k": k}
     out["recursion_matches_closed_form"] = data.lam == lambda_closed_formula(k)
     out["degree"] = data.lam.degree
     out["entry_identities"] = relator_factorization_check(k)
-    census = psi_root_census(k, min(precision_bits, 256))
+    census = psi_root_census(k, START_BITS)
     out["root_census"] = {
         "real_roots": census.real_count,
         "per_quadrant": list(census.per_quadrant),
@@ -431,32 +433,32 @@ def pretzel_check(data: PretzelData, precision_bits: int) -> dict:
     return out
 
 
-def pretzel_chain_clines(data: PretzelData, precision_bits: int = 128):
+def pretzel_chain_clines(data: PretzelData):
     """The chain configuration: boundary lines of H_tau and s1(H_tau), and
     the circles C_1..C_2k, D_1..D_2k, realized at the geometric embedding."""
     K, rep = data.field, data.rep
     tau = rep.longitude_translation()
     h_tau = ExactCline((K.zero(), tau, INF))
-    place = K.geometric_place(precision_bits)
+    place = K.geometric_place(START_BITS)
     clines = [h_tau, h_tau.apply(rep.images[0])]
     for j in range(1, 2 * data.k + 1):
         for fam in ("g", "h"):
             word = data.words[f"{fam}{j}"]
             clines.append(h_tau.apply(evaluate_word(rep, word)))
-    return [c.realize(place, precision_bits) for c in clines]
+    return [c.realize(place, START_BITS) for c in clines]
 
 
-def strip_74_clines(record: KnotRecord, precision_bits: int = 128):
+def strip_74_clines(record: KnotRecord):
     """The 15/11 configuration: H, x(H), C1 = y(H), C2 = x y^-1 (H)."""
     rep = record.rep
     K = rep.field
     tau = rep.longitude_translation()
     direction = tau + K.rational(2)
     H = ExactCline((K.zero(), direction, INF))
-    place = K.geometric_place(precision_bits)
+    place = K.geometric_place(START_BITS)
     x, y = rep.images[0], rep.images[1]
     configs = [H, H.apply(x), H.apply(y), H.apply(x * y.inverse())]
-    return [c.realize(place, precision_bits) for c in configs]
+    return [c.realize(place, START_BITS) for c in configs]
 
 
 def render_config(record: KnotRecord) -> Optional[str]:
@@ -468,20 +470,20 @@ def render_config(record: KnotRecord) -> Optional[str]:
     return None
 
 
-def render_figure(record: KnotRecord, precision_bits: int) -> tuple[str, list, str]:
+def render_figure(record: KnotRecord) -> tuple[str, list, str]:
     """(config, clines, SVG) of the knot's boundary configuration."""
     config = render_config(record)
     if config == "pretzel-chain":
-        clines = pretzel_chain_clines(record.pretzel, precision_bits)
+        clines = pretzel_chain_clines(record.pretzel)
     elif config == "74-strip":
-        clines = strip_74_clines(record, precision_bits)
+        clines = strip_74_clines(record)
     else:
         raise BadArgument(f"{record.name}: no boundary configuration to render")
     return config, clines, render_svg(clines)
 
 
-def _render_check(record: KnotRecord, precision_bits: int) -> dict:
-    config, clines, svg = render_figure(record, precision_bits)
+def _render_check(record: KnotRecord) -> dict:
+    config, clines, svg = render_figure(record)
     return {
         "config": config,
         "cline_count": len(clines),
@@ -511,7 +513,7 @@ class RunReport:
         ).encode()
 
 
-def _knot_entry(record: KnotRecord, checks: Sequence[str], precision_bits: int) -> tuple[dict, int]:
+def _knot_entry(record: KnotRecord, checks: Sequence[str]) -> tuple[dict, int]:
     """Entry for one knot plus its hard-error count.  Pure given the record,
     so it can run in a worker process."""
     entry: dict = {"name": record.name, "kind": record.kind}
@@ -532,15 +534,15 @@ def _knot_entry(record: KnotRecord, checks: Sequence[str], precision_bits: int) 
             continue
         try:
             if check == "euler":
-                entry["euler"] = _euler_check(record, precision_bits)
+                entry["euler"] = _euler_check(record)
             elif check == "slopes":
                 entry["slopes"] = slopes_check(record)
             elif check == "uniqueness":
                 entry["uniqueness"] = uniqueness_check(record)
             elif check == "pretzel":
-                entry["pretzel"] = pretzel_check(record.pretzel, precision_bits)
+                entry["pretzel"] = pretzel_check(record.pretzel)
             elif check == "render":
-                entry["render"] = _render_check(record, precision_bits)
+                entry["render"] = _render_check(record)
         except GeodesicaError as exc:
             entry["status"] = "error"
             entry.setdefault("errors", []).append(
@@ -561,14 +563,13 @@ def _pool_init(records):
 
 
 def _pool_entry(args):
-    index, checks, precision_bits = args
-    return _knot_entry(_POOL_RECORDS[index], checks, precision_bits)
+    index, checks = args
+    return _knot_entry(_POOL_RECORDS[index], checks)
 
 
 def run(
     records: Sequence[KnotRecord],
     checks: Sequence[str] = ("euler",),
-    precision_bits: int = DEFAULT_START_BITS,
     names: Optional[Sequence[str]] = None,
     workers: int = 1,
 ) -> RunReport:
@@ -586,10 +587,7 @@ def run(
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
         raise BadArgument(f"unknown checks: {bad}; valid: {ALL_CHECKS}")
-    require_positive_int(precision_bits, "precision_bits")
     require_positive_int(workers, "workers")
-    if "euler" in checks:
-        precision_cap()  # a bad GEODESICA_PRECISION_CAP fails here, not per knot
     known = {r.name for r in records}
     unknown = [n for n in names or () if n not in known]
     if unknown:
@@ -609,11 +607,11 @@ def run(
             results = list(
                 pool.map(
                     _pool_entry,
-                    [(i, checks, precision_bits) for i in range(len(selected))],
+                    [(i, checks) for i in range(len(selected))],
                 )
             )
     else:
-        results = [_knot_entry(r, checks, precision_bits) for r in selected]
+        results = [_knot_entry(r, checks) for r in selected]
 
     mismatches = 0
     errors = 0
@@ -625,7 +623,7 @@ def run(
     payload = {
         "schema": 1,
         "checks": sorted(checks),
-        "precision_bits": precision_bits,
+        "precision_bits": START_BITS,
         "knots": knots_out,
     }
     return RunReport(

@@ -389,12 +389,12 @@ def root_bound(p: RatPoly) -> Fraction:
     return b + 1
 
 
-def sturm_real_roots(p: RatPoly, refine_to: Fraction = Fraction(1, 4)) -> RootIsolation:
+def sturm_real_roots(p: RatPoly) -> RootIsolation:
     """Isolate the distinct real roots of p via its Sturm chain.
 
     The chain is built for the square-free part, so repeated roots are
     handled; `multiplicity_free` records whether p itself was square-free.
-    Each isolating interval is bisected down to width <= refine_to.
+    Each isolating interval is bisected down to width <= 1/4.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -431,7 +431,7 @@ def sturm_real_roots(p: RatPoly, refine_to: Fraction = Fraction(1, 4)) -> RootIs
     vb = _sign_variations_at(chain, hi)
     split(lo, hi, va, vb)
     # refine_interval checks each endpoint pair: off-root, with a sign change
-    intervals = [refine_interval(sf, itv, refine_to) for itv in intervals]
+    intervals = [refine_interval(sf, itv, _Q(1, 4)) for itv in intervals]
     intervals.sort()
     return RootIsolation(tuple(intervals), multiplicity_free)
 
@@ -521,6 +521,8 @@ _GUARD_BITS = 20
 # The polish stops once every step is below 2^-(bits - 4), which is
 # 2^(_GUARD_BITS + 4) units of the scale; compared squared.
 _STOP_STEP2 = 1 << 2 * (_GUARD_BITS + 4)
+# Either Durand-Kerner stage gives up after this many sweeps.
+_MAX_SWEEPS = 400
 
 
 def _corrections(ints: Sequence[int], zs: Sequence[tuple[int, int]], s: int):
@@ -564,12 +566,12 @@ def _weierstrass_radii(n: int, ws) -> list[int]:
     return radii
 
 
-def _durand_kerner(ints: Sequence[int], zs: list[tuple[int, int]], s: int, max_iter: int):
+def _durand_kerner(ints: Sequence[int], zs: list[tuple[int, int]], s: int):
     """Durand-Kerner on Gaussian integers over 2^s: each step is the exact
     Weierstrass correction rounded to the nearest point of the grid.  Stops
-    when every step is below 2^-(s - _GUARD_BITS - 4), or after max_iter
+    when every step is below 2^-(s - _GUARD_BITS - 4), or after _MAX_SWEEPS
     sweeps; returns the points and the exact corrections at them."""
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         ws = _corrections(ints, zs, s)
         steps = []
         for (a, b), (c, d) in ws:
@@ -592,7 +594,7 @@ def _disks_disjoint(zs: Sequence[tuple[int, int]], radii: Sequence[int]) -> bool
     )
 
 
-def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) -> ComplexRootSet:
+def complex_roots(p: RatPoly, precision_bits: int = 128) -> ComplexRootSet:
     """All complex roots of a square-free polynomial with certified radii.
 
     Durand-Kerner runs twice: in machine floats from perturbed roots of
@@ -619,7 +621,7 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
 
     monic = p.monic()
     ints = _integer_multiple(p)[0]
-    seeds = _float_seeds(monic, max_iter)
+    seeds = _float_seeds(monic)
     bits = precision_bits
     while bits <= 8 * precision_bits:
         s = bits + _GUARD_BITS
@@ -627,7 +629,7 @@ def complex_roots(p: RatPoly, precision_bits: int = 128, max_iter: int = 400) ->
             start = _newton_start(monic, s)
         else:
             start = [(_fixed(z.real, s), _fixed(z.imag, s)) for z in seeds]
-        zs, ws = _durand_kerner(ints, start, s, max_iter)
+        zs, ws = _durand_kerner(ints, start, s)
         radii = _weierstrass_radii(p.degree, ws)
         if max(radii) < 1 << (s - precision_bits // 2) and _disks_disjoint(zs, radii):
             unit = 1 << s
@@ -693,9 +695,9 @@ def _newton_start(monic: RatPoly, s: int) -> list[tuple[int, int]]:
 _SEED_STEP = 2.0 ** -40
 
 
-def _float_seeds(monic: RatPoly, max_iter: int) -> list[complex] | None:
+def _float_seeds(monic: RatPoly) -> list[complex] | None:
     """Durand-Kerner in machine floats from the perturbed roots of unity,
-    until every step is at most 2^-40 of its root or after max_iter sweeps.
+    until every step is at most 2^-40 of its root or after _MAX_SWEEPS sweeps.
     None when a coefficient or an iterate leaves the float range, or when the
     seeds are not finite and pairwise distinct."""
     n = monic.degree
@@ -703,7 +705,7 @@ def _float_seeds(monic: RatPoly, max_iter: int) -> list[complex] | None:
         coeffs = [float(c) for c in reversed(monic.coeffs)]
         rad = _start_radius(monic) * 0.9
         zs = [rad * cmath.exp(2j * math.pi * (k + 0.25) / n) + 0.1 * (k % 3) for k in range(n)]
-        for _ in range(max_iter):
+        for _ in range(_MAX_SWEEPS):
             converged = True
             new = []
             for i, zi in enumerate(zs):
@@ -889,10 +891,11 @@ def _subset_sums(pattern: list[int]) -> set[int]:
     return sums
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# the primes whose factor-degree patterns the certificate tries
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def irreducibility_certificate(p: RatPoly, prime_budget: int = 12) -> IrreducibilityVerdict:
+def irreducibility_certificate(p: RatPoly) -> IrreducibilityVerdict:
     """Sound irreducibility/reducibility certificate over Q.
 
     Irreducible is only returned with a witness: rational-root exclusion for
@@ -921,7 +924,7 @@ def irreducibility_certificate(p: RatPoly, prime_budget: int = 12) -> Irreducibi
     ints = prim.int_coeffs()
     achievable: set[int] | None = None
     used = []
-    for q in _PRIMES[:prime_budget]:
+    for q in _PRIMES:
         if ints[-1] % q == 0:
             continue
         f = _mod_p_coeffs(ints, q)

@@ -31,10 +31,10 @@ from mpmath.libmp import (
 
 from geodesica.errors import NoLiftExists, PrecisionExhausted, require_positive_int
 from geodesica.eulerclass import (
-    DEFAULT_START_BITS,
     EULER_SIGN,
+    PRECISION_CAP,
+    START_BITS,
     EulerResult,
-    precision_cap,
     solve_integer_system,
 )
 from geodesica.knotgroup import MatrixRep, Word, evaluate_word
@@ -346,7 +346,7 @@ def _integer_defect(omega, tol) -> tuple[int, mp.mpf]:
 def lift_representation(
     rep: MatrixRep,
     place: RealPlace,
-    precision_bits: int = DEFAULT_START_BITS,
+    precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
     tol=RESIDUAL_TOL,
 ) -> list[LiftedElement]:
@@ -410,15 +410,14 @@ def canonical_section(tau_value) -> LiftedElement:
 def euler_number(
     rep: MatrixRep,
     place: RealPlace,
-    precision_bits: int = DEFAULT_START_BITS,
+    precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    cap: Optional[int] = None,
 ) -> EulerResult:
     """Euler number e([F]) at a real place: the central gap between the
     lifted longitude and the canonical section, with a precision ladder.
     """
     require_positive_int(precision_bits, "precision_bits")
-    cap = precision_cap() if cap is None else require_positive_int(cap, "cap")
+    cap = PRECISION_CAP
     name = rep.presentation.name
     if cap < precision_bits:
         raise PrecisionExhausted(
@@ -459,6 +458,5 @@ def _euler_once(rep, place, bits, offsets) -> EulerResult:
         return EulerResult(
             place_index=place.index,
             n=EULER_SIGN * n,
-            residual=float(residual),
             precision_bits=bits,
         )

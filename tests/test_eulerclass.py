@@ -409,8 +409,6 @@ class TestEulerNumbers:
     def test_73_anchor(self, rep_73):
         results = euler_tuple(rep_73)
         assert tuple(r.n for r in results) == (3, 1)
-        for r in results:
-            assert r.residual < 1e-9
 
     def test_74_genus_one(self, rep_74):
         results = euler_tuple(rep_74)
@@ -457,16 +455,8 @@ class TestEulerNumbers:
 
 
 class TestPrecisionCap:
-    def test_env_override_read(self, monkeypatch):
-        from geodesica.eulerclass import precision_cap
-
-        monkeypatch.delenv("GEODESICA_PRECISION_CAP", raising=False)
-        assert precision_cap() == 1024
-        monkeypatch.setenv("GEODESICA_PRECISION_CAP", "4096")
-        assert precision_cap() == 4096
-
     def test_tiny_cap_forces_failure(self, rep_73, monkeypatch):
-        monkeypatch.setenv("GEODESICA_PRECISION_CAP", "64")
+        monkeypatch.setattr(eulerclass, "PRECISION_CAP", 64)
         place = rep_73.field.real_places()[0]
         with pytest.raises(PrecisionExhausted):
             euler_number(rep_73, place, precision_bits=128)
@@ -534,7 +524,7 @@ class TestVerdicts:
         assert report.verdict == "NoTGS_fibered"
 
     def test_milnor_wood_violation_detected(self, rep_73):
-        fake = (EulerResult(place_index=0, n=9, residual=0.0, precision_bits=128),)
+        fake = (EulerResult(place_index=0, n=9, precision_bits=128),)
         facts = self._closed(rep_73, {"no_real_subfield": True})
         with pytest.raises(MilnorWoodViolated):
             obstruction_verdict("bogus", 2, False, fake, facts)
@@ -610,15 +600,17 @@ def test_reference_ladder_agrees_with_winding_count(rep_73, rep_74, pretzel_1):
         for place in rep.field.real_places():
             exact = euler_number(rep, place)
             assert exact.n == reference_euler_number(rep, place).n
-            assert exact.residual == 0.0 and exact.precision_bits == 128
+            assert exact.precision_bits == 128
 
 
-def test_winding_count_names_the_knot_and_place_when_exhausted(rep_73):
+def test_winding_count_names_the_knot_and_place_when_exhausted(rep_73, monkeypatch):
     # the first place needs an 8-bit root enclosure
     place = rep_73.field.real_places()[0]
+    monkeypatch.setattr(eulerclass, "PRECISION_CAP", 4)
     with pytest.raises(PrecisionExhausted, match="7_3: euler number at place 0 failed up to 4 bits"):
-        euler_number(rep_73, place, precision_bits=1, cap=4)
-    assert euler_number(rep_73, place, precision_bits=1, cap=8).precision_bits == 8
+        euler_number(rep_73, place, precision_bits=1)
+    monkeypatch.setattr(eulerclass, "PRECISION_CAP", 8)
+    assert euler_number(rep_73, place, precision_bits=1).precision_bits == 8
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,7 @@ class TestRenderSVG:
     def test_deterministic(self, pretzel_1):
         from geodesica.pipeline import pretzel_chain_clines
 
-        clines = pretzel_chain_clines(pretzel_1, 128)
+        clines = pretzel_chain_clines(pretzel_1)
         assert render_svg(clines) == render_svg(clines)
         # combinatorics of the published chain figure: 2 lines + 4 circles
         kinds = sorted(c.kind for c in clines)
@@ -432,7 +432,7 @@ class TestRenderSVG:
         from geodesica.pipeline import get_knot, strip_74_clines
 
         record = get_knot(census_records, "7_4")
-        clines = strip_74_clines(record, 128)
+        clines = strip_74_clines(record)
         kinds = [c.kind for c in clines]
         # H and x(H) vertical; C1, C2 hemispherical
         assert kinds == ["line", "line", "circle", "circle"]

@@ -556,12 +556,12 @@ def test_durand_kerner_converts_once_bit_identically(poly, bits):
     else:
         monic = _root_input(poly).monic()
     s = bits + 20
-    seeds = _float_seeds(monic, 400)
+    seeds = _float_seeds(monic)
     assert seeds is not None
     ints = _integer_multiple(monic)[0]
     for start in ([(_fixed(z.real, s), _fixed(z.imag, s)) for z in seeds],
                   _newton_start(monic, s)):
-        got, ws = _durand_kerner(ints, start, s, 400)
+        got, ws = _durand_kerner(ints, start, s)
         want, exact = _durand_kerner_per_step(monic, start, s, 400)
         assert got == want
         for ((a, b), (c, d)), (wr, wi) in zip(ws, exact):
@@ -635,7 +635,7 @@ def _assert_same_roots(p, bits=128):
 @pytest.mark.parametrize("name", _ROOT_INPUTS)
 def test_seeded_roots_match_the_roots_of_unity_start(name):
     p = _root_input(name)
-    assert _float_seeds(p.monic(), 400) is not None
+    assert _float_seeds(p.monic()) is not None
     _assert_same_roots(p)
 
 
@@ -667,7 +667,7 @@ def test_close_roots_still_certify(e):
 def test_float_overflow_certifies_through_the_fallback():
     # roots 10^400 - 10^-400 and about 10^-400; the float stage declines
     p = RatPoly([1, -10 ** 400, 1])
-    assert _float_seeds(p.monic(), 400) is None
+    assert _float_seeds(p.monic()) is None
     rs = complex_roots(p, 128)
     assert len(rs.roots) == 2
     small, big = ((r.re, r.im) for r in rs.roots)
@@ -686,7 +686,7 @@ def test_far_apart_moduli_certify_from_the_newton_polygon(times_z):
     if times_z:
         p = p * RatPoly.x()
         roots.append((Fraction(0), Fraction(0)))
-    assert _float_seeds(p.monic(), 400) is None
+    assert _float_seeds(p.monic()) is None
     squares = sorted(x * x + y * y for x, y in _newton_start(p.monic(), 148))
     assert squares[:times_z] == [0] * times_z
     for m2, want in zip(squares[times_z:], [1, 1, 10 ** 400]):

@@ -2,8 +2,8 @@
 package module imports with ``from ... import`` and never reads, no function,
 class or method that nothing else in the package reaches, no import of
 ``mpmath`` anywhere in the package, an Euler engine that imports no interval
-code, no ``mpf(str(...))`` round trip, and every function the benchmark
-tracer wraps still exists.
+code, no ``mpf(str(...))`` round trip, no read of the process environment,
+and every function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -304,3 +304,50 @@ def test_mpf_str_round_trip_detector():
         "z = mp.mpc(str(x))\n"
     )
     assert _mpf_str_round_trips(tree) == [1, 2, 3]
+
+
+_ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def _environment_uses(tree: ast.AST) -> list[int]:
+    """Lines that reach the process environment through ``os.environ``,
+    ``os.getenv`` or ``os.putenv``, or import one of them from ``os``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENVIRONMENT
+            and getattr(node.value, "id", None) == "os"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(a.name in _ENVIRONMENT for a in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_reads_no_environment():
+    # the results do not depend on settings: every decision escalates its
+    # precision until it certifies
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}"
+        for path in modules
+        for line in _environment_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"the package reads the environment: {found}"
+
+
+def test_environment_use_detector():
+    tree = ast.parse(
+        "import os\n"
+        "cap = os.environ.get('CAP')\n"
+        "from os import getenv, path\n"
+        "os.putenv('CAP', '1')\n"
+        "p = os.path.join('a', 'b')\n"
+        "environ = {}\n"
+        "x = settings.environ\n"
+    )
+    assert _environment_uses(tree) == [2, 3, 4]
