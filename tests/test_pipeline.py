@@ -537,25 +537,38 @@ def test_fuzzed_row_loads_or_raises_bad_census(tmp_path, name, data):
         assert str(path[0]) in str(exc)
 
 
+def _parser_refuses(argv, capsys) -> str:
+    """Run the CLI on argv, which argparse must refuse; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestInputValidation:
     REPORT = ["report", "--knot", "7_4", "--checks", "euler"]
 
+    # every decision escalates until it certifies, and render draws the knot's
+    # own configuration, so neither --precision-bits nor --config exists: the
+    # parser refuses them whatever their value
+
+    def test_zero_precision_bits(self, capsys):
+        err = _parser_refuses(self.REPORT + ["--precision-bits", "0"], capsys)
+        assert "unrecognized arguments: --precision-bits 0" in err
+
+    def test_negative_precision_bits(self, capsys):
+        err = _parser_refuses(self.REPORT + ["--precision-bits", "-8"], capsys)
+        assert "unrecognized arguments: --precision-bits -8" in err
+
     @pytest.mark.parametrize("argv", [
-        REPORT + ["--precision-bits", "128"],
-        ["pretzel", "--k", "1", "--precision-bits", "128"],
         ["euler", "--knot", "7_4", "--precision-bits", "128"],
         ["render", "--knot", "7_4", "--precision-bits", "128"],
         ["render", "--knot", "7_4", "--config", "74-strip"],
     ])
     def test_precision_and_config_options_are_gone(self, argv, tmp_path, capsys):
-        # every decision escalates until it certifies, and render draws the
-        # knot's own configuration, so neither option exists
         if argv[0] == "render":
             argv = argv + ["--out", str(tmp_path / "x.svg")]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "unrecognized arguments" in _parser_refuses(argv, capsys)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one(self, workers, capsys):
@@ -581,10 +594,18 @@ class TestInputValidation:
     @pytest.mark.parametrize("argv", [
         ["pretzel", "--k", "0", "--check", "relators"],
         ["pretzel", "--k", "4", "--check", "tangency"],  # 2k+1 = 9 is not prime
+        ["render", "--knot", "7_4", "--config", "74-strip", "--precision-bits", "8"],
+        ["pretzel", "--k", "2", "--precision-bits", "0"],
+        ["pretzel", "--k", "2", "--precision-bits", "-5"],
     ])
-    def test_out_of_range_subcommand_arguments(self, argv, capsys):
-        assert cli.main(argv) == 2
-        assert "BadArgument" in capsys.readouterr().err
+    def test_out_of_range_subcommand_arguments(self, argv, tmp_path, capsys):
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "strip.svg")]
+        if "--precision-bits" in argv:
+            assert "unrecognized arguments" in _parser_refuses(argv, capsys)
+        else:
+            assert cli.main(argv) == 2
+            assert "BadArgument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["euler", "--knot", "nope"],
