@@ -20,13 +20,13 @@ import sys
 
 from .errors import BadArgument, GeodesicaError
 from .eulerclass import euler_number, euler_tuple
+from .mobius import render_svg
 from .pipeline import (
     ALL_CHECKS,
     KnotRecord,
     get_knot,
     load_census,
     pretzel_check,
-    render_figure,
     run,
     slopes_check,
     summarize,
@@ -155,8 +155,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "render":
-        _, clines, svg = render_figure(_knot_with_rep(args))
-        _write_file(args.out, svg.encode(), "--out")
+        clines = _knot_with_rep(args).clines
+        _write_file(args.out, render_svg(clines).encode(), "--out")
         print(f"wrote {args.out} ({len(clines)} clines)", file=sys.stderr)
         return 0
 

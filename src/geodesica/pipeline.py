@@ -2,9 +2,15 @@
 
 The bundled census covers the two-bridge knots of the published Euler-number
 table, the 15/11 knot, and the first three balanced pretzels; non-two-bridge
-rows ship as stubs awaiting explicit representation data.  Reports are
-deterministic: identical inputs produce byte-identical JSON (volatile timing
-lives only in the human-readable summary, never in the JSON payload).
+rows ship as stubs awaiting explicit representation data.  The loader parses
+each row once into a ``KnotRecord``: typed slope and uniqueness cases, the
+verified representation, and the boundary configuration that representation
+carries (the chain for a pretzel, the strip for the 15/11 presentation),
+whose clines are realized at most once per record.  ``CHECKS`` maps each
+check name to when it applies and what it computes; ``run`` applies it per
+knot.  Reports are deterministic: identical inputs produce byte-identical
+JSON (volatile timing lives only in the human-readable summary, never in the
+JSON payload).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,7 +56,7 @@ from .mobius import (
     uniqueness_system,
 )
 from .mobius import tangency as mobius_tangency
-from .numfield import NumberField, is_prime
+from .numfield import FieldElement, NumberField, is_prime
 from .polycore import RatPoly, irreducibility_certificate
 from .pretzel import (
     PretzelData,
@@ -60,40 +67,41 @@ from .pretzel import (
 )
 from .slopes import SlopeCase, slope_set_for_knot
 
-ALL_CHECKS = ("euler", "slopes", "uniqueness", "pretzel", "render")
+
+@dataclass(frozen=True)
+class UniquenessCase:
+    label: str
+    word: Word
+    direction: FieldElement
+    verdict: Optional[str]  # the anchored verdict; None anchors nothing
 
 
 @dataclass
 class KnotRecord:
     name: str
     kind: str  # "two_bridge" | "pretzel" | "explicit"
-    raw: dict
     genus: Optional[int]
     fibered: Optional[bool]
     known_unique: bool
     manual_field_flags: dict
     expected: dict
+    slope_cases: tuple[SlopeCase, ...] = ()
+    uniqueness_cases: tuple[UniquenessCase, ...] = ()
     rep: Optional[MatrixRep] = None
     pretzel: Optional[PretzelData] = None  # the loader's holonomy, for pretzel rows
+    configuration: Optional[str] = None  # "pretzel-chain" | "74-strip" | None
     awaiting_data: bool = False
     irreducibility: Optional[str] = None
 
-    @property
-    def slope_cases(self) -> list[SlopeCase]:
-        cases = []
-        for c in self.raw.get("slope_cases", []):
-            cases.append(
-                SlopeCase(
-                    label=c["label"],
-                    weight_coeffs=tuple(Fraction(x) for x in c["weight"]),
-                    fixed_pq=tuple(c["fixed_pq"]) if c.get("fixed_pq") else None,
-                )
-            )
-        return cases
-
-    @property
-    def uniqueness_cases(self) -> list[dict]:
-        return self.raw.get("uniqueness_cases", [])
+    @cached_property
+    def clines(self) -> list:
+        """The boundary configuration's clines at the geometric place, shared
+        by the render check, the uniqueness coverage and ``geodesica render``."""
+        if self.configuration == "pretzel-chain":
+            return pretzel_chain_clines(self.pretzel)
+        if self.configuration == "74-strip":
+            return strip_74_clines(self)
+        raise BadArgument(f"{self.name}: no boundary configuration to render")
 
 
 def _require(cond: bool, name: str, field_name: str, msg: str = ""):
@@ -137,8 +145,9 @@ def _word(text, names: Sequence[str], name: str, field_name: str) -> Word:
         raise BadCensus(f"{name}: field {field_name!r} invalid ({exc})") from None
 
 
-def _check_metadata(row: dict, name: str):
-    """Types of the fields every kind shares, checked before any exact work."""
+def _check_metadata(row: dict, name: str) -> tuple[SlopeCase, ...]:
+    """Types of the fields every kind shares, checked before any exact work;
+    returns the row's slope cases."""
     genus = row.get("genus")
     _require(genus is None or (_is_int(genus) and genus >= 1), name, "genus",
              "(expected a positive integer or null)")
@@ -167,15 +176,17 @@ def _check_metadata(row: dict, name: str):
         cases = row.get(key, [])
         _require(isinstance(cases, list) and all(isinstance(c, dict) for c in cases),
                  name, key, "(expected a list of objects)")
+    slope_cases = []
     for i, c in enumerate(row.get("slope_cases", [])):
         where = f"slope_cases[{i}]"
         _require(isinstance(c.get("label"), str), name, f"{where}.label", "(expected a string)")
-        _require(any(_rationals(c.get("weight"), name, f"{where}.weight")), name,
-                 f"{where}.weight", "(expected a nonzero weight)")
+        weight = _rationals(c.get("weight"), name, f"{where}.weight")
+        _require(any(weight), name, f"{where}.weight", "(expected a nonzero weight)")
         pq = c.get("fixed_pq")
         _require(pq is None or (isinstance(pq, list) and len(pq) == 2
                                 and all(_is_int(n) for n in pq) and any(pq)),
                  name, f"{where}.fixed_pq", "(expected null or a nonzero [p, q])")
+        slope_cases.append(SlopeCase(c["label"], tuple(weight), tuple(pq) if pq else None))
     for i, c in enumerate(row.get("uniqueness_cases", [])):
         where = f"uniqueness_cases[{i}]"
         for key in ("label", "word"):
@@ -184,6 +195,7 @@ def _check_metadata(row: dict, name: str):
                  f"{where}.verdict", "(expected a string)")
         _require(any(_rationals(c.get("direction"), name, f"{where}.direction")), name,
                  f"{where}.direction", "(expected a nonzero direction)")
+    return tuple(slope_cases)
 
 
 def _load_record(row, index: int) -> KnotRecord:
@@ -193,16 +205,15 @@ def _load_record(row, index: int) -> KnotRecord:
              "(expected a nonempty string)")
     kind = row.get("kind")
     _require(kind in ("two_bridge", "pretzel", "explicit"), name, "kind")
-    _check_metadata(row, name)
     record = KnotRecord(
         name=name,
         kind=kind,
-        raw=row,
         genus=row.get("genus"),
         fibered=row.get("fibered"),
         known_unique=bool(row.get("known_unique", False)),
         manual_field_flags=row.get("manual_field_flags", {}),
         expected=row.get("expected", {}),
+        slope_cases=_check_metadata(row, name),
     )
     if kind == "two_bridge":
         for key in ("p", "q"):
@@ -213,14 +224,16 @@ def _load_record(row, index: int) -> KnotRecord:
         except BadFraction as exc:
             raise BadCensus(f"{name}: field 'p/q' invalid ({exc})") from None
         record.rep = build_representation(pres, minpoly, name=f"Q(z_{name})")
-        cert = irreducibility_certificate(minpoly)
-        record.irreducibility = cert.status
+        record.irreducibility = irreducibility_certificate(minpoly).status
+        if (row["p"], row["q"]) == (15, 11):  # the strip's words are this presentation's
+            record.configuration = "74-strip"
     elif kind == "pretzel":
         k = row.get("k")
         _require(_is_int(k) and k >= 1, name, "k", "(expected an integer >= 1)")
         data = pretzel_holonomy(k, name=name)
         record.pretzel = data
         record.rep = data.rep
+        record.configuration = "pretzel-chain"
         record.irreducibility = data.irreducibility
     else:  # explicit
         images = row.get("images")
@@ -261,14 +274,20 @@ def _load_record(row, index: int) -> KnotRecord:
                 )
             except ValueError as exc:
                 raise BadCensus(f"{name}: field 'longitude' invalid ({exc})") from None
-            mats = [Mat2(*(K.element(e) for e in mat)) for mat in entries]
-            rep = MatrixRep(presentation=pres, field=K, images=tuple(mats))
-            record.rep = normalize_peripheral(rep)
+            mats = tuple(Mat2(*(K.element(e) for e in mat)) for mat in entries)
+            record.rep = normalize_peripheral(MatrixRep(presentation=pres, field=K, images=mats))
             record.irreducibility = irreducibility_certificate(minpoly).status
     if record.rep is not None:
         names = record.rep.presentation.generator_names
-        for i, c in enumerate(row.get("uniqueness_cases", [])):
-            _word(c["word"], names, name, f"uniqueness_cases[{i}].word")
+        record.uniqueness_cases = tuple(
+            UniquenessCase(
+                label=c["label"],
+                word=_word(c["word"], names, name, f"uniqueness_cases[{i}].word"),
+                direction=record.rep.field.element(c["direction"]),
+                verdict=c.get("verdict"),
+            )
+            for i, c in enumerate(row.get("uniqueness_cases", []))
+        )
     return record
 
 
@@ -286,7 +305,14 @@ def load_census(path: Optional[str | Path] = None) -> list[KnotRecord]:
         raise BadCensus(f"census: cannot read {path or 'bundled census'} ({exc})") from None
     _require(isinstance(data, dict) and isinstance(data.get("knots"), list),
              "census", "knots", "(expected a list of rows)")
-    return [_load_record(row, i) for i, row in enumerate(data["knots"])]
+    records, rows = [], {}
+    for i, row in enumerate(data["knots"]):
+        record = _load_record(row, i)
+        first = rows.setdefault(record.name, i)
+        _require(first == i, record.name, "name",
+                 f"(knots[{first}] and knots[{i}] share it)")
+        records.append(record)
+    return records
 
 
 def get_knot(records: Sequence[KnotRecord], name: str) -> KnotRecord:
@@ -326,8 +352,7 @@ def _euler_check(record: KnotRecord) -> dict:
 
 
 def slopes_check(record: KnotRecord) -> dict:
-    cases = record.slope_cases
-    res = slope_set_for_knot(record.rep, cases)
+    res = slope_set_for_knot(record.rep, record.slope_cases)
     out = {
         "slopes": [str(s) for s in res["slopes"]],
         "exhaustive": res["exhaustive"],
@@ -357,25 +382,21 @@ def _slope_sort_key(s: str):
 def uniqueness_check(record: KnotRecord) -> dict:
     """Solve each endpoint system of the knot's uniqueness cases once; for
     a knot with a known unique surface, assemble the theorem from them."""
-    rep = record.rep
-    K = rep.field
     out_cases = []
     all_excluded = True
     for case in record.uniqueness_cases:
-        word = Word.from_string(case["word"], rep.presentation.generator_names)
-        direction = K.element([Fraction(x) for x in case["direction"]])
-        system, verdict = uniqueness_system(word, direction, rep, case["label"])
+        system, verdict = uniqueness_system(case.word, case.direction, record.rep, case.label)
         excluded = excludes_surface(verdict)
         all_excluded = all_excluded and excluded
         entry = {
-            "label": case["label"],
+            "label": case.label,
             "rows": [[str(x) for x in row] for row in system.rows],
             "verdict": verdict,
             "excluded": excluded,
         }
-        if "verdict" in case:
-            entry["verdict_expected"] = case["verdict"]
-            entry["verdict_matches"] = verdict == case["verdict"]
+        if case.verdict is not None:
+            entry["verdict_expected"] = case.verdict
+            entry["verdict_matches"] = verdict == case.verdict
         out_cases.append(entry)
     out = {"cases": out_cases, "all_excluded": all_excluded}
     if record.known_unique and out_cases:
@@ -392,16 +413,13 @@ def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool) -> dict:
     and (2) every endpoint system excludes a transverse geodesic (the
     verdicts ``uniqueness_check`` has just computed), so no candidate
     surface distinct from the known one exists.  The coverage comes from
-    the knot's own boundary configuration (``render_config``); a knot
-    without one has no coverage and is not confirmed.
+    the knot's own boundary configuration; a knot without one has no
+    coverage and is not confirmed.
     """
-    config = render_config(record)
-    if config == "pretzel-chain":
-        chain = record.pretzel.chain
-        coverage = {"kind": "chain_identities", "ok": all(chain.values())}
-    elif config == "74-strip":
-        clines = strip_74_clines(record)
-        t = mobius_tangency(clines[2], clines[3])
+    if record.configuration == "pretzel-chain":
+        coverage = {"kind": "chain_identities", "ok": all(record.pretzel.chain.values())}
+    elif record.configuration == "74-strip":
+        t = mobius_tangency(record.clines[2], record.clines[3])
         coverage = {"kind": "lift_pair_crossing", "classification": t.kind,
                     "ok": t.kind == "Secant"}
     else:
@@ -452,43 +470,32 @@ def strip_74_clines(record: KnotRecord):
     """The 15/11 configuration: H, x(H), C1 = y(H), C2 = x y^-1 (H)."""
     rep = record.rep
     K = rep.field
-    tau = rep.longitude_translation()
-    direction = tau + K.rational(2)
-    H = ExactCline((K.zero(), direction, INF))
+    H = ExactCline((K.zero(), rep.longitude_translation() + K.rational(2), INF))
     place = K.geometric_place(START_BITS)
     x, y = rep.images[0], rep.images[1]
     configs = [H, H.apply(x), H.apply(y), H.apply(x * y.inverse())]
     return [c.realize(place, START_BITS) for c in configs]
 
 
-def render_config(record: KnotRecord) -> Optional[str]:
-    """The boundary configuration the render check draws for the knot, if any."""
-    if record.pretzel is not None:
-        return "pretzel-chain"
-    if record.name == "7_4":
-        return "74-strip"
-    return None
-
-
-def render_figure(record: KnotRecord) -> tuple[str, list, str]:
-    """(config, clines, SVG) of the knot's boundary configuration."""
-    config = render_config(record)
-    if config == "pretzel-chain":
-        clines = pretzel_chain_clines(record.pretzel)
-    elif config == "74-strip":
-        clines = strip_74_clines(record)
-    else:
-        raise BadArgument(f"{record.name}: no boundary configuration to render")
-    return config, clines, render_svg(clines)
-
-
 def _render_check(record: KnotRecord) -> dict:
-    config, clines, svg = render_figure(record)
+    svg = render_svg(record.clines)
     return {
-        "config": config,
-        "cline_count": len(clines),
+        "config": record.configuration,
+        "cline_count": len(record.clines),
         "svg_sha256": hashlib.sha256(svg.encode()).hexdigest(),
     }
+
+
+# each check: whether it applies to a record, and the entry it computes
+CHECKS = {
+    "euler": (lambda record: True, _euler_check),
+    "slopes": (lambda record: bool(record.slope_cases), slopes_check),
+    "uniqueness": (lambda record: bool(record.uniqueness_cases), uniqueness_check),
+    "pretzel": (lambda record: record.pretzel is not None,
+                lambda record: pretzel_check(record.pretzel)),
+    "render": (lambda record: record.configuration is not None, _render_check),
+}
+ALL_CHECKS = tuple(CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -524,25 +531,11 @@ def _knot_entry(record: KnotRecord, checks: Sequence[str]) -> tuple[dict, int]:
     entry["irreducibility"] = record.irreducibility
     errors = 0
     for check in checks:
-        if check == "slopes" and not record.slope_cases:
-            continue
-        if check == "uniqueness" and not record.uniqueness_cases:
-            continue
-        if check == "pretzel" and record.pretzel is None:
-            continue
-        if check == "render" and render_config(record) is None:
+        applies, compute = CHECKS[check]
+        if not applies(record):
             continue
         try:
-            if check == "euler":
-                entry["euler"] = _euler_check(record)
-            elif check == "slopes":
-                entry["slopes"] = slopes_check(record)
-            elif check == "uniqueness":
-                entry["uniqueness"] = uniqueness_check(record)
-            elif check == "pretzel":
-                entry["pretzel"] = pretzel_check(record.pretzel)
-            elif check == "render":
-                entry["render"] = _render_check(record)
+            entry[check] = compute(record)
         except GeodesicaError as exc:
             entry["status"] = "error"
             entry.setdefault("errors", []).append(
@@ -634,19 +627,17 @@ def run(
     )
 
 
-def _count_mismatches(entry: dict) -> int:
-    count = 0
-    euler = entry.get("euler", {})
-    for key in ("euler_matches", "verdict_matches"):
-        if euler.get(key) is False:
-            count += 1
-    slopes = entry.get("slopes", {})
-    if slopes.get("slopes_match") is False:
-        count += 1
-    for case in entry.get("uniqueness", {}).get("cases", []):
-        if case.get("verdict_matches") is False:
-            count += 1
-    return count
+def _count_mismatches(obj) -> int:
+    """The anchor comparisons that failed: every ``*_match``/``*_matches``
+    key in the entry whose value is False."""
+    if isinstance(obj, list):
+        return sum(map(_count_mismatches, obj))
+    if not isinstance(obj, dict):
+        return 0
+    return sum(
+        value is False if key.endswith(("_match", "_matches")) else _count_mismatches(value)
+        for key, value in obj.items()
+    )
 
 
 def summarize(report: RunReport) -> str:

@@ -795,23 +795,18 @@ def _mod_p_coeffs(ints: list[int], q: int) -> list[int]:
 
 
 def _poly_mod_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    a = a[:]
+    """Quotient and remainder of a by b over F_q, b's leading coefficient a
+    unit: one pass over the shifts on integers, the remainder reduced once."""
+    rem = list(a)
     inv = pow(b[-1], -1, q)
-    qout = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] % q == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        coef = (a[-1] * inv) % q
-        shift = len(a) - len(b)
-        qout[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % q
-        a.pop()
-    while a and a[-1] % q == 0:
-        a.pop()
-    return qout, a
+    db = len(b) - 1
+    quot = [0] * max(0, len(rem) - db)
+    for shift in range(len(quot) - 1, -1, -1):
+        coef = quot[shift] = rem[shift + db] * inv % q
+        if coef:
+            for i, c in enumerate(b[:-1]):
+                rem[shift + i] -= coef * c
+    return quot, _mod_p_coeffs(rem[:db], q)
 
 
 def _poly_mod_gcd(a: list[int], b: list[int], q: int) -> list[int]:
@@ -825,15 +820,7 @@ def _poly_mod_gcd(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 def _poly_mod_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _mod_p_coeffs(_int_convolve(a, b), q) if a and b else []
 
 
 def _poly_mod_powmod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
@@ -852,9 +839,7 @@ def _distinct_degree_pattern(f: list[int], q: int) -> list[int] | None:
     f over F_q, via distinct-degree decomposition.  None if f is not
     square-free mod q.
     """
-    df = [(i * c) % q for i, c in enumerate(f)][1:]
-    while df and df[-1] == 0:
-        df.pop()
+    df = _mod_p_coeffs([i * c for i, c in enumerate(f)][1:], q)
     if _poly_mod_gcd(f, df, q) != [1]:
         return None
     pattern = []
@@ -867,15 +852,9 @@ def _distinct_degree_pattern(f: list[int], q: int) -> list[int] | None:
             pattern.append(len(rem) - 1)
             break
         h = _poly_mod_powmod(h, q, rem, q)
-        hx = h[:]
-        if len(hx) >= 2:
-            hx[1] = (hx[1] - 1) % q
-        else:
-            hx = hx + [0] * (2 - len(hx))
-            hx[1] = (hx[1] - 1) % q
-        while hx and hx[-1] == 0:
-            hx.pop()
-        g = _poly_mod_gcd(rem, hx, q)
+        hx = h + [0] * (2 - len(h))  # x^(q^d) - x
+        hx[1] -= 1
+        g = _poly_mod_gcd(rem, _mod_p_coeffs(hx, q), q)
         if len(g) - 1 > 0:
             count = (len(g) - 1) // d
             pattern.extend([d] * count)

@@ -1,15 +1,18 @@
 """Mutated census rows end in a report or a named error, never a traceback.
 
 Each example takes a bundled row of small size (p <= 47, k <= 3 after a
-step), applies one to three mutations -- drop a key or list entry, swap a
-value for one of another type, edit or append a list entry, move p, q or k
-by a small step -- and runs every check serially on it.
+step), may null its uniqueness cases' verdicts, applies one to three
+mutations -- drop a key or list entry, swap a value for one of another type,
+edit or append a list entry, move p, q or k by a small step -- and runs
+every check serially on it.  Some examples list the row twice, which no
+census may do.
 """
 
 import copy
 import json
 from importlib import resources
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodesica.errors import GeodesicaError
@@ -43,6 +46,9 @@ def _value(draw):
 @st.composite
 def mutated_rows(draw):
     row = copy.deepcopy(ROWS[draw(st.sampled_from(BASES))])
+    if draw(st.booleans()):
+        for case in row.get("uniqueness_cases", []):
+            case["verdict"] = None  # anchors nothing
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("drop", "swap", "append", "step")))
         if op == "step":
@@ -66,10 +72,14 @@ def mutated_rows(draw):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(row=mutated_rows())
-def test_mutated_row_ends_in_a_report_or_a_named_error(tmp_path, row):
+@given(row=mutated_rows(), twice=st.sampled_from((False, False, False, True)))
+def test_mutated_row_ends_in_a_report_or_a_named_error(tmp_path, row, twice):
     path = tmp_path / "census.json"
-    path.write_text(json.dumps({"schema": 1, "knots": [row]}))
+    path.write_text(json.dumps({"schema": 1, "knots": [row, row] if twice else [row]}))
+    if twice:
+        with pytest.raises(GeodesicaError):
+            load_census(path)
+        return
     try:
         report = run(load_census(path), checks=ALL_CHECKS)
     except GeodesicaError:

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import mpmath as mp
 import pytest
@@ -642,10 +644,17 @@ def _without_rational_roots(poly):
     return poly
 
 
+def _bundled_fraction(name):
+    """The row's (p, q), read from the bundled census JSON."""
+    text = resources.files("geodesica").joinpath("data/census.json").read_text()
+    row = next(r for r in json.loads(text)["knots"] if r["name"] == name)
+    return row["p"], row["q"]
+
+
 @pytest.mark.parametrize("name", TWO_BRIDGE_ROWS)
 def test_schubert_equivalent_fractions_give_the_same_euler_numbers(census_records, name):
     record = get_knot(census_records, name)
-    p, q = record.raw["p"], record.raw["q"]
+    p, q = _bundled_fraction(name)
     euler = [r.n for r in euler_tuple(record.rep)]
     # the mirror over the row's own field negates every place's number
     mirror = build_representation(two_bridge_presentation(p, p - q), record.rep.field.minpoly)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodesica import cli, eulerclass
-from geodesica.errors import BadArgument, BadCensus, NotARepresentation
+from geodesica.errors import BadArgument, BadCensus, NoComplexPlace, NotARepresentation
 from geodesica.numfield import is_prime
 from geodesica.pipeline import (
     ALL_CHECKS,
@@ -77,6 +77,13 @@ class TestLoad:
         report = run(records, checks=("euler",))
         assert report.exit_status == 0
         assert report.payload["knots"][0]["euler"]["euler"] == [-3, -1]
+
+    def test_duplicate_names_rejected(self, tmp_path):
+        with pytest.raises(BadCensus) as info:
+            _load_rows(tmp_path, [_row("7_3"), _row("7_4"), _row("7_3")])
+        assert str(info.value) == (
+            "7_3: field 'name' invalid (knots[0] and knots[2] share it)"
+        )
 
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "nokinds.json"
@@ -146,6 +153,30 @@ class TestRun:
         assert entry["theorem"]["coverage"] == {"kind": "none", "ok": False}
         assert entry["theorem"]["unique_surface_confirmed"] is False
         assert [c["label"] for c in entry["cases"]] == [c["label"] for c in cases]
+
+    def test_configuration_follows_the_representation_not_the_name(self, tmp_path):
+        # a row called 7_4 that carries 9_23's representation has no strip,
+        # and the 15/11 row under another name keeps it
+        donor = _row("9_23")
+        row = _row("7_4", p=donor["p"], q=donor["q"], minpoly=donor["minpoly"])
+        assert row["known_unique"] and row["uniqueness_cases"]
+        entry = run(_load_rows(tmp_path, [row]), checks=("uniqueness", "render")
+                    ).payload["knots"][0]
+        assert "render" not in entry
+        assert entry["uniqueness"]["theorem"]["coverage"] == {"kind": "none", "ok": False}
+        row = _row("7_4")
+        row["name"] = "K15_11"
+        entry = run(_load_rows(tmp_path, [row]), checks=("uniqueness", "render")).payload["knots"][0]
+        assert entry["render"]["config"] == "74-strip"
+        assert entry["uniqueness"]["theorem"]["unique_surface_confirmed"]
+
+    def test_null_case_verdict_anchors_nothing(self, tmp_path):
+        cases = [dict(c, verdict=None) for c in _row("7_4")["uniqueness_cases"]]
+        records = _load_rows(tmp_path, [_row("7_4", uniqueness_cases=cases)])
+        report = run(records, checks=("uniqueness",))
+        assert report.anchor_mismatches == 0 and report.exit_status == 0
+        for case in report.payload["knots"][0]["uniqueness"]["cases"]:
+            assert "verdict_expected" not in case and "verdict_matches" not in case
 
     def test_summarize_runs(self, census_records):
         report = run(census_records, checks=("slopes",), names=["7_4"])
@@ -379,10 +410,26 @@ def test_full_run_solves_each_case_and_builds_each_holonomy_once(monkeypatch):
     assert len(systems) == cases == 4
 
 
+def test_full_run_realizes_the_strip_once(monkeypatch):
+    # the render check and the uniqueness coverage share the record's clines
+    from geodesica import pipeline
+
+    strips = _count_calls(monkeypatch, pipeline, "strip_74_clines")
+    run(load_census(), ALL_CHECKS)
+    assert len(strips) == 1
+
+
 def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):
     from geodesica import pipeline
 
-    calls = _count_calls(monkeypatch, pipeline, "_euler_check")
+    applies, compute = pipeline.CHECKS["euler"]
+    calls = []
+
+    def counted(record):
+        calls.append(record)
+        return compute(record)
+
+    monkeypatch.setitem(pipeline.CHECKS, "euler", (applies, counted))
     report = run(census_records, checks=("euler", "euler"), names=["7_4"])
     assert len(calls) == 1 and report.payload["checks"] == ["euler"]
     out = tmp_path / "report.json"
@@ -660,24 +707,29 @@ class TestInputValidation:
         assert not (tmp_path / "out.svg").exists()
 
     def test_field_without_complex_place(self, tmp_path, capsys):
-        # z + 1 has no root off the real axis, so no geometric embedding
+        # z + 1 has no root off the real axis, so no geometric embedding; no
+        # 15/11 field lacks one, so the trefoil row reaches the strip only
+        # when called by hand, and its name does not give it a configuration
         census = tmp_path / "census.json"
         census.write_text(json.dumps({"knots": [{
             "name": "7_4", "kind": "two_bridge", "p": 3, "q": 1, "minpoly": ["1", "1"],
             "genus": 1, "fibered": True,
         }]}))
+        (record,) = load_census(census)
+        with pytest.raises(NoComplexPlace) as info:
+            strip_74_clines(record)
+        assert str(info.value).startswith("Q(z_7_4): ") and "at 128 bits" in str(info.value)
         out = tmp_path / "x.svg"
         argv = ["render", "--census", str(census), "--knot", "7_4", "--out", str(out)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: NoComplexPlace: Q(z_7_4): ") and "at 128 bits" in err
+        assert err.startswith("error: BadArgument: 7_4: no boundary configuration")
         assert not out.exists()
         report = tmp_path / "report.json"
         argv = ["report", "--census", str(census), "--checks", "render", "--json", str(report)]
-        assert cli.main(argv) == 1
+        assert cli.main(argv) == 0
         (entry,) = json.loads(report.read_text())["knots"]
-        assert entry["status"] == "error"
-        assert [e["type"] for e in entry["errors"]] == ["NoComplexPlace"]
+        assert entry["status"] == "ok" and "render" not in entry
 
     def test_library_entry_points_validate(self, census_records):
         with pytest.raises(BadArgument):

@@ -4,7 +4,9 @@ from unittest import mock
 import cmath
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+import modp_reference
 
 from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
 from geodesica import polycore
@@ -369,6 +371,33 @@ class TestIrreducibility:
             return
         theirs = sorted(g.degree() for g, _ in factors)
         assert ours == theirs
+
+
+def _mod_q_poly(coeffs, q):
+    """A nonzero polynomial over F_q without trailing zeros, as the
+    certificates' kernels take them."""
+    f = polycore._mod_p_coeffs(coeffs, q)
+    assume(f)
+    return f
+
+
+MOD_Q = st.sampled_from([2, 3, 5, 7, 11, 13, 37])
+COEFFS = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
+
+
+@given(COEFFS, COEFFS, MOD_Q)
+@settings(max_examples=300, deadline=None)
+def test_mod_q_products_and_divisions_match_the_reference(a, b, q):
+    a, b = _mod_q_poly(a, q), _mod_q_poly(b, q)
+    assert polycore._poly_mod_mul(a, b, q) == modp_reference.poly_mod_mul(a, b, q)
+    assert polycore._poly_mod_divmod(a, b, q) == modp_reference.poly_mod_divmod(a, b, q)
+
+
+@given(COEFFS, MOD_Q)
+@settings(max_examples=300, deadline=None)
+def test_degree_pattern_matches_the_reference(coeffs, q):
+    f = _mod_q_poly(coeffs, q)
+    assert polycore._distinct_degree_pattern(f, q) == modp_reference.distinct_degree_pattern(f, q)
 
 
 def test_gcd_and_square_free():
