@@ -2,8 +2,9 @@
 certified complex roots, and irreducibility certificates.
 
 Coefficients are `fractions.Fraction` throughout; nothing in this module
-touches floating point except the seeds of the complex root finder, whose
-output disks are certified afterwards by exact integer comparisons.
+touches floating point except the seeds of the complex root finder and of the
+real-root Newton refinement, whose disks and intervals are certified
+afterwards by exact integer comparisons.
 """
 
 from __future__ import annotations
@@ -474,6 +475,95 @@ def refine_interval(p: RatPoly, interval: tuple[Fraction, Fraction], width: Frac
     return _Q(A, d), _Q(B, d)
 
 
+# The last Newton step of ``newton_enclosure`` carries _NEWTON_GUARD bits
+# beyond the enclosure it certifies, and the first starts from a double root
+# at no more than _NEWTON_START bits: the double roots of the census minimal
+# polynomials are good to 38-60 bits.  A step at most squares the error,
+# times |p''/2p'| at the root, and starts from an iterate rounded to the
+# previous scale, so each scale is _NEWTON_SLACK bits short of twice the one
+# before.
+_NEWTON_GUARD = 16
+_NEWTON_START = 64
+_NEWTON_SLACK = 8
+
+
+def _float_root(ints: Sequence[int], a: Fraction, b: Fraction, sa: int) -> float:
+    """A double near the root that (a, b) isolates: bisection on the signs of
+    a float Horner, from the exact sign sa at a.  Near the root those signs
+    may be wrong, so the result is a start, not an enclosure."""
+    cs = [float(c) for c in reversed(ints)]
+    lo, hi = float(a), float(b)
+    while True:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            return mid
+        v = 0.0
+        for c in cs:
+            v = v * mid + c
+        if v == 0:
+            return mid
+        if (v > 0) == (sa > 0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _newton_terms(ints: Sequence[int], X: int, s: int) -> tuple[int, int]:
+    """(2^(s n) p(x), 2^(s (n-1)) p'(x)) at x = X/2^s for the integer
+    polynomial p of degree n: Horner's recurrences b_k = b_(k+1) x + c_k and
+    d_k = d_(k+1) x + b_(k+1), each scaled to an integer."""
+    B, D, scale = ints[-1], 0, 1
+    for c in reversed(ints[:-1]):
+        scale <<= s
+        D = D * X + B
+        B = B * X + c * scale
+    return B, D
+
+
+def newton_enclosure(p: RatPoly, interval: tuple[Fraction, Fraction], width_bits: int) -> tuple[Fraction, Fraction] | None:
+    """Enclosure of width 2^-width_bits of the one root of square-free p in
+    the isolating interval, by Newton steps on integers X over 2^s whose
+    precision doubles: a double root, rounded to at most _NEWTON_START bits,
+    takes one step x <- x - p(x)/p'(x) at each scale up to width_bits + 1 +
+    _NEWTON_GUARD bits, and the last iterate, rounded to width_bits + 1 bits,
+    is the centre of [X - 1, X + 1] / 2^(width_bits + 1).  That interval is
+    certified by the two exact endpoint signs ``refine_interval`` checks: it
+    must lie in the isolating interval, and p must have the sign there at
+    its left end that it has at the isolating interval's left end, and the
+    opposite one at its right end.  A deterministic function of its
+    arguments; None when a step does not certify (a coefficient leaves the
+    double range, p' vanishes at an iterate, or the signs do not change),
+    and the caller then bisects.  This is Abbott's quadratic interval
+    refinement ("Quadratic Interval Refinement for Real Roots", ACM Commun.
+    Comput. Algebra 48, 2014) with a fixed doubling schedule."""
+    ints = _integer_multiple(p)[0]
+    a, b = interval
+    sa = _sign_at(ints, a.numerator, a.denominator)
+    scales = [width_bits + 1 + _NEWTON_GUARD]
+    while scales[-1] > _NEWTON_START:
+        scales.append((scales[-1] + _NEWTON_SLACK + 1) // 2)
+    s = scales.pop()
+    try:
+        X = round(math.ldexp(_float_root(ints, a, b, sa), s))
+    except OverflowError:
+        return None
+    while True:
+        H, D = _newton_terms(ints, X, s)
+        if not D:
+            return None
+        X -= H // D
+        if not scales:
+            break
+        t = scales.pop()
+        X, s = X << (t - s), t
+    X = (X + (1 << (_NEWTON_GUARD - 1))) >> _NEWTON_GUARD
+    s -= _NEWTON_GUARD
+    lo, hi = _Q(X - 1, 1 << s), _Q(X + 1, 1 << s)
+    if a <= lo and hi <= b and sa == _sign_at(ints, X - 1, 1 << s) == -_sign_at(ints, X + 1, 1 << s):
+        return lo, hi
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Certified complex roots (Durand-Kerner + Weierstrass disk certification)
 # ---------------------------------------------------------------------------
@@ -819,47 +909,56 @@ def _poly_mod_gcd(a: list[int], b: list[int], q: int) -> list[int]:
     return a
 
 
-def _poly_mod_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    return _mod_p_coeffs(_int_convolve(a, b), q) if a and b else []
+def _frobenius_matrix(f: list[int], q: int) -> list[list[int]]:
+    """Rows x^(q i) mod f over F_q for i < deg f, each padded to deg f: the
+    Berlekamp Q-matrix of the Frobenius map h -> h^q on F_q[x]/(f), which is
+    F_q-linear, so h^q = sum_i h_i x^(q i) (Knuth, TAOCP vol. 2, 4.6.2).
+    Each row is the one before times x^q, one long division by f."""
+    n = len(f) - 1
+    rows = [[1]]
+    for _ in range(n - 1):
+        rows.append(_poly_mod_divmod([0] * q + rows[-1], f, q)[1])
+    return [r + [0] * (n - len(r)) for r in rows]
 
 
-def _poly_mod_powmod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _poly_mod_divmod(base, mod, q)[1]
-    while e:
-        if e & 1:
-            result = _poly_mod_divmod(_poly_mod_mul(result, base, q), mod, q)[1]
-        base = _poly_mod_divmod(_poly_mod_mul(base, base, q), mod, q)[1]
-        e >>= 1
-    return result
+def _frobenius(h: list[int], rows: list[list[int]], q: int) -> list[int]:
+    """h^q mod f for h reduced mod f: one product of h with the Q-matrix."""
+    out = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return _mod_p_coeffs(out, q)
 
 
 def _distinct_degree_pattern(f: list[int], q: int) -> list[int] | None:
     """Degrees (with multiplicity) of the irreducible factors of square-free
     f over F_q, via distinct-degree decomposition.  None if f is not
-    square-free mod q.
+    square-free mod q.  Each x^(q^d) mod f is one product with f's Q-matrix,
+    reduced mod the part of f not yet split off.
     """
     df = _mod_p_coeffs([i * c for i, c in enumerate(f)][1:], q)
     if _poly_mod_gcd(f, df, q) != [1]:
         return None
+    rows = _frobenius_matrix(f, q)
     pattern = []
-    rem = f[:]
+    rem = f
     d = 0
-    h = [0, 1]  # x
+    h = [0, 1]  # x^(q^d) mod f
     while len(rem) - 1 > 0:
         d += 1
         if 2 * d > len(rem) - 1:
             pattern.append(len(rem) - 1)
             break
-        h = _poly_mod_powmod(h, q, rem, q)
-        hx = h + [0] * (2 - len(h))  # x^(q^d) - x
+        h = _frobenius(h, rows, q)
+        hx = h if rem is f else _poly_mod_divmod(h, rem, q)[1]
+        hx = hx + [0] * (2 - len(hx))  # x^(q^d) - x mod rem
         hx[1] -= 1
         g = _poly_mod_gcd(rem, _mod_p_coeffs(hx, q), q)
         if len(g) - 1 > 0:
             count = (len(g) - 1) // d
             pattern.extend([d] * count)
             rem = _poly_mod_divmod(rem, g, q)[0]
-            h = _poly_mod_divmod(h, rem, q)[1]
     return sorted(pattern)
 
 

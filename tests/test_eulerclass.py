@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -18,6 +19,7 @@ from geodesica.eulerclass import (
     solve_integer_system,
 )
 from geodesica.knotgroup import (
+    Mat2,
     Word,
     build_representation,
     evaluate_word,
@@ -25,6 +27,7 @@ from geodesica.knotgroup import (
     riley_polynomial,
     two_bridge_presentation,
 )
+from geodesica.numfield import NumberField
 from geodesica.pipeline import get_knot
 from geodesica.polycore import RatPoly, irreducibility_certificate, rational_roots
 from interval_reference import (
@@ -595,6 +598,32 @@ def test_word_times_its_inverse_lifts_to_the_identity(census_records, data):
     lifting = eulerclass.lift_representation(rep, place)
     for factors in (((w, 1), (w, -1)), ((w, -1), (w, 1))):
         assert lifting.product(factors)[0] == eulerclass.Lift(1, 0, False)
+
+
+def test_inverse_over_a_negative_real_alpha_lifts_to_the_identity():
+    # M = (-2, 1; 1, -1) has b = c and alpha(M) = -3/2, so the lift of M with
+    # sigma = 1 sits at omega = pi, and its inverse over adj M at -pi: one
+    # winding below the lift of adj M with the same sigma
+    K = NumberField(RatPoly([1, 4, -4, 1]), "Q(z_74)")
+    M = Mat2(*(K.rational(x) for x in (-2, 1, 1, -1)))
+    walk = eulerclass.EulerWalk(SimpleNamespace(images=(M,), field=K, word_table={}))
+    place = K.real_places()[0]
+    g = Word.gen(0)
+
+    def sign(e):
+        return place.sign(e, 128, 128)[0]
+
+    for x in (
+        eulerclass.Lift(1, 0, True),
+        eulerclass.Lift(-1, 0, False),
+        eulerclass.Lift(1, 2, True),
+        eulerclass.Lift(-1, -3, False),
+    ):
+        y = eulerclass.ucover_inv(x, M)
+        for pair, factors in (((x, y), ((g, 1), (g, -1))), ((y, x), ((g, -1), (g, 1)))):
+            (step,), product = walk.product(factors)
+            assert product == Mat2.identity(K)
+            assert eulerclass.ucover_mul(*pair, step, sign) == eulerclass.Lift(1, 0, False)
 
 
 def test_reference_ladder_agrees_with_winding_count(rep_73, rep_74, pretzel_1):

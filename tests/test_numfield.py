@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geodesica import numfield
 from geodesica.errors import DivisionByZero, PrecisionExhausted
 from geodesica.eulerclass import closed_surface_obstruction
 from geodesica.numfield import (
     ComplexPlace,
     NumberField,
+    RealPlace,
     is_algebraic_integer,
     minimal_polynomial,
     nf_inverse,
 )
-from geodesica.pipeline import get_knot
-from geodesica.polycore import RatPoly
+from geodesica.pipeline import get_knot, load_census, run
+from geodesica.polycore import RatPoly, refine_interval
 
 K74 = NumberField(RatPoly([1, 4, -4, 1]), "Q(z_74)")
 K73 = NumberField(RatPoly([1, 5, -6, -4, 9, -5, 1]), "Q(z_73)")
@@ -174,6 +176,116 @@ def test_sign_agrees_with_the_embedding(coeffs, index):
         assert value.hi > 0
     if s < 0:
         assert value.lo < 0
+
+
+# The float filter against the exact integer Horner on elements near zero at
+# a real place: z - q for a dyadic q within a few 2^-k of the root, the same
+# times m'(z), and both scaled past the double range, where the filter must
+# leave the decision to the exact path instead of raising.
+
+@given(
+    st.sampled_from(["7_3", "9_18"]),
+    st.integers(0, 1),
+    st.integers(30, 90),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.sampled_from([1, Fraction(-1, 3), 2 ** 1100 + 1]),
+    st.sampled_from([8, 64, 128, 256]),
+)
+@settings(max_examples=150, deadline=None)
+def test_float_filter_never_contradicts_the_exact_sign(
+    census_records, name, index, k, j, times_derivative, scale, bits
+):
+    K = get_knot(census_records, name).rep.field
+    place = K.real_places()[index]
+    lo, _ = K.real_root_enclosure(index, k + 4)
+    e = K.gen() - Fraction(math.floor(lo * 2 ** k) + j, 2 ** k)
+    if times_derivative:
+        e = e * K.element(K.minpoly.derivative().coeffs)
+    e = e * scale
+    exact, _ = place.exact_sign(e, bits, 1 << 16)
+    s = place.float_sign(e, bits)
+    assert s in (0, exact)
+    if scale > 2 ** 1100:
+        assert s == 0
+    assert place.sign(e, bits, 1 << 16)[0] == exact
+
+
+# z^3 - 4z has the dyadic roots -2, 0 and 2 (the arithmetic and the signs
+# need no irreducible modulus), so each enclosure's midpoint is its root and
+# delta is only the half-width: the bound has to come from the coefficients'
+# rounding and the Horner error.  e(2) = +-t for
+# e = (+-t - 2b - 4c) + b z + c z^2, whatever the large b and c.
+DYADIC_ROOTS = NumberField(RatPoly([0, -4, 0, 1]), "Q(z^3 = 4z)")
+
+
+@given(
+    st.randoms(use_true_random=True),
+    st.integers(1, 5),
+    st.sampled_from([1, -1]),
+    st.sampled_from([8, 128]),
+)
+@settings(max_examples=150, deadline=None)
+def test_float_filter_covers_rounding_at_an_exact_midpoint(rnd, t, sign, bits):
+    # b and c from a seeded Random: the large integers hypothesis draws itself
+    # sit next to powers of two, where the roundings cancel
+    b, c = (rnd.choice((1, -1)) * rnd.getrandbits(rnd.randint(60, 80)) for _ in "bc")
+    e = DYADIC_ROOTS.element((sign * t - 2 * b - 4 * c, b, c))
+    place = DYADIC_ROOTS.real_places()[2]
+    assert place.float_sign(e, bits) in (0, sign)
+    assert place.sign(e, bits, 1 << 16)[0] == sign
+
+
+def test_the_filter_decides_every_nonzero_census_sign(monkeypatch):
+    # the euler check over the bundled census makes 4,628 sign decisions, and
+    # the exact path sees only the 74 of them whose element is zero in K
+    decided, exact = [], []
+    sign, exact_sign = RealPlace.sign, RealPlace.exact_sign
+    monkeypatch.setattr(
+        RealPlace, "sign", lambda self, e, *a: decided.append(e) or sign(self, e, *a)
+    )
+    monkeypatch.setattr(
+        RealPlace, "exact_sign", lambda self, e, *a: exact.append(e) or exact_sign(self, e, *a)
+    )
+    assert run(load_census(), checks=("euler",)).exit_status == 0
+    assert len(decided) == 4628
+    assert len(exact) == 74 and all(e.is_zero() for e in exact)
+
+
+# x^5 - 2 (16 x - 1)^2: two real roots about 2^-13 apart next to 1/16, where
+# |p''/2p'| is about 2^13.5, so the Newton steps lose more than their guard
+# bits at 300 bits and the enclosure falls back to bisection
+MIGNOTTE = RatPoly([-2, 64, -512, 0, 0, 1])
+
+
+def _fallbacks(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(
+        numfield, "refine_interval", lambda *a: calls.append(a) or refine_interval(*a)
+    )
+    return calls
+
+
+def _check_enclosures(K: NumberField):
+    for index, (a, b) in enumerate(K.real_isolation().real_intervals):
+        for w in (8, 60, 128, 300):
+            lo, hi = K.real_root_enclosure(index, w)
+            assert hi - lo <= Fraction(1, 2 ** w)
+            assert a <= lo < hi <= b
+            assert K.minpoly.eval(lo) * K.minpoly.eval(hi) < 0
+
+
+def test_newton_certifies_every_census_enclosure(census_records, monkeypatch):
+    fallbacks = _fallbacks(monkeypatch)
+    for minpoly in {r.rep.field.minpoly for r in census_records if r.rep is not None}:
+        _check_enclosures(NumberField(minpoly))
+    assert fallbacks == []
+
+
+def test_close_roots_fall_back_to_bisection(monkeypatch):
+    fallbacks = _fallbacks(monkeypatch)
+    _check_enclosures(NumberField(MIGNOTTE, "Q(mignotte)"))
+    assert Fraction(1, 2 ** 300) in {width for _, _, width in fallbacks}
 
 
 def test_embedding_errors_name_the_field_and_the_place():

