@@ -29,12 +29,10 @@ from .errors import (
     require_positive_int,
 )
 from .knotgroup import Factors, Mat2, MatrixRep, Word, evaluate_word
-from .numfield import FieldElement, RealPlace, is_algebraic_integer, is_prime
+from .numfield import START_BITS, FieldElement, RealPlace, is_algebraic_integer, is_prime
 
-# every check starts its certified decisions at START_BITS and doubles the
-# precision until they certify; an Euler sign decision gives up past
-# PRECISION_CAP with a PrecisionExhausted naming the knot and the place
-START_BITS = 128
+# an Euler sign decision starts at START_BITS and gives up past PRECISION_CAP
+# with a PrecisionExhausted naming the knot and the place
 PRECISION_CAP = 1024
 EULER_SIGN = 1  # fixed by the 7_3 -> (3, 1) anchor
 

@@ -81,9 +81,9 @@ class ExactCline:
     def apply(self, m: Mat2) -> "ExactCline":
         return ExactCline(tuple(mobius_apply(m, p) for p in self.points))
 
-    def realize(self, place: ComplexPlace, precision_bits: int = 128) -> "Cline":
+    def realize(self, place: ComplexPlace) -> "Cline":
         """Numeric Cline at a complex embedding (outward-rounded)."""
-        finite = [place.embed(p, precision_bits) for p in self.points if p is not INF]
+        finite = [place.embed(p) for p in self.points if p is not INF]
         if len(finite) < 3:
             return Cline.line(finite[0], finite[1] - finite[0])
         return _circumcircle(*finite, place)

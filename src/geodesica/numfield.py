@@ -31,6 +31,9 @@ from .polycore import (
     sturm_real_roots,
 )
 
+# every check starts its certified decisions at START_BITS and doubles the
+# precision until they certify
+START_BITS = 128
 _PRECISION_HARD_CAP = 1 << 16
 
 
@@ -146,30 +149,30 @@ class NumberField:
     def real_places(self) -> list["RealPlace"]:
         return [RealPlace(self, i) for i in range(self.real_isolation().count)]
 
-    def complex_root_set(self, precision_bits: int = 128) -> ComplexRootSet:
+    def complex_root_set(self, precision_bits: int) -> ComplexRootSet:
         if precision_bits not in self._complex_roots:
             self._complex_roots[precision_bits] = complex_roots(
                 self.minpoly, precision_bits
             )
         return self._complex_roots[precision_bits]
 
-    def geometric_place(self, precision_bits: int = 128) -> "ComplexPlace":
-        """The complex root with positive imaginary part of largest modulus;
-        the conventional choice for the holonomy embedding when the census
-        does not pin one explicitly.  A root counts when its whole disk lies
-        in the upper half-plane, so a real root never does.  Raises
-        NoComplexPlace when no root qualifies."""
+    def geometric_place(self) -> "ComplexPlace":
+        """The complex root with positive imaginary part of largest modulus
+        at START_BITS; the conventional choice for the holonomy embedding
+        when the census does not pin one explicitly.  A root counts when its
+        whole disk lies in the upper half-plane, so a real root never does.
+        Raises NoComplexPlace when no root qualifies."""
         best, best_m2 = None, None
-        for idx, r in enumerate(self.complex_root_set(precision_bits).roots):
+        for idx, r in enumerate(self.complex_root_set(START_BITS).roots):
             m2 = r.re ** 2 + r.im ** 2
             if r.im > r.radius and (best is None or m2 > best_m2):
                 best, best_m2 = idx, m2
         if best is None:
             raise NoComplexPlace(
                 f"{self.name}: no complex root with positive imaginary part "
-                f"at {precision_bits} bits"
+                f"at {START_BITS} bits"
             )
-        return ComplexPlace(self, best, precision_bits)
+        return ComplexPlace(self, best)
 
     def real_root_enclosure(self, index: int, width_bits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure of the index-th real root (ascending), of width
@@ -305,19 +308,18 @@ class RealPlace:
 @dataclass(frozen=True)
 class ComplexPlace:
     """Complex embedding given by a certified root disk of the minpoly: the
-    root_index-th disk of the root set at index_bits.  At another precision
+    root_index-th disk of the root set at START_BITS.  At another precision
     the place is the one certified disk that lies inside that base disk, so
     it names the same root whatever order the root sets sort it in."""
 
     field: NumberField
     root_index: int
-    index_bits: int = 128
 
-    def root_box(self, precision_bits: int = 128) -> Box:
+    def root_box(self, precision_bits: int) -> Box:
         """The square around the place's certified root disk at
         precision_bits, at scale precision_bits + 16."""
-        r = base = self.field.complex_root_set(self.index_bits).roots[self.root_index]
-        if precision_bits != self.index_bits:
+        r = base = self.field.complex_root_set(START_BITS).roots[self.root_index]
+        if precision_bits != START_BITS:
             # the disk c lies inside base when |c - base| <= base.radius - c.radius
             r = next((
                 c for c in self.field.complex_root_set(precision_bits).roots
@@ -329,7 +331,7 @@ class ComplexPlace:
                 raise PrecisionExhausted(
                     f"{self.field.name}: complex place at root {self.root_index}: no "
                     f"certified disk at {precision_bits} bits lies inside the one at "
-                    f"{self.index_bits} bits"
+                    f"{START_BITS} bits"
                 )
         s = precision_bits + 16
         return Box(
@@ -337,10 +339,12 @@ class ComplexPlace:
             Iv.enclose(r.im - r.radius, r.im + r.radius, s),
         )
 
-    def embed(self, e: "FieldElement", precision_bits: int = 128) -> Box:
-        """Enclosure of e at this place, of width < 2^-(precision_bits/2)."""
-        target = Fraction(1, 2 ** (precision_bits // 2))
-        bits = precision_bits
+    def embed(self, e: "FieldElement") -> Box:
+        """Enclosure of e at this place, of width < 2^-(START_BITS/2), over
+        the root box at START_BITS bits, doubling the bits until it is that
+        narrow."""
+        target = Fraction(1, 2 ** (START_BITS // 2))
+        bits = START_BITS
         while bits <= _PRECISION_HARD_CAP:
             val = _horner(e, self.root_box(bits))
             if val.width() < target:
@@ -348,7 +352,7 @@ class ComplexPlace:
             bits *= 2
         raise PrecisionExhausted(
             f"{self.field.name}: complex embedding at root {self.root_index} "
-            f"did not reach 2^-{precision_bits // 2}"
+            f"did not reach 2^-{START_BITS // 2}"
         )
 
 
@@ -458,9 +462,6 @@ class FieldElement:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         return self.field._make(_int_convolve(self.num, other.num), self.den * other.den)
@@ -469,21 +470,6 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self * nf_inverse(self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * nf_inverse(self)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return nf_inverse(self) ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
 
 def nf_inverse(e: FieldElement) -> FieldElement:

@@ -33,7 +33,6 @@ from .errors import (
     require_positive_int,
 )
 from .eulerclass import (
-    START_BITS,
     euler_tuple,
     obstruction_verdict,
     closed_surface_obstruction,
@@ -56,7 +55,7 @@ from .mobius import (
     uniqueness_system,
 )
 from .mobius import tangency as mobius_tangency
-from .numfield import FieldElement, NumberField, is_prime
+from .numfield import START_BITS, FieldElement, NumberField, is_prime
 from .polycore import RatPoly, irreducibility_certificate
 from .pretzel import (
     PretzelData,
@@ -439,7 +438,7 @@ def pretzel_check(data: PretzelData) -> dict:
     out["recursion_matches_closed_form"] = data.lam == lambda_closed_formula(k)
     out["degree"] = data.lam.degree
     out["entry_identities"] = relator_factorization_check(k)
-    census = psi_root_census(k, START_BITS)
+    census = psi_root_census(k)
     out["root_census"] = {
         "real_roots": census.real_count,
         "per_quadrant": list(census.per_quadrant),
@@ -457,13 +456,13 @@ def pretzel_chain_clines(data: PretzelData):
     K, rep = data.field, data.rep
     tau = rep.longitude_translation()
     h_tau = ExactCline((K.zero(), tau, INF))
-    place = K.geometric_place(START_BITS)
+    place = K.geometric_place()
     clines = [h_tau, h_tau.apply(rep.images[0])]
     for j in range(1, 2 * data.k + 1):
         for fam in ("g", "h"):
             word = data.words[f"{fam}{j}"]
             clines.append(h_tau.apply(evaluate_word(rep, word)))
-    return [c.realize(place, START_BITS) for c in clines]
+    return [c.realize(place) for c in clines]
 
 
 def strip_74_clines(record: KnotRecord):
@@ -471,10 +470,10 @@ def strip_74_clines(record: KnotRecord):
     rep = record.rep
     K = rep.field
     H = ExactCline((K.zero(), rep.longitude_translation() + K.rational(2), INF))
-    place = K.geometric_place(START_BITS)
+    place = K.geometric_place()
     x, y = rep.images[0], rep.images[1]
     configs = [H, H.apply(x), H.apply(y), H.apply(x * y.inverse())]
-    return [c.realize(place, START_BITS) for c in configs]
+    return [c.realize(place) for c in configs]
 
 
 def _render_check(record: KnotRecord) -> dict:

@@ -150,9 +150,6 @@ class RatPoly:
     def __sub__(self, other) -> "RatPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "RatPoly":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "RatPoly":
         other = self._coerce(other)
         if not self.coeffs or not other.coeffs:
@@ -164,18 +161,6 @@ class RatPoly:
         return RatPoly(out if den == 1 else (_Q(c, den) for c in out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RatPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     @staticmethod
     def _coerce(other) -> "RatPoly":
@@ -205,12 +190,6 @@ class RatPoly:
             RatPoly(_Q(k * lb, s_k * la) for k, s_k in quot),
             RatPoly(rem if den == 1 else (_Q(c, den) for c in rem)),
         )
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return self.divmod(other)[0]
 
     def scale(self, c) -> "RatPoly":
         c = _as_fraction(c)
@@ -315,7 +294,7 @@ def square_free_part(p: RatPoly) -> RatPoly:
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p.monic()
-    return (p // g).monic()
+    return p.divmod(g)[0].monic()
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +663,7 @@ def _disks_disjoint(zs: Sequence[tuple[int, int]], radii: Sequence[int]) -> bool
     )
 
 
-def complex_roots(p: RatPoly, precision_bits: int = 128) -> ComplexRootSet:
+def complex_roots(p: RatPoly, precision_bits: int) -> ComplexRootSet:
     """All complex roots of a square-free polynomial with certified radii.
 
     Durand-Kerner runs twice: in machine floats from perturbed roots of

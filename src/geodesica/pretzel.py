@@ -26,7 +26,7 @@ from .knotgroup import (
     Word,
     evaluate_word,
 )
-from .numfield import NumberField, is_prime, nf_inverse
+from .numfield import START_BITS, NumberField, is_prime, nf_inverse
 from .polycore import (
     RatPoly,
     complex_roots,
@@ -285,22 +285,20 @@ class PsiCensus:
     real_count: int
     per_quadrant: tuple[int, int, int, int]
     right_half_moduli_exceed_one: bool
-    precision_bits: int
 
 
-def psi_root_census(k: int, precision_bits: int = 128) -> PsiCensus:
+def psi_root_census(k: int) -> PsiCensus:
     """Certified census of the roots of psi_k: 2 real roots, k per open
     quadrant, and every right-half-plane root outside the unit circle.
 
     Raises PrecisionExhausted if any root disk cannot be placed strictly
     inside an open quadrant / on one side of the unit circle after the
-    escalation built into the certifier.
+    escalation built into the certifier, which starts at START_BITS.
     """
     psi = psi_poly(k)
     real_count = sturm_real_roots(psi).count
 
-    bits = max(precision_bits, 64)
-    rs = complex_roots(psi, bits)
+    rs = complex_roots(psi, START_BITS)
     per_quadrant = [0, 0, 0, 0]
     right_ok = True
     for r in rs.roots:
@@ -310,7 +308,7 @@ def psi_root_census(k: int, precision_bits: int = 128) -> PsiCensus:
             # imaginary axis, else the census is indeterminate
             if not abs(r.re) > r.radius:
                 raise PrecisionExhausted(
-                    f"psi_{k}: root disk touches both axes at {bits} bits"
+                    f"psi_{k}: root disk touches both axes at {START_BITS} bits"
                 )
             continue
         per_quadrant[quad - 1] += 1
@@ -318,7 +316,7 @@ def psi_root_census(k: int, precision_bits: int = 128) -> PsiCensus:
             exceeds = r.modulus_exceeds_one()
             if exceeds is None:
                 raise PrecisionExhausted(
-                    f"psi_{k}: unit-circle test indeterminate at {bits} bits"
+                    f"psi_{k}: unit-circle test indeterminate at {START_BITS} bits"
                 )
             right_ok = right_ok and exceeds
     return PsiCensus(
@@ -326,7 +324,6 @@ def psi_root_census(k: int, precision_bits: int = 128) -> PsiCensus:
         real_count=real_count,
         per_quadrant=tuple(per_quadrant),
         right_half_moduli_exceed_one=right_ok,
-        precision_bits=bits,
     )
 
 

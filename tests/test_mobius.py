@@ -115,16 +115,16 @@ class TestClineImage:
         tau = pretzel_1.rep.longitude_translation()
         h_tau = ExactCline((K.zero(), tau, INF))
         c1 = h_tau.apply(pretzel_1.rep.images[1])  # s2(H_tau): circle through 0
-        place = K.geometric_place(128)
-        cl = c1.realize(place, 128)
+        place = K.geometric_place()
+        cl = c1.realize(place)
         assert cl.kind == "circle"
 
     def test_realize_line(self, pretzel_1):
         K = pretzel_1.field
         tau = pretzel_1.rep.longitude_translation()
         h_tau = ExactCline((K.zero(), tau, INF))
-        place = K.geometric_place(128)
-        cl = h_tau.realize(place, 128)
+        place = K.geometric_place()
+        cl = h_tau.realize(place)
         assert cl.kind == "line"
 
 
@@ -233,9 +233,9 @@ class TestTangencyInterval:
         direction = tau + K.rational(2)
         H = ExactCline((K.zero(), direction, INF))
         x, y = rep_74.images[0], rep_74.images[1]
-        place = K.geometric_place(160)
-        c1 = H.apply(y).realize(place, 160)
-        c2 = H.apply(x * y.inverse()).realize(place, 160)
+        place = K.geometric_place()
+        c1 = H.apply(y).realize(place)
+        c2 = H.apply(x * y.inverse()).realize(place)
         assert tangency(c1, c2).kind == "Secant"
 
     def test_near_tangent_is_indeterminate(self, pretzel_1):
@@ -244,9 +244,9 @@ class TestTangencyInterval:
         K = pretzel_1.field
         tau = pretzel_1.rep.longitude_translation()
         h_tau = ExactCline((K.zero(), tau, INF))
-        place = K.geometric_place(128)
-        line = h_tau.realize(place, 128)
-        circle = h_tau.apply(pretzel_1.rep.images[1]).realize(place, 128)
+        place = K.geometric_place()
+        line = h_tau.realize(place)
+        circle = h_tau.apply(pretzel_1.rep.images[1]).realize(place)
         assert tangency(circle, line).kind == "Indeterminate"
 
     def test_transported_pair_keeps_classification(self, rep_74):
@@ -255,23 +255,23 @@ class TestTangencyInterval:
         direction = tau + K.rational(2)
         H = ExactCline((K.zero(), direction, INF))
         x, y = rep_74.images[0], rep_74.images[1]
-        place = K.geometric_place(160)
+        place = K.geometric_place()
         a = H.apply(y)
         b = H.apply(x * y.inverse())
-        base = tangency(a.realize(place, 160), b.realize(place, 160)).kind
+        base = tangency(a.realize(place), b.realize(place)).kind
         g = x * y
         moved = tangency(
-            a.apply(g).realize(place, 160), b.apply(g).realize(place, 160)
+            a.apply(g).realize(place), b.apply(g).realize(place)
         ).kind
         assert base == moved == "Secant"
 
 
 def test_collinear_cline_names_the_field_and_the_root(census_records):
-    place = get_knot(census_records, "7_4").rep.field.geometric_place(128)
+    place = get_knot(census_records, "7_4").rep.field.geometric_place()
     K = place.field
     collinear = ExactCline((K.zero(), K.one(), K.rational(2)))
     with pytest.raises(DegenerateCline) as exc:
-        collinear.realize(place, 128)
+        collinear.realize(place)
     message = str(exc.value)
     assert K.name in message and f"root {place.root_index}" in message
     assert K.name == "Q(z_7_4)"

@@ -8,6 +8,7 @@ from geodesica import numfield
 from geodesica.errors import DivisionByZero, PrecisionExhausted
 from geodesica.eulerclass import closed_surface_obstruction
 from geodesica.numfield import (
+    START_BITS,
     ComplexPlace,
     NumberField,
     RealPlace,
@@ -15,7 +16,7 @@ from geodesica.numfield import (
     minimal_polynomial,
     nf_inverse,
 )
-from geodesica.pipeline import get_knot, load_census, run
+from geodesica.pipeline import ALL_CHECKS, get_knot, load_census, run
 from geodesica.polycore import RatPoly, refine_interval
 
 K74 = NumberField(RatPoly([1, 4, -4, 1]), "Q(z_74)")
@@ -156,7 +157,7 @@ class TestSign:
         lo, _ = K73.real_root_enclosure(0, 60)
         s, bits = place.sign(K73.gen() - lo, 8, 1 << 16)
         assert s == 1 and bits >= 64 and bits & (bits - 1) == 0
-        assert place.sign(lo - K73.gen(), 8, 1 << 16) == (-1, bits)
+        assert place.sign(K73.rational(lo) - K73.gen(), 8, 1 << 16) == (-1, bits)
         with pytest.raises(PrecisionExhausted, match=r"Q\(z_73\): sign at real place 0 .* 32 bits"):
             place.sign(K73.gen() - lo, 8, 32)
 
@@ -252,6 +253,22 @@ def test_the_filter_decides_every_nonzero_census_sign(monkeypatch):
     assert len(exact) == 74 and all(e.is_zero() for e in exact)
 
 
+def test_every_census_complex_embedding_takes_one_rung(monkeypatch):
+    # the full report realizes its clines by 94 complex embeddings, and each
+    # is narrow enough at the root box of START_BITS, the ladder's first rung
+    embedded, rungs = [], []
+    embed, root_box = ComplexPlace.embed, ComplexPlace.root_box
+    monkeypatch.setattr(
+        ComplexPlace, "embed", lambda self, e: embedded.append(e) or embed(self, e)
+    )
+    monkeypatch.setattr(
+        ComplexPlace, "root_box", lambda self, bits: rungs.append(bits) or root_box(self, bits)
+    )
+    assert run(load_census(), checks=ALL_CHECKS).exit_status == 0
+    assert len(embedded) == 94
+    assert rungs == [START_BITS] * 94
+
+
 # x^5 - 2 (16 x - 1)^2: two real roots about 2^-13 apart next to 1/16, where
 # |p''/2p'| is about 2^13.5, so the Newton steps lose more than their guard
 # bits at 300 bits and the enclosure falls back to bisection
@@ -288,15 +305,16 @@ def test_close_roots_fall_back_to_bisection(monkeypatch):
     assert Fraction(1, 2 ** 300) in {width for _, _, width in fallbacks}
 
 
-def test_embedding_errors_name_the_field_and_the_place():
+def test_embedding_errors_name_the_field_and_the_place(monkeypatch):
     # a start precision above the cap runs no rung
     with pytest.raises(PrecisionExhausted, match=r"^Q\(z_73\): embedding at real place 1 "):
         K73.real_places()[1].embed(K73.gen(), 1 << 17)
-    place = K73.geometric_place(128)
+    place = K73.geometric_place()
+    monkeypatch.setattr(numfield, "_PRECISION_HARD_CAP", START_BITS // 2)
     with pytest.raises(
         PrecisionExhausted, match=rf"^Q\(z_73\): complex embedding at root {place.root_index} "
     ):
-        place.embed(K73.gen(), 1 << 17)
+        place.embed(K73.gen())
 
 
 def _box_bounds(box):
@@ -319,8 +337,8 @@ def test_complex_place_names_one_root_across_precisions(census_records):
 
 
 def test_complex_place_without_an_inner_disk_names_the_root():
-    # the 64-bit disk is wider than the 256-bit one, so it cannot lie inside
-    place = K74.geometric_place(256)
+    # the 64-bit disk is wider than the 128-bit one, so it cannot lie inside
+    place = K74.geometric_place()
     with pytest.raises(
         PrecisionExhausted, match=rf"^Q\(z_74\): complex place at root {place.root_index}: "
     ):
@@ -362,7 +380,7 @@ class TestSubfieldFlags:
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel against the rational reference RatPoly(a)*RatPoly(b) % m
+# The integer kernel against the rational reference RatPoly(a)*RatPoly(b) mod m
 # ---------------------------------------------------------------------------
 
 # monic integer minimal polynomials: degree 1, the census cubic and sextic,
@@ -387,8 +405,12 @@ def field_and_vectors(draw, fields, count):
     return K, [draw(coords) for _ in range(count)]
 
 
+def reduced(K, p):
+    return p.divmod(K.minpoly)[1]
+
+
 def reference(K, coeffs):
-    return RatPoly(coeffs) % K.minpoly
+    return reduced(K, RatPoly(coeffs))
 
 
 def as_poly(e):
@@ -402,10 +424,10 @@ def test_kernel_matches_rational_reference(data):
     x, y = K.element(a), K.element(b)
     ra, rb = reference(K, a), reference(K, b)
     assert as_poly(x) == ra
-    assert as_poly(x + y) == (ra + rb) % K.minpoly
-    assert as_poly(x - y) == (ra - rb) % K.minpoly
+    assert as_poly(x + y) == reduced(K, ra + rb)
+    assert as_poly(x - y) == reduced(K, ra - rb)
     assert as_poly(-x) == -ra
-    assert as_poly(x * y) == (ra * rb) % K.minpoly
+    assert as_poly(x * y) == reduced(K, ra * rb)
     assert len(x.coeffs) == K.degree
     # canonical form: positive denominator in lowest terms
     assert x.den > 0
@@ -435,7 +457,7 @@ def test_kernel_inverse_against_reference(data):
             nf_inverse(x)
         return
     inv = nf_inverse(x)
-    assert (reference(K, a) * as_poly(inv)) % K.minpoly == RatPoly([1])
+    assert reduced(K, reference(K, a) * as_poly(inv)) == RatPoly([1])
     assert x * inv == K.one()
 
 
@@ -511,7 +533,7 @@ def _dense_product(K, x, y):
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             out[i + j] += u * v
-    return RatPoly(out) % K.minpoly
+    return reduced(K, RatPoly(out))
 
 
 @st.composite
@@ -524,7 +546,8 @@ def sparse_element(draw, K):
         return K.rational(draw(st.sampled_from([1, -1])))
     if kind == "power":
         # +-z^k, past the degree too so the reduction is exercised
-        return draw(st.sampled_from([1, -1])) * K.gen() ** draw(st.integers(0, 2 * d))
+        power = math.prod([K.gen()] * draw(st.integers(0, 2 * d)), start=K.one())
+        return draw(st.sampled_from([1, -1])) * power
     terms = st.one_of(
         st.just(Fraction(0)),
         st.fractions(min_value=-9, max_value=9, max_denominator=12),
@@ -579,4 +602,4 @@ def test_dot_matches_two_products_and_a_sum(data):
     got, want = K.dot(a, b, c, d), a * b + c * d
     assert (got.num, got.den) == (want.num, want.den)
     assert got.den > 0 and math.gcd(got.den, *got.num) == 1
-    assert RatPoly.dot(*map(as_poly, (a, b, c, d))) % K.minpoly == as_poly(want)
+    assert reduced(K, RatPoly.dot(*map(as_poly, (a, b, c, d)))) == as_poly(want)

@@ -43,17 +43,17 @@ PHI_1 = RatPoly([-1, -1, -1, 0, 0, 0, 1, -1, 1])  # x^8 - x^7 + x^6 - x^2 - x - 
 class TestReduceMod:
     def test_cubic_example(self):
         # long division of z^3 by the 15/11 cubic
-        assert RatPoly([0, 0, 0, 1]) % M74 == RatPoly([-1, -4, 4])
+        assert RatPoly([0, 0, 0, 1]).divmod(M74)[1] == RatPoly([-1, -4, 4])
 
     def test_already_reduced(self):
-        assert RatPoly([0, 1]) % M74 == RatPoly([0, 1])
+        assert RatPoly([0, 1]).divmod(M74)[1] == RatPoly([0, 1])
 
     def test_zero(self):
-        assert RatPoly([]) % M74 == RatPoly([])
+        assert RatPoly([]).divmod(M74)[1] == RatPoly([])
 
     def test_zero_modulus(self):
         with pytest.raises(ZeroModulus):
-            RatPoly([1]) % RatPoly([])
+            RatPoly([1]).divmod(RatPoly([]))
 
     def test_remultiply_oracle(self):
         a = RatPoly([3, -2, 0, 7, 1, 5])
@@ -73,8 +73,8 @@ small_polys = st.lists(small_rationals, min_size=0, max_size=6).map(RatPoly)
 def test_reduce_mod_multiplicative(a, b, m):
     if m.degree < 1:
         return
-    lhs = (a * b) % m
-    rhs = ((a % m) * (b % m)) % m
+    lhs = (a * b).divmod(m)[1]
+    rhs = (a.divmod(m)[1] * b.divmod(m)[1]).divmod(m)[1]
     assert lhs == rhs
 
 
@@ -349,7 +349,7 @@ class TestIrreducibility:
         v = irreducibility_certificate(PHI_1)
         assert v.status == "reducible"
         assert v.factor == RatPoly([1, 0, 1])
-        assert (PHI_1 % v.factor).is_zero()
+        assert PHI_1.divmod(v.factor)[1].is_zero()
 
     def test_73_sextic(self):
         assert irreducibility_certificate(SEXTIC_73).is_irreducible
@@ -362,7 +362,7 @@ class TestIrreducibility:
             p = p * RatPoly([-r, 1])
         v = irreducibility_certificate(p)
         assert v.status == "reducible"
-        assert not (p % v.factor).coeffs
+        assert not p.divmod(v.factor)[1].coeffs
 
     def test_rational_roots(self):
         p = RatPoly([Fraction(-1, 2), 1]) * RatPoly([3, 1]) * RatPoly([1, 0, 1])
@@ -445,7 +445,7 @@ def test_census_certificates_match_the_reference_patterns(census_records, monkey
 
 
 def test_gcd_and_square_free():
-    a = RatPoly([1, 1]) ** 2 * RatPoly([-2, 1])
+    a = RatPoly([1, 1]) * RatPoly([1, 1]) * RatPoly([-2, 1])
     g = poly_gcd(a, a.derivative())
     assert g == RatPoly([1, 1])
     assert square_free_part(a) == (RatPoly([1, 1]) * RatPoly([-2, 1])).monic()
@@ -532,7 +532,6 @@ def test_integer_divmod_matches_fraction_loop(a, b):
     (q, r), (wq, wr) = a.divmod(b), _fraction_divmod(a, b)
     assert q.coeffs == wq.coeffs and r.coeffs == wr.coeffs
     assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
-    assert (a % b, a // b) == (r, q)
 
 
 def _fraction_gcd(a, b):

@@ -32,11 +32,13 @@ def psi_from_lambda(k: int) -> RatPoly:
     """
     lam = lambda_poly(k)
     x2m1 = RatPoly((-1, 0, 1))
-    out = RatPoly.zero()
+    out, power = RatPoly.zero(), RatPoly.one()  # power = (x^2 - 1)^i
     for i, c in enumerate(lam.coeffs):
+        if i:
+            power = power * x2m1
         if c == 0:
             continue
-        term = (x2m1 ** i) * RatPoly.constant(c)
+        term = power * RatPoly.constant(c)
         shift = 2 * k + 1 - i
         term = term * RatPoly([0] * shift + [1]) if shift else term
         out = out + term
@@ -172,7 +174,7 @@ class TestPsi:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_root_census(self, k):
-        census = psi_root_census(k, 128)
+        census = psi_root_census(k)
         assert census.real_count == 2
         assert census.per_quadrant == (k, k, k, k)
         assert census.right_half_moduli_exceed_one

@@ -112,31 +112,88 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _name_uses(tree: ast.AST) -> Counter:
-    """How often each name is read as a Name, an Attribute or an import alias."""
+def _annotation_names(ann) -> set[str]:
+    """The names an annotation spells, inside string annotations too."""
+    names = set()
+    for node in ast.walk(ann) if ann is not None else ():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _annotation_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _uses(node: ast.AST, methods: dict[str, set[str]], cls: str | None = None) -> Counter:
+    """How often node reaches each definition, keyed ``f``/``C`` for a
+    top-level name and ``C.m`` for a method.  A name, an attribute or an
+    import alias reaches the top-level definition of its name (a receiver
+    may be a module).  An attribute ``r.m`` reaches ``C.m`` alone when r is
+    ``self``/``cls`` in a method of C, the name C, or a parameter or
+    annotated variable whose annotation names C; any other receiver
+    reaches every class in ``methods[m]``, the classes that define m."""
     uses = Counter()
-    for node in ast.walk(tree):
+
+    def receiver_classes(recv, candidates, env, cls):
+        if not isinstance(recv, ast.Name):
+            return set()
+        if recv.id in ("self", "cls") and cls:
+            return {cls} & candidates
+        if recv.id in candidates:
+            return {recv.id}
+        return env.get(recv.id, set()) & candidates
+
+    def visit(node, cls, env):
+        if isinstance(node, ast.ClassDef):
+            for child in node.bases + node.keywords + node.decorator_list:
+                visit(child, cls, env)
+            for child in node.body:
+                visit(child, node.name, env)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            env = dict(env)
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None:
+                    env[arg.arg] = _annotation_names(arg.annotation)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    env[sub.target.id] = _annotation_names(sub.annotation)
         if isinstance(node, ast.Name):
             uses[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            uses[node.attr] += 1
         elif isinstance(node, ast.alias):
             uses[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+            candidates = methods.get(node.attr, set())
+            for owner in receiver_classes(node.value, candidates, env, cls) or candidates:
+                uses[f"{owner}.{node.attr}"] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, env)
+
+    visit(node, cls, {})
     return uses
 
 
 def _unreached_definitions(modules: dict[str, ast.Module]) -> list[str]:
-    """Definitions whose name nothing reads outside their own body, across
-    all the modules given; a method counts as reached by any attribute of
-    its name."""
+    """Definitions nothing reaches outside their own body, across all the
+    modules given; a method is reached as ``_uses`` resolves receivers."""
+    methods = {}
+    for tree in modules.values():
+        for qualname, _ in _definitions(tree):
+            owner, _, name = qualname.rpartition(".")
+            if owner:
+                methods.setdefault(name, set()).add(owner)
     total = Counter()
     for tree in modules.values():
-        total.update(_name_uses(tree))
+        total.update(_uses(tree, methods))
     return [
         f"{module}:{node.lineno} {qualname}"
         for module, tree in modules.items()
         for qualname, node in _definitions(tree)
-        if total[node.name] == _name_uses(node)[node.name]
+        if total[qualname] == _uses(node, methods, qualname.rpartition(".")[0] or None)[qualname]
     ]
 
 
@@ -147,6 +204,7 @@ UNREACHED_ALLOWED = {
     "UniqSystem.constants": "acceptance API: the j=2 system's constants",
     "tangency_via_shared_point": "the exact check that chain circles touch at a shared point",
     "Word.to_string": "inverse of Word.from_string, the census text form of a word",
+    "RealPlace.embed": "the benchmark tracer wraps it (numfield.embed)",
 }
 
 
@@ -182,6 +240,31 @@ def test_unreached_definitions_detector():
         ),
     }
     assert _unreached_definitions(modules) == ["a.py:2 lonely", "a.py:6 C.n"]
+
+
+def test_unreached_methods_resolve_their_receivers():
+    # C and D share every method name; each use of C's below names its
+    # receiver, so only the unannotated y.a reaches D's method too
+    modules = {
+        "a.py": ast.parse(
+            "class C:\n"
+            "    def a(self): return self.b()\n"
+            "    def b(self): pass\n"
+            "    def c(self): pass\n"
+            "    def d(self): pass\n"
+            "class D:\n"
+            "    def a(self): pass\n"
+            "    def b(self): pass\n"
+            "    def c(self): pass\n"
+            "    def d(self): pass\n"
+        ),
+        "b.py": ast.parse(
+            "from a import C, D\n"
+            "def f(x: 'C', y): return C.c(x), x.d(), y.a()\n"
+            "f(C(), None)\n"
+        ),
+    }
+    assert _unreached_definitions(modules) == ["a.py:8 D.b", "a.py:9 D.c", "a.py:10 D.d"]
 
 
 def _mpmath_imports(tree: ast.AST) -> list[int]:
