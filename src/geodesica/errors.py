@@ -34,6 +34,12 @@ class PrecisionExhausted(GeodesicaError):
     """Certified decision impossible within the precision cap."""
 
 
+class Undecided(Exception):
+    """A ball holds 0, so its sign is not decided at its precision; the
+    caller decides the sign exactly instead.  It never leaves the package,
+    so it is not a GeodesicaError."""
+
+
 class NoComplexPlace(GeodesicaError):
     """The field has no certified root with positive imaginary part, so it
     has no geometric (holonomy) embedding."""

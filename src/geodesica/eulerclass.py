@@ -5,9 +5,14 @@ A point of the cover over an exact det-1 matrix M over K = Q[z]/(m) is a sign
 sigma and a winding count m: its angle is omega = Arg alpha(sigma M) + 2 pi m,
 with alpha(M) = ((a + d) + i(b - c))/2 and Arg in (-pi, pi].  A product adds
 the winding counts and two carries read off half-planes (``ucover_mul``), so
-every decision is the sign of an element of K at a real place
-(``RealPlace.sign``): no angle is computed, and the Euler number comes out as
-an exact integer.
+every decision is the sign of a real number at a real place: no angle is
+computed, and the Euler number comes out as an exact integer.
+
+Each sign is read from integer balls at the place (``RealPlace.ball``): the
+generator images are embedded once at the lifting's bits, and each product of
+lifts walks their ball products.  A ball never guesses; when one holds 0, the
+product is walked again on exact matrices over K (``EulerWalk``), whose signs
+``RealPlace.sign`` decides, refining the root enclosure as far as the cap.
 
 Sign convention: places are ordered by ascending real root, generators get
 principal lifts (omega in [0, pi)), and e = (omega_lift - omega_section)/pi,
@@ -19,6 +24,9 @@ not a theorem.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -26,9 +34,10 @@ from .errors import (
     MilnorWoodViolated,
     NoLiftExists,
     PrecisionExhausted,
+    Undecided,
     require_positive_int,
 )
-from .knotgroup import Factors, Mat2, MatrixRep, Word, evaluate_word
+from .knotgroup import Factors, Mat2, MatrixRep, Word, evaluate_word, flatten
 from .numfield import START_BITS, FieldElement, RealPlace, is_algebraic_integer, is_prime
 
 # an Euler sign decision starts at START_BITS and gives up past PRECISION_CAP
@@ -37,7 +46,8 @@ PRECISION_CAP = 1024
 EULER_SIGN = 1  # fixed by the 7_3 -> (3, 1) anchor
 
 
-# 2 alpha(M) = (a + d) + i (b - c), an element of K[i] as its (re, im) pair
+# 2 alpha(M) = (a + d) + i (b - c) as its (re, im) pair: two elements of K, or
+# two balls at a place (``RealPlace.ball``)
 Gauss = tuple[FieldElement, FieldElement]
 Sign = Callable[[FieldElement], int]
 # one product of lifts over M1 and M2: 4 alpha(M1) alpha(M2) and 2 alpha(M1 M2)
@@ -88,13 +98,31 @@ def ucover_mul(x: Lift, y: Lift, step: Step, sign: Sign) -> Lift:
     return Lift(sigma, m, upper)
 
 
-def ucover_inv(x: Lift, M: Mat2) -> Lift:
+def _inverse(x: Lift, real: bool) -> Lift:
     """Inverse of a lift over M: -omega over adj M, whose alpha is conj
     alpha(M).  Conjugation swaps U and L off the real axis; a negative real
-    alpha(sigma M) keeps Arg pi, so its count drops by one more."""
-    if M.b == M.c:
+    alpha(sigma M) keeps Arg pi, so its count drops by one more.  ``real``
+    says whether alpha(M) is real, b = c."""
+    if real:
         return Lift(x.sigma, -x.m - int(x.upper), x.upper)
     return Lift(x.sigma, -x.m, not x.upper)
+
+
+def ucover_inv(x: Lift, M: Mat2) -> Lift:
+    """Inverse of a lift over the exact matrix M (see ``_inverse``)."""
+    return _inverse(x, M.b == M.c)
+
+
+def _central_gap(x: Lift, y: Lift, sign: int) -> int:
+    """omega_x - omega_y in units of pi, for lifts x over P and y over Q
+    with P = sign Q.  When x.sigma sign = y.sigma, both lie over one matrix
+    of SL(2, R) and the gap is 2 (m_x - m_y).  Otherwise
+    alpha(x.sigma P) = -alpha(y.sigma Q), whose Arg is pi less than x's when
+    x lies in U and pi more when it lies in L."""
+    gap = 2 * (x.m - y.m)
+    if x.sigma * sign != y.sigma:
+        gap += 1 if x.upper else -1
+    return gap
 
 
 def _letters(w: Word) -> Factors:
@@ -107,14 +135,14 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 class EulerWalk:
-    """Exact data of the Euler computation of one representation, built on
-    first use and shared by the places it is passed to: the steps that lift
-    a product of factor words factor by factor (a word is the product of its
-    letters).  Word matrices live in the representation's word table, so the
-    longitude and tau read what the walk evaluated, and the other way round."""
+    """Exact data of the Euler computation of one representation, built only
+    when a product's balls leave a sign undecided, and shared by the places
+    it is passed to: the steps that lift a product of factor words factor by
+    factor (a word is the product of its letters).  Word matrices live in
+    the representation's word table, so the longitude and tau read what the
+    walk evaluated, and the other way round."""
 
     def __init__(self, rep: MatrixRep):
-        self.images = rep.images
         self.identity = Mat2.identity(rep.field)
         self.dot = rep.field.dot
         self.table = rep.word_table
@@ -145,44 +173,101 @@ class EulerWalk:
         return data
 
 
+def _shared_walk(rep: MatrixRep) -> Callable[[], EulerWalk]:
+    """A function that returns rep's EulerWalk, built on its first call."""
+    return functools.cache(lambda: EulerWalk(rep))
+
+
 class PlaceLift:
     """A representation lifted at one real place: principal generator lifts
-    (+-G with Arg alpha in [0, pi)), each word lifted once, and the central
-    shifts (in units of pi, one per generator) under which every relator
-    lifts to the identity.  ``bits`` is the widest root enclosure a sign
-    decision has needed so far."""
+    (+-G with Arg alpha in [0, pi)), each word lifted once next to its ball
+    (``RealPlace.ball`` of its matrix), and the central shifts (in units of
+    pi, one per generator) under which every relator lifts to the identity.
+    The generator balls are built at ``bits``; ``walk`` returns the knot's
+    EulerWalk for a product whose balls leave a sign undecided, and ``bits``
+    then grows to the widest root enclosure an exact decision needed."""
 
-    def __init__(self, walk: EulerWalk, place: RealPlace, bits: int):
-        self.walk, self.place, self.bits = walk, place, bits
-        self.words: dict[Word, Lift] = {}
-        for g, M in enumerate(walk.images):
-            s = self.sign(M.b - M.c)
-            self.words[Word.gen(g)] = Lift(s, 0, True) if s else Lift(self.sign(M.trace()), 0, False)
-        self.shifts: tuple[int, ...] = (0,) * len(walk.images)
+    def __init__(self, rep: MatrixRep, place: RealPlace, bits: int,
+                 walk: Callable[[], EulerWalk]):
+        self.place, self.bits, self.walk = place, bits, walk
+        # word -> (its lift, the ball of its matrix)
+        self.words: dict[Word, tuple] = {}
+        for g, M in enumerate(rep.images):
+            B = place.ball(M.entries(), bits)
+            (re, im), (x, y) = B.alpha2(), _alpha2(M)
+            s = self.decide(im, y)
+            lift = Lift(s, 0, True) if s else Lift(self.decide(re, x), 0, False)
+            self.words[Word.gen(g)] = lift, B
+        self.one = B.one()  # the identity, at the scale of every ball here
+        self.shifts: tuple[int, ...] = (0,) * len(rep.images)
 
     def sign(self, e: FieldElement) -> int:
         s, self.bits = self.place.sign(e, self.bits, PRECISION_CAP)
         return s
 
-    def word(self, w: Word) -> Lift:
-        """Lift of w under the principal generator lifts."""
-        lift = self.words.get(w)
-        if lift is None:
-            lift = self.words[w] = self.product(_letters(w))[0]
-        return lift
+    def decide(self, ball, e: FieldElement) -> int:
+        """The sign of e here, from its ball, or exactly when the ball holds 0."""
+        try:
+            return self.place.ball_sign(ball)
+        except Undecided:
+            return self.sign(e)
+
+    def word(self, w: Word) -> tuple:
+        """(lift of w under the principal generator lifts, ball of w)."""
+        data = self.words.get(w)
+        if data is None:
+            data = self.words[w] = self.lift(_letters(w))
+        return data
+
+    def factor(self, w: Word, s: int) -> tuple:
+        """(lift, ball) of the factor w, or of w^-1 for s < 0: the inverse of
+        w's lift over the adjugate of w's ball."""
+        lift, B = self.word(w)
+        if s > 0:
+            return lift, B
+        try:
+            self.place.ball_sign(B.alpha2()[1])  # alpha(M) is not real
+        except Undecided:
+            return ucover_inv(lift, self.walk().matrix(w)), B.adjugate()
+        return _inverse(lift, False), B.adjugate()
+
+    def lift(self, factors: Factors) -> tuple:
+        """(lift, ball) of a product of factor words under the principal
+        generator lifts (the shifts are not applied): the lift is walked on
+        the balls, or on the exact steps (``product``) when a ball holds 0."""
+        if not factors:
+            return Lift(1, 0, False), self.one
+        lifts, balls = zip(*(self.factor(w, s) for w, s in factors))
+        prefixes = list(itertools.accumulate(balls, operator.mul))
+        lift = lifts[0]
+        try:
+            for P, G, PG, y in zip(prefixes, balls[1:], prefixes[1:], lifts[1:]):
+                lift = ucover_mul(lift, y, (P.pair(G), PG.alpha2()), self.place.ball_sign)
+        except Undecided:
+            lift = self.product(factors)[0]
+        return lift, prefixes[-1]
 
     def product(self, factors: Factors) -> tuple[Lift, Mat2]:
         """Lift of a product of factor words under the principal generator
-        lifts (the shifts are not applied), with its exact matrix."""
-        steps, M = self.walk.product(factors)
-        lifts = [
-            self.word(w) if s > 0 else ucover_inv(self.word(w), self.walk.matrix(w))
-            for w, s in factors
-        ]
+        lifts, walked on the exact steps of the knot's EulerWalk, with its
+        exact matrix."""
+        steps, M = self.walk().product(factors)
+        lifts = [self.factor(w, s)[0] for w, s in factors]
         lift = lifts[0] if lifts else Lift(1, 0, False)
         for step, y in zip(steps, lifts[1:]):
             lift = ucover_mul(lift, y, step, self.sign)
         return lift, M
+
+    def relator_defect(self, factors: Factors, sign: int) -> int:
+        """Central defect, in units of pi, of the lift of a relator whose
+        factors evaluate to sign * I: the gap between the lift of all its
+        factors but the last and the inverse lift of the last, which lie
+        over sign-related matrices.  A one-factor relator closes on its
+        last letter."""
+        if len(factors) == 1:
+            factors = _letters(flatten(factors))
+        *head, (w, s) = factors
+        return _central_gap(self.lift(tuple(head))[0], self.factor(w, -s)[0], sign)
 
 
 # ---------------------------------------------------------------------------
@@ -269,34 +354,28 @@ def solve_integer_system(E: Sequence[Sequence[int]], b: Sequence[int]) -> list[i
 # ---------------------------------------------------------------------------
 
 
-def _relator_defect(lift: Lift, M: Mat2) -> int:
-    """Central defect, in units of pi, of a lift over M = +-I: omega is
-    2 pi m at sigma M = I and pi + 2 pi m at sigma M = -I."""
-    return 2 * lift.m + ((lift.sigma > 0) != (M.a == 1))
-
-
 def lift_representation(
     rep: MatrixRep,
     place: RealPlace,
     precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    walk: Optional[EulerWalk] = None,
+    walk: Optional[Callable[[], EulerWalk]] = None,
 ) -> PlaceLift:
     """Principal lifts of the generator images with every relator defect
     annihilated: starts from the principal lift of each generator (shifted by
     the optional central offsets, exercising lift-independence), measures the
     central defect c^{k_r} of each relator, and solves E m = -k over the
     relator abelianization matrix E.  A central shift moves a word's lift by
-    its exponent sums, so no word is walked twice.  A walk of rep, when
-    given, shares its exact data with the knot's other places."""
+    its exponent sums, so no word is walked twice.  ``walk``, when given,
+    returns rep's EulerWalk and shares it with the knot's other places."""
     require_positive_int(precision_bits, "precision_bits")
     pres = rep.presentation
     start = (list(offsets or ()) + [0] * pres.generator_count)[:pres.generator_count]
-    lifting = PlaceLift(walk or EulerWalk(rep), place, precision_bits)
+    lifting = PlaceLift(rep, place, precision_bits, walk or _shared_walk(rep))
     E = pres.relator_exponent_matrix()
     defects = [
-        _relator_defect(*lifting.product(factors)) + _dot(row, start)
-        for factors, row in zip(pres.relator_factors, E)
+        lifting.relator_defect(factors, sign) + _dot(row, start)
+        for factors, sign, row in zip(pres.relator_factors, rep.relator_signs, E)
     ]
     shifts = start
     if any(defects):
@@ -324,7 +403,7 @@ def euler_number(
     place: RealPlace,
     precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    walk: Optional[EulerWalk] = None,
+    walk: Optional[Callable[[], EulerWalk]] = None,
 ) -> EulerResult:
     """Euler number e([F]) at a real place: the central gap, in units of pi,
     between the lifted longitude and the canonical section.  The longitude
@@ -342,12 +421,13 @@ def euler_number(
         )
     try:
         lifting = lift_representation(rep, place, precision_bits, offsets, walk)
-        lift, L = lifting.product(pres.longitude_factors)
+        lift, ball = lifting.lift(pres.longitude_factors)
         tau = rep.longitude_translation()
-        sigma = lift.sigma if L.a == -1 else -lift.sigma
+        flip = rep.longitude_matrix().a == -1  # tau = -b, else tau = b
+        sigma = lift.sigma if flip else -lift.sigma
         n = 2 * lift.m
         if sigma == 1:
-            n += 1 if lifting.sign(tau) <= 0 else -1
+            n += 1 if lifting.decide((-ball.b if flip else ball.b, ball.r), tau) <= 0 else -1
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(
             f"{name}: euler number at place {place.index} failed up to {PRECISION_CAP} bits: {exc}"
@@ -362,8 +442,9 @@ def euler_number(
 
 def euler_tuple(rep: MatrixRep) -> tuple[EulerResult, ...]:
     """Euler numbers at every real place, ordered by ascending real root;
-    the places share one walk."""
-    walk = EulerWalk(rep)
+    the places share one walk, built only if a ball leaves a sign
+    undecided."""
+    walk = _shared_walk(rep)
     return tuple(euler_number(rep, place, walk=walk) for place in rep.field.real_places())
 
 

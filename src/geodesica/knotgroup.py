@@ -84,8 +84,11 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def reversed_letters(self) -> "Word":
-        """The word spelled backwards (NOT the inverse)."""
-        return Word(tuple(reversed(self.letters)))
+        """The word spelled backwards (NOT the inverse).  Reversal keeps a
+        reduced word reduced, so the letters are shared, not reduced again."""
+        out = Word.__new__(Word)
+        out.letters = self.letters[::-1]
+        return out
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -334,6 +337,11 @@ class MatrixRep:
     word_table: dict[Word, Mat2] = dataclasses.field(
         default_factory=dict, repr=False, compare=False
     )
+    # the sign of the identity each relator evaluates to, +1 for I and -1
+    # for -I, which verify records
+    relator_signs: tuple[int, ...] = dataclasses.field(
+        default=(), init=False, repr=False, compare=False
+    )
     # exact peripheral data, computed on first use and shared by every
     # place, precision rung and check that reads it
     _longitude: Optional[Mat2] = dataclasses.field(
@@ -354,11 +362,15 @@ class MatrixRep:
                     f"{self.presentation.name}: generator {i} image has det != 1"
                 )
         pres = self.presentation
+        signs = []
         for r, factors in zip(pres.relators, pres.relator_factors):
-            if not self.factor_product(factors).is_proj_identity():
+            M = self.factor_product(factors)
+            if not M.is_proj_identity():
                 raise NotARepresentation(
                     f"{pres.name}: relator {r!r} does not evaluate to +-I"
                 )
+            signs.append(1 if M.a == K.one() else -1)
+        self.relator_signs = tuple(signs)
         tr = self.word_matrix(pres.meridian).trace()
         if tr != K.rational(2) and tr != K.rational(-2):
             raise NotARepresentation(f"{pres.name}: meridian image is not parabolic")
@@ -430,6 +442,10 @@ def build_representation(
     square-free part of the gcd of the entries of A.W - W.B: decided in
     K = Q[z]/(minpoly) as A.W == W.B and minpoly square-free.  The relators
     are then verified to evaluate to +-I.
+
+    X -> J X^T J with J = (0 1; 1 0) is an anti-automorphism that fixes A
+    and B, so the longitude's v, w spelled backwards, evaluates to
+    (W.d, W.b; W.c, W.a); the word table holds it next to W.
     """
     K = NumberField(minpoly, name)
     if images is None:
@@ -441,7 +457,8 @@ def build_representation(
             raise NotARepresentation(
                 f"{pres.name}: minpoly does not divide the Riley polynomial"
             )
-        return MatrixRep(presentation=pres, field=K, images=images, word_table={w: W})
+        table = {w: W, w.reversed_letters(): Mat2(W.d, W.b, W.c, W.a)}
+        return MatrixRep(presentation=pres, field=K, images=images, word_table=table)
     return MatrixRep(presentation=pres, field=K, images=tuple(images))
 
 

@@ -5,9 +5,11 @@ Z[z] and one positive common denominator, in lowest terms.  Products are
 integer convolutions over the nonzero terms of both operands, reduced by the
 monic integer minimal polynomial; a sum of two products (``NumberField.dot``,
 the matrix-product kernel) is reduced once.  Embeddings return outward-rounded
-integer dyadic intervals (``intervals``) refined on demand; the sign of an
-element at a real place is decided by a float filter with a rigorous error
-bound, and by exact integer arithmetic when the filter cannot decide.
+integer dyadic intervals (``intervals``) refined on demand, and a matrix's
+embedded entries make its integer ball at a real place (``RealPlace.ball``);
+the sign of an element at a real place is decided by a float filter with a
+rigorous error bound, and by exact integer arithmetic when the filter cannot
+decide.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DivisionByZero, NoComplexPlace, PrecisionExhausted
-from .intervals import Box, Iv
+from .intervals import Ball2, Box, Iv, ball_sign
 from .polycore import (
     ComplexRootSet,
     RatPoly,
@@ -221,6 +223,15 @@ class RealPlace:
             f"reach 2^-{precision_bits // 2}"
         )
 
+    def ball(self, entries: Sequence["FieldElement"], bits: int) -> Ball2:
+        """The ball of the matrix (a, b; c, d) of the given entries here:
+        each entry embedded at precision_bits = bits (``embed``), at the
+        scale bits + 16 of those embeddings."""
+        return Ball2.enclose(tuple(self.embed(e, bits) for e in entries), bits + 16)
+
+    # the sign of a ball built from these: never 0, and Undecided when it holds 0
+    ball_sign = staticmethod(ball_sign)
+
     def sign(self, e: "FieldElement", bits: int, cap: int) -> tuple[int, int]:
         """(sign of e here, the bits that decided it): the float filter at
         the root enclosure of width 2^-bits when it decides, which leaves
@@ -387,11 +398,14 @@ def _filter_point(lo: Fraction, hi: Fraction, n: int) -> Optional[tuple[float, .
 
 
 def _horner(e: "FieldElement", x):
-    """e over the interval or box x: Horner on the integer numerator, then
-    one outward division by the denominator."""
+    """e over the interval or box x: Horner on the integer numerator from
+    its top nonzero coefficient (a zero point times x is the zero point, so
+    the leading zeros change nothing), then one outward division by the
+    denominator."""
     num = e.num
-    acc = x * 0 + num[-1]  # the top coefficient as a point at x's scale
-    for c in reversed(num[:-1]):
+    top = max((j for j, c in enumerate(num) if c), default=0)
+    acc = x * 0 + num[top]  # the top coefficient as a point at x's scale
+    for c in reversed(num[:top]):
         acc = acc * x + c
     return acc / e.den
 

@@ -581,7 +581,6 @@ class CertifiedRoot:
 @dataclass(frozen=True)
 class ComplexRootSet:
     roots: tuple[CertifiedRoot, ...]
-    precision_bits: int
 
 
 # A point of the polish is a Gaussian integer (x, y) standing for
@@ -684,7 +683,7 @@ def complex_roots(p: RatPoly, precision_bits: int) -> ComplexRootSet:
     if precision_bits < 53:
         raise BadArgument("precision_bits must be at least 53")
     if p.degree < 1:
-        return ComplexRootSet((), precision_bits)
+        return ComplexRootSet(())
     if poly_gcd(p, p.derivative()).degree > 0:
         raise RepeatedRoots("input has repeated roots; deflate first")
 
@@ -705,7 +704,7 @@ def complex_roots(p: RatPoly, precision_bits: int) -> ComplexRootSet:
             return ComplexRootSet(tuple(
                 CertifiedRoot(_Q(x, unit), _Q(y, unit), _Q(r, unit))
                 for (x, y), r in sorted(zip(zs, radii))
-            ), precision_bits)
+            ))
         bits *= 2
     raise PrecisionExhausted(f"could not certify disjoint root disks for {p!r}")
 

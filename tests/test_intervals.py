@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from geodesica.intervals import Box, Iv
+from geodesica.errors import Undecided
+from geodesica.intervals import Ball2, Box, Iv, ball_sign
 from interval_reference import (
     ComplexIv,
     iv,
@@ -270,3 +272,84 @@ def test_complex_operators_match_iv_mpf_formulas(data, prec):
         assert same(x * x, ref_mul(x, x))
         assert same(x / y, ref_div(x, y))
         assert same(x.conj(), (x.re, -x.im))
+
+
+# ---------------------------------------------------------------------------
+# The 2x2 ball kernel
+# ---------------------------------------------------------------------------
+
+
+def _in_ball(m: int, r: int, s: int, q: Fraction) -> bool:
+    return abs(q * (1 << s) - m) <= r
+
+
+def test_ball_sign_raises_for_a_ball_that_holds_zero():
+    assert ball_sign((1, 0)) == 1 and ball_sign((-1, 0)) == -1
+    assert ball_sign((6, 5)) == 1 and ball_sign((-6, 5)) == -1
+    for ball in ((0, 0), (5, 5), (-5, 5), (3, 7)):
+        with pytest.raises(Undecided):
+            ball_sign(ball)
+
+
+@st.composite
+def ball_members(draw, s):
+    """A 2x2 ball at scale s and one matrix it holds, its entries drawn at
+    the ball's ends more often than inside."""
+    mids = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=4, max_size=4))
+    r = draw(st.integers(0, 2 ** 30))
+    ts = draw(st.lists(
+        st.sampled_from([Fraction(-1), Fraction(1)])
+        | st.fractions(min_value=-1, max_value=1, max_denominator=100),
+        min_size=4, max_size=4,
+    ))
+    return Ball2(*mids, r, s), [Fraction(m + t * r, 1 << s) for m, t in zip(mids, ts)]
+
+
+def _gauss_of(x):
+    a, b, c, d = x
+    return a + d, b - c
+
+
+@given(st.integers(0, 80).flatmap(lambda s: st.tuples(ball_members(s), ball_members(s))))
+@settings(max_examples=150, deadline=None)
+def test_ball_kernel_encloses_its_members(case):
+    (P, p), (Q, q) = case
+    s = P.s
+    a, b, c, d = p
+    e, f, g, h = q
+    PQ = P * Q
+    product = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    for ball, entries in ((PQ, product), (P.adjugate(), (d, -b, -c, a))):
+        assert all(
+            _in_ball(m, ball.r, s, x)
+            for m, x in zip((ball.a, ball.b, ball.c, ball.d), entries)
+        )
+    for (m, r), x in zip(P.alpha2(), _gauss_of(p)):
+        assert _in_ball(m, r, s, x)
+    (x1, y1), (x2, y2) = _gauss_of(p), _gauss_of(q)
+    for (m, r), x in zip(P.pair(Q), (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1)):
+        assert _in_ball(m, r, 2 * s, x)
+
+
+def test_ball_product_radius_covers_the_radii_product_and_the_floor():
+    # zero midpoints: every product entry of the corners is 2 e f over 2^2s,
+    # which only the 2 e f term of the radius covers
+    s, e, f = 4, 100, 300
+    PQ = Ball2(0, 0, 0, 0, e, s) * Ball2(0, 0, 0, 0, f, s)
+    assert _in_ball(PQ.a, PQ.r, s, Fraction(2 * e * f, 1 << 2 * s))
+    # exact points: (1/2)^2 = 1/4 floors to 0 at scale 1, and only the
+    # floor's +1 holds it
+    P = Ball2(1, 0, 0, 0, 0, 1)
+    assert _in_ball((P * P).a, (P * P).r, 1, Fraction(1, 4))
+    # the identity at a ball's scale is exact and a two-sided unit
+    Q = Ball2(5, -3, 2, 7, 1, 3)
+    assert (Q.one().a, Q.one().r) == (8, 0)
+    assert [(Q.one() * Q).a, (Q.one() * Q).d] == [Q.a, Q.d]
+
+
+def test_ball_encloses_its_intervals():
+    entries = (Iv(-7, 9, 20), Iv(1, 2, 18), Iv(0, 0, 16), Iv(-3, -1, 16))
+    ball = Ball2.enclose(entries, 16)
+    for m, x in zip((ball.a, ball.b, ball.c, ball.d), entries):
+        for end in (x.lo, x.hi):
+            assert _in_ball(m, ball.r, 16, Fraction(end, 1 << x.s))

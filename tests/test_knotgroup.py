@@ -402,6 +402,36 @@ def test_word_table_matches_flat_words_on_random_fractions(fraction, c):
             build_representation(pres, linear)
 
 
+# X -> J X^T J, J = (0 1; 1 0), reverses products and fixes the Riley images
+# A = (1 1; 0 1) and B = (1 0; z 1), so a word spelled backwards evaluates to
+# its matrix with the diagonal swapped: (a, b; c, d) -> (d, b; c, a)
+
+
+def _diagonal_swap(M: Mat2) -> Mat2:
+    return Mat2(M.d, M.b, M.c, M.a)
+
+
+def test_longitude_v_is_w_with_its_diagonal_swapped_on_the_census(census_records):
+    reps = [r.rep for r in census_records if r.kind == "two_bridge"]
+    assert len(reps) == 19
+    for rep in reps:
+        w = rep.presentation.w
+        v = w.reversed_letters()
+        assert rep.word_table[v] == _diagonal_swap(rep.word_table[w]) == evaluate_word(rep, v)
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_a_reversed_word_in_a_and_b_swaps_the_diagonal(letters):
+    z = RatPoly.x()
+    images = (
+        Mat2(RatPoly.one(), RatPoly.one(), RatPoly.zero(), RatPoly.one()),
+        Mat2(RatPoly.one(), RatPoly.zero(), z, RatPoly.one()),
+    )
+    w = Word(letters)
+    assert evaluate_word(images, w.reversed_letters()) == _diagonal_swap(evaluate_word(images, w))
+
+
 def test_factors_must_spell_the_words():
     pres = two_bridge_presentation(5, 3)
     with pytest.raises(ValueError, match="factors do not spell"):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geodesica import numfield
+from geodesica import eulerclass, numfield
 from geodesica.errors import DivisionByZero, PrecisionExhausted
 from geodesica.eulerclass import closed_surface_obstruction
 from geodesica.numfield import (
@@ -238,19 +238,32 @@ def test_float_filter_covers_rounding_at_an_exact_midpoint(rnd, t, sign, bits):
 
 
 def test_the_filter_decides_every_nonzero_census_sign(monkeypatch):
-    # the euler check over the bundled census makes 4,628 sign decisions, and
-    # the exact path sees only the 74 of them whose element is zero in K
-    decided, exact = [], []
-    sign, exact_sign = RealPlace.sign, RealPlace.exact_sign
+    # the euler check over the bundled census decides its 5,570 signs on
+    # balls at the places: no product is walked again on exact steps, so no
+    # EulerWalk is built and neither the filter nor the exact path runs
+    decided, exact, walks, fallbacks = [], [], [], []
+    ball_sign, sign = RealPlace.ball_sign, RealPlace.sign
+    build, product = eulerclass.EulerWalk.__init__, eulerclass.PlaceLift.product
+
+    def counted_ball_sign(x):
+        s = ball_sign(x)
+        decided.append(s)
+        return s
+
+    monkeypatch.setattr(RealPlace, "ball_sign", staticmethod(counted_ball_sign))
     monkeypatch.setattr(
-        RealPlace, "sign", lambda self, e, *a: decided.append(e) or sign(self, e, *a)
+        RealPlace, "sign", lambda self, e, *a: exact.append(e) or sign(self, e, *a)
     )
     monkeypatch.setattr(
-        RealPlace, "exact_sign", lambda self, e, *a: exact.append(e) or exact_sign(self, e, *a)
+        eulerclass.EulerWalk, "__init__", lambda self, rep: walks.append(rep) or build(self, rep)
+    )
+    monkeypatch.setattr(
+        eulerclass.PlaceLift, "product",
+        lambda self, factors: fallbacks.append(factors) or product(self, factors),
     )
     assert run(load_census(), checks=("euler",)).exit_status == 0
-    assert len(decided) == 4628
-    assert len(exact) == 74 and all(e.is_zero() for e in exact)
+    assert len(decided) == 5570 and 0 not in decided
+    assert (exact, walks, fallbacks) == ([], [], [])
 
 
 def test_every_census_complex_embedding_takes_one_rung(monkeypatch):

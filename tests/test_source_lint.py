@@ -204,7 +204,6 @@ UNREACHED_ALLOWED = {
     "UniqSystem.constants": "acceptance API: the j=2 system's constants",
     "tangency_via_shared_point": "the exact check that chain circles touch at a shared point",
     "Word.to_string": "inverse of Word.from_string, the census text form of a word",
-    "RealPlace.embed": "the benchmark tracer wraps it (numfield.embed)",
 }
 
 
