@@ -11,8 +11,9 @@ computed, and the Euler number comes out as an exact integer.
 Each sign is read from integer balls at the place (``RealPlace.ball``): the
 generator images are embedded once at the lifting's bits, and each product of
 lifts walks their ball products.  A ball never guesses; when one holds 0, the
-product is walked again on exact matrices over K (``EulerWalk``), whose signs
-``RealPlace.sign`` decides, refining the root enclosure as far as the cap.
+product is walked again on exact matrices over K (``EulerWalk``), and each of
+its signs takes the one exact path, ``RealPlace.sign``: integer interval Horner
+over a root enclosure refined as far as the cap.
 
 Sign convention: places are ordered by ascending real root, generators get
 principal lifts (omega in [0, pi)), and e = (omega_lift - omega_section)/pi,

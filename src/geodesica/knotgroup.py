@@ -445,7 +445,8 @@ def build_representation(
 
     X -> J X^T J with J = (0 1; 1 0) is an anti-automorphism that fixes A
     and B, so the longitude's v, w spelled backwards, evaluates to
-    (W.d, W.b; W.c, W.a); the word table holds it next to W.
+    (W.d, W.b; W.c, W.a); the word table holds it next to W, with the
+    longitude's last factor a^k, k = -2e, as A^k = (1 k; 0 1).
     """
     K = NumberField(minpoly, name)
     if images is None:
@@ -458,6 +459,9 @@ def build_representation(
                 f"{pres.name}: minpoly does not divide the Riley polynomial"
             )
         table = {w: W, w.reversed_letters(): Mat2(W.d, W.b, W.c, W.a)}
+        k = -2 * sum(e for _, e in w.letters)
+        if k:
+            table[Word.gen(0, k)] = Mat2(one, K.rational(k), zero, one)
         return MatrixRep(presentation=pres, field=K, images=images, word_table=table)
     return MatrixRep(presentation=pres, field=K, images=tuple(images))
 

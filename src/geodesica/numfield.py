@@ -7,9 +7,9 @@ monic integer minimal polynomial; a sum of two products (``NumberField.dot``,
 the matrix-product kernel) is reduced once.  Embeddings return outward-rounded
 integer dyadic intervals (``intervals``) refined on demand, and a matrix's
 embedded entries make its integer ball at a real place (``RealPlace.ball``);
-the sign of an element at a real place is decided by a float filter with a
-rigorous error bound, and by exact integer arithmetic when the filter cannot
-decide.
+the sign of an element at a real place is decided exactly, by integer
+interval Horner over a root enclosure refined until it certifies
+(``RealPlace.sign``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class NumberField:
         # keyed by (index, width_bits) / precision_bits so repeated queries
         # reproduce the same enclosure bit-for-bit (report determinism)
         self._real_enclosures: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        self._filter_points: dict[tuple[int, int], Optional[tuple[float, ...]]] = {}
         self._complex_roots: dict[int, ComplexRootSet] = {}
 
     def __repr__(self):
@@ -190,16 +189,6 @@ class NumberField:
             ) or refine_interval(self.minpoly, base, Fraction(1, 2 ** width_bits))
         return self._real_enclosures[key]
 
-    def filter_point(self, index: int, bits: int) -> Optional[tuple[float, ...]]:
-        """The float filter's data for the 2^-bits enclosure of the index-th
-        real root (see ``_filter_point``), computed once per (index, bits)."""
-        key = (index, bits)
-        if key not in self._filter_points:
-            self._filter_points[key] = _filter_point(
-                *self.real_root_enclosure(index, bits), self.degree - 1
-            )
-        return self._filter_points[key]
-
 
 @dataclass(frozen=True)
 class RealPlace:
@@ -208,7 +197,7 @@ class RealPlace:
     field: NumberField
     index: int
 
-    def embed(self, e: "FieldElement", precision_bits: int = 64) -> Iv:
+    def embed(self, e: "FieldElement", precision_bits: int) -> Iv:
         """Enclosure of e at this place, of width < 2^-(precision_bits/2)."""
         target = Fraction(1, 2 ** (precision_bits // 2))
         bits = precision_bits
@@ -233,59 +222,6 @@ class RealPlace:
     ball_sign = staticmethod(ball_sign)
 
     def sign(self, e: "FieldElement", bits: int, cap: int) -> tuple[int, int]:
-        """(sign of e here, the bits that decided it): the float filter at
-        the root enclosure of width 2^-bits when it decides, which leaves
-        bits as it is, else ``exact_sign``."""
-        s = self.float_sign(e, bits)
-        return (s, bits) if s else self.exact_sign(e, bits, cap)
-
-    def float_sign(self, e: "FieldElement", bits: int) -> int:
-        """The sign of e here, or 0 when the float filter cannot decide it
-        (e = 0 among them): a semi-static filter in the manner of Shewchuk
-        ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
-        Geometric Predicates", DCG 18, 1997).
-
-        Let r be the root, x the double nearest the midpoint of its
-        enclosure of width 2^-bits, delta >= |r - x| and R >= |x| + delta,
-        all fixed per enclosure (``_filter_point``).  Let c_i be the integer
-        coefficients of e's numerator (den > 0, so e has their sign at r),
-        n the degree of the vector, c'_i = fl(c_i), so |c_i - c'_i| <=
-        u |c'_i| with u = 2^-53, p = sum c_i t^i, q = sum c'_i t^i, and v the
-        float Horner value of q at x.  Then
-          - |p(r) - p(x)| <= delta max |p'(t)| over |t - x| <= delta
-            <= (1 + u) delta D, with D = sum i |c'_i| R^(i-1);
-          - |p(x) - q(x)| <= u A, with A = sum |c'_i| R^i;
-          - |q(x) - v| <= gamma_2n A, gamma_k = k u / (1 - k u) (Higham,
-            Accuracy and Stability of Numerical Algorithms, (5.3)), while
-            nothing underflows.
-        So |p(r) - v| <= (gamma_2n + u) A + (1 + u) delta D.  The loop
-        computes A and D as float Horner sums of nonnegative terms, so the
-        exact ones are at most (1 + gamma_2n) times the computed ones, and
-        the bound's own five roundings lose at most a factor (1 - u)^5;
-        slack >= 1 + gamma_(2n+6) covers both.  A product that underflows
-        errs by at most 2^-1075, which the later Horner steps scale by at
-        most R each, and eta covers that for v, A and D.  Hence |v| above
-        slack ((gamma_2n + u) A + delta D) + eta has the sign of p(r).  A
-        coefficient beyond the double range raises OverflowError, and an
-        overflow in the loop makes v or the bound inf or nan, which fails
-        the comparison; either way the filter cannot decide."""
-        point = self.field.filter_point(self.index, bits)
-        if point is None:
-            return 0
-        x, delta, R, g, slack, eta = point
-        v = a = d = 0.0
-        try:
-            for c in reversed(e.num):
-                c = float(c)
-                d = d * R + a
-                a = a * R + abs(c)
-                v = v * x + c
-        except OverflowError:
-            return 0
-        bound = slack * (g * a + delta * d) + eta
-        return 1 if v > bound else -1 if v < -bound else 0
-
-    def exact_sign(self, e: "FieldElement", bits: int, cap: int) -> tuple[int, int]:
         """(sign of e here, the bits that decided it): 0 when e is zero in K,
         else by exact integer interval Horner of e's numerator over the root
         enclosure of width 2^-bits, doubling bits up to cap."""
@@ -365,36 +301,6 @@ class ComplexPlace:
             f"{self.field.name}: complex embedding at root {self.root_index} "
             f"did not reach 2^-{START_BITS // 2}"
         )
-
-
-_U = Fraction(1, 1 << 53)  # the unit roundoff of a double
-
-
-def _up(q: Fraction) -> float:
-    """A double >= q."""
-    return math.nextafter(float(q), math.inf)
-
-
-def _gamma(k: int) -> Fraction:
-    return k * _U / (1 - k * _U)
-
-
-def _filter_point(lo: Fraction, hi: Fraction, n: int) -> Optional[tuple[float, ...]]:
-    """(x, delta, R, g, slack, eta) for ``RealPlace.float_sign`` over the
-    root enclosure [lo, hi], for coefficient vectors of degree n: x the
-    double nearest the midpoint, delta >= |r - x| for every r in [lo, hi],
-    R >= |x| + delta, g >= gamma_2n + u, slack >= 1 + gamma_(2n+6) and eta
-    >= 4 n (1 + delta) 2^-1074 max(1, R)^n, which bounds the underflow of
-    v, A and D.  None when a bound leaves the double range."""
-    mid = (lo + hi) / 2
-    try:
-        x = float(mid)
-        delta = (hi - lo) / 2 + abs(mid - Fraction(x))
-        R = _up(abs(Fraction(x)) + delta)
-        eta = _up(Fraction(4 * n) * (1 + delta) * Fraction(max(1.0, R)) ** n / (1 << 1074))
-    except OverflowError:
-        return None
-    return x, _up(delta), R, _up(_gamma(2 * n) + _U), _up(1 + _gamma(2 * n + 6)), eta
 
 
 def _horner(e: "FieldElement", x):

@@ -365,6 +365,10 @@ def test_repeated_factor_refused_where_the_relation_holds(monkeypatch):
 
 def _assert_factors_match_flat_words(rep):
     pres = rep.presentation
+    if pres.w is not None:
+        # the Riley build enters W, its reverse v and the longitude's a^-2e
+        # before the longitude is evaluated
+        assert {w for w, _ in pres.longitude_factors} <= rep.word_table.keys()
     for r, factors in zip(pres.relators, pres.relator_factors):
         assert rep.factor_product(factors) == evaluate_word(rep, r)
     assert rep.longitude_matrix() == evaluate_word(rep, pres.longitude)

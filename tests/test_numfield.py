@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geodesica import eulerclass, numfield
-from geodesica.errors import DivisionByZero, PrecisionExhausted
+from geodesica.errors import DivisionByZero, PrecisionExhausted, Undecided
 from geodesica.eulerclass import closed_surface_obstruction
 from geodesica.numfield import (
     START_BITS,
@@ -162,61 +162,51 @@ class TestSign:
             place.sign(K73.gen() - lo, 8, 32)
 
 
-@given(
-    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=6),
-    st.sampled_from([0, 1]),
-)
-@settings(max_examples=100, deadline=None)
-def test_sign_agrees_with_the_embedding(coeffs, index):
-    place = K73.real_places()[index]
-    e = K73.element(coeffs)
-    s, bits = place.sign(e, 16, 1 << 16)
-    assert (s == 0) == e.is_zero()
-    value = place.embed(e, 2 * bits + 64)
-    if s > 0:
-        assert value.hi > 0
-    if s < 0:
-        assert value.lo < 0
+def _embedded_sign(place, e) -> int:
+    """The sign of e here from its embeddings alone: 0 for zero in K, else
+    that of the first enclosure at 64, 128, ... bits that excludes 0."""
+    if e.is_zero():
+        return 0
+    bits = 64
+    while True:
+        x = place.embed(e, bits)
+        if x.lo > 0 or x.hi < 0:
+            return 1 if x.lo > 0 else -1
+        bits *= 2
 
 
-# The float filter against the exact integer Horner on elements near zero at
-# a real place: z - q for a dyadic q within a few 2^-k of the root, the same
-# times m'(z), and both scaled past the double range, where the filter must
-# leave the decision to the exact path instead of raising.
+def _random_elements(K):
+    coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=6)
+    return st.tuples(st.sampled_from(K.real_places()), coeffs.map(K.element))
 
-@given(
-    st.sampled_from(["7_3", "9_18"]),
-    st.integers(0, 1),
-    st.integers(30, 90),
-    st.integers(-3, 3),
-    st.booleans(),
-    st.sampled_from([1, Fraction(-1, 3), 2 ** 1100 + 1]),
-    st.sampled_from([8, 64, 128, 256]),
-)
-@settings(max_examples=150, deadline=None)
-def test_float_filter_never_contradicts_the_exact_sign(
-    census_records, name, index, k, j, times_derivative, scale, bits
-):
-    K = get_knot(census_records, name).rep.field
-    place = K.real_places()[index]
-    lo, _ = K.real_root_enclosure(index, k + 4)
+
+@st.composite
+def _near_a_root(draw, K):
+    """z - q for a dyadic q within a few 2^-k of a real root, or that times
+    m'(z), scaled by 1, -1/3 or 2^1100 + 1 (past the double range)."""
+    place = draw(st.sampled_from(K.real_places()))
+    k, j = draw(st.integers(30, 90)), draw(st.integers(-3, 3))
+    lo, _ = K.real_root_enclosure(place.index, k + 4)
     e = K.gen() - Fraction(math.floor(lo * 2 ** k) + j, 2 ** k)
-    if times_derivative:
+    if draw(st.booleans()):
         e = e * K.element(K.minpoly.derivative().coeffs)
-    e = e * scale
-    exact, _ = place.exact_sign(e, bits, 1 << 16)
-    s = place.float_sign(e, bits)
-    assert s in (0, exact)
-    if scale > 2 ** 1100:
-        assert s == 0
-    assert place.sign(e, bits, 1 << 16)[0] == exact
+    return place, e * draw(st.sampled_from([1, Fraction(-1, 3), 2 ** 1100 + 1]))
+
+
+@given(data=st.data(), bits=st.sampled_from([8, 16, 64, 128, 256]))
+@settings(max_examples=250, deadline=None)
+def test_sign_agrees_with_the_embedding(census_records, data, bits):
+    K918 = get_knot(census_records, "9_18").rep.field
+    place, e = data.draw(st.one_of(
+        _random_elements(K73), _near_a_root(K73), _near_a_root(K918)
+    ))
+    assert place.sign(e, bits, 1 << 16)[0] == _embedded_sign(place, e)
 
 
 # z^3 - 4z has the dyadic roots -2, 0 and 2 (the arithmetic and the signs
-# need no irreducible modulus), so each enclosure's midpoint is its root and
-# delta is only the half-width: the bound has to come from the coefficients'
-# rounding and the Horner error.  e(2) = +-t for
-# e = (+-t - 2b - 4c) + b z + c z^2, whatever the large b and c.
+# need no irreducible modulus).  e(2) = +-t for
+# e = (+-t - 2b - 4c) + b z + c z^2: with b and c of 60 to 80 bits, the sign
+# certifies only once the enclosure of 2 is narrower than about 2^-80.
 DYADIC_ROOTS = NumberField(RatPoly([0, -4, 0, 1]), "Q(z^3 = 4z)")
 
 
@@ -227,20 +217,19 @@ DYADIC_ROOTS = NumberField(RatPoly([0, -4, 0, 1]), "Q(z^3 = 4z)")
     st.sampled_from([8, 128]),
 )
 @settings(max_examples=150, deadline=None)
-def test_float_filter_covers_rounding_at_an_exact_midpoint(rnd, t, sign, bits):
+def test_sign_at_an_exact_dyadic_root_is_the_known_value(rnd, t, sign, bits):
     # b and c from a seeded Random: the large integers hypothesis draws itself
-    # sit next to powers of two, where the roundings cancel
+    # sit next to powers of two
     b, c = (rnd.choice((1, -1)) * rnd.getrandbits(rnd.randint(60, 80)) for _ in "bc")
     e = DYADIC_ROOTS.element((sign * t - 2 * b - 4 * c, b, c))
     place = DYADIC_ROOTS.real_places()[2]
-    assert place.float_sign(e, bits) in (0, sign)
     assert place.sign(e, bits, 1 << 16)[0] == sign
 
 
-def test_the_filter_decides_every_nonzero_census_sign(monkeypatch):
+def test_the_balls_decide_every_census_sign(monkeypatch):
     # the euler check over the bundled census decides its 5,570 signs on
     # balls at the places: no product is walked again on exact steps, so no
-    # EulerWalk is built and neither the filter nor the exact path runs
+    # EulerWalk is built and RealPlace.sign, the exact path, never runs
     decided, exact, walks, fallbacks = [], [], [], []
     ball_sign, sign = RealPlace.ball_sign, RealPlace.sign
     build, product = eulerclass.EulerWalk.__init__, eulerclass.PlaceLift.product
@@ -264,6 +253,32 @@ def test_the_filter_decides_every_nonzero_census_sign(monkeypatch):
     assert run(load_census(), checks=("euler",)).exit_status == 0
     assert len(decided) == 5570 and 0 not in decided
     assert (exact, walks, fallbacks) == ([], [], [])
+
+
+def test_the_exact_walk_alone_reproduces_every_census_euler_tuple(census_records, monkeypatch):
+    # the exact walk is the soundness backstop behind the balls: with every
+    # ball sign undecided, each product is walked on exact steps and every
+    # sign is RealPlace.sign's, and the Euler tuples come out as before
+    want = {
+        r.name: [x.n for x in eulerclass.euler_tuple(r.rep)]
+        for r in census_records if r.rep is not None
+    }
+    fallbacks = []
+    product = eulerclass.PlaceLift.product
+
+    def undecided(ball):
+        raise Undecided("every ball holds 0")
+
+    monkeypatch.setattr(RealPlace, "ball_sign", staticmethod(undecided))
+    monkeypatch.setattr(
+        eulerclass.PlaceLift, "product",
+        lambda self, factors: fallbacks.append(factors) or product(self, factors),
+    )
+    report = run(load_census(), checks=("euler",))
+    assert report.exit_status == 0
+    got = {k["name"]: k["euler"]["euler"] for k in report.payload["knots"] if "euler" in k}
+    assert got == want and len(want) == 22
+    assert fallbacks
 
 
 def test_every_census_complex_embedding_takes_one_rung(monkeypatch):
