@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -392,8 +391,7 @@ def lift_representation(
     return lifting
 
 
-@dataclass(frozen=True)
-class EulerResult:
+class EulerResult(NamedTuple):
     place_index: int
     n: int
     precision_bits: int  # the widest root enclosure a sign decision needed
@@ -466,8 +464,7 @@ def _trace_generating_words(rep: MatrixRep) -> list[Word]:
     return words
 
 
-@dataclass(frozen=True)
-class FieldFacts:
+class FieldFacts(NamedTuple):
     """The field hypotheses of the obstruction theorems, decided once per
     knot; its fields are the report's ``field`` entry."""
 
@@ -519,8 +516,7 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 VERDICT_KNOWN_UNIQUE = "KnownUniqueSurface"
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     name: str
     facts: FieldFacts
     genus: Optional[int]
@@ -532,7 +528,7 @@ class ObstructionReport:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "field": asdict(self.facts),
+            "field": self.facts._asdict(),
             "genus": self.genus,
             "fibered": self.fibered,
             "euler": list(self.euler),

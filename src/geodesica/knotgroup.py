@@ -8,10 +8,8 @@ PSL(2).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -117,9 +115,9 @@ class Word:
 
 class Mat2:
     """2x2 matrix over an exact ring: a number field, or Q[z] as RatPoly for
-    the Riley polynomial and the pretzel entry identities, where no modulus
-    is in play.  The ring supplies 0 and 1 through ``one()`` and ``zero()``,
-    and each product entry a*b + c*d through ``dot``."""
+    the pretzel entry identities, where no modulus is in play.  The ring
+    supplies 0 and 1 through ``one()`` and ``zero()``, and each product entry
+    a*b + c*d through ``dot``."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -214,7 +212,6 @@ def flatten(factors: Factors) -> Word:
     ))
 
 
-@dataclass
 class KnotPresentation:
     """Finite presentation with a marked meridian and homological longitude.
 
@@ -224,20 +221,17 @@ class KnotPresentation:
     and its longitude as w v a^-2e.
     """
 
-    name: str
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
-    meridian: Word
-    longitude: Word
-    relator_factors: Optional[tuple[Factors, ...]] = None
-    longitude_factors: Optional[Factors] = None
-    w: Optional[Word] = None
-
-    def __post_init__(self):
-        if self.relator_factors is None:
-            self.relator_factors = tuple(((r, 1),) for r in self.relators)
-        if self.longitude_factors is None:
-            self.longitude_factors = ((self.longitude, 1),)
+    def __init__(self, name: str, generator_names: tuple[str, ...],
+                 relators: tuple[Word, ...], meridian: Word, longitude: Word,
+                 relator_factors: Optional[tuple[Factors, ...]] = None,
+                 longitude_factors: Optional[Factors] = None, w: Optional[Word] = None):
+        self.name, self.generator_names, self.relators = name, generator_names, relators
+        self.meridian, self.longitude, self.w = meridian, longitude, w
+        if relator_factors is None:
+            relator_factors = tuple(((r, 1),) for r in relators)
+        if longitude_factors is None:
+            longitude_factors = ((longitude, 1),)
+        self.relator_factors, self.longitude_factors = relator_factors, longitude_factors
         if (
             tuple(map(flatten, self.relator_factors)) != tuple(self.relators)
             or flatten(self.longitude_factors) != self.longitude
@@ -298,22 +292,39 @@ def _two_bridge_word(pres: KnotPresentation) -> Word:
     return pres.w
 
 
+def _shear(x: list[int], y: list[int], e: int, shift: int):
+    """x += e z^shift y, in place, for integer coefficient lists over Z[z]."""
+    x.extend([0] * (len(y) + shift - len(x)))
+    for i, v in enumerate(y, shift):
+        x[i] += e * v
+
+
+def _riley_word(w: Word) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The entries (a, b; c, d) of W, the image of w under a -> A = (1 1; 0 1)
+    and b -> B = (1 0; z 1), as integer coefficient lists over Z[z].  Each
+    letter is a column shear (Riley 1972): right-multiplying by A^e adds e
+    times column 1 to column 2, and by B^e adds e z times column 2 to column 1."""
+    a, b, c, d = [1], [0], [0], [1]
+    for g, e in w.letters:
+        if g == 0:
+            _shear(b, a, e, 0)
+            _shear(d, c, e, 0)
+        else:
+            _shear(a, b, e, 1)
+            _shear(c, d, e, 1)
+    return a, b, c, d
+
+
 def riley_polynomial(pres: KnotPresentation) -> RatPoly:
     """Square-free polynomial whose roots parameterize the parabolic
     representations a -> (1 1; 0 1), b -> (1 0; z 1) of a two-bridge group.
 
-    Expands a.w - w.b over Z[z] and returns the monic square-free gcd of the
-    four entries.
+    A W - W B = (W.c - z W.b, W.d; -z W.d, 0) over Z[z], so this is the
+    monic square-free part of gcd(W.c - z W.b, W.d).
     """
-    w = _two_bridge_word(pres)
-    z = RatPoly.x()
-    A = Mat2(RatPoly.one(), RatPoly.one(), RatPoly.zero(), RatPoly.one())
-    B = Mat2(RatPoly.one(), RatPoly.zero(), z, RatPoly.one())
-    W = evaluate_word((A, B), w)
-    g = RatPoly.zero()
-    for x, y in zip((A * W).entries(), (W * B).entries()):
-        entry = x - y
-        g = entry if g.is_zero() else poly_gcd(g, entry)
+    _, b, c, d = _riley_word(_two_bridge_word(pres))
+    _shear(c, b, -1, 1)  # c is now W.c - z W.b
+    g = poly_gcd(RatPoly(c), RatPoly(d))
     if g.is_zero():
         raise NotTwoBridge("a.w == w.b identically; degenerate presentation")
     return square_free_part(g)
@@ -324,37 +335,26 @@ def riley_polynomial(pres: KnotPresentation) -> RatPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MatrixRep:
-    """Assignment of generators to det-1 matrices over a number field."""
+    """Assignment of generators to det-1 matrices over a number field,
+    verified on construction."""
 
-    presentation: KnotPresentation
-    field: NumberField
-    images: tuple[Mat2, ...]
-    # exact matrices of words (the presentation's factor words among them),
-    # each evaluated once and shared by verify, the longitude and every
-    # place; build_representation enters the W of its Riley decision
-    word_table: dict[Word, Mat2] = dataclasses.field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # the sign of the identity each relator evaluates to, +1 for I and -1
-    # for -I, which verify records
-    relator_signs: tuple[int, ...] = dataclasses.field(
-        default=(), init=False, repr=False, compare=False
-    )
-    # exact peripheral data, computed on first use and shared by every
-    # place, precision rung and check that reads it
-    _longitude: Optional[Mat2] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _tau: Optional[FieldElement] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
+    def __init__(self, presentation: KnotPresentation, field: NumberField,
+                 images: tuple[Mat2, ...], word_table: Optional[dict[Word, Mat2]] = None):
+        self.presentation, self.field, self.images = presentation, field, images
+        # exact matrices of words (the presentation's factor words among
+        # them), each evaluated once and shared by verify, the longitude and
+        # every place; build_representation enters the W of its Riley decision
+        self.word_table = {} if word_table is None else word_table
+        # exact peripheral data, computed on first use and shared by every
+        # place, precision rung and check that reads it
+        self._longitude: Optional[Mat2] = None
+        self._tau: Optional[FieldElement] = None
         self.verify()
 
     def verify(self):
+        """Check det 1, relators +-I and a parabolic meridian; record in
+        ``relator_signs`` each relator's sign, +1 for I and -1 for -I."""
         K = self.field
         for i, m in enumerate(self.images):
             if m.det() != K.one():
@@ -420,7 +420,7 @@ class MatrixRep:
 def evaluate_word(rep: MatrixRep | Sequence[Mat2], w: Word) -> Mat2:
     """Exact product of generator-image powers, taken from a representation
     or from the generator images themselves (matrices over Q[z] for the
-    Riley polynomial and the pretzel identities)."""
+    pretzel identities)."""
     images = rep.images if isinstance(rep, MatrixRep) else rep
     out = None
     for g, e in w.letters:
@@ -440,8 +440,9 @@ def build_representation(
 
     For the Riley form the minpoly must divide the Riley polynomial, the
     square-free part of the gcd of the entries of A.W - W.B: decided in
-    K = Q[z]/(minpoly) as A.W == W.B and minpoly square-free.  The relators
-    are then verified to evaluate to +-I.
+    K = Q[z]/(minpoly) as A.W == W.B, which reads W.d = 0 and W.c = z W.b,
+    and minpoly square-free.  W is built by shears over Z[z] and each entry
+    reduced into K once.  The relators are then verified to evaluate to +-I.
 
     X -> J X^T J with J = (0 1; 1 0) is an anti-automorphism that fixes A
     and B, so the longitude's v, w spelled backwards, evaluates to
@@ -450,11 +451,11 @@ def build_representation(
     """
     K = NumberField(minpoly, name)
     if images is None:
-        one, zero = K.one(), K.zero()
-        A, B = images = (Mat2(one, one, zero, one), Mat2(one, zero, K.gen(), one))
+        one, zero, z = K.one(), K.zero(), K.gen()
+        images = (Mat2(one, one, zero, one), Mat2(one, zero, z, one))
         w = _two_bridge_word(pres)
-        W = evaluate_word(images, w)
-        if A * W != W * B or poly_gcd(minpoly, minpoly.derivative()).degree > 0:
+        W = Mat2(*(K._make(x, 1) for x in _riley_word(w)))
+        if W.d != zero or W.c != z * W.b or poly_gcd(minpoly, minpoly.derivative()).degree > 0:
             raise NotARepresentation(
                 f"{pres.name}: minpoly does not divide the Riley polynomial"
             )

@@ -16,9 +16,8 @@ point two images share exactly is decided in the field by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DegenerateCline, UnsupportedCase
 from .intervals import Box, Iv
@@ -65,18 +64,24 @@ def mobius_derivative(m: Mat2, pt: FieldElement) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExactCline:
     """A circle-or-line on the boundary sphere, by three exact points."""
 
-    points: tuple[Point, Point, Point]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        finite = [p for p in self.points if p is not INF]
-        if len(set(id(p) if p is INF else p for p in self.points)) < 3:
+    def __init__(self, points: tuple[Point, Point, Point]):
+        finite = [p for p in points if p is not INF]
+        if len(set(id(p) if p is INF else p for p in points)) < 3:
             raise DegenerateCline("three defining points must be distinct")
         if len(finite) < 2:
             raise DegenerateCline("at least two defining points must be finite")
+        self.points = points
+
+    def __eq__(self, other):
+        return other.__class__ is ExactCline and self.points == other.points
+
+    def __hash__(self):
+        return hash(self.points)
 
     def apply(self, m: Mat2) -> "ExactCline":
         return ExactCline(tuple(mobius_apply(m, p) for p in self.points))
@@ -107,8 +112,7 @@ def _circumcircle(p1: Box, p2: Box, p3: Box, place: ComplexPlace) -> "Cline":
     return Cline.circle(center, (p1 - center).abs2().sqrt())
 
 
-@dataclass(frozen=True)
-class Cline:
+class Cline(NamedTuple):
     """A circle (interval center and radius) or a line (interval point and
     direction) realized at a complex place, rounded outward."""
 
@@ -132,8 +136,7 @@ class Cline:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tangency:
+class Tangency(NamedTuple):
     kind: str  # "Disjoint" | "Tangent" | "Secant" | "Indeterminate"
     points: tuple = ()
 
@@ -208,8 +211,7 @@ def tangency_via_shared_point(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniqSystem:
+class UniqSystem(NamedTuple):
     """Linear conditions on e1 = sigma_1 + sigma_2, e2 = sigma_1 sigma_2.
 
     rows[i] = (coefficient of e1, coefficient of e2, constant) for the

@@ -15,7 +15,6 @@ interval Horner over a root enclosure refined until it certifies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -190,12 +189,14 @@ class NumberField:
         return self._real_enclosures[key]
 
 
-@dataclass(frozen=True)
 class RealPlace:
-    """Real embedding, indexed by the ascending order of the real roots."""
+    """Real embedding, indexed by the ascending order of the real roots.  A
+    plain class, not a tuple, so it never equals a ComplexPlace."""
 
-    field: NumberField
-    index: int
+    __slots__ = ("field", "index")
+
+    def __init__(self, field: NumberField, index: int):
+        self.field, self.index = field, index
 
     def embed(self, e: "FieldElement", precision_bits: int) -> Iv:
         """Enclosure of e at this place, of width < 2^-(precision_bits/2)."""
@@ -252,15 +253,16 @@ class RealPlace:
         )
 
 
-@dataclass(frozen=True)
 class ComplexPlace:
     """Complex embedding given by a certified root disk of the minpoly: the
     root_index-th disk of the root set at START_BITS.  At another precision
     the place is the one certified disk that lies inside that base disk, so
     it names the same root whatever order the root sets sort it in."""
 
-    field: NumberField
-    root_index: int
+    __slots__ = ("field", "root_index")
+
+    def __init__(self, field: NumberField, root_index: int):
+        self.field, self.root_index = field, root_index
 
     def root_box(self, precision_bits: int) -> Box:
         """The square around the place's certified root disk at

@@ -18,12 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BadArgument,
@@ -67,30 +66,29 @@ from .pretzel import (
 from .slopes import SlopeCase, slope_set_for_knot
 
 
-@dataclass(frozen=True)
-class UniquenessCase:
+class UniquenessCase(NamedTuple):
     label: str
     word: Word
     direction: FieldElement
     verdict: Optional[str]  # the anchored verdict; None anchors nothing
 
 
-@dataclass
 class KnotRecord:
-    name: str
-    kind: str  # "two_bridge" | "pretzel" | "explicit"
-    genus: Optional[int]
-    fibered: Optional[bool]
-    known_unique: bool
-    manual_field_flags: dict
-    expected: dict
-    slope_cases: tuple[SlopeCase, ...] = ()
-    uniqueness_cases: tuple[UniquenessCase, ...] = ()
-    rep: Optional[MatrixRep] = None
-    pretzel: Optional[PretzelData] = None  # the loader's holonomy, for pretzel rows
-    configuration: Optional[str] = None  # "pretzel-chain" | "74-strip" | None
-    awaiting_data: bool = False
-    irreducibility: Optional[str] = None
+    """One census row, parsed; the loader sets the exact data it builds."""
+
+    def __init__(self, name: str, kind: str, genus: Optional[int], fibered: Optional[bool],
+                 known_unique: bool, manual_field_flags: dict, expected: dict,
+                 slope_cases: tuple[SlopeCase, ...] = ()):
+        self.name, self.kind = name, kind  # kind: "two_bridge" | "pretzel" | "explicit"
+        self.genus, self.fibered, self.known_unique = genus, fibered, known_unique
+        self.manual_field_flags, self.expected = manual_field_flags, expected
+        self.slope_cases = slope_cases
+        self.uniqueness_cases: tuple[UniquenessCase, ...] = ()
+        self.rep: Optional[MatrixRep] = None
+        self.pretzel: Optional[PretzelData] = None  # the loader's holonomy, for pretzel rows
+        self.configuration: Optional[str] = None  # "pretzel-chain" | "74-strip" | None
+        self.awaiting_data = False
+        self.irreducibility: Optional[str] = None
 
     @cached_property
     def clines(self) -> list:
@@ -502,8 +500,7 @@ ALL_CHECKS = tuple(CHECKS)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     payload: dict
     elapsed_seconds: float
     anchor_mismatches: int

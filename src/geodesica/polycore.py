@@ -12,9 +12,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadArgument,
@@ -302,8 +301,7 @@ def square_free_part(p: RatPoly) -> RatPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootIsolation:
+class RootIsolation(NamedTuple):
     """Isolating intervals for the distinct real roots, ascending.
 
     Each (lo, hi) pair is rational, contains exactly one real root of the
@@ -548,8 +546,7 @@ def newton_enclosure(p: RatPoly, interval: tuple[Fraction, Fraction], width_bits
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertifiedRoot:
+class CertifiedRoot(NamedTuple):
     """The disk |z - (re + i im)| <= radius, which holds exactly one root;
     center and radius are exact dyadic rationals."""
 
@@ -578,8 +575,7 @@ class CertifiedRoot:
         return None
 
 
-@dataclass(frozen=True)
-class ComplexRootSet:
+class ComplexRootSet(NamedTuple):
     roots: tuple[CertifiedRoot, ...]
 
 
@@ -803,8 +799,7 @@ def _float_seeds(monic: RatPoly) -> list[complex] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     status: str  # "irreducible" | "reducible" | "unknown"
     witness: str | None = None
     factor: RatPoly | None = None
@@ -966,6 +961,32 @@ def irreducibility_certificate(p: RatPoly) -> IrreducibilityVerdict:
     if n == 1:
         return IrreducibilityVerdict("irreducible", witness="degree 1")
 
+    # the degree patterns first: they never certify a polynomial with a rational
+    # root or a probe factor, which keeps a factor of its degree mod each q used
+    if n > 3:
+        ints = prim.int_coeffs()
+        achievable: set[int] | None = None
+        used = []
+        for q in _PRIMES:
+            if ints[-1] % q == 0:
+                continue
+            f = _mod_p_coeffs(ints, q)
+            if len(f) - 1 != n:
+                continue
+            pattern = _distinct_degree_pattern(f, q)
+            if pattern is None:
+                continue  # not square-free mod q
+            if pattern == [n]:
+                return IrreducibilityVerdict("irreducible", witness=f"irreducible mod {q}")
+            used.append(q)
+            sums = _subset_sums(pattern)
+            achievable = sums if achievable is None else (achievable & sums)
+            proper = {d for d in achievable if 0 < d < n}
+            if not proper:
+                return IrreducibilityVerdict(
+                    "irreducible",
+                    witness=f"factor-degree patterns mod {used} exclude proper factors",
+                )
     for r in rational_roots(prim):
         return IrreducibilityVerdict("reducible", factor=RatPoly((-r, 1)))
     if n <= 3:
@@ -973,31 +994,6 @@ def irreducibility_certificate(p: RatPoly) -> IrreducibilityVerdict:
             "irreducible", witness="degree <= 3 with no rational roots"
         )
     for probe in _SMALL_FACTOR_PROBES:
-        q, r = prim.divmod(probe)
-        if r.is_zero() and 0 < probe.degree < n:
+        if prim.divmod(probe)[1].is_zero():  # n > 3 exceeds every probe's degree
             return IrreducibilityVerdict("reducible", factor=probe)
-
-    ints = prim.int_coeffs()
-    achievable: set[int] | None = None
-    used = []
-    for q in _PRIMES:
-        if ints[-1] % q == 0:
-            continue
-        f = _mod_p_coeffs(ints, q)
-        if len(f) - 1 != n:
-            continue
-        pattern = _distinct_degree_pattern(f, q)
-        if pattern is None:
-            continue  # not square-free mod q
-        if pattern == [n]:
-            return IrreducibilityVerdict("irreducible", witness=f"irreducible mod {q}")
-        used.append(q)
-        sums = _subset_sums(pattern)
-        achievable = sums if achievable is None else (achievable & sums)
-        proper = {d for d in achievable if 0 < d < n}
-        if not proper:
-            return IrreducibilityVerdict(
-                "irreducible",
-                witness=f"factor-degree patterns mod {used} exclude proper factors",
-            )
     return IrreducibilityVerdict("unknown", witness="prime budget exhausted")

@@ -8,10 +8,9 @@ Q[z]/(lambda_k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadArgument,
@@ -149,14 +148,13 @@ def pretzel_presentation(k: int, name: Optional[str] = None) -> KnotPresentation
     )
 
 
-@dataclass
 class PretzelData:
-    k: int
-    lam: RatPoly
-    field: NumberField
-    rep: MatrixRep
-    words: dict[str, Word]
-    irreducibility: str  # "certified" | "assumed"
+    """The verified holonomy of P(2k+1, 2k+1, 2k+1) over Q[z]/(lambda_k)."""
+
+    def __init__(self, k: int, lam: RatPoly, field: NumberField, rep: MatrixRep,
+                 words: dict[str, Word], irreducibility: str):
+        self.k, self.lam, self.field, self.rep, self.words = k, lam, field, rep, words
+        self.irreducibility = irreducibility  # "certified" | "assumed"
 
     @cached_property
     def chain(self) -> dict:
@@ -279,8 +277,7 @@ def psi_poly(k: int) -> RatPoly:
     return RatPoly(coeffs)
 
 
-@dataclass(frozen=True)
-class PsiCensus:
+class PsiCensus(NamedTuple):
     k: int
     real_count: int
     per_quadrant: tuple[int, int, int, int]

@@ -10,23 +10,30 @@ u = (m,n) (x) (p,q) yields the admissible slope pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompleteCaseAnalysis
 from .numfield import FieldElement
 
 
-@dataclass(frozen=True)
 class Slope:
     """A slope p/q in lowest terms with q >= 0; (1, 0) is the infinite slope.
 
-    Ordering is numeric (infinity last), not lexicographic on (p, q).
+    Ordering is numeric (infinity last), not lexicographic on (p, q), so a
+    slope is a plain class and not a tuple.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.p, self.q = p, q
+
+    def __eq__(self, other):
+        return other.__class__ is Slope and (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
@@ -56,14 +63,13 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class SlopeSystem:
+class SlopeSystem(NamedTuple):
     """Linear system in u = (mp, mq, np, nq) from one conjugator case."""
 
     tau: FieldElement
     weight: FieldElement
     equations: tuple[tuple[int, int, int, int], ...]
-    coefficient_columns: tuple[tuple[Fraction, ...], ...] = field(repr=False, default=())
+    coefficient_columns: tuple[tuple[Fraction, ...], ...] = ()
 
 
 def _normalize_row(row: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
@@ -110,8 +116,7 @@ def build_system(tau: FieldElement, weight: FieldElement) -> SlopeSystem:
     )
 
 
-@dataclass(frozen=True)
-class SlopeSolution:
+class SlopeSolution(NamedTuple):
     """Admissible (p/q, m/n) pairs; exhaustive when the case split covered
     every projective possibility."""
 
@@ -228,8 +233,7 @@ def solve_fixed_peripheral(sys: SlopeSystem, p: int, q: int) -> SlopeSolution:
     return SlopeSolution(((fixed, Slope.of(m, n)),), exhaustive=True)
 
 
-@dataclass(frozen=True)
-class SlopeCase:
+class SlopeCase(NamedTuple):
     """One conjugator-orbit case from a uniqueness-style analysis.
 
     `fixed_pq` pins the first peripheral element (the second round of the

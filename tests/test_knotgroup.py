@@ -6,6 +6,8 @@ from importlib import resources
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import riley_reference
+from geodesica import knotgroup
 from geodesica.errors import BadFraction, IdentityFailed, NotARepresentation
 from geodesica.knotgroup import (
     Mat2,
@@ -343,19 +345,43 @@ def test_repeated_factor_refused_where_the_relation_holds(monkeypatch):
     # fraction with p <= 31, so there a square m never satisfies A.W == W.B;
     # stand in a W that satisfies it in every ring, (1 1; z 0), to show that
     # the square-free test refuses m = f^2 on its own
-    from geodesica import knotgroup
-
-    real = knotgroup.evaluate_word
-
-    def relation_holds(rep, word):
-        if isinstance(rep, knotgroup.MatrixRep):  # relator verification
-            return real(rep, word)
-        one, zero, z = rep[0].a, rep[0].c, rep[1].c
-        return Mat2(one, one, z, zero)
-
-    monkeypatch.setattr(knotgroup, "evaluate_word", relation_holds)
+    monkeypatch.setattr(knotgroup, "_riley_word", lambda w: ([1], [1], [0, 1], [0]))
     with pytest.raises(NotARepresentation, match="does not divide the Riley polynomial"):
         build_representation(two_bridge_presentation(15, 11), M74 * M74)
+
+
+# ---------------------------------------------------------------------------
+# The shear path against the matrix products over Q[z] it replaced
+# ---------------------------------------------------------------------------
+
+
+FRACTIONS_61 = [(p, q) for p in range(3, 62, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+
+
+@given(st.sampled_from(FRACTIONS_61))
+@settings(max_examples=80, deadline=None)
+def test_shear_riley_word_and_polynomial_match_the_reference(fraction):
+    pres = two_bridge_presentation(*fraction)
+    reference = riley_reference.riley_word(pres.w)
+    assert tuple(map(RatPoly, knotgroup._riley_word(pres.w))) == reference.entries()
+    assert riley_polynomial(pres) == riley_reference.riley_polynomial(pres)
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_shears_match_the_reference_on_any_word_in_a_and_b(letters):
+    w = Word(letters)
+    reference = riley_reference.riley_word(w)
+    assert tuple(map(RatPoly, knotgroup._riley_word(w))) == reference.entries()
+
+
+def test_census_riley_words_are_the_reference_reduced_into_their_fields(census_records):
+    reps = [r.rep for r in census_records if r.kind == "two_bridge"]
+    assert len(reps) == 19
+    for rep in reps:
+        w, K = rep.presentation.w, rep.field
+        reference = riley_reference.riley_word(w)
+        assert rep.word_table[w] == Mat2(*(K.element(x.coeffs) for x in reference.entries()))
 
 
 # ---------------------------------------------------------------------------

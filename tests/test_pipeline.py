@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -438,14 +437,25 @@ def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):
     assert len(calls) == 2 and json.loads(out.read_text())["checks"] == ["euler"]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the package's records are NamedTuples and plain classes, so a cold
+    # command imports no module that generates class code
+    code = ("import sys, geodesica.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_pool_computes_on_the_records_passed_in(census_records):
     # anchors changed by the caller must reach the workers unchanged
     names = ["7_4", "P(3,3,3)"]
-    changed = [
-        dataclasses.replace(r, expected={**r.expected, "slopes": ["7"]})
-        if r.name in names else r
-        for r in census_records
-    ]
+    changed = []
+    for r in census_records:
+        if r.name in names:
+            r = copy.copy(r)
+            r.expected = {**r.expected, "slopes": ["7"]}
+        changed.append(r)
     serial = run(changed, checks=("slopes",), names=names)
     pooled = run(changed, checks=("slopes",), names=names, workers=2)
     assert serial.anchor_mismatches == pooled.anchor_mismatches == 2

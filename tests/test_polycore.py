@@ -354,6 +354,23 @@ class TestIrreducibility:
     def test_73_sextic(self):
         assert irreducibility_certificate(SEXTIC_73).is_irreducible
 
+    def test_degree_patterns_certify_before_the_exact_factor_tests(self, monkeypatch):
+        def not_needed(*args):
+            raise AssertionError("an exact factor test ran before the degree patterns")
+
+        monkeypatch.setattr(polycore, "rational_roots", not_needed)
+        monkeypatch.setattr(RatPoly, "divmod", not_needed)
+        assert irreducibility_certificate(SEXTIC_73).is_irreducible
+
+    def test_reducible_past_degree_three_keeps_its_factor(self):
+        # the degree patterns cannot certify these, so the exact tests after
+        # them still find the factor: a rational root, then a probe factor
+        with_root = RatPoly([-2, 1]) * RatPoly([1, 1, 0, 1])  # (z - 2)(z^3 + z + 1)
+        assert irreducibility_certificate(with_root) == ("reducible", None, RatPoly([-2, 1]))
+        # (z^2 + z + 1)(z^4 + z^2 + 2), neither factor with a rational root
+        with_probe = RatPoly([1, 1, 1]) * RatPoly([2, 0, 1, 0, 1])
+        assert irreducibility_certificate(with_probe) == ("reducible", None, RatPoly([1, 1, 1]))
+
     @given(st.lists(st.integers(-6, 6), min_size=2, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_never_irreducible_with_rational_root(self, roots):
