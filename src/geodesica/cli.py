@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     p_report.add_argument("--knot", action="append", default=None,
                           help="restrict to named knots (repeatable)")
     p_report.add_argument("--workers", type=int, default=1,
-                          help="bounded process pool for per-knot fan-out")
+                          help="fork N-1 children that share the knots with this process")
 
     p_pret = sub.add_parser("pretzel", help="balanced-pretzel checks")
     p_pret.add_argument("--k", type=int, required=True)

@@ -340,7 +340,8 @@ class MatrixRep:
     verified on construction."""
 
     def __init__(self, presentation: KnotPresentation, field: NumberField,
-                 images: tuple[Mat2, ...], word_table: Optional[dict[Word, Mat2]] = None):
+                 images: tuple[Mat2, ...], word_table: Optional[dict[Word, Mat2]] = None,
+                 relator_signs: Optional[Sequence[Optional[int]]] = None):
         self.presentation, self.field, self.images = presentation, field, images
         # exact matrices of words (the presentation's factor words among
         # them), each evaluated once and shared by verify, the longitude and
@@ -350,11 +351,12 @@ class MatrixRep:
         # place, precision rung and check that reads it
         self._longitude: Optional[Mat2] = None
         self._tau: Optional[FieldElement] = None
-        self.verify()
+        self.verify(relator_signs)
 
-    def verify(self):
+    def verify(self, relator_signs: Optional[Sequence[Optional[int]]] = None):
         """Check det 1, relators +-I and a parabolic meridian; record in
-        ``relator_signs`` each relator's sign, +1 for I and -1 for -I."""
+        ``relator_signs`` each relator's sign, +1 for I and -1 for -I.  A
+        relator whose sign the caller gives (not None) is not multiplied out."""
         K = self.field
         for i, m in enumerate(self.images):
             if m.det() != K.one():
@@ -362,14 +364,15 @@ class MatrixRep:
                     f"{self.presentation.name}: generator {i} image has det != 1"
                 )
         pres = self.presentation
-        signs = []
-        for r, factors in zip(pres.relators, pres.relator_factors):
-            M = self.factor_product(factors)
-            if not M.is_proj_identity():
-                raise NotARepresentation(
-                    f"{pres.name}: relator {r!r} does not evaluate to +-I"
-                )
-            signs.append(1 if M.a == K.one() else -1)
+        signs = list(relator_signs or [None] * len(pres.relators))
+        for i, (r, factors) in enumerate(zip(pres.relators, pres.relator_factors)):
+            if signs[i] is None:
+                M = self.factor_product(factors)
+                if not M.is_proj_identity():
+                    raise NotARepresentation(
+                        f"{pres.name}: relator {r!r} does not evaluate to +-I"
+                    )
+                signs[i] = 1 if M.a == K.one() else -1
         self.relator_signs = tuple(signs)
         tr = self.word_matrix(pres.meridian).trace()
         if tr != K.rational(2) and tr != K.rational(-2):
@@ -442,7 +445,8 @@ def build_representation(
     square-free part of the gcd of the entries of A.W - W.B: decided in
     K = Q[z]/(minpoly) as A.W == W.B, which reads W.d = 0 and W.c = z W.b,
     and minpoly square-free.  W is built by shears over Z[z] and each entry
-    reduced into K once.  The relators are then verified to evaluate to +-I.
+    reduced into K once.  A.W == W.B is the relator a w b^-1 w^-1 = I, so
+    its sign is +1; any other relator is verified to evaluate to +-I.
 
     X -> J X^T J with J = (0 1; 1 0) is an anti-automorphism that fixes A
     and B, so the longitude's v, w spelled backwards, evaluates to
@@ -463,7 +467,9 @@ def build_representation(
         k = -2 * sum(e for _, e in w.letters)
         if k:
             table[Word.gen(0, k)] = Mat2(one, K.rational(k), zero, one)
-        return MatrixRep(presentation=pres, field=K, images=images, word_table=table)
+        riley = ((Word.gen(0), 1), (w, 1), (Word.gen(1), -1), (w, -1))
+        signs = [1 if factors == riley else None for factors in pres.relator_factors]
+        return MatrixRep(pres, K, images, word_table=table, relator_signs=signs)
     return MatrixRep(presentation=pres, field=K, images=tuple(images))
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
+import os
 import time
 from fractions import Fraction
 from functools import cached_property
@@ -516,16 +518,15 @@ class RunReport(NamedTuple):
         ).encode()
 
 
-def _knot_entry(record: KnotRecord, checks: Sequence[str]) -> tuple[dict, int]:
-    """Entry for one knot plus its hard-error count.  Pure given the record,
-    so it can run in a worker process."""
+def _knot_entry(record: KnotRecord, checks: Sequence[str]) -> dict:
+    """Entry for one knot, its hard errors listed under "errors".  Pure
+    given the record, so it can run in a forked child."""
     entry: dict = {"name": record.name, "kind": record.kind}
     if record.awaiting_data:
         entry["status"] = "awaiting_representation_data"
-        return entry, 0
+        return entry
     entry["status"] = "ok"
     entry["irreducibility"] = record.irreducibility
-    errors = 0
     for check in checks:
         applies, compute = CHECKS[check]
         if not applies(record):
@@ -537,23 +538,63 @@ def _knot_entry(record: KnotRecord, checks: Sequence[str]) -> tuple[dict, int]:
             entry.setdefault("errors", []).append(
                 {"check": check, "type": type(exc).__name__, "message": str(exc)}
             )
-            errors += 1
-    return entry, errors
+    return entry
 
 
-_POOL_RECORDS: list = []
+def _share(selected: Sequence[KnotRecord], checks: Sequence[str], j: int, width: int,
+           faults: type = Exception) -> list:
+    """The entries of knots j, j + width, ...; a fault in a knot's checks
+    becomes a RuntimeError naming the knot, the fault's type and message."""
+    out = []
+    for record in selected[j::width]:
+        try:
+            out.append(_knot_entry(record, checks))
+        except faults as exc:
+            raise RuntimeError(f"{record.name}: {type(exc).__name__}: {exc}") from exc
+    return out
 
 
-def _pool_init(records):
-    # the records the caller passed to run(), handed over at worker start;
-    # the checks are CPU-bound pure Python, which threads would serialize
-    # under the GIL, so the fan-out is over processes
-    _POOL_RECORDS[:] = records
-
-
-def _pool_entry(args):
-    index, checks = args
-    return _knot_entry(_POOL_RECORDS[index], checks)
+def _entries(selected: Sequence[KnotRecord], checks: Sequence[str], width: int) -> list:
+    """The entries of the selected knots, knot i from share i mod width:
+    share 0 from this process, each other share from a forked child (the
+    checks are CPU-bound Python, which threads would serialize) that sends
+    it back with ``marshal``.  Every child is reaped before this returns."""
+    pids, fds, blobs = [], [], []
+    try:
+        for j in range(1, width):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:  # leave by os._exit only, never through the parent's code
+                status = 1
+                try:
+                    try:
+                        out, status = _share(selected, checks, j, width, BaseException), 0
+                    except RuntimeError as exc:
+                        out = str(exc)
+                    with open(fds[-1], "wb") as pipe:
+                        pipe.write(marshal.dumps(out))
+                finally:
+                    os._exit(status)
+            os.close(fds.pop())  # the write end
+            pids.append(pid)
+        results = [None] * len(selected)
+        results[::width] = _share(selected, checks, 0, width)
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as pipe:
+                blobs.append(pipe.read())
+    finally:
+        for fd in fds:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for j, (blob, code) in enumerate(zip(blobs, codes), start=1):
+        if not blob:
+            raise RuntimeError(f"a forked worker ended with exit status {code} before "
+                               "sending its knots")
+        share = marshal.loads(blob)
+        if code:
+            raise RuntimeError(f"{share} (in a forked worker)")
+        results[j::width] = share
+    return results
 
 
 def run(
@@ -567,9 +608,9 @@ def run(
 
     Anchor comparisons come from each record's `expected` block; any
     mismatch or hard error makes the exit status nonzero.  With workers > 1
-    the knots fan out over a bounded process pool whose workers receive the
-    selected records at start, so pool and serial runs compute on the same
-    data; assembly stays a single deterministic reduction in census order.
+    the run forks min(workers, knots) - 1 children that compute on the
+    records passed in, and this process takes a share; assembly stays a
+    single reduction in census order.  Without ``os.fork`` it runs serially.
     """
     t0 = time.perf_counter()
     checks = tuple(dict.fromkeys(checks))
@@ -583,32 +624,8 @@ def run(
         raise BadArgument(f"knots not in census: {', '.join(map(repr, unknown))}")
     selected = [r for r in records if not names or r.name in names]
 
-    if workers > 1 and len(selected) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the fork start method launches every worker at the first submit,
-        # so a pool wider than the knot list would fork idle processes
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(selected)),
-            initializer=_pool_init,
-            initargs=(selected,),
-        ) as pool:
-            results = list(
-                pool.map(
-                    _pool_entry,
-                    [(i, checks) for i in range(len(selected))],
-                )
-            )
-    else:
-        results = [_knot_entry(r, checks) for r in selected]
-
-    mismatches = 0
-    errors = 0
-    knots_out = []
-    for entry, err in results:
-        errors += err
-        mismatches += _count_mismatches(entry)
-        knots_out.append(entry)
+    width = max(1, min(workers, len(selected))) if hasattr(os, "fork") else 1
+    knots_out = _entries(selected, checks, width)
     payload = {
         "schema": 1,
         "checks": sorted(checks),
@@ -618,8 +635,8 @@ def run(
     return RunReport(
         payload=payload,
         elapsed_seconds=time.perf_counter() - t0,
-        anchor_mismatches=mismatches,
-        hard_errors=errors,
+        anchor_mismatches=_count_mismatches(knots_out),
+        hard_errors=sum(len(entry.get("errors", ())) for entry in knots_out),
     )
 
 

@@ -5,7 +5,7 @@ bundled census:
 
     report --checks <every check>    pretzel --k 3
     euler --knot 7_3                 slopes --knot 7_4
-    render --knot "P(3,3,3)"
+    render --knot "P(3,3,3)"         report --checks slopes --workers 2
 
 Output files go to a temporary directory and standard output is discarded.
 Then it prints each function or method defined in ``src/geodesica`` whose
@@ -36,6 +36,8 @@ PACKAGE = Path(geodesica.__file__).resolve().parent
 def _commands(out_dir: Path) -> list[list[str]]:
     return [
         ["report", "--checks", ",".join(ALL_CHECKS), "--json", str(out_dir / "report.json")],
+        ["report", "--checks", "slopes", "--workers", "2",
+         "--json", str(out_dir / "report-workers.json")],
         ["pretzel", "--k", "3"],
         ["euler", "--knot", "7_3"],
         ["slopes", "--knot", "7_4"],

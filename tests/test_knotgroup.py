@@ -493,3 +493,63 @@ def test_mat2_product_over_a_field_reduces_each_entry_once(monkeypatch):
     got = x * y
     assert len(calls) == 4
     assert list(got.entries()) == want
+
+
+# ---------------------------------------------------------------------------
+# The relator sign the Riley decision gives
+# ---------------------------------------------------------------------------
+
+
+IDENTITY_OVER_QZ = (RatPoly.one(), RatPoly.zero(), RatPoly.zero(), RatPoly.one())
+
+
+def _reference_relator(w: Word, m: RatPoly) -> tuple:
+    """a w b^-1 w^-1 by the reference products over Q[z], each entry
+    reduced mod m."""
+    W = riley_reference.riley_word(w)
+    R = riley_reference.A * W * riley_reference.B.adjugate() * W.adjugate()
+    return tuple(x.divmod(m)[1] for x in R.entries())
+
+
+def test_census_two_bridge_relators_are_the_identity(census_records):
+    reps = [r.rep for r in census_records if r.kind == "two_bridge"]
+    assert len(reps) == 19
+    for rep in reps:
+        assert rep.relator_signs == (1,)
+        assert _reference_relator(rep.presentation.w, rep.field.minpoly) == IDENTITY_OVER_QZ
+
+
+@given(st.sampled_from(FRACTIONS_61))
+@settings(max_examples=40, deadline=None)
+def test_the_riley_decision_gives_the_relator_sign(fraction):
+    pres = two_bridge_presentation(*fraction)
+    m = riley_polynomial(pres)
+    assume(m.degree >= 1)
+    rep = build_representation(pres, m)
+    assert rep.relator_signs == (1,)
+    assert _reference_relator(pres.w, m) == IDENTITY_OVER_QZ
+    # multiplied out in K when no sign is given, the relator agrees
+    assert type(rep)(presentation=pres, field=rep.field, images=rep.images).relator_signs == (1,)
+
+
+def test_verify_multiplies_out_only_the_relators_without_a_sign(monkeypatch):
+    pres = two_bridge_presentation(15, 11)
+    (r,), (factors,) = pres.relators, pres.relator_factors
+    # the relator again as one factor: its sign is not the Riley decision's
+    doubled = type(pres)(
+        name="doubled", generator_names=pres.generator_names, relators=(r, r),
+        meridian=pres.meridian, longitude=pres.longitude,
+        relator_factors=(factors, ((r, 1),)), longitude_factors=pres.longitude_factors,
+        w=pres.w,
+    )
+    products = []
+    factor_product = knotgroup.MatrixRep.factor_product
+
+    def counted(self, fs):
+        products.append(fs)
+        return factor_product(self, fs)
+
+    monkeypatch.setattr(knotgroup.MatrixRep, "factor_product", counted)
+    rep = build_representation(doubled, M74)
+    assert rep.relator_signs == (1, 1)
+    assert products == [((r, 1),)]

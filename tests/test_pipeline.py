@@ -2,6 +2,7 @@ import copy
 import functools
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -370,7 +371,7 @@ def _without_euler_precision(data: bytes) -> bytes:
 
 def test_golden_report_bytes_serial_and_pool():
     records = load_census()
-    for workers in (1, 2):
+    for workers in (1, 2, 3):  # 3 splits the 28 knots into uneven shares
         data = run(records, ALL_CHECKS, workers=workers).to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORT_SHA256, workers
         projection = _without_euler_precision(data)
@@ -439,12 +440,21 @@ def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the package's records are NamedTuples and plain classes, so a cold
-    # command imports no module that generates class code
+    # command imports no module that generates class code; the --workers
+    # fan-out forks directly, so it imports no process-pool machinery
     code = ("import sys, geodesica.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    code = ("import contextlib, io, sys; from geodesica import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['report', '--checks', 'slopes', '--workers', '2'])\n"
+            "print(status, sorted({'concurrent.futures', 'multiprocessing', 'pickle'}"
+            " & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 []"
 
 
 def test_pool_computes_on_the_records_passed_in(census_records):
@@ -463,32 +473,79 @@ def test_pool_computes_on_the_records_passed_in(census_records):
 
 
 def test_pool_is_no_wider_than_the_knot_list(monkeypatch, census_records):
-    # a stand-in executor runs the entries in this process and records the
-    # width asked for, so no large pool is ever started
-    import concurrent.futures
+    # the fan-out forks one child per share but its own, and no more shares
+    # than knots
+    forks = []
+    real_fork = os.fork
 
-    widths = []
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            widths.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     names = ["7_4", "P(3,3,3)"]
     pooled = run(census_records, checks=("slopes",), names=names, workers=10**6)
-    assert widths == [2]
-    serial = run(census_records, checks=("slopes",), names=names)
+    assert len(forks) == 1
+    serial = run(census_records, checks=("slopes",), names=names, workers=1)
+    assert len(forks) == 1
     assert pooled.to_json_bytes() == serial.to_json_bytes()
+
+
+def _fault_at(monkeypatch, name, fault):
+    """Make the slopes check call fault() on the knot called name."""
+    from geodesica import pipeline
+
+    applies, compute = pipeline.CHECKS["slopes"]
+
+    def faulty(record):
+        if record.name == name:
+            fault()
+        return compute(record)
+
+    monkeypatch.setitem(pipeline.CHECKS, "slopes", (applies, faulty))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _injected():
+    raise RuntimeError("injected fault")
+
+
+@pytest.mark.parametrize("knot, where", [("7_4", ""), ("P(3,3,3)", " (in a forked worker)")])
+def test_a_fault_in_either_share_names_the_knot_and_leaves_no_child(
+    monkeypatch, census_records, knot, where
+):
+    # with two workers, 7_4 (first in census order) is this process's share
+    # and P(3,3,3) the child's
+    _fault_at(monkeypatch, knot, _injected)
+    expected = f"{knot}: RuntimeError: injected fault{where}"
+    with pytest.raises(RuntimeError) as exc:
+        run(census_records, checks=("slopes",), names=["7_4", "P(3,3,3)"], workers=2)
+    assert str(exc.value) == expected
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_without_a_result_names_its_exit_status(monkeypatch, census_records):
+    _fault_at(monkeypatch, "P(3,3,3)", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exit status 3 before sending its knots"):
+        run(census_records, checks=("slopes",), names=["7_4", "P(3,3,3)"], workers=2)
+    _assert_no_child_left()
+
+
+def test_an_empty_census_with_workers_gives_the_serial_report(tmp_path):
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps({"knots": []}))
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"report-{workers}.json"
+        argv = ["report", "--census", str(path), "--workers", workers, "--json", str(out)]
+        assert cli.main(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and json.loads(outs[1])["knots"] == []
+    _assert_no_child_left()
 
 
 def _bundled_rows():
