@@ -1,15 +1,16 @@
 """Arithmetic in Q(z) = Q[z]/(m(z)) with certified real and complex embeddings.
 
 Elements live in the power basis 1, z, ..., z^{d-1}: an integer vector over
-Z[z] and one positive common denominator, in lowest terms.  Products are
-integer convolutions over the nonzero terms of both operands, reduced by the
-monic integer minimal polynomial; a sum of two products (``NumberField.dot``,
-the matrix-product kernel) is reduced once.  Embeddings return outward-rounded
-integer dyadic intervals (``intervals``) refined on demand, and a matrix's
-embedded entries make its integer ball at a real place (``RealPlace.ball``);
-the sign of an element at a real place is decided exactly, by integer
-interval Horner over a root enclosure refined until it certifies
-(``RealPlace.sign``).
+Z[z] and one positive common denominator, in lowest terms, the form of
+``polycore.RatPoly``.  Sums, products and the sum of two products
+(``NumberField.dot``, the matrix-product kernel) are the polycore helpers
+``_sum``, ``_product`` and ``_dot``; a field adds only the reduction by its
+monic integer minimal polynomial, once per result, before ``_lowest_terms``.
+Embeddings return outward-rounded integer dyadic intervals (``intervals``)
+refined on demand, and a matrix's embedded entries make its integer ball at
+a real place (``RealPlace.ball``); the sign of an element at a real place is
+decided exactly, by integer interval Horner over a root enclosure refined
+until it certifies (``RealPlace.sign``).
 """
 
 from __future__ import annotations
@@ -24,8 +25,14 @@ from .polycore import (
     ComplexRootSet,
     RatPoly,
     RootIsolation,
+    _dot,
     _int_convolve,
     _int_divide,
+    _lowest_terms,
+    _over_one_denominator,
+    _product,
+    _ratpoly,
+    _sum,
     complex_roots,
     newton_enclosure,
     refine_interval,
@@ -48,20 +55,17 @@ class NumberField:
     """
 
     def __init__(self, minpoly: RatPoly, name: str = "Q(z)"):
-        minpoly = RatPoly(minpoly.coeffs)
         if minpoly.degree < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
-        if minpoly.leading() != 1:
+        if minpoly.num[-1] != minpoly.den:
             raise ValueError("minimal polynomial must be monic")
-        if any(c.denominator != 1 for c in minpoly.coeffs):
+        if minpoly.den != 1:
             raise ValueError("minimal polynomial must have integer coefficients")
         self.minpoly = minpoly
         self.degree = d = minpoly.degree
         self.name = name
         # z^d = -(m_0 + m_1 z + ... + m_{d-1} z^{d-1}); indexed (j, m_j), m_j != 0
-        self._reduction = tuple(
-            (j, c.numerator) for j, c in enumerate(minpoly.coeffs[:-1]) if c
-        )
+        self._reduction = tuple((j, c) for j, c in enumerate(minpoly.num[:-1]) if c)
         self._hash = hash(minpoly)
         # elements are immutable, so the constants are shared
         self._zero = FieldElement(self, (0,) * d, 1)
@@ -86,9 +90,7 @@ class NumberField:
     # -- element constructors ------------------------------------------
 
     def element(self, coeffs: Sequence) -> "FieldElement":
-        vec = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in vec))
-        return self._make([c.numerator * (den // c.denominator) for c in vec], den)
+        return self._make(*_over_one_denominator(coeffs))
 
     def zero(self) -> "FieldElement":
         return self._zero
@@ -98,15 +100,16 @@ class NumberField:
 
     def gen(self) -> "FieldElement":
         if self.degree == 1:
-            return self.element((-self.minpoly.coeffs[0],))
+            return self.element((-self.minpoly.num[0],))
         return self.element((0, 1))
 
     def rational(self, c) -> "FieldElement":
         return self.element((c,))
 
     def _make(self, num: list[int], den: int) -> "FieldElement":
-        """Element num/den for an integer vector of any length and den > 0:
-        reduce mod the minpoly, pad to the degree, cancel to lowest terms."""
+        """Element num/den for an integer list of any length and den > 0:
+        reduce mod the minpoly, pad to the degree, cancel to lowest terms
+        (``_lowest_terms``)."""
         d = self.degree
         if len(num) > d:
             for k in range(len(num) - 1, d - 1, -1):
@@ -118,26 +121,15 @@ class NumberField:
             del num[d:]
         elif len(num) < d:
             num.extend([0] * (d - len(num)))
-        if den != 1:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num = [c // g for c in num]
-                den //= g
+        num, den = _lowest_terms(num, den)
         return FieldElement(self, tuple(num), den)
 
     def dot(self, a: "FieldElement", b: "FieldElement", c: "FieldElement",
             d: "FieldElement") -> "FieldElement":
-        """a*b + c*d for elements of this field: both integer convolutions
-        summed into one list over the common denominator, which ``_make``
-        reduces and puts in lowest terms once."""
-        x, y = a.den * b.den, c.den * d.den
-        g = math.gcd(x, y)
-        an, cn = a.num, c.num
-        if y != g:
-            an = [v * (y // g) for v in an]
-        if x != g:
-            cn = [v * (x // g) for v in cn]
-        return self._make(_int_convolve(cn, d.num, _int_convolve(an, b.num)), x // g * y)
+        """a*b + c*d for elements of this field: ``_dot``'s one list over the
+        common denominator, which ``_make`` reduces and puts in lowest terms
+        once."""
+        return self._make(*_dot(a, b, c, d))
 
     # -- places ----------------------------------------------------------
 
@@ -337,7 +329,7 @@ class FieldElement:
         return tuple(Fraction(c, den) for c in self.num)
 
     def __repr__(self):
-        return f"FieldElement({RatPoly(self.coeffs)!r} in {self.field.name})"
+        return f"FieldElement({_ratpoly(list(self.num), self.den)!r} in {self.field.name})"
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -366,15 +358,7 @@ class FieldElement:
         return self.field.rational(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        da, db = self.den, other.den
-        if da == db:
-            return self.field._make([x + y for x, y in zip(self.num, other.num)], da)
-        den = da * db // math.gcd(da, db)
-        fa, fb = den // da, den // db
-        return self.field._make(
-            [x * fa + y * fb for x, y in zip(self.num, other.num)], den
-        )
+        return self.field._make(*_sum(self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -385,8 +369,7 @@ class FieldElement:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return self.field._make(_int_convolve(self.num, other.num), self.den * other.den)
+        return self.field._make(*_product(self, self._coerce(other)))
 
     __rmul__ = __mul__
 
@@ -402,7 +385,7 @@ def nf_inverse(e: FieldElement) -> FieldElement:
     if e.is_zero():
         raise DivisionByZero("inverse of zero field element")
     K = e.field
-    r0, s0 = [c.numerator for c in K.minpoly.coeffs], [0]
+    r0, s0 = list(K.minpoly.num), [0]
     r1, s1 = list(e.num), [1]
     while not r1[-1]:
         r1.pop()
@@ -413,8 +396,8 @@ def nf_inverse(e: FieldElement) -> FieldElement:
             raise DivisionByZero(
                 "element is a zero divisor; minimal polynomial is reducible"
             )
-        # s2 = scale*s0 - Q*s1, with Q the integer quotient over this scale
-        s2 = _int_convolve([-k * (scale // sk) for k, sk in quot], s1)
+        # s2 = scale*s0 - Q*s1, with Q*scale the integer quotient
+        s2 = _int_convolve([-k for k in quot], s1)
         for i, c in enumerate(s0):
             s2[i] += scale * c
         g = math.gcd(*rem, *s2)
@@ -461,10 +444,7 @@ def is_algebraic_integer(e: FieldElement) -> bool:
     Z), so a denominator of 1 decides at once; any other element may still be
     integral and takes the minimal-polynomial test.
     """
-    if e.den == 1:
-        return True
-    mp_e = minimal_polynomial(e)
-    return all(c.denominator == 1 for c in mp_e.coeffs)
+    return e.den == 1 or minimal_polynomial(e).den == 1
 
 
 def is_prime(n: int) -> bool:

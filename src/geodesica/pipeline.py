@@ -130,7 +130,7 @@ def _minpoly(row: dict, name: str) -> RatPoly:
     _require("minpoly" in row, name, "minpoly", "(missing)")
     m = RatPoly(_rationals(row["minpoly"], name, "minpoly"))
     _require(
-        m.degree >= 1 and m.leading() == 1 and all(c.denominator == 1 for c in m.coeffs),
+        m.degree >= 1 and m.den == 1 and m.num[-1] == 1,
         name, "minpoly", "(expected a monic integer polynomial of degree >= 1)",
     )
     return m

@@ -1,10 +1,17 @@
 """Exact univariate polynomial arithmetic over Q, with real-root isolation,
 certified complex roots, and irreducibility certificates.
 
-Coefficients are `fractions.Fraction` throughout; nothing in this module
-touches floating point except the seeds of the complex root finder and of the
-real-root Newton refinement, whose disks and intervals are certified
-afterwards by exact integer comparisons.
+The exact kernel: a polynomial (``RatPoly``) and a number-field element
+(``numfield.FieldElement``) are both an integer vector ``num`` over one
+positive denominator ``den`` in lowest terms, the representation of FLINT's
+``fmpq_poly``.  The common-denominator sum (``_sum``), the product over
+``_int_convolve`` (``_product``), the sum of two products (``_dot``) and the
+cancellation to lowest terms (``_lowest_terms``) are written once, here, for
+both; a field element adds only the reduction mod its minimal polynomial.
+Long division, gcd and Sturm chains run on the integer numerators.  Nothing
+in this module touches floating point except the seeds of the complex root
+finder and of the real-root Newton refinement, whose disks and intervals are
+certified afterwards by exact integer comparisons.
 """
 
 from __future__ import annotations
@@ -27,21 +34,11 @@ from .errors import (
 _Q = Fraction
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
-
-
 def _int_convolve(a: Sequence[int], b: Sequence[int], out: list[int] | None = None) -> list[int]:
-    """Integer convolution of two nonempty coefficient lists over the nonzero
-    terms of both: a product with 0, +-1 or +-z^k costs O(len).  With
-    ``out`` (at least len(a) + len(b) - 1 long) the product is added into
-    it, so a sum of products is reduced once."""
+    """Integer convolution of two coefficient lists over the nonzero terms
+    of both: a product with 0, +-1 or +-z^k costs O(len).  With ``out`` (at
+    least len(a) + len(b) - 1 long) the product is added into it, so a sum of
+    products is reduced once."""
     if out is None:
         out = [0] * (len(a) + len(b) - 1)
     b = [(j, y) for j, y in enumerate(b) if y]
@@ -52,20 +49,74 @@ def _int_convolve(a: Sequence[int], b: Sequence[int], out: list[int] | None = No
     return out
 
 
-class RatPoly:
-    """Dense univariate polynomial with exact rational coefficients.
+# The shared arithmetic of the exact vectors: each operand has an integer
+# vector ``num`` and a denominator ``den`` > 0, and each result is an integer
+# list over a positive denominator, not yet in lowest terms.
 
-    ``coeffs[i]`` is the coefficient of z^i.  The zero polynomial is the
-    empty tuple; otherwise the leading coefficient is nonzero.
+
+def _over_one_denominator(values: Iterable) -> tuple[list[int], int]:
+    """Rationals (ints, Fractions or "num/den" strings) as integer
+    numerators over their least common denominator."""
+    qs = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in values]
+    den = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _sum(a, b) -> tuple[list[int], int]:
+    """a + b over the least common denominator, the shorter vector padded
+    with zeros."""
+    da, db = a.den, b.den
+    pairs = itertools.zip_longest(a.num, b.num, fillvalue=0)
+    if da == db:
+        return [x + y for x, y in pairs], da
+    g = math.gcd(da, db)
+    fa, fb = db // g, da // g
+    return [x * fa + y * fb for x, y in pairs], da * fa
+
+
+def _product(a, b) -> tuple[list[int], int]:
+    """a * b: one integer convolution over the product of the
+    denominators."""
+    return _int_convolve(a.num, b.num), a.den * b.den
+
+
+def _dot(a, b, c, d) -> tuple[list[int], int]:
+    """a*b + c*d: both integer convolutions summed into one list over the
+    least common denominator of the two products."""
+    x, y = a.den * b.den, c.den * d.den
+    g = math.gcd(x, y)
+    an, cn = a.num, c.num
+    if y != g:
+        an = [v * (y // g) for v in an]
+    if x != g:
+        cn = [v * (x // g) for v in cn]
+    out = [0] * (max(len(an) + len(b.num), len(cn) + len(d.num)) - 1)
+    _int_convolve(an, b.num, out)
+    return _int_convolve(cn, d.num, out), x // g * y
+
+
+def _lowest_terms(num: list[int], den: int) -> tuple[list[int], int]:
+    """num/den divided through by gcd(den, num...); the zero vector comes
+    out over 1."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return [c // g for c in num], den // g
+    return num, den
+
+
+class RatPoly:
+    """Dense univariate polynomial with exact rational coefficients: the
+    integer vector ``num`` (``num[i]`` the numerator of the coefficient of
+    z^i, no trailing zeros) over the denominator ``den`` > 0, with
+    gcd(num..., den) == 1, so equality and hashing are structural.  The
+    zero polynomial is ``num == ()`` over ``den == 1``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.num, self.den = _canonical(*_over_one_denominator(coeffs))
 
     # -- constructors -------------------------------------------------
 
@@ -81,9 +132,13 @@ class RatPoly:
     def x(cls) -> "RatPoly":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c) -> "RatPoly":
-        return cls((c,))
+    # -- derived rational views ----------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of z^i, as a Fraction."""
+        den = self.den
+        return tuple(_Q(c, den) for c in self.num)
 
     def to_json(self) -> list[str]:
         """Little-endian list of "num" or "num/den" strings."""
@@ -94,31 +149,26 @@ class RatPoly:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == RatPoly.constant(other)
+            return self == RatPoly((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "RatPoly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -135,29 +185,18 @@ class RatPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other) -> "RatPoly":
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_Q(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [_Q(0)] * (n - len(other.coeffs))
-        return RatPoly(x + y for x, y in zip(a, b))
+        return _ratpoly(*_sum(self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
+        return _ratpoly([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "RatPoly":
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "RatPoly":
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return RatPoly.zero()
-        # one integer convolution over the common denominators
-        (na, da), (nb, db) = _integer_multiple(self), _integer_multiple(other)
-        out = _int_convolve(na, nb)
-        den = da * db
-        return RatPoly(out if den == 1 else (_Q(c, den) for c in out))
+        return _ratpoly(*_product(self, self._coerce(other)))
 
     __rmul__ = __mul__
 
@@ -165,84 +204,72 @@ class RatPoly:
     def _coerce(other) -> "RatPoly":
         if isinstance(other, RatPoly):
             return other
-        return RatPoly.constant(other)
+        return RatPoly((other,))
 
     @staticmethod
     def dot(a: "RatPoly", b: "RatPoly", c: "RatPoly", d: "RatPoly") -> "RatPoly":
         """a*b + c*d; the ring operation ``Mat2`` products are built from."""
-        return a * b + c * d
+        return _ratpoly(*_dot(a, b, c, d))
 
     def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         """(q, r) with self = q*other + r and deg r < deg other, by integer
-        long division (``_int_divide``) of A = la*self by B = lb*other
-        (``_integer_multiple``): with A = Q*B + R/s, the Fractions are built
-        once, at the end, as q = Q*lb/la and r = R/(s*la)."""
+        long division (``_int_divide``) of the numerators A = la*self by
+        B = lb*other, la and lb the denominators: with A = Q*B + R over the
+        scale s, q = Q*lb/(s*la) and r = R/(s*la)."""
         if other.is_zero():
             raise ZeroModulus("division by the zero polynomial")
         if self.degree < other.degree:
             return RatPoly.zero(), self
-        rem, la = _integer_multiple(self)
-        div, lb = _integer_multiple(other)
-        quot, s = _int_divide(rem, div)
-        den = s * la
-        return (
-            RatPoly(_Q(k * lb, s_k * la) for k, s_k in quot),
-            RatPoly(rem if den == 1 else (_Q(c, den) for c in rem)),
-        )
-
-    def scale(self, c) -> "RatPoly":
-        c = _as_fraction(c)
-        return RatPoly(a * c for a in self.coeffs)
+        rem = list(self.num)
+        quot, s = _int_divide(rem, other.num)
+        den = s * self.den
+        return _ratpoly([k * other.den for k in quot], den), _ratpoly(rem, den)
 
     def monic(self) -> "RatPoly":
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self.scale(1 / self.leading())
+        lc = self.num[-1]
+        return _ratpoly(list(self.num) if lc > 0 else [-c for c in self.num], abs(lc))
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _ratpoly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     # -- evaluation -----------------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation at x; exact at a rational x."""
+        """Horner evaluation of the numerator at x, over the denominator;
+        exact at a rational x."""
         acc = _Q(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
-
-    # -- content and integer normalization -------------------------------
-
-    def clear_denominators(self) -> "RatPoly":
-        """Primitive integer polynomial with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        if g:
-            ints = [c // g for c in ints]
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
-        return RatPoly(ints)
-
-    def int_coeffs(self) -> list[int]:
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError("polynomial does not have integer coefficients")
-            out.append(c.numerator)
-        return out
+        return acc / self.den
 
 
-def _int_divide(rem: list[int], div: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+def _canonical(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """RatPoly's canonical form of num/den, den > 0: no trailing zeros,
+    lowest terms."""
+    while num and not num[-1]:
+        num.pop()
+    num, den = _lowest_terms(num, den)
+    return tuple(num), den
+
+
+def _ratpoly(num: list[int], den: int) -> RatPoly:
+    """The polynomial num/den for an integer list and den > 0, without
+    converting a coefficient."""
+    p = RatPoly.__new__(RatPoly)
+    p.num, p.den = _canonical(num, den)
+    return p
+
+
+def _int_divide(rem: list[int], div: Sequence[int]) -> tuple[list[int], int]:
     """Long division of integer coefficient lists, div nonzero, in place.
 
     The remainder is one integer vector R over a single positive scale s,
     standing for A - Q*B = R/s; a step whose leading term t is not a
     multiple of lc = lc(B) first scales R and s by |lc| / gcd(lc, t).
-    Returns the quotient Q as (k, s_k) pairs, its coefficients k/s_k, and
-    the final s; rem is left holding R, without trailing zeros.
+    Returns the quotient as an integer list over the final s (Q*s) and s;
+    rem is left holding R, without trailing zeros.
     """
     dd = len(div) - 1
     lc = div[-1]
@@ -267,7 +294,7 @@ def _int_divide(rem: list[int], div: Sequence[int]) -> tuple[list[tuple[int, int
     del rem[dd:]
     while rem and not rem[-1]:
         rem.pop()
-    return quot, s
+    return [k * (s // s_k) for k, s_k in quot], s
 
 
 def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -281,10 +308,10 @@ def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd over Q, by Euclid on primitive integer remainders."""
-    x, y = _integer_multiple(a)[0], _integer_multiple(b)[0]
+    x, y = a.num, b.num
     while y:
         x, y = y, _primitive_remainder(x, y)
-    return RatPoly(x).monic() if x else RatPoly.zero()
+    return _ratpoly(list(x), 1).monic() if x else RatPoly.zero()
 
 
 def square_free_part(p: RatPoly) -> RatPoly:
@@ -320,19 +347,12 @@ def sturm_chain(p: RatPoly) -> list[list[int]]:
     """Sturm sequence p, p', ..., p_{i+1} = -(p_{i-1} mod p_i), as integer
     coefficient lists: each term is a positive multiple of the rational one,
     so the sign variations are the same everywhere."""
-    chain = [_integer_multiple(p)[0]]
-    nxt = _integer_multiple(p.derivative())[0]
+    chain = [list(p.num)]
+    nxt = list(p.derivative().num)
     while nxt:
         chain.append(nxt)
         nxt = [-c for c in _primitive_remainder(chain[-2], chain[-1])]
     return chain
-
-
-def _integer_multiple(p: RatPoly) -> tuple[list[int], int]:
-    """Coefficients of L*p, and L > 0 the lcm of the denominators; L*p has
-    the sign of p everywhere."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _sign_at(ints: Sequence[int], u: int, v: int) -> int:
@@ -362,9 +382,7 @@ def _sign_variations_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> i
 
 def root_bound(p: RatPoly) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
-    lc = abs(p.leading())
-    b = max((abs(c) / lc for c in p.coeffs[:-1]), default=_Q(0))
-    return b + 1
+    return _Q(max((abs(c) for c in p.num[:-1]), default=0), abs(p.num[-1])) + 1
 
 
 def sturm_real_roots(p: RatPoly) -> RootIsolation:
@@ -422,7 +440,7 @@ def refine_interval(p: RatPoly, interval: tuple[Fraction, Fraction], width: Frac
     """
     # the walk runs on integer numerators A, B over one denominator d that
     # grows by powers of two, so no midpoint is reduced by a gcd
-    ints = _integer_multiple(p)[0]
+    ints = p.num
     a, b = interval
     d = math.lcm(a.denominator, b.denominator)
     A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
@@ -513,7 +531,7 @@ def newton_enclosure(p: RatPoly, interval: tuple[Fraction, Fraction], width_bits
     and the caller then bisects.  This is Abbott's quadratic interval
     refinement ("Quadratic Interval Refinement for Real Roots", ACM Commun.
     Comput. Algebra 48, 2014) with a fixed doubling schedule."""
-    ints = _integer_multiple(p)[0]
+    ints = p.num
     a, b = interval
     sa = _sign_at(ints, a.numerator, a.denominator)
     scales = [width_bits + 1 + _NEWTON_GUARD]
@@ -684,7 +702,7 @@ def complex_roots(p: RatPoly, precision_bits: int) -> ComplexRootSet:
         raise RepeatedRoots("input has repeated roots; deflate first")
 
     monic = p.monic()
-    ints = _integer_multiple(p)[0]
+    ints = p.num
     seeds = _float_seeds(monic)
     bits = precision_bits
     while bits <= 8 * precision_bits:
@@ -766,7 +784,7 @@ def _float_seeds(monic: RatPoly) -> list[complex] | None:
     seeds are not finite and pairwise distinct."""
     n = monic.degree
     try:
-        coeffs = [float(c) for c in reversed(monic.coeffs)]
+        coeffs = [c / monic.den for c in reversed(monic.num)]
         rad = _start_radius(monic) * 0.9
         zs = [rad * cmath.exp(2j * math.pi * (k + 0.25) / n) + 0.1 * (k % 3) for k in range(n)]
         for _ in range(_MAX_SWEEPS):
@@ -820,10 +838,10 @@ _SMALL_FACTOR_PROBES = (
 
 def rational_roots(p: RatPoly) -> list[Fraction]:
     """All rational roots, by the rational-root test on the primitive part."""
-    prim = p.clear_denominators()
-    ints = prim.int_coeffs()
-    if not ints:
+    if p.is_zero():
         return []
+    g = math.gcd(*p.num)
+    ints = [c // g for c in p.num]
     # strip factors of z
     shift = 0
     while ints[shift] == 0:
@@ -954,8 +972,7 @@ def irreducibility_certificate(p: RatPoly) -> IrreducibilityVerdict:
     intersection of achievable factor degrees across several primes.
     Reducible always carries an exact factor.  Unknown is the fallback.
     """
-    prim = p.clear_denominators()
-    n = prim.degree
+    n = p.degree
     if n <= 0:
         return IrreducibilityVerdict("unknown", witness="constant polynomial")
     if n == 1:
@@ -964,7 +981,9 @@ def irreducibility_certificate(p: RatPoly) -> IrreducibilityVerdict:
     # the degree patterns first: they never certify a polynomial with a rational
     # root or a probe factor, which keeps a factor of its degree mod each q used
     if n > 3:
-        ints = prim.int_coeffs()
+        # the primitive integer multiple with a positive leading coefficient
+        g = math.gcd(*p.num) * (1 if p.num[-1] > 0 else -1)
+        ints = [c // g for c in p.num]
         achievable: set[int] | None = None
         used = []
         for q in _PRIMES:
@@ -987,13 +1006,13 @@ def irreducibility_certificate(p: RatPoly) -> IrreducibilityVerdict:
                     "irreducible",
                     witness=f"factor-degree patterns mod {used} exclude proper factors",
                 )
-    for r in rational_roots(prim):
+    for r in rational_roots(p):
         return IrreducibilityVerdict("reducible", factor=RatPoly((-r, 1)))
     if n <= 3:
         return IrreducibilityVerdict(
             "irreducible", witness="degree <= 3 with no rational roots"
         )
     for probe in _SMALL_FACTOR_PROBES:
-        if prim.divmod(probe)[1].is_zero():  # n > 3 exceeds every probe's degree
+        if p.divmod(probe)[1].is_zero():  # n > 3 exceeds every probe's degree
             return IrreducibilityVerdict("reducible", factor=probe)
     return IrreducibilityVerdict("unknown", witness="prime budget exhausted")

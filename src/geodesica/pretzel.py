@@ -8,7 +8,6 @@ Q[z]/(lambda_k).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
@@ -57,7 +56,7 @@ def lambda_poly(k: int) -> RatPoly:
 
 def lambda_closed_formula(k: int) -> RatPoly:
     """The binomial closed form for lambda_k, expanded exactly."""
-    coeffs = [Fraction(0)] * (2 * k + 2)
+    coeffs = [0] * (2 * k + 2)
     for j in range(k + 1):
         coeffs[2 * j] -= _binom(k + j, 2 * j)
         coeffs[2 * j + 1] += _binom(k + j, 2 * j + 1) + _binom(k + j + 1, 2 * j + 1)
@@ -269,9 +268,9 @@ def relator_factorization_check(k: int) -> dict:
 
 def psi_poly(k: int) -> RatPoly:
     """psi_k(x) = x^{4k+2} - 1 + sum_{j=0}^{2k} (-1)^{j+1} x^{2j+1}."""
-    coeffs = [Fraction(0)] * (4 * k + 3)
-    coeffs[0] = Fraction(-1)
-    coeffs[4 * k + 2] = Fraction(1)
+    coeffs = [0] * (4 * k + 3)
+    coeffs[0] = -1
+    coeffs[4 * k + 2] = 1
     for j in range(2 * k + 1):
         coeffs[2 * j + 1] += (-1) ** (j + 1)
     return RatPoly(coeffs)

@@ -500,7 +500,7 @@ def _rational_inverse(e):
         s0, s1 = s1, s0 - q * s1
     if r0.degree != 0:
         raise DivisionByZero("zero divisor")
-    return e.field.element(s0.scale(1 / r0.coeffs[0]).coeffs)
+    return e.field.element((s0 * (1 / r0.coeffs[0])).coeffs)
 
 
 @given(field_and_vectors(KERNEL_FIELDS, 1))
@@ -631,3 +631,30 @@ def test_dot_matches_two_products_and_a_sum(data):
     assert (got.num, got.den) == (want.num, want.den)
     assert got.den > 0 and math.gcd(got.den, *got.num) == 1
     assert reduced(K, RatPoly.dot(*map(as_poly, (a, b, c, d)))) == as_poly(want)
+
+
+@st.composite
+def dot_vectors(draw):
+    K = draw(st.sampled_from(KERNEL_FIELDS + DOT_FIELDS))
+    # vectors up to twice the degree long, with small and large denominators
+    coords = st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+        ),
+        max_size=2 * K.degree,
+    )
+    return K, [draw(coords) for _ in range(4)]
+
+
+@given(dot_vectors())
+@settings(max_examples=300, deadline=None)
+def test_field_dot_is_the_polynomial_dot_reduced_by_the_minpoly(data):
+    # one shared kernel: the field's a*b + c*d is the polynomial one reduced
+    # mod m, numerator for numerator and over the same denominator
+    K, vectors = data
+    got = K.dot(*(K.element(v) for v in vectors))
+    want = RatPoly.dot(*(RatPoly(v) for v in vectors)).divmod(K.minpoly)[1]
+    assert got.num == want.num + (0,) * (K.degree - len(want.num))
+    assert got.den == want.den

@@ -2,11 +2,13 @@ from fractions import Fraction
 from unittest import mock
 
 import cmath
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import modp_reference
+import ratpoly_reference
 
 from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
 from geodesica import polycore
@@ -18,7 +20,6 @@ from geodesica.polycore import (
     _durand_kerner,
     _fixed,
     _float_seeds,
-    _integer_multiple,
     _newton_start,
     _weierstrass_radii,
     complex_roots,
@@ -475,6 +476,100 @@ def test_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# The integer vector over one denominator against the Fraction class it
+# replaced (``ratpoly_reference``)
+# ---------------------------------------------------------------------------
+
+
+def test_canonical_form_is_structural():
+    half = RatPoly([Fraction(2, 4)])
+    assert (half.num, half.den) == ((1,), 2)
+    for same in (RatPoly(["1/2"]), RatPoly([Fraction(1, 2), 0, Fraction(0, 7)]),
+                 RatPoly([3]) * Fraction(1, 6), RatPoly(["5/6"]) - RatPoly(["1/3"])):
+        assert (same.num, same.den, hash(same)) == (half.num, half.den, hash(half))
+        assert same == half
+    zero = RatPoly([])
+    assert (zero.num, zero.den) == ((), 1)
+    for same in (RatPoly([0, Fraction(0, 5)]), RatPoly(["3/4"]) - RatPoly([Fraction(6, 8)]),
+                 RatPoly([Fraction(1, 3), 1]) * 0, RatPoly.zero()):
+        assert (same.num, same.den, hash(same)) == ((), 1, hash(zero))
+        assert same == zero and not same
+
+
+exact_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)),
+)
+# zero, constants and longer polynomials, with small and large denominators
+exact_coeffs = st.lists(exact_rationals, max_size=8)
+
+
+def _same(got, want):
+    """The package's polynomial got is the reference's want, in canonical
+    form: no trailing zero, a positive denominator in lowest terms."""
+    assert got.coeffs == want.coeffs
+    assert not got.num or got.num[-1]
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+
+
+@given(exact_coeffs, exact_coeffs, exact_coeffs, exact_coeffs, exact_rationals)
+@example([], [], [], [], Fraction(0))
+@example([Fraction(3, 4)], [Fraction(-2, 9)], [0, 1], [Fraction(1, 10 ** 40)], Fraction(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_ring_operations_match_the_fraction_reference(a, b, c, d, x):
+    pa, pb, pc, pd = (RatPoly(v) for v in (a, b, c, d))
+    ra, rb, rc, rd = (ratpoly_reference.RatPoly(v) for v in (a, b, c, d))
+    _same(pa, ra)
+    _same(pa + pb, ra + rb)
+    _same(pa - pb, ra - rb)
+    _same(-pa, -ra)
+    _same(pa * pb, ra * rb)
+    _same(x * pa + x, x * ra + x)
+    _same(RatPoly.dot(pa, pb, pc, pd), ratpoly_reference.RatPoly.dot(ra, rb, rc, rd))
+    _same(pa.derivative(), ra.derivative())
+    # the common factor pc makes the gcd nontrivial
+    _same(poly_gcd(pa * pc, pb * pc), ratpoly_reference.poly_gcd(ra * rc, rb * rc))
+    assert pa.eval(x) == ra.eval(x)
+    assert pa.to_json() == ra.to_json()
+    assert repr(pa) == repr(ra)
+    assert pa.degree == ra.degree
+    assert (pa == x) == (ra == x)
+    if ra.is_zero():
+        with pytest.raises(ZeroPolynomial):
+            pa.monic()
+    else:
+        _same(pa.monic(), ra.monic())
+    if rb.is_zero():
+        with pytest.raises(ZeroModulus):
+            pa.divmod(pb)
+    else:
+        (q, r), (wq, wr) = pa.divmod(pb), ra.divmod(rb)
+        _same(q, wq)
+        _same(r, wr)
+
+
+# the root bound, and so the bisection depth, grows with the coefficients
+sturm_coeffs = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-40, max_value=40, max_denominator=10 ** 6)),
+    max_size=7,
+)
+
+
+@given(sturm_coeffs, sturm_coeffs)
+@example([Fraction(-1, 3), 0, 1], [])
+@example([1, 0, -5, 0, 4], [1, 1])  # roots at the dyadic points +-1, +-2; a double root
+@settings(max_examples=150, deadline=None)
+def test_sturm_intervals_match_the_fraction_reference(a, b):
+    p, want = RatPoly(a) * RatPoly(b), ratpoly_reference.RatPoly(a) * ratpoly_reference.RatPoly(b)
+    if want.degree < 1:
+        return
+    assert sturm_chain(p) == ratpoly_reference.sturm_chain(want)
+    assert sturm_real_roots(p) == ratpoly_reference.sturm_real_roots(want)
+
+
+# ---------------------------------------------------------------------------
 # Sparse integer products, the square-free test and Durand-Kerner against
 # the loops they replace
 # ---------------------------------------------------------------------------
@@ -517,7 +612,7 @@ def _fraction_divmod(a, b):
         raise ZeroModulus("division by the zero polynomial")
     q = [Fraction(0)] * max(0, a.degree - b.degree + 1)
     rem = list(a.coeffs)
-    dlc = b.leading()
+    dlc = b.coeffs[-1]
     dd = b.degree
     while len(rem) - 1 >= dd and any(rem):
         while rem and rem[-1] == 0:
@@ -578,7 +673,7 @@ def test_integer_gcd_and_sturm_chain_match_fraction_euclid(a, b, c):
     assert len(got) == len(want)
     for ints, q in zip(got, want):
         # a positive multiple of the rational term
-        assert RatPoly(ints).monic() == q.monic() and (ints[-1] > 0) == (q.leading() > 0)
+        assert RatPoly(ints).monic() == q.monic() and (ints[-1] > 0) == (q.num[-1] > 0)
 
 
 _ROOT_INPUTS = [f"{f}_{k}" for f in ("psi", "lambda") for k in (1, 2, 3, 4)] + ["7_4"]
@@ -604,7 +699,7 @@ def _exact_correction(p, zs, i):
     for c in reversed(p.coeffs):
         num = _cmul(num, zi)
         num = (num[0] + c, num[1])
-    den = (p.leading(), Fraction(0))
+    den = (p.coeffs[-1], Fraction(0))
     for j, zj in enumerate(zs):
         if j != i:
             den = _cmul(den, (zi[0] - zj[0], zi[1] - zj[1]))
@@ -647,7 +742,7 @@ def test_durand_kerner_converts_once_bit_identically(poly, bits):
     s = bits + 20
     seeds = _float_seeds(monic)
     assert seeds is not None
-    ints = _integer_multiple(monic)[0]
+    ints = list(monic.num)
     for start in ([(_fixed(z.real, s), _fixed(z.imag, s)) for z in seeds],
                   _newton_start(monic, s)):
         got, ws = _durand_kerner(ints, start, s)
@@ -683,7 +778,7 @@ def test_radii_bound_the_exact_weierstrass_correction(name, bits):
     # below n |W_i| about half the time
     doubles = [(_fixed(float(Fraction(x, unit)), s), _fixed(float(Fraction(y, unit)), s))
                for x, y in centers]
-    ints = _integer_multiple(p)[0]
+    ints = list(p.num)
     for zs in (centers, doubles):
         radii = _weierstrass_radii(p.degree, _corrections(ints, zs, s))
         pts = [(Fraction(x, unit), Fraction(y, unit)) for x, y in zs]
@@ -734,7 +829,7 @@ def test_seeded_roots_match_on_square_free_integer_polys(coeffs):
     p = RatPoly(coeffs)
     if p.degree < 1:
         return
-    _assert_same_roots(square_free_part(p).clear_denominators())
+    _assert_same_roots(RatPoly(square_free_part(p).num))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -38,7 +38,7 @@ def psi_from_lambda(k: int) -> RatPoly:
             power = power * x2m1
         if c == 0:
             continue
-        term = power * RatPoly.constant(c)
+        term = power * RatPoly([c])
         shift = 2 * k + 1 - i
         term = term * RatPoly([0] * shift + [1]) if shift else term
         out = out + term
@@ -58,7 +58,7 @@ class TestLambda:
     def test_recursion_vs_closed_form(self, k):
         assert lambda_poly(k) == lambda_closed_formula(k)
         assert lambda_poly(k).degree == 2 * k + 1
-        assert lambda_poly(k).leading() == 1
+        assert lambda_poly(k).coeffs[-1] == 1
 
     def test_recursion_identity(self):
         for k in range(2, 11):
