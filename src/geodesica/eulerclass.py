@@ -11,8 +11,8 @@ computed, and the Euler number comes out as an exact integer.
 Each sign is read from integer balls at the place (``RealPlace.ball``): the
 generator images are embedded once at the lifting's bits, and each product of
 lifts walks their ball products.  A ball never guesses; when one holds 0, the
-product is walked again on exact matrices over K (``EulerWalk``), and each of
-its signs takes the one exact path, ``RealPlace.sign``: integer interval Horner
+product is walked again on the exact matrices of the representation's word
+table (``PlaceLift.product``), and each of its signs is ``RealPlace.sign``'s,
 over a root enclosure refined as far as the cap.
 
 Sign convention: places are ordered by ascending real root, generators get
@@ -25,7 +25,6 @@ not a theorem.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -134,62 +133,18 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-class EulerWalk:
-    """Exact data of the Euler computation of one representation, built only
-    when a product's balls leave a sign undecided, and shared by the places
-    it is passed to: the steps that lift a product of factor words factor by
-    factor (a word is the product of its letters).  Word matrices live in
-    the representation's word table, so the longitude and tau read what the
-    walk evaluated, and the other way round."""
-
-    def __init__(self, rep: MatrixRep):
-        self.identity = Mat2.identity(rep.field)
-        self.dot = rep.field.dot
-        self.table = rep.word_table
-        for g, M in enumerate(rep.images):
-            self.table.setdefault(Word.gen(g), M)
-        self.products: dict[Factors, tuple[list[Step], Mat2]] = {}
-
-    def matrix(self, w: Word) -> Mat2:
-        M = self.table.get(w)
-        if M is None:
-            M = self.table[w] = self.product(_letters(w))[1]
-        return M
-
-    def product(self, factors: Factors) -> tuple[list[Step], Mat2]:
-        data = self.products.get(factors)
-        if data is None:
-            dot = self.dot
-            mats = [self.matrix(w) if s > 0 else self.matrix(w).adjugate() for w, s in factors]
-            steps = []
-            out = mats[0] if mats else self.identity
-            x1, y1 = _alpha2(out)
-            for M in mats[1:]:
-                x2, y2 = _alpha2(M)
-                out = out * M
-                steps.append(((dot(x1, x2, -y1, y2), dot(x1, y2, x2, y1)), _alpha2(out)))
-                x1, y1 = steps[-1][1]
-            data = self.products[factors] = (steps, out)
-        return data
-
-
-def _shared_walk(rep: MatrixRep) -> Callable[[], EulerWalk]:
-    """A function that returns rep's EulerWalk, built on its first call."""
-    return functools.cache(lambda: EulerWalk(rep))
-
-
 class PlaceLift:
     """A representation lifted at one real place: principal generator lifts
     (+-G with Arg alpha in [0, pi)), each word lifted once next to its ball
     (``RealPlace.ball`` of its matrix), and the central shifts (in units of
     pi, one per generator) under which every relator lifts to the identity.
-    The generator balls are built at ``bits``; ``walk`` returns the knot's
-    EulerWalk for a product whose balls leave a sign undecided, and ``bits``
-    then grows to the widest root enclosure an exact decision needed."""
+    The generator balls are built at ``bits``.  A sign a ball leaves
+    undecided is decided exactly, on the matrices of rep's word table
+    (``product``), and ``bits`` then grows to the widest root enclosure such
+    a decision needed."""
 
-    def __init__(self, rep: MatrixRep, place: RealPlace, bits: int,
-                 walk: Callable[[], EulerWalk]):
-        self.place, self.bits, self.walk = place, bits, walk
+    def __init__(self, rep: MatrixRep, place: RealPlace, bits: int):
+        self.rep, self.place, self.bits = rep, place, bits
         # word -> (its lift, the ball of its matrix)
         self.words: dict[Word, tuple] = {}
         for g, M in enumerate(rep.images):
@@ -228,13 +183,13 @@ class PlaceLift:
         try:
             self.place.ball_sign(B.alpha2()[1])  # alpha(M) is not real
         except Undecided:
-            return ucover_inv(lift, self.walk().matrix(w)), B.adjugate()
+            return ucover_inv(lift, self.rep.word_matrix(w)), B.adjugate()
         return _inverse(lift, False), B.adjugate()
 
     def lift(self, factors: Factors) -> tuple:
         """(lift, ball) of a product of factor words under the principal
         generator lifts (the shifts are not applied): the lift is walked on
-        the balls, or on the exact steps (``product``) when a ball holds 0."""
+        the balls, or on the exact matrices (``product``) when a ball holds 0."""
         if not factors:
             return Lift(1, 0, False), self.one
         lifts, balls = zip(*(self.factor(w, s) for w, s in factors))
@@ -248,14 +203,20 @@ class PlaceLift:
         return lift, prefixes[-1]
 
     def product(self, factors: Factors) -> tuple[Lift, Mat2]:
-        """Lift of a product of factor words under the principal generator
-        lifts, walked on the exact steps of the knot's EulerWalk, with its
-        exact matrix."""
-        steps, M = self.walk().product(factors)
+        """Lift of a product of one or more factor words under the principal
+        generator lifts, with its exact matrix: walked on the factors'
+        matrices from the representation's word table, each step's pair
+        4 alpha1 alpha2 one ``dot``, and every sign decided exactly."""
+        dot, matrix = self.rep.field.dot, self.rep.word_matrix
+        mats = [matrix(w) if s > 0 else matrix(w).adjugate() for w, s in factors]
         lifts = [self.factor(w, s)[0] for w, s in factors]
-        lift = lifts[0] if lifts else Lift(1, 0, False)
-        for step, y in zip(steps, lifts[1:]):
-            lift = ucover_mul(lift, y, step, self.sign)
+        lift, M = lifts[0], mats[0]
+        x1, y1 = _alpha2(M)
+        for G, y in zip(mats[1:], lifts[1:]):
+            (x2, y2), M = _alpha2(G), M * G
+            pair = dot(x1, x2, -y1, y2), dot(x1, y2, x2, y1)
+            x1, y1 = alpha = _alpha2(M)
+            lift = ucover_mul(lift, y, (pair, alpha), self.sign)
         return lift, M
 
     def relator_defect(self, factors: Factors, sign: int) -> int:
@@ -359,19 +320,17 @@ def lift_representation(
     place: RealPlace,
     precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    walk: Optional[Callable[[], EulerWalk]] = None,
 ) -> PlaceLift:
     """Principal lifts of the generator images with every relator defect
     annihilated: starts from the principal lift of each generator (shifted by
     the optional central offsets, exercising lift-independence), measures the
     central defect c^{k_r} of each relator, and solves E m = -k over the
     relator abelianization matrix E.  A central shift moves a word's lift by
-    its exponent sums, so no word is walked twice.  ``walk``, when given,
-    returns rep's EulerWalk and shares it with the knot's other places."""
+    its exponent sums, so no word is walked twice."""
     require_positive_int(precision_bits, "precision_bits")
     pres = rep.presentation
     start = (list(offsets or ()) + [0] * pres.generator_count)[:pres.generator_count]
-    lifting = PlaceLift(rep, place, precision_bits, walk or _shared_walk(rep))
+    lifting = PlaceLift(rep, place, precision_bits)
     E = pres.relator_exponent_matrix()
     defects = [
         lifting.relator_defect(factors, sign) + _dot(row, start)
@@ -402,7 +361,6 @@ def euler_number(
     place: RealPlace,
     precision_bits: int = START_BITS,
     offsets: Optional[Sequence[int]] = None,
-    walk: Optional[Callable[[], EulerWalk]] = None,
 ) -> EulerResult:
     """Euler number e([F]) at a real place: the central gap, in units of pi,
     between the lifted longitude and the canonical section.  The longitude
@@ -419,7 +377,7 @@ def euler_number(
             f"precision {precision_bits} bits exceeds the cap {PRECISION_CAP} bits"
         )
     try:
-        lifting = lift_representation(rep, place, precision_bits, offsets, walk)
+        lifting = lift_representation(rep, place, precision_bits, offsets)
         lift, ball = lifting.lift(pres.longitude_factors)
         tau = rep.longitude_translation()
         flip = rep.longitude_matrix().a == -1  # tau = -b, else tau = b
@@ -440,11 +398,8 @@ def euler_number(
 
 
 def euler_tuple(rep: MatrixRep) -> tuple[EulerResult, ...]:
-    """Euler numbers at every real place, ordered by ascending real root;
-    the places share one walk, built only if a ball leaves a sign
-    undecided."""
-    walk = _shared_walk(rep)
-    return tuple(euler_number(rep, place, walk=walk) for place in rep.field.real_places())
+    """Euler numbers at every real place, ordered by ascending real root."""
+    return tuple(euler_number(rep, place) for place in rep.field.real_places())
 
 
 # ---------------------------------------------------------------------------

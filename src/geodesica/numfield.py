@@ -8,9 +8,10 @@ Z[z] and one positive common denominator, in lowest terms, the form of
 monic integer minimal polynomial, once per result, before ``_lowest_terms``.
 Embeddings return outward-rounded integer dyadic intervals (``intervals``)
 refined on demand, and a matrix's embedded entries make its integer ball at
-a real place (``RealPlace.ball``); the sign of an element at a real place is
-decided exactly, by integer interval Horner over a root enclosure refined
-until it certifies (``RealPlace.sign``).
+a real place (``RealPlace.ball``).  One Horner (``_horner``) evaluates an
+element over an interval or a box: the embeddings use it, and so does the
+exact sign of an element at a real place (``RealPlace.sign``), over root
+enclosures refined until the sign certifies.
 """
 
 from __future__ import annotations
@@ -216,28 +217,17 @@ class RealPlace:
 
     def sign(self, e: "FieldElement", bits: int, cap: int) -> tuple[int, int]:
         """(sign of e here, the bits that decided it): 0 when e is zero in K,
-        else by exact integer interval Horner of e's numerator over the root
-        enclosure of width 2^-bits, doubling bits up to cap."""
-        num = e.num
-        top = max((j for j, c in enumerate(num) if c), default=-1)
-        if top < 0:
+        else the sign of ``_horner`` over the root enclosure of width
+        2^-bits, doubling bits up to cap.  The enclosure is rounded outward
+        at scale bits + 16 plus the bits of e's denominator, so the final
+        division loses no more than the numerator's rounding does."""
+        if e.is_zero():
             return 0, bits
         while bits <= cap:
             lo, hi = self.field.real_root_enclosure(self.index, bits)
-            d = math.lcm(lo.denominator, hi.denominator)
-            A, B = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-            # d^top * e(x) for x in [A/d, B/d]: H <- H * X + num[j] * d^(top - j)
-            low = high = num[top]
-            scale = 1
-            for c in reversed(num[:top]):
-                scale *= d
-                p, q, r, s = low * A, low * B, high * A, high * B
-                low, high = min(p, q, r, s), max(p, q, r, s)
-                if c:
-                    low += c * scale
-                    high += c * scale
-            if low > 0 or high < 0:
-                return (1 if low > 0 else -1), bits
+            val = _horner(e, Iv.enclose(lo, hi, bits + 16 + e.den.bit_length()))
+            if val.lo > 0 or val.hi < 0:
+                return (1 if val.lo > 0 else -1), bits
             bits *= 2
         raise PrecisionExhausted(
             f"{self.field.name}: sign at real place {self.index} not certified "

@@ -66,10 +66,7 @@ class Slope:
 class SlopeSystem(NamedTuple):
     """Linear system in u = (mp, mq, np, nq) from one conjugator case."""
 
-    tau: FieldElement
-    weight: FieldElement
     equations: tuple[tuple[int, int, int, int], ...]
-    coefficient_columns: tuple[tuple[Fraction, ...], ...] = ()
 
 
 def _normalize_row(row: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
@@ -108,12 +105,7 @@ def build_system(tau: FieldElement, weight: FieldElement) -> SlopeSystem:
         norm = _normalize_row(row)
         if norm is not None and norm not in rows:
             rows.append(norm)
-    return SlopeSystem(
-        tau=tau,
-        weight=weight,
-        equations=tuple(rows),
-        coefficient_columns=(col_mp.coeffs, col_mq.coeffs, col_nq.coeffs),
-    )
+    return SlopeSystem(tuple(rows))
 
 
 class SlopeSolution(NamedTuple):
@@ -237,8 +229,8 @@ class SlopeCase(NamedTuple):
     """One conjugator-orbit case from a uniqueness-style analysis.
 
     `fixed_pq` pins the first peripheral element (the second round of the
-    7_4 analysis); `collect` names which slopes of each admissible pair
-    enter the final set ("both" or "companion").
+    7_4 analysis); such a case adds the companion slope of each admissible
+    pair to the final set, and a case without it adds both slopes.
     """
 
     label: str

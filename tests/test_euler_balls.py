@@ -2,10 +2,11 @@
 exact matrices, every sign a ball decides is the exact sign, and a relator
 closed on its last factor has the central defect of its full exact product."""
 
+import functools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geodesica import eulerclass
 from geodesica.errors import Undecided
@@ -50,6 +51,12 @@ def _words(generator_count):
     return st.lists(letter, min_size=1, max_size=8).map(Word)
 
 
+def _factors(generator_count):
+    """One to three factor words, each taken as itself or as its inverse."""
+    factor = st.tuples(_words(generator_count), st.sampled_from((1, -1)))
+    return st.lists(factor, min_size=1, max_size=3).map(tuple)
+
+
 def test_the_ball_places_are_every_real_place_of_their_knots(census_records):
     for name in {name for name, _ in BALL_PLACES}:
         places = get_knot(census_records, name).rep.field.real_places()
@@ -78,6 +85,21 @@ def test_ball_products_and_pairs_enclose_the_exact_entries(census_records, name,
         assert _inside(place, z, 2 * s, e) and _same_sign(place, z, e)
 
 
+@pytest.mark.parametrize("name, index", BALL_PLACES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_the_ball_walk_and_the_exact_walk_agree(census_records, name, index, data):
+    rep = get_knot(census_records, name).rep
+    place = rep.field.real_places()[index]
+    factors = data.draw(_factors(rep.presentation.generator_count), label="factors")
+    balls = eulerclass.lift_representation(rep, place)
+    # a product whose balls leave a sign undecided is the exact walk itself,
+    # so it compares nothing
+    balls.product = lambda factors: assume(False)
+    lift = balls.lift(factors)[0]
+    assert lift == eulerclass.lift_representation(rep, place).product(factors)[0]
+
+
 def test_closed_relators_have_the_defects_of_their_full_products(census_records):
     pairs = 0
     for rep in (r.rep for r in census_records if r.rep is not None):
@@ -99,11 +121,12 @@ def test_a_relator_whose_two_lifts_differ_in_sign_closes_on_the_gap():
     branches = set()
     for entries in ((0, -1, 1, 0), (1, 1, -1, 0), (0, -1, 1, -1), (1, -1, 1, 0)):
         G = Mat2(*(K.rational(x) for x in entries))
-        rep = SimpleNamespace(images=(G,), field=K, word_table={})
-        walk = eulerclass.EulerWalk(rep)
+        rep = SimpleNamespace(
+            images=(G,), field=K, word_matrix=functools.partial(evaluate_word, (G,))
+        )
         g = Word.gen(0)
         for place in K.real_places():
-            lifting = eulerclass.PlaceLift(rep, place, START_BITS, lambda: walk)
+            lifting = eulerclass.PlaceLift(rep, place, START_BITS)
             for n in range(1, 13):
                 M = G ** n
                 if not M.is_proj_identity():

@@ -2,7 +2,6 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
-from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -606,9 +605,7 @@ def test_inverse_over_a_negative_real_alpha_lifts_to_the_identity():
     # winding below the lift of adj M with the same sigma
     K = NumberField(RatPoly([1, 4, -4, 1]), "Q(z_74)")
     M = Mat2(*(K.rational(x) for x in (-2, 1, 1, -1)))
-    walk = eulerclass.EulerWalk(SimpleNamespace(images=(M,), field=K, word_table={}))
     place = K.real_places()[0]
-    g = Word.gen(0)
 
     def sign(e):
         return place.sign(e, 128, 128)[0]
@@ -620,9 +617,10 @@ def test_inverse_over_a_negative_real_alpha_lifts_to_the_identity():
         eulerclass.Lift(-1, -3, False),
     ):
         y = eulerclass.ucover_inv(x, M)
-        for pair, factors in (((x, y), ((g, 1), (g, -1))), ((y, x), ((g, -1), (g, 1)))):
-            (step,), product = walk.product(factors)
-            assert product == Mat2.identity(K)
+        for pair, (P, G) in (((x, y), (M, M.adjugate())), ((y, x), (M.adjugate(), M))):
+            assert P * G == Mat2.identity(K)
+            (x1, y1), (x2, y2) = eulerclass._alpha2(P), eulerclass._alpha2(G)
+            step = (K.dot(x1, x2, -y1, y2), K.dot(x1, y2, x2, y1)), eulerclass._alpha2(P * G)
             assert eulerclass.ucover_mul(*pair, step, sign) == eulerclass.Lift(1, 0, False)
 
 

@@ -161,6 +161,14 @@ class TestSign:
         with pytest.raises(PrecisionExhausted, match=r"Q\(z_73\): sign at real place 0 .* 32 bits"):
             place.sign(K73.gen() - lo, 8, 32)
 
+    def test_a_denominator_costs_no_doubling(self):
+        # the enclosure's scale grows with e's denominator, so e / 10^60
+        # certifies its sign at the bits e needs
+        place = K73.real_places()[0]
+        lo, _ = K73.real_root_enclosure(0, 60)
+        for e in (K73.one(), -K73.one(), K73.gen() - lo):
+            assert place.sign(e * Fraction(1, 10 ** 60), 8, 1 << 16) == place.sign(e, 8, 1 << 16)
+
 
 def _embedded_sign(place, e) -> int:
     """The sign of e here from its embeddings alone: 0 for zero in K, else
@@ -228,11 +236,11 @@ def test_sign_at_an_exact_dyadic_root_is_the_known_value(rnd, t, sign, bits):
 
 def test_the_balls_decide_every_census_sign(monkeypatch):
     # the euler check over the bundled census decides its 5,570 signs on
-    # balls at the places: no product is walked again on exact steps, so no
-    # EulerWalk is built and RealPlace.sign, the exact path, never runs
-    decided, exact, walks, fallbacks = [], [], [], []
+    # balls at the places: no product is walked again on exact matrices, and
+    # RealPlace.sign, the exact path, never runs
+    decided, exact, fallbacks = [], [], []
     ball_sign, sign = RealPlace.ball_sign, RealPlace.sign
-    build, product = eulerclass.EulerWalk.__init__, eulerclass.PlaceLift.product
+    product = eulerclass.PlaceLift.product
 
     def counted_ball_sign(x):
         s = ball_sign(x)
@@ -244,15 +252,12 @@ def test_the_balls_decide_every_census_sign(monkeypatch):
         RealPlace, "sign", lambda self, e, *a: exact.append(e) or sign(self, e, *a)
     )
     monkeypatch.setattr(
-        eulerclass.EulerWalk, "__init__", lambda self, rep: walks.append(rep) or build(self, rep)
-    )
-    monkeypatch.setattr(
         eulerclass.PlaceLift, "product",
         lambda self, factors: fallbacks.append(factors) or product(self, factors),
     )
     assert run(load_census(), checks=("euler",)).exit_status == 0
     assert len(decided) == 5570 and 0 not in decided
-    assert (exact, walks, fallbacks) == ([], [], [])
+    assert (exact, fallbacks) == ([], [])
 
 
 def test_the_exact_walk_alone_reproduces_every_census_euler_tuple(census_records, monkeypatch):

@@ -54,12 +54,16 @@ class TestBuildSystem:
     def test_pretzel_equations(self, sys_pretzel):
         assert set(sys_pretzel.equations) == {(0, 1, 1, 0), (1, 0, 0, 0)}
 
-    def test_pretzel_coefficient_columns(self, sys_pretzel):
+    def test_pretzel_coefficient_columns(self, sys_pretzel, pretzel_1):
         # weight^2 (nq tau^2 + (mq+np) tau + mp) = 36 nq - 6(mq+np) z + mp z^2
-        col_mp, col_mq, col_nq = sys_pretzel.coefficient_columns
-        assert list(col_mp) == [0, 0, 1]
-        assert list(col_mq) == [0, -6, 0]
-        assert list(col_nq) == [36, 0, 0]
+        z, tau = pretzel_1.field.gen(), pretzel_1.rep.longitude_translation()
+        w2 = z * z
+        col_mp, col_mq, col_nq = w2, w2 * tau, w2 * tau * tau
+        assert list(col_mp.coeffs) == [0, 0, 1]
+        assert list(col_mq.coeffs) == [0, -6, 0]
+        assert list(col_nq.coeffs) == [36, 0, 0]
+        # one equation per non-constant coefficient: z is -6(mq+np), z^2 is mp
+        assert sys_pretzel.equations == ((0, 1, 1, 0), (1, 0, 0, 0))
 
 
 class TestSolve:
@@ -132,8 +136,8 @@ class TestInvariants:
     def test_round_trip(self, sys_74_case1, rep_74):
         # substituting the solved pair back kills the non-constant coefficients
         K = rep_74.field
-        tau = sys_74_case1.tau
-        weight = sys_74_case1.weight
+        tau = rep_74.longitude_translation()
+        weight = K.element([-1, -1, 1])  # the weight of sys_74_case1
         for s_pq, s_mn in solve_system(sys_74_case1).pairs:
             p, q = s_pq.p, s_pq.q
             m, n = s_mn.p, s_mn.q
