@@ -36,7 +36,7 @@ from .errors import (
     Undecided,
     require_positive_int,
 )
-from .knotgroup import Factors, Mat2, MatrixRep, Word, evaluate_word, flatten
+from .knotgroup import Factors, Mat2, MatrixRep, Word, flatten
 from .numfield import START_BITS, FieldElement, RealPlace, is_algebraic_integer, is_prime
 
 # an Euler sign decision starts at START_BITS and gives up past PRECISION_CAP
@@ -458,7 +458,7 @@ def closed_surface_obstruction(rep: MatrixRep, manual_flags: Optional[dict] = No
         no_real_subfield_certified=certified,
         no_quadratic_subfield=no_quadratic,
         integral_traces=all(
-            is_algebraic_integer(evaluate_word(rep, w).trace())
+            is_algebraic_integer(rep.word_matrix(w).trace())
             for w in _trace_generating_words(rep)
         ),
     )

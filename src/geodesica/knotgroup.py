@@ -381,7 +381,7 @@ class MatrixRep:
     def word_matrix(self, w: Word) -> Mat2:
         m = self.word_table.get(w)
         if m is None:
-            m = self.word_table[w] = evaluate_word(self, w)
+            m = self.word_table[w] = evaluate_word(self.images, w)
         return m
 
     def factor_product(self, factors: Factors) -> Mat2:
@@ -420,11 +420,10 @@ class MatrixRep:
         return self._tau
 
 
-def evaluate_word(rep: MatrixRep | Sequence[Mat2], w: Word) -> Mat2:
-    """Exact product of generator-image powers, taken from a representation
-    or from the generator images themselves (matrices over Q[z] for the
-    pretzel identities)."""
-    images = rep.images if isinstance(rep, MatrixRep) else rep
+def evaluate_word(images: Sequence[Mat2], w: Word) -> Mat2:
+    """Exact product of generator-image powers.  A representation's words
+    are read through ``MatrixRep.word_matrix``, whose table calls this once
+    per word; the pretzel identities call it on their images over Q[z]."""
     out = None
     for g, e in w.letters:
         m = images[g] ** e
@@ -432,21 +431,15 @@ def evaluate_word(rep: MatrixRep | Sequence[Mat2], w: Word) -> Mat2:
     return Mat2.identity(images[0].ring()) if out is None else out
 
 
-def build_representation(
-    pres: KnotPresentation,
-    minpoly: RatPoly,
-    images: Optional[Sequence[Mat2]] = None,
-    name: str = "Q(z)",
-) -> MatrixRep:
-    """Riley representation of a two-bridge presentation over Q[z]/(minpoly),
-    or an explicitly supplied image list for other presentations.
+def build_representation(pres: KnotPresentation, minpoly: RatPoly, name: str = "Q(z)") -> MatrixRep:
+    """Riley representation of a two-bridge presentation over Q[z]/(minpoly).
 
-    For the Riley form the minpoly must divide the Riley polynomial, the
-    square-free part of the gcd of the entries of A.W - W.B: decided in
-    K = Q[z]/(minpoly) as A.W == W.B, which reads W.d = 0 and W.c = z W.b,
-    and minpoly square-free.  W is built by shears over Z[z] and each entry
-    reduced into K once.  A.W == W.B is the relator a w b^-1 w^-1 = I, so
-    its sign is +1; any other relator is verified to evaluate to +-I.
+    The minpoly must divide the Riley polynomial, the square-free part of
+    the gcd of the entries of A.W - W.B: decided in K = Q[z]/(minpoly) as
+    A.W == W.B, which reads W.d = 0 and W.c = z W.b, and minpoly square-free.
+    W is built by shears over Z[z] and each entry reduced into K once.
+    A.W == W.B is the relator a w b^-1 w^-1 = I, so its sign is +1; any
+    other relator is verified to evaluate to +-I.
 
     X -> J X^T J with J = (0 1; 1 0) is an anti-automorphism that fixes A
     and B, so the longitude's v, w spelled backwards, evaluates to
@@ -454,23 +447,21 @@ def build_representation(
     longitude's last factor a^k, k = -2e, as A^k = (1 k; 0 1).
     """
     K = NumberField(minpoly, name)
-    if images is None:
-        one, zero, z = K.one(), K.zero(), K.gen()
-        images = (Mat2(one, one, zero, one), Mat2(one, zero, z, one))
-        w = _two_bridge_word(pres)
-        W = Mat2(*(K._make(x, 1) for x in _riley_word(w)))
-        if W.d != zero or W.c != z * W.b or poly_gcd(minpoly, minpoly.derivative()).degree > 0:
-            raise NotARepresentation(
-                f"{pres.name}: minpoly does not divide the Riley polynomial"
-            )
-        table = {w: W, w.reversed_letters(): Mat2(W.d, W.b, W.c, W.a)}
-        k = -2 * sum(e for _, e in w.letters)
-        if k:
-            table[Word.gen(0, k)] = Mat2(one, K.rational(k), zero, one)
-        riley = ((Word.gen(0), 1), (w, 1), (Word.gen(1), -1), (w, -1))
-        signs = [1 if factors == riley else None for factors in pres.relator_factors]
-        return MatrixRep(pres, K, images, word_table=table, relator_signs=signs)
-    return MatrixRep(presentation=pres, field=K, images=tuple(images))
+    one, zero, z = K.one(), K.zero(), K.gen()
+    images = (Mat2(one, one, zero, one), Mat2(one, zero, z, one))
+    w = _two_bridge_word(pres)
+    W = Mat2(*(K._make(x, 1) for x in _riley_word(w)))
+    if W.d != zero or W.c != z * W.b or poly_gcd(minpoly, minpoly.derivative()).degree > 0:
+        raise NotARepresentation(
+            f"{pres.name}: minpoly does not divide the Riley polynomial"
+        )
+    table = {w: W, w.reversed_letters(): Mat2(W.d, W.b, W.c, W.a)}
+    k = -2 * sum(e for _, e in w.letters)
+    if k:
+        table[Word.gen(0, k)] = Mat2(one, K.rational(k), zero, one)
+    riley = ((Word.gen(0), 1), (w, 1), (Word.gen(1), -1), (w, -1))
+    signs = [1 if factors == riley else None for factors in pres.relator_factors]
+    return MatrixRep(pres, K, images, word_table=table, relator_signs=signs)
 
 
 def normalize_peripheral(rep: MatrixRep) -> MatrixRep:
@@ -479,9 +470,10 @@ def normalize_peripheral(rep: MatrixRep) -> MatrixRep:
     The commuting longitude shares the parabolic fixed point, so it becomes
     upper triangular as well; downstream sectioning relies on that shape.
     User-supplied explicit representations arrive in arbitrary position, so
-    the census loader funnels everything through here.
+    the census loader funnels everything through here.  Conjugation fixes
+    +-I, so the result keeps rep's relator signs and multiplies none out.
     """
-    m = evaluate_word(rep, rep.presentation.meridian)
+    m = rep.word_matrix(rep.presentation.meridian)
     K = rep.field
     if m.c.is_zero():
         return rep
@@ -490,7 +482,7 @@ def normalize_peripheral(rep: MatrixRep) -> MatrixRep:
     g = Mat2(K.zero(), -K.one(), K.one(), -x)  # det 1, sends x to infinity
     ginv = g.inverse()
     images = tuple(g * im * ginv for im in rep.images)
-    return MatrixRep(presentation=rep.presentation, field=K, images=images)
+    return MatrixRep(rep.presentation, K, images, relator_signs=rep.relator_signs)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +521,7 @@ def verify_subgroup_identities(rep: MatrixRep) -> dict:
     verified = {}
     mats = {}
     for label, (word, target) in expected.items():
-        got = evaluate_word(rep, word)
+        got = rep.word_matrix(word)
         if not (got == target):
             raise IdentityFailed(f"7_4 identity failed for word {label}")
         verified[label] = True
@@ -544,7 +536,7 @@ def verify_subgroup_identities(rep: MatrixRep) -> dict:
 
     w_m = rep.word_matrix(w)
     lhs = w_m * d_m * w_m.inverse()
-    rhs = evaluate_word(rep, x ** -2 * ell)
+    rhs = rep.word_matrix(x ** -2 * ell)
     if not lhs.proj_equal(rhs):
         raise IdentityFailed("7_4 identity failed: w d w^-1 != x^-2 ell")
     verified["w d w^-1 = x^-2 ell"] = True

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DegenerateCline, UnsupportedCase
 from .intervals import Box, Iv
-from .knotgroup import Mat2, MatrixRep, Word, evaluate_word
+from .knotgroup import Mat2, MatrixRep, Word
 from .numfield import ComplexPlace, FieldElement
 
 
@@ -258,7 +258,7 @@ def uniqueness_system(
         raise UnsupportedCase("uniqueness argument needs field degree >= 3")
     if direction.is_zero():
         raise UnsupportedCase(f"{K.name}: uniqueness case {label or word}: direction is zero")
-    m = evaluate_word(rep, word)
+    m = rep.word_matrix(word)
     t = m.c * direction
     d = m.d
     t2 = t * t

@@ -44,7 +44,6 @@ from .knotgroup import (
     MatrixRep,
     Word,
     build_representation,
-    evaluate_word,
     normalize_peripheral,
     two_bridge_presentation,
 )
@@ -89,7 +88,6 @@ class KnotRecord:
         self.rep: Optional[MatrixRep] = None
         self.pretzel: Optional[PretzelData] = None  # the loader's holonomy, for pretzel rows
         self.configuration: Optional[str] = None  # "pretzel-chain" | "74-strip" | None
-        self.awaiting_data = False
         self.irreducibility: Optional[str] = None
 
     @cached_property
@@ -244,9 +242,7 @@ def _load_record(row, index: int) -> KnotRecord:
                      "(expected four entries)")
             entries.append([_rationals(e, name, f"images[{i}]") for e in mat])
         minpoly = _minpoly(row, name) if images or "minpoly" in row else None
-        if not images:
-            record.awaiting_data = True
-        else:
+        if images:
             K = NumberField(minpoly, f"Q(z_{name})")
             names = row.get("generators")
             _require(
@@ -366,16 +362,8 @@ def slopes_check(record: KnotRecord) -> dict:
     }
     if "slopes" in record.expected:
         out["slopes_expected"] = list(record.expected["slopes"])
-        out["slopes_match"] = out["slopes"] == sorted(
-            record.expected["slopes"], key=_slope_sort_key
-        )
+        out["slopes_match"] = sorted(out["slopes"]) == sorted(record.expected["slopes"])
     return out
-
-
-def _slope_sort_key(s: str):
-    if s == "inf":
-        return (1, 0.0)
-    return (0, Fraction(s))
 
 
 def uniqueness_check(record: KnotRecord) -> dict:
@@ -461,7 +449,7 @@ def pretzel_chain_clines(data: PretzelData):
     for j in range(1, 2 * data.k + 1):
         for fam in ("g", "h"):
             word = data.words[f"{fam}{j}"]
-            clines.append(h_tau.apply(evaluate_word(rep, word)))
+            clines.append(h_tau.apply(rep.word_matrix(word)))
     return [c.realize(place) for c in clines]
 
 
@@ -522,7 +510,7 @@ def _knot_entry(record: KnotRecord, checks: Sequence[str]) -> dict:
     """Entry for one knot, its hard errors listed under "errors".  Pure
     given the record, so it can run in a forked child."""
     entry: dict = {"name": record.name, "kind": record.kind}
-    if record.awaiting_data:
+    if record.rep is None:
         entry["status"] = "awaiting_representation_data"
         return entry
     entry["status"] = "ok"

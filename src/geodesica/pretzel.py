@@ -184,9 +184,9 @@ def pretzel_holonomy(k: int, name: Optional[str] = None) -> PretzelData:
     rep = MatrixRep(presentation=pres, field=K, images=images)  # verifies relators
 
     # trace-field generators (the census degree fact rests on these)
-    t12 = evaluate_word(rep, Word.gen(0) * Word.gen(1)).trace()
-    t23 = evaluate_word(rep, Word.gen(1) * Word.gen(2)).trace()
-    t123 = evaluate_word(rep, Word.gen(0) * Word.gen(1) * Word.gen(2)).trace()
+    t12 = rep.word_matrix(Word.gen(0) * Word.gen(1)).trace()
+    t23 = rep.word_matrix(Word.gen(1) * Word.gen(2)).trace()
+    t123 = rep.word_matrix(Word.gen(0) * Word.gen(1) * Word.gen(2)).trace()
     if t12 != K.rational(2) - z * z or t23 != t12:
         raise NotARepresentation(f"P(k={k}): tr(s1 s2) != 2 - z^2")
     if t123 != K.rational(2) - 3 * z * z - z * z * z:
@@ -350,7 +350,7 @@ def tangency_chain(data: PretzelData) -> dict:
     z = K.gen()
     report = {}
 
-    g2k = evaluate_word(rep, data.words[f"g{2*k}"])
+    g2k = rep.word_matrix(data.words[f"g{2*k}"])
     # Mobius image of 0 is b/d
     val = g2k.b / g2k.d
     target = (z - K.one()) / (K.rational(2) * z)
@@ -371,7 +371,7 @@ def tangency_chain(data: PretzelData) -> dict:
     }
     for gen_index, word in conj_targets.items():
         lhs = T * rep.images[gen_index] * T
-        rhs = evaluate_word(rep, word)
+        rhs = rep.word_matrix(word)
         if not lhs.proj_equal(rhs):
             raise FactorIdentityFailed(
                 f"k={k}: sigma s{gen_index+1} sigma^-1 != {word!r}"

@@ -114,7 +114,6 @@ class SlopeSolution(NamedTuple):
 
     pairs: tuple[tuple[Slope, Slope], ...]
     exhaustive: bool
-    all_pairs_admissible: bool = False
 
 
 def _bilinear_matrices(equations) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -161,13 +160,13 @@ def solve_system(sys: SlopeSystem) -> SlopeSolution:
     """
     eqs = sys.equations
     if not eqs:
-        return SlopeSolution((), exhaustive=False, all_pairs_admissible=True)
+        return SlopeSolution((), exhaustive=False)
     Ms = _bilinear_matrices(eqs)
 
     if len(Ms) == 1:
         # a single bilinear constraint admits solutions for every (p:q);
         # no finite description, flag non-exhaustive
-        return SlopeSolution((), exhaustive=False, all_pairs_admissible=True)
+        return SlopeSolution((), exhaustive=False)
 
     quadratics = []
     for i in range(len(Ms)):
@@ -183,7 +182,7 @@ def solve_system(sys: SlopeSystem) -> SlopeSolution:
 
     if not quadratics:
         # all dets vanish identically: every slope admits companions
-        return SlopeSolution((), exhaustive=False, all_pairs_admissible=True)
+        return SlopeSolution((), exhaustive=False)
 
     candidates = _quadratic_roots_projective(*quadratics[0])
     pairs = []
@@ -192,19 +191,12 @@ def solve_system(sys: SlopeSystem) -> SlopeSolution:
         p, q = p // g, q // g
         if any(A * p * p + B * p * q + C * q * q != 0 for A, B, C in quadratics[1:]):
             continue
-        vs = [_apply_m(M, p, q) for M in Ms]
-        vs = [v for v in vs if v != (0, 0)]
-        if not vs:
+        sol = solve_fixed_peripheral(sys, p, q)
+        if not sol.exhaustive:
             # no constraint on (m, n): record the slope with every companion
             # admissible; mark non-exhaustive in the companion coordinate
-            return SlopeSolution(
-                ((Slope.of(p, q), Slope.of(p, q)),), exhaustive=False,
-                all_pairs_admissible=True,
-            )
-        m, n = -vs[0][1], vs[0][0]
-        if any(m * a + n * b != 0 for a, b in vs[1:]):
-            continue
-        pairs.append((Slope.of(p, q), Slope.of(m, n)))
+            return SlopeSolution(((Slope.of(p, q),) * 2,), exhaustive=False)
+        pairs.extend(sol.pairs)
     return SlopeSolution(tuple(sorted(set(pairs))), exhaustive=True)
 
 
@@ -218,7 +210,7 @@ def solve_fixed_peripheral(sys: SlopeSystem, p: int, q: int) -> SlopeSolution:
     vs = [v for v in vs if v != (0, 0)]
     fixed = Slope.of(p, q)
     if not vs:
-        return SlopeSolution((), exhaustive=False, all_pairs_admissible=True)
+        return SlopeSolution((), exhaustive=False)
     m, n = -vs[0][1], vs[0][0]
     if any(m * a + n * b != 0 for a, b in vs[1:]):
         return SlopeSolution((), exhaustive=True)  # only (m,n) = (0,0)
@@ -266,7 +258,7 @@ def slope_set_for_knot(rep, cases: Sequence[SlopeCase]) -> dict:
             sol = solve_fixed_peripheral(system, p, q)
             for _, s2 in sol.pairs:
                 slopes.add(s2)
-        exhaustive = exhaustive and sol.exhaustive and not sol.all_pairs_admissible
+        exhaustive = exhaustive and sol.exhaustive
         per_case.append({
             "label": case.label,
             "equations": system.equations,

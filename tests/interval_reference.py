@@ -330,7 +330,7 @@ def ucover_eval(w: Word, lifts: Sequence[LiftedElement]) -> LiftedElement:
 
 
 def embed_matrix(rep: MatrixRep, w: Word, place: RealPlace, bits: int):
-    m = evaluate_word(rep, w)
+    m = evaluate_word(rep.images, w)
     return tuple(embed_iv(place, entry, bits) for entry in m.entries())
 
 

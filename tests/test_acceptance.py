@@ -174,7 +174,7 @@ def test_criterion_07_euler_table(census_records):
 def test_criterion_08_milnor_wood(census_records):
     t0 = time.perf_counter()
     for rec in census_records:
-        if rec.awaiting_data or rec.genus is None:
+        if rec.rep is None or rec.genus is None:
             continue
         bound = 2 * rec.genus - 1
         for r in euler_tuple(rec.rep):

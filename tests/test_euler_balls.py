@@ -73,7 +73,7 @@ def test_ball_products_and_pairs_enclose_the_exact_entries(census_records, name,
     v = data.draw(_words(rep.presentation.generator_count), label="v")
     lifting = eulerclass.lift_representation(rep, place)
     (_, P), (_, G) = lifting.word(u), lifting.word(v)
-    U, V = evaluate_word(rep, u), evaluate_word(rep, v)
+    U, V = evaluate_word(rep.images, u), evaluate_word(rep.images, v)
     s = P.s
     for ball, M in ((P, U), (G, V), (P * G, U * V), (P.adjugate(), U.adjugate())):
         for m, e in zip((ball.a, ball.b, ball.c, ball.d), M.entries()):

@@ -567,7 +567,7 @@ def test_winding_count_matches_reference_lift(census_records, data):
     factors = data.draw(_factors(rep.presentation.generator_count), label="factors")
     lift, M = eulerclass.lift_representation(rep, place).product(factors)
     word = flatten(factors)
-    assert M == evaluate_word(rep, word)
+    assert M == evaluate_word(rep.images, word)
     bits = 160
     with prec_guard(bits + 32):
         gens = range(rep.presentation.generator_count)

