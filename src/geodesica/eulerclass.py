@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     MilnorWoodViolated,
@@ -419,49 +419,57 @@ def _trace_generating_words(rep: MatrixRep) -> list[Word]:
     return words
 
 
-class FieldFacts(NamedTuple):
-    """The field hypotheses of the obstruction theorems, decided once per
-    knot; its fields are the report's ``field`` entry."""
+CENSUS = "census"  # the source of a fact the census row states
 
-    degree: int
-    odd_degree: bool
-    no_real_subfield: Optional[bool]
-    no_real_subfield_certified: bool
-    no_quadratic_subfield: Optional[bool]
-    integral_traces: bool
+
+class Fact(NamedTuple):
+    """One hypothesis of the verdict: its value, and its source, ``CENSUS``
+    or the name of the certificate that decided it."""
+
+    value: Any
+    source: str
+
+
+class Hypotheses(NamedTuple):
+    """Every fact the verdict engine reads, decided once per knot."""
+
+    genus: Fact
+    fibered: Fact
+    known_unique: Fact
+    degree: Fact
+    no_real_subfield: Fact
+    no_quadratic_subfield: Fact
+    integral_traces: Fact
 
     @property
     def no_closed_tgs(self) -> bool:
         """The arithmetic rule: odd degree, no proper real subfield and
         integral traces exclude closed totally geodesic surfaces."""
-        return bool(self.odd_degree and self.no_real_subfield and self.integral_traces)
+        return bool(self.degree.value % 2 and self.no_real_subfield.value
+                    and self.integral_traces.value)
 
 
-def closed_surface_obstruction(rep: MatrixRep, manual_flags: Optional[dict] = None) -> FieldFacts:
-    """The field facts of rep's knot.  An odd prime degree certifies "no
-    proper real subfield" and ignores the flag; otherwise that fact is the
-    census flag, or None.  "No quadratic subfield" is the census flag when
-    one is present, at any degree; without one it holds at odd degree and is
-    None at even degree.  Traces are integral when they are over a
-    generating set of traces."""
-    flags = manual_flags or {}
+def closed_surface_obstruction(rep: MatrixRep, census: dict) -> Hypotheses:
+    """The hypotheses of rep's knot: each fact is its row's census value
+    (``census`` maps a fact's name to it) unless a certificate decides it
+    and names itself as the fact's source.  The degree is the minimal
+    polynomial's.  An odd prime degree certifies "no proper real subfield"
+    and ignores the flag; otherwise that fact is the census flag, or None.
+    "No quadratic subfield" is the census flag when one is present, at any
+    degree; without one an odd degree certifies it, and it is None at even
+    degree.  Traces are integral when they are over the trace-generating
+    words."""
     d = rep.field.degree
-    odd = d % 2 == 1
-    certified = odd and is_prime(d)
-    no_quadratic = flags.get("no_quadratic_subfield")
-    if no_quadratic is None and odd:
-        no_quadratic = True
-    return FieldFacts(
-        degree=d,
-        odd_degree=odd,
-        no_real_subfield=True if certified else flags.get("no_real_subfield"),
-        no_real_subfield_certified=certified,
-        no_quadratic_subfield=no_quadratic,
-        integral_traces=all(
-            is_algebraic_integer(rep.word_matrix(w).trace())
-            for w in _trace_generating_words(rep)
-        ),
-    )
+    facts = {key: Fact(census.get(key), CENSUS) for key in Hypotheses._fields}
+    facts["degree"] = Fact(d, "minimal polynomial")
+    if d % 2 and is_prime(d):
+        facts["no_real_subfield"] = Fact(True, "odd prime degree")
+    if d % 2 and census.get("no_quadratic_subfield") is None:
+        facts["no_quadratic_subfield"] = Fact(True, "odd degree")
+    words = _trace_generating_words(rep)
+    integral = all(is_algebraic_integer(rep.word_matrix(w).trace()) for w in words)
+    facts["integral_traces"] = Fact(integral, "trace-generating words")
+    return Hypotheses(**facts)
 
 
 VERDICT_NO_TGS_FIBERED = "NoTGS_fibered"
@@ -473,19 +481,25 @@ VERDICT_KNOWN_UNIQUE = "KnownUniqueSurface"
 
 class ObstructionReport(NamedTuple):
     name: str
-    facts: FieldFacts
-    genus: Optional[int]
-    fibered: Optional[bool]
+    hypotheses: Hypotheses
     euler: tuple[int, ...]
     verdict: str
     justification: str
 
     def to_json(self) -> dict:
+        h = self.hypotheses
         return {
             "name": self.name,
-            "field": self.facts._asdict(),
-            "genus": self.genus,
-            "fibered": self.fibered,
+            "field": {
+                "degree": h.degree.value,
+                "odd_degree": h.degree.value % 2 == 1,
+                "no_real_subfield": h.no_real_subfield.value,
+                "no_real_subfield_certified": h.no_real_subfield.source != CENSUS,
+                "no_quadratic_subfield": h.no_quadratic_subfield.value,
+                "integral_traces": h.integral_traces.value,
+            },
+            "genus": h.genus.value,
+            "fibered": h.fibered.value,
             "euler": list(self.euler),
             "verdict": self.verdict,
             "justification": self.justification,
@@ -493,21 +507,20 @@ class ObstructionReport(NamedTuple):
 
 
 def obstruction_verdict(
-    name: str,
-    genus: Optional[int],
-    fibered: Optional[bool],
-    euler_results: Sequence[EulerResult],
-    facts: FieldFacts,
-    known_unique: bool = False,
+    name: str, hypotheses: Hypotheses, euler_results: Sequence[EulerResult]
 ) -> ObstructionReport:
-    """Apply the obstruction rules in their fixed order.
+    """Apply the obstruction rules in their fixed order, reading every fact
+    from ``hypotheses``.
 
     Milnor-Wood is checked first for every computed value (|e| <= 2g-1);
     a violation aborts, since it can only mean a computation bug.  Then:
     known-unique tag, genus-1 short circuit, fibered rule, the
-    Euler-vs-genus inequality, and the closed-surface fallback.
+    Euler-vs-genus inequality, and the closed-surface fallback.  The
+    inequality's justification calls the field hypotheses "data-flagged"
+    when the census states "no proper real subfield", else "certified".
     """
     euler = tuple(r.n for r in euler_results)
+    genus = hypotheses.genus.value
 
     if genus is not None:
         bound = 2 * genus - 1
@@ -518,24 +531,16 @@ def obstruction_verdict(
                 )
 
     def report(verdict, justification):
-        return ObstructionReport(
-            name=name,
-            facts=facts,
-            genus=genus,
-            fibered=fibered,
-            euler=euler,
-            verdict=verdict,
-            justification=justification,
-        )
+        return ObstructionReport(name, hypotheses, euler, verdict, justification)
 
-    if known_unique:
+    if hypotheses.known_unique.value:
         return report(
             VERDICT_KNOWN_UNIQUE,
             "unique totally geodesic surface established in the literature; "
             "Euler data cannot improve on it (genus-1 bound is saturated)",
         )
     if genus == 1:
-        if facts.no_closed_tgs:
+        if hypotheses.no_closed_tgs:
             return report(
                 VERDICT_NO_CLOSED,
                 "genus 1 saturates the Milnor-Wood bound (|e| = 2g-1), so the "
@@ -546,24 +551,24 @@ def obstruction_verdict(
             VERDICT_INCONCLUSIVE,
             "genus 1: |e| = 2g-1 is forced, no obstruction applies",
         )
-    if fibered:
+    if hypotheses.fibered.value:
         return report(
             VERDICT_NO_TGS_FIBERED,
             "fibered knot: the fibered-case Euler-class obstruction applies at "
             "every real place",
         )
-    hypotheses = facts.no_real_subfield and facts.no_quadratic_subfield
-    if genus is not None and euler and hypotheses:
+    no_real = hypotheses.no_real_subfield
+    if genus is not None and euler and no_real.value and hypotheses.no_quadratic_subfield.value:
         bound = 2 * genus - 1
         best = min(abs(n) for n in euler)
         if best < bound:
-            cert = "certified" if facts.no_real_subfield_certified else "data-flagged"
+            cert = "data-flagged" if no_real.source == CENSUS else "certified"
             return report(
                 VERDICT_NO_TGS_EULER,
                 f"some real place has |e| = {best} < 2g-1 = {bound} and the field "
                 f"hypotheses hold ({cert}); no totally geodesic surfaces",
             )
-    if facts.no_closed_tgs:
+    if hypotheses.no_closed_tgs:
         return report(
             VERDICT_NO_CLOSED,
             "arithmetic rule excludes closed totally geodesic surfaces; nothing "

@@ -33,11 +33,7 @@ from .errors import (
     GeodesicaError,
     require_positive_int,
 )
-from .eulerclass import (
-    euler_tuple,
-    obstruction_verdict,
-    closed_surface_obstruction,
-)
+from .eulerclass import Hypotheses, closed_surface_obstruction, euler_tuple, obstruction_verdict
 from .knotgroup import (
     KnotPresentation,
     Mat2,
@@ -58,6 +54,7 @@ from .mobius import tangency as mobius_tangency
 from .numfield import START_BITS, FieldElement, NumberField, is_prime
 from .polycore import RatPoly, irreducibility_certificate
 from .pretzel import (
+    MAX_PRETZEL_K,
     PretzelData,
     lambda_closed_formula,
     pretzel_holonomy,
@@ -77,12 +74,10 @@ class UniquenessCase(NamedTuple):
 class KnotRecord:
     """One census row, parsed; the loader sets the exact data it builds."""
 
-    def __init__(self, name: str, kind: str, genus: Optional[int], fibered: Optional[bool],
-                 known_unique: bool, manual_field_flags: dict, expected: dict,
+    def __init__(self, name: str, kind: str, census: dict, expected: dict,
                  slope_cases: tuple[SlopeCase, ...] = ()):
         self.name, self.kind = name, kind  # kind: "two_bridge" | "pretzel" | "explicit"
-        self.genus, self.fibered, self.known_unique = genus, fibered, known_unique
-        self.manual_field_flags, self.expected = manual_field_flags, expected
+        self.census, self.expected = census, expected  # census: the row's value of each fact
         self.slope_cases = slope_cases
         self.uniqueness_cases: tuple[UniquenessCase, ...] = ()
         self.rep: Optional[MatrixRep] = None
@@ -99,6 +94,12 @@ class KnotRecord:
         if self.configuration == "74-strip":
             return strip_74_clines(self)
         raise BadArgument(f"{self.name}: no boundary configuration to render")
+
+    @cached_property
+    def hypotheses(self) -> Hypotheses:
+        """Every fact the euler verdict and the uniqueness check read, each
+        with its source, decided once on first use."""
+        return closed_surface_obstruction(self.rep, self.census)
 
 
 def _require(cond: bool, name: str, field_name: str, msg: str = ""):
@@ -202,16 +203,11 @@ def _load_record(row, index: int) -> KnotRecord:
              "(expected a nonempty string)")
     kind = row.get("kind")
     _require(kind in ("two_bridge", "pretzel", "explicit"), name, "kind")
-    record = KnotRecord(
-        name=name,
-        kind=kind,
-        genus=row.get("genus"),
-        fibered=row.get("fibered"),
-        known_unique=bool(row.get("known_unique", False)),
-        manual_field_flags=row.get("manual_field_flags", {}),
-        expected=row.get("expected", {}),
-        slope_cases=_check_metadata(row, name),
-    )
+    slope_cases = _check_metadata(row, name)
+    flags = row.get("manual_field_flags", {})
+    census = {key: row.get(key) for key in ("genus", "fibered", "known_unique")}
+    census.update({key: flags.get(key) for key in ("no_real_subfield", "no_quadratic_subfield")})
+    record = KnotRecord(name, kind, census, row.get("expected", {}), slope_cases)
     if kind == "two_bridge":
         for key in ("p", "q"):
             _require(_is_int(row.get(key)), name, key, "(expected an integer)")
@@ -226,7 +222,8 @@ def _load_record(row, index: int) -> KnotRecord:
             record.configuration = "74-strip"
     elif kind == "pretzel":
         k = row.get("k")
-        _require(_is_int(k) and k >= 1, name, "k", "(expected an integer >= 1)")
+        _require(_is_int(k) and 1 <= k <= MAX_PRETZEL_K, name, "k",
+                 f"(expected an integer from 1 to {MAX_PRETZEL_K})")
         data = pretzel_holonomy(k, name=name)
         record.pretzel = data
         record.rep = data.rep
@@ -323,16 +320,8 @@ def get_knot(records: Sequence[KnotRecord], name: str) -> KnotRecord:
 
 
 def _euler_check(record: KnotRecord) -> dict:
-    rep = record.rep
-    results = euler_tuple(rep)
-    report = obstruction_verdict(
-        record.name,
-        record.genus,
-        record.fibered,
-        results,
-        closed_surface_obstruction(rep, record.manual_field_flags),
-        known_unique=record.known_unique,
-    )
+    results = euler_tuple(record.rep)
+    report = obstruction_verdict(record.name, record.hypotheses, results)
     out = report.to_json()
     out["euler_residual_max"] = 0.0  # the Euler numbers are exact integers
     out["precision_bits"] = max((r.precision_bits for r in results), default=START_BITS)
@@ -386,7 +375,7 @@ def uniqueness_check(record: KnotRecord) -> dict:
             entry["verdict_matches"] = verdict == case.verdict
         out_cases.append(entry)
     out = {"cases": out_cases, "all_excluded": all_excluded}
-    if record.known_unique and out_cases:
+    if record.hypotheses.known_unique.value and out_cases:
         out["theorem"] = _uniqueness_theorem(record, all_excluded)
     return out
 

@@ -32,6 +32,10 @@ from .polycore import (
     sturm_real_roots,
 )
 
+# the largest k: a census row at k = 60 loads in 0.7 s (2 vCPUs, Python 3.11);
+# the census has k <= 3
+MAX_PRETZEL_K = 60
+
 
 @lru_cache(maxsize=None)
 def lambda_poly(k: int) -> RatPoly:
@@ -168,8 +172,8 @@ def pretzel_holonomy(k: int, name: Optional[str] = None) -> PretzelData:
     Verifies both relators, the trace-field generator traces, and the
     longitude shape (-1, -tau; 0, -1) with tau = -6/z.
     """
-    if k < 1:
-        raise BadArgument("k must be >= 1")
+    if not 1 <= k <= MAX_PRETZEL_K:
+        raise BadArgument(f"k must be from 1 to {MAX_PRETZEL_K}, got {k}")
     lam = lambda_poly(k)
     cert = irreducibility_certificate(lam)
     K = NumberField(lam, name or f"Q(z_{k})")
@@ -297,6 +301,7 @@ def psi_root_census(k: int) -> PsiCensus:
     rs = complex_roots(psi, START_BITS)
     per_quadrant = [0, 0, 0, 0]
     right_ok = True
+    on_real_axis = 0
     for r in rs.roots:
         quad = r.contains_strictly_in_quadrant()
         if quad is None:
@@ -306,6 +311,7 @@ def psi_root_census(k: int) -> PsiCensus:
                 raise PrecisionExhausted(
                     f"psi_{k}: root disk touches both axes at {START_BITS} bits"
                 )
+            on_real_axis += 1
             continue
         per_quadrant[quad - 1] += 1
         if quad in (1, 4):
@@ -315,6 +321,9 @@ def psi_root_census(k: int) -> PsiCensus:
                     f"psi_{k}: unit-circle test indeterminate at {START_BITS} bits"
                 )
             right_ok = right_ok and exceeds
+    if on_real_axis != real_count:  # a non-real root's disk meets the real axis
+        raise PrecisionExhausted(f"psi_{k}: {on_real_axis} root disks meet the real axis "
+                                 f"but Sturm counts {real_count} real roots, at {START_BITS} bits")
     return PsiCensus(
         k=k,
         real_count=real_count,

@@ -174,9 +174,9 @@ def test_criterion_07_euler_table(census_records):
 def test_criterion_08_milnor_wood(census_records):
     t0 = time.perf_counter()
     for rec in census_records:
-        if rec.rep is None or rec.genus is None:
+        if rec.rep is None or rec.hypotheses.genus.value is None:
             continue
-        bound = 2 * rec.genus - 1
+        bound = 2 * rec.hypotheses.genus.value - 1
         for r in euler_tuple(rec.rep):
             assert abs(r.n) <= bound, (rec.name, r.n, bound)
     knot_74 = get_knot(census_records, "7_4")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from geodesica import eulerclass
 from geodesica.errors import MilnorWoodViolated, NoLiftExists, PrecisionExhausted
 from geodesica.eulerclass import (
+    CENSUS,
     EulerResult,
+    Fact,
     euler_number,
     euler_tuple,
     obstruction_verdict,
@@ -467,13 +470,13 @@ class TestPrecisionCap:
 
 
 class TestVerdicts:
-    def _closed(self, rep, flags=None):
-        return closed_surface_obstruction(rep, flags)
+    def _closed(self, rep, flags=None, **census):
+        return closed_surface_obstruction(rep, {**(flags or {}), **census})
 
     def test_closed_obstruction_74(self, rep_74):
         facts = self._closed(rep_74)
         assert facts.no_closed_tgs
-        assert facts.no_real_subfield_certified
+        assert facts.no_real_subfield.source == "odd prime degree"
 
     def test_closed_obstruction_pretzel(self, pretzel_1):
         assert self._closed(pretzel_1.rep).no_closed_tgs
@@ -501,37 +504,46 @@ class TestVerdicts:
         # holds at odd degree and is None at even degree
         rep = get_knot(census_records, name).rep
         facts = closed_surface_obstruction(rep, flags)
-        assert facts.degree == rep.field.degree
-        assert facts.odd_degree == (facts.degree % 2 == 1)
-        assert (facts.no_real_subfield, facts.no_real_subfield_certified,
-                facts.no_quadratic_subfield) == (no_real, certified, no_quadratic)
+        assert facts.degree.value == rep.field.degree
+        field = obstruction_verdict(name, facts, ()).to_json()["field"]
+        assert field["odd_degree"] == (facts.degree.value % 2 == 1)
+        assert (facts.no_real_subfield.value, facts.no_real_subfield.source != CENSUS,
+                facts.no_quadratic_subfield.value) == (no_real, certified, no_quadratic)
+        assert field["no_real_subfield_certified"] == certified
+
+    def test_the_verdict_reads_only_the_hypotheses(self):
+        parameters = inspect.signature(obstruction_verdict).parameters
+        assert list(parameters) == ["name", "hypotheses", "euler_results"]
 
     def test_thm_verdict(self, rep_73):
         results = euler_tuple(rep_73)
-        facts = self._closed(rep_73, {"no_real_subfield": True, "no_quadratic_subfield": True})
-        report = obstruction_verdict("7_3", 2, False, results, facts)
+        facts = self._closed(rep_73, {"no_real_subfield": True, "no_quadratic_subfield": True},
+                             genus=2, fibered=False)
+        report = obstruction_verdict("7_3", facts, results)
         assert report.verdict == "NoTGS_euler_bound"
         assert "1 < 2g-1 = 3" in report.justification
 
     def test_genus_one_short_circuit(self, rep_74):
         results = euler_tuple(rep_74)
-        facts = self._closed(rep_74)
-        report = obstruction_verdict("7_4", 1, False, results, facts, known_unique=False)
+        facts = self._closed(rep_74, genus=1, fibered=False, known_unique=False)
+        report = obstruction_verdict("7_4", facts, results)
         assert report.verdict == "NoClosedTGS_arithmetic"
-        known = obstruction_verdict("7_4", 1, False, results, facts, known_unique=True)
+        known = obstruction_verdict(
+            "7_4", facts._replace(known_unique=Fact(True, CENSUS)), results
+        )
         assert known.verdict == "KnownUniqueSurface"
 
     def test_fibered_rule(self, rep_73):
         results = euler_tuple(rep_73)
-        facts = self._closed(rep_73, {"no_real_subfield": True})
-        report = obstruction_verdict("6_2-style", 2, True, results, facts)
+        facts = self._closed(rep_73, {"no_real_subfield": True}, genus=2, fibered=True)
+        report = obstruction_verdict("6_2-style", facts, results)
         assert report.verdict == "NoTGS_fibered"
 
     def test_milnor_wood_violation_detected(self, rep_73):
         fake = (EulerResult(place_index=0, n=9, precision_bits=128),)
-        facts = self._closed(rep_73, {"no_real_subfield": True})
+        facts = self._closed(rep_73, {"no_real_subfield": True}, genus=2, fibered=False)
         with pytest.raises(MilnorWoodViolated):
-            obstruction_verdict("bogus", 2, False, fake, facts)
+            obstruction_verdict("bogus", facts, fake)
 
     def test_milnor_wood_bound_on_census(self, rep_73, rep_74, pretzel_1):
         for rep, genus in ((rep_73, 2), (rep_74, 1), (pretzel_1.rep, 1)):

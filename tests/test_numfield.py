@@ -385,31 +385,31 @@ def place_mid(place):
 class TestSubfieldFlags:
     # the field facts of census reps, one per degree class
     def _facts(self, census_records, name, flags=None):
-        return closed_surface_obstruction(get_knot(census_records, name).rep, flags)
+        return closed_surface_obstruction(get_knot(census_records, name).rep, flags or {})
 
     def test_cubic_certified(self, census_records):
         facts = self._facts(census_records, "7_4")
-        assert facts.degree == 3 and facts.no_real_subfield_certified
-        assert facts.no_real_subfield is True
+        assert facts.degree.value == 3 and facts.no_real_subfield.source != "census"
+        assert facts.no_real_subfield.value is True
 
     def test_degree_seven_certified(self, census_records):
         facts = self._facts(census_records, "P(7,7,7)")
-        assert facts.degree == 7 and facts.no_real_subfield_certified
+        assert facts.degree.value == 7 and facts.no_real_subfield.source != "census"
 
     def test_even_degree_needs_flag(self, census_records):
         facts = self._facts(census_records, "7_3")
-        assert facts.degree == 6 and not facts.no_real_subfield_certified
-        assert facts.no_real_subfield is None
+        assert facts.degree.value == 6 and facts.no_real_subfield.source == "census"
+        assert facts.no_real_subfield.value is None
         flagged = self._facts(
             census_records, "7_3", {"no_real_subfield": True, "no_quadratic_subfield": True}
         )
-        assert flagged.no_real_subfield is True
-        assert not flagged.no_real_subfield_certified
+        assert flagged.no_real_subfield.value is True
+        assert flagged.no_real_subfield.source == "census"
 
     def test_flagged_quadratic_subfield(self, census_records):
         # a flag that the field has a proper real subfield is taken as given
         facts = self._facts(census_records, "7_3", {"no_real_subfield": False})
-        assert facts.no_real_subfield is False
+        assert facts.no_real_subfield.value is False
 
 
 # ---------------------------------------------------------------------------

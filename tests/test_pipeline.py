@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from importlib import resources
 
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodesica import cli, eulerclass
 from geodesica.errors import BadArgument, BadCensus, NoComplexPlace, NotARepresentation
-from geodesica.knotgroup import evaluate_word
+from geodesica.eulerclass import CENSUS, Fact, Hypotheses, euler_tuple, obstruction_verdict
+from geodesica.knotgroup import MAX_TWO_BRIDGE_P, evaluate_word
 from geodesica.numfield import is_prime
 from geodesica.pipeline import (
     ALL_CHECKS,
@@ -24,6 +26,7 @@ from geodesica.pipeline import (
     strip_74_clines,
     summarize,
 )
+from geodesica.pretzel import MAX_PRETZEL_K
 
 
 TWO_BRIDGE_TABLE_ROWS = [
@@ -461,6 +464,47 @@ def test_full_run_evaluates_each_word_of_each_representation_once(monkeypatch):
     assert calls and not repeats, repeats
 
 
+def test_euler_and_uniqueness_share_one_hypotheses_record_per_knot(monkeypatch):
+    # the uniqueness check reads known_unique from the record the euler
+    # verdict reads, so the two checks decide each knot's facts once
+    calls = _count_calls(monkeypatch, eulerclass, "closed_surface_obstruction")
+    records = load_census()
+    run(records, ("uniqueness",))
+    assert sorted(rep.presentation.name for rep, _ in calls) == ["7_4", "P(3,3,3)"]
+    run(records, ("euler", "uniqueness"))
+    knots = Counter(rep.presentation.name for rep, _ in calls)
+    assert knots == Counter(r.name for r in records if r.rep is not None)
+
+
+def test_a_flipped_known_unique_changes_the_verdict_and_the_theorem(tmp_path):
+    for known, verdict in ((True, "KnownUniqueSurface"), (False, "NoClosedTGS_arithmetic")):
+        (record,) = _load_rows(tmp_path, [_row("7_4", known_unique=known, expected=None)])
+        assert record.hypotheses.known_unique == Fact(known, CENSUS)
+        entry = run([record], ("euler", "uniqueness")).payload["knots"][0]
+        assert entry["euler"]["verdict"] == verdict
+        assert ("theorem" in entry["uniqueness"]) is known
+
+
+def test_census_sources_give_the_same_verdicts(census_records):
+    # a source changes the justification's wording, never a verdict
+    verdicts = {}
+    for record in census_records:
+        if record.rep is None:
+            continue
+        facts = record.hypotheses
+        as_census = Hypotheses(*(Fact(fact.value, CENSUS) for fact in facts))
+        results = euler_tuple(record.rep)
+        verdict = obstruction_verdict(record.name, as_census, results).verdict
+        assert verdict == obstruction_verdict(record.name, facts, results).verdict
+        verdicts[record.name] = verdict
+    assert len(verdicts) == 22
+    assert verdicts == {name: get_knot(census_records, name).expected["verdict"]
+                        for name in verdicts}
+    certified = [r.name for r in census_records
+                 if r.rep is not None and r.hypotheses.no_real_subfield.source != CENSUS]
+    assert "7_4" in certified and "P(7,7,7)" in certified
+
+
 def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):
     from geodesica import pipeline
 
@@ -633,6 +677,19 @@ def test_malformed_row_raises_bad_census(tmp_path, row, field_name):
     assert repr(field_name) in str(info.value)
 
 
+@pytest.mark.parametrize("row, field_name, bound", [
+    (_row("7_4", p=10**30 + 1), "p/q", MAX_TWO_BRIDGE_P),
+    (_row("P(3,3,3)", k=10**9), "k", MAX_PRETZEL_K),
+])
+def test_oversized_family_parameter_is_refused_at_once(tmp_path, row, field_name, bound):
+    t0 = time.perf_counter()
+    with pytest.raises(BadCensus) as info:
+        _load_rows(tmp_path, [row])
+    assert time.perf_counter() - t0 < 1.0
+    assert row["name"] in str(info.value) and repr(field_name) in str(info.value)
+    assert str(bound) in str(info.value)
+
+
 @pytest.mark.parametrize("data", [{"knots": 5}, {"knots": [5]}, [], "text"])
 def test_malformed_census_raises_bad_census(tmp_path, data):
     path = tmp_path / "census.json"
@@ -740,6 +797,13 @@ class TestInputValidation:
         assert cli.main(["euler", "--knot", "9_13"]) == 2
         err = capsys.readouterr().err
         assert "PrecisionExhausted: 9_13: euler number at place 0 failed up to 8 bits" in err
+
+    def test_pretzel_k_above_the_bound(self, capsys):
+        t0 = time.perf_counter()
+        assert cli.main(["pretzel", "--k", str(10**9)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert f"BadArgument: k must be from 1 to {MAX_PRETZEL_K}, got {10**9}" in err
 
     def test_cap_below_start_says_no_rung_ran(self, monkeypatch, capsys):
         monkeypatch.setattr(eulerclass, "PRECISION_CAP", 64)

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from geodesica.errors import FactorIdentityFailed
+from geodesica import pretzel
+from geodesica.errors import FactorIdentityFailed, PrecisionExhausted
 from geodesica.knotgroup import Word, evaluate_word
-from geodesica.polycore import RatPoly
+from geodesica.polycore import ComplexRootSet, RatPoly, complex_roots
 from geodesica.pretzel import (
     alpha_beta_delta,
     lambda_closed_formula,
@@ -178,6 +179,22 @@ class TestPsi:
         assert census.real_count == 2
         assert census.per_quadrant == (k, k, k, k)
         assert census.right_half_moduli_exceed_one
+
+    def test_root_census_refuses_a_complex_disk_on_the_real_axis(self, monkeypatch):
+        # widen a first-quadrant disk of psi_3 until it meets the real axis
+        # but still misses the imaginary one: three disks then meet the real
+        # axis where Sturm counts two real roots, so no quadrant count holds
+        def widened(p, bits):
+            roots = list(complex_roots(p, bits).roots)
+            i = max((i for i, r in enumerate(roots) if r.contains_strictly_in_quadrant() == 1),
+                    key=lambda i: roots[i].re - roots[i].im)
+            roots[i] = roots[i]._replace(radius=roots[i].im)
+            assert abs(roots[i].re) > roots[i].radius
+            return ComplexRootSet(tuple(roots))
+
+        monkeypatch.setattr(pretzel, "complex_roots", widened)
+        with pytest.raises(PrecisionExhausted, match=r"^psi_3: 3 root disks meet the real axis"):
+            psi_root_census(3)
 
 
 class TestTangencyChain:

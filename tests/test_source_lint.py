@@ -4,8 +4,8 @@ class or method that nothing else in the package reaches, no import of
 ``mpmath`` anywhere in the package, an Euler engine that imports no interval
 code, no ``mpf(str(...))`` round trip, no read of the process environment,
 no word evaluated outside a representation's table but in ``knotgroup`` and
-the pretzel identities, and every function the benchmark tracer wraps still
-exists.
+the pretzel identities, no census fact read past the knot's hypotheses
+record, and every function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -475,3 +475,54 @@ def test_environment_use_detector():
         "x = settings.environ\n"
     )
     assert _environment_uses(tree) == [2, 3, 4]
+
+
+# the verdict's facts come from one record per knot, ``KnotRecord.hypotheses``,
+# which ``eulerclass`` defines and builds; no other module reads them past it
+FACT_OWNER = "eulerclass.py"
+CENSUS_FACTS = {"genus", "fibered", "manual_field_flags"}
+
+
+def _census_fact_reads(tree: ast.AST, owner: bool) -> list[int]:
+    """Lines that read ``known_unique`` other than as
+    ``hypotheses.known_unique`` and, unless the module is the record's
+    owner, lines that read an attribute ``genus``, ``fibered`` or
+    ``manual_field_flags``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        receiver = getattr(node.value, "attr", getattr(node.value, "id", None))
+        if (node.attr == "known_unique" and receiver != "hypotheses") or (
+            node.attr in CENSUS_FACTS and not owner
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_census_facts_are_read_through_the_hypotheses_record():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}"
+        for path in modules
+        for line in _census_fact_reads(
+            ast.parse(path.read_text(), filename=str(path)), path.name == FACT_OWNER
+        )
+    ]
+    assert not found, f"census facts read past the hypotheses record: {found}"
+
+
+def test_census_fact_read_detector():
+    tree = ast.parse(
+        "g = record.genus\n"
+        "record.genus = 2\n"
+        "u = record.hypotheses.known_unique\n"
+        "v = hypotheses.known_unique.value\n"
+        "w = record.known_unique\n"
+        "f = rec.manual_field_flags['x']\n"
+        "h = facts.fibered.value\n"
+        "KnotRecord(known_unique=True, genus=1)\n"
+    )
+    assert _census_fact_reads(tree, owner=False) == [1, 5, 6, 7]
+    assert _census_fact_reads(tree, owner=True) == [5]
