@@ -22,6 +22,10 @@ class RepeatedRoots(GeodesicaError):
     """Root finder requires a square-free input; caller must deflate."""
 
 
+class HalfPlaneUndecided(GeodesicaError):
+    """p(x) and p(-x) share a root, so Routh-Hurwitz cannot split p's roots."""
+
+
 class NotIsolating(GeodesicaError):
     """A root-isolating interval has a root at an endpoint or no sign change."""
 

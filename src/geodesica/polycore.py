@@ -1,5 +1,5 @@
-"""Exact univariate polynomial arithmetic over Q, with real-root isolation,
-certified complex roots, and irreducibility certificates.
+"""Exact polynomial arithmetic over Q, with real-root isolation, half-plane
+root counts, certified complex roots, and irreducibility certificates.
 
 The exact kernel: a polynomial (``RatPoly``) and a number-field element
 (``numfield.FieldElement``) are both an integer vector ``num`` over one
@@ -8,10 +8,10 @@ positive denominator ``den`` in lowest terms, the representation of FLINT's
 ``_int_convolve`` (``_product``), the sum of two products (``_dot``) and the
 cancellation to lowest terms (``_lowest_terms``) are written once, here, for
 both; a field element adds only the reduction mod its minimal polynomial.
-Long division, gcd and Sturm chains run on the integer numerators.  Nothing
-in this module touches floating point except the seeds of the complex root
-finder and of the real-root Newton refinement, whose disks and intervals are
-certified afterwards by exact integer comparisons.
+Long division, gcd and remainder chains run on the integer numerators.
+Nothing in this module touches floating point except the seeds of the
+complex root finder and of the real-root Newton refinement, whose disks and
+intervals are certified afterwards by exact integer comparisons.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadArgument,
+    HalfPlaneUndecided,
     NotIsolating,
     PrecisionExhausted,
     RepeatedRoots,
@@ -343,16 +344,20 @@ class RootIsolation(NamedTuple):
         return len(self.real_intervals)
 
 
-def sturm_chain(p: RatPoly) -> list[list[int]]:
-    """Sturm sequence p, p', ..., p_{i+1} = -(p_{i-1} mod p_i), as integer
-    coefficient lists: each term is a positive multiple of the rational one,
-    so the sign variations are the same everywhere."""
-    chain = [list(p.num)]
-    nxt = list(p.derivative().num)
+def _remainder_chain(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
+    """The chain a, b, ..., f_{i+1} = -(f_{i-1} mod f_i) of integer
+    coefficient lists, a nonzero: each term is a positive multiple of the
+    rational one, so the sign variations are the same everywhere."""
+    chain, nxt = [list(a)], list(b)
     while nxt:
         chain.append(nxt)
         nxt = [-c for c in _primitive_remainder(chain[-2], chain[-1])]
     return chain
+
+
+def sturm_chain(p: RatPoly) -> list[list[int]]:
+    """Sturm sequence p, p', ...; its Cauchy index counts p's real roots."""
+    return _remainder_chain(p.num, p.derivative().num)
 
 
 def _sign_at(ints: Sequence[int], u: int, v: int) -> int:
@@ -380,6 +385,32 @@ def _sign_variations_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> i
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
+def cauchy_index(chain: Sequence[Sequence[int]], lo: Fraction | None = None) -> int:
+    """V(lo) - V(+inf) on a remainder chain a, b, ... ending in a constant:
+    the Cauchy index of b/a over (lo, +inf), lo not a root of a; lo = None
+    stands for -inf.  On a Sturm chain it counts the distinct real roots."""
+    v_lo = _sign_variations_at_inf(chain, False) if lo is None else _sign_variations_at(chain, lo)
+    return v_lo - _sign_variations_at_inf(chain, True)
+
+
+def right_half_plane_count(p: RatPoly) -> int:
+    """The roots of p in Re z > 0, with multiplicity, by Routh-Hurwitz
+    (Gantmacher, The Theory of Matrices II, ch. XV).  Write p(iy) =
+    R(y) + i I(y); when deg I >= deg R, n_R = (n - Ind(R/I)) / 2, else
+    n_R = (n + Ind(I/R)) / 2, each index on the remainder chain of the pair.
+    Raises HalfPlaneUndecided when the chain ends in a non-constant term:
+    then p has a root on the imaginary axis or a pair of roots z and -z."""
+    if p.is_zero():
+        raise ZeroPolynomial("half-plane count of the zero polynomial")
+    re = _canonical([c * (1, 0, -1, 0)[j % 4] for j, c in enumerate(p.num)], 1)[0]
+    im = _canonical([c * (0, 1, 0, -1)[j % 4] for j, c in enumerate(p.num)], 1)[0]
+    high, low, sign = (im, re, -1) if len(im) >= len(re) else (re, im, 1)
+    chain = _remainder_chain(high, low)
+    if len(chain[-1]) > 1:
+        raise HalfPlaneUndecided(f"{p!r} has a root on the imaginary axis or roots z and -z")
+    return (p.degree + sign * cauchy_index(chain)) // 2
+
+
 def root_bound(p: RatPoly) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
     return _Q(max((abs(c) for c in p.num[:-1]), default=0), abs(p.num[-1])) + 1
@@ -399,10 +430,6 @@ def sturm_real_roots(p: RatPoly) -> RootIsolation:
     if sf.degree == 0:
         return RootIsolation((), multiplicity_free)
     chain = sturm_chain(sf)
-    total = _sign_variations_at_inf(chain, False) - _sign_variations_at_inf(chain, True)
-    if total == 0:
-        return RootIsolation((), multiplicity_free)
-
     bound = root_bound(sf)
     lo, hi = -bound, bound
     # endpoints of the search box are not roots (Cauchy bound is strict)
@@ -571,26 +598,6 @@ class CertifiedRoot(NamedTuple):
     re: Fraction
     im: Fraction
     radius: Fraction
-
-    def contains_strictly_in_quadrant(self) -> int | None:
-        """Quadrant index 1..4 if the disk lies strictly inside an open
-        quadrant, else None."""
-        re, im, r = self.re, self.im, self.radius
-        if abs(re) <= r or abs(im) <= r:
-            return None
-        if re > 0:
-            return 1 if im > 0 else 4
-        return 2 if im > 0 else 3
-
-    def modulus_exceeds_one(self) -> bool | None:
-        """True if the disk lies outside the unit circle, False if inside,
-        None if it meets it: |center|^2 against (1 +- radius)^2, exactly."""
-        m2, r = self.re ** 2 + self.im ** 2, self.radius
-        if m2 > (1 + r) ** 2:
-            return True
-        if r < 1 and m2 < (1 - r) ** 2:
-            return False
-        return None
 
 
 class ComplexRootSet(NamedTuple):

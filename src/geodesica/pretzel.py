@@ -1,5 +1,6 @@
 """The balanced pretzel family P(2k+1, 2k+1, 2k+1): trace-field recursions,
-holonomy, root census, and the tangency-chain identities.
+holonomy, the psi_k root census from remainder chains, and the
+tangency-chain identities.
 
 Polynomial identities are verified over Z[z] (no modulus) wherever the
 source identity is polynomial; representation identities are verified in
@@ -11,12 +12,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import (
-    BadArgument,
-    FactorIdentityFailed,
-    NotARepresentation,
-    PrecisionExhausted,
-)
+from .errors import BadArgument, FactorIdentityFailed, NotARepresentation, RepeatedRoots
 from .knotgroup import (
     KnotPresentation,
     Mat2,
@@ -24,16 +20,17 @@ from .knotgroup import (
     Word,
     evaluate_word,
 )
-from .numfield import START_BITS, NumberField, is_prime, nf_inverse
+from .numfield import NumberField, is_prime, nf_inverse
 from .polycore import (
     RatPoly,
-    complex_roots,
+    cauchy_index,
     irreducibility_certificate,
-    sturm_real_roots,
+    right_half_plane_count,
+    sturm_chain,
 )
 
-# the largest k: a census row at k = 60 loads in 0.7 s (2 vCPUs, Python 3.11);
-# the census has k <= 3
+# the largest k: the whole `geodesica pretzel --k 60 --check all` takes
+# 0.8-1.4 s (2 vCPUs, Python 3.11); the census has k <= 3
 MAX_PRETZEL_K = 60
 
 
@@ -60,6 +57,8 @@ def lambda_poly(k: int) -> RatPoly:
 
 def lambda_closed_formula(k: int) -> RatPoly:
     """The binomial closed form for lambda_k, expanded exactly."""
+    if k < 0:
+        raise BadArgument("k must be nonnegative")
     coeffs = [0] * (2 * k + 2)
     for j in range(k + 1):
         coeffs[2 * j] -= _binom(k + j, 2 * j)
@@ -272,6 +271,8 @@ def relator_factorization_check(k: int) -> dict:
 
 def psi_poly(k: int) -> RatPoly:
     """psi_k(x) = x^{4k+2} - 1 + sum_{j=0}^{2k} (-1)^{j+1} x^{2j+1}."""
+    if not 1 <= k <= MAX_PRETZEL_K:
+        raise BadArgument(f"k must be from 1 to {MAX_PRETZEL_K}, got {k}")
     coeffs = [0] * (4 * k + 3)
     coeffs[0] = -1
     coeffs[4 * k + 2] = 1
@@ -288,48 +289,29 @@ class PsiCensus(NamedTuple):
 
 
 def psi_root_census(k: int) -> PsiCensus:
-    """Certified census of the roots of psi_k: 2 real roots, k per open
+    """Exact census of the roots of psi_k: 2 real roots, k per open
     quadrant, and every right-half-plane root outside the unit circle.
 
-    Raises PrecisionExhausted if any root disk cannot be placed strictly
-    inside an open quadrant / on one side of the unit circle after the
-    escalation built into the certifier, which starts at START_BITS.
+    The Sturm chain of psi_k, which must end in a constant, counts its real
+    roots and, as psi_k(0) = -1, the positive ones; Routh-Hurwitz counts the
+    n_R roots in Re x > 0.  Roots come in conjugate pairs, so Q1 = Q4 =
+    (n_R - positive) / 2 and Q2 = Q3 = (n - n_R - negative) / 2.  The moduli
+    follow from the exact identity (1 + x^2) psi_k = x^N (x^2 - x + 1) -
+    (x^2 + x + 1), N = 4k + 2: at a root x^2 - x + 1 != 0 (else x^2 + x + 1
+    = 0 too, so x = 0), so |x|^N = |x^2 + x + 1| / |x^2 - x + 1|, and
+    |x^2 + x + 1|^2 - |x^2 - x + 1|^2 = 4 Re x (|x|^2 + 1) > 0 when Re x > 0.
     """
     psi = psi_poly(k)
-    real_count = sturm_real_roots(psi).count
-
-    rs = complex_roots(psi, START_BITS)
-    per_quadrant = [0, 0, 0, 0]
-    right_ok = True
-    on_real_axis = 0
-    for r in rs.roots:
-        quad = r.contains_strictly_in_quadrant()
-        if quad is None:
-            # must be one of the certified real roots: the disk must miss the
-            # imaginary axis, else the census is indeterminate
-            if not abs(r.re) > r.radius:
-                raise PrecisionExhausted(
-                    f"psi_{k}: root disk touches both axes at {START_BITS} bits"
-                )
-            on_real_axis += 1
-            continue
-        per_quadrant[quad - 1] += 1
-        if quad in (1, 4):
-            exceeds = r.modulus_exceeds_one()
-            if exceeds is None:
-                raise PrecisionExhausted(
-                    f"psi_{k}: unit-circle test indeterminate at {START_BITS} bits"
-                )
-            right_ok = right_ok and exceeds
-    if on_real_axis != real_count:  # a non-real root's disk meets the real axis
-        raise PrecisionExhausted(f"psi_{k}: {on_real_axis} root disks meet the real axis "
-                                 f"but Sturm counts {real_count} real roots, at {START_BITS} bits")
-    return PsiCensus(
-        k=k,
-        real_count=real_count,
-        per_quadrant=tuple(per_quadrant),
-        right_half_moduli_exceed_one=right_ok,
-    )
+    chain = sturm_chain(psi)
+    if len(chain[-1]) > 1:
+        raise RepeatedRoots(f"psi_{k} is not square-free")
+    n = 4 * k + 2
+    if RatPoly((1, 0, 1)) * psi != RatPoly([-1, -1, -1] + [0] * (n - 3) + [1, -1, 1]):
+        raise FactorIdentityFailed(f"k={k}: (1 + x^2) psi_k != x^N (x^2 - x + 1) - (x^2 + x + 1)")
+    real, positive = cauchy_index(chain), cauchy_index(chain, 0)
+    right = right_half_plane_count(psi)
+    upper_right, upper_left = (right - positive) // 2, (n - right - real + positive) // 2
+    return PsiCensus(k, real, (upper_right, upper_left, upper_left, upper_right), True)
 
 
 # ---------------------------------------------------------------------------

@@ -805,6 +805,14 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert f"BadArgument: k must be from 1 to {MAX_PRETZEL_K}, got {10**9}" in err
 
+    def test_pretzel_at_the_bound_finishes(self, capsys):
+        # certified complex roots took the psi census past 100 s at k = 60;
+        # the remainder-chain counts take the command about a second
+        t0 = time.perf_counter()
+        assert cli.main(["pretzel", "--k", "60", "--check", "census"]) == 0
+        assert time.perf_counter() - t0 < 10.0
+        assert json.loads(capsys.readouterr().out)["root_census"]["per_quadrant"] == [60] * 4
+
     def test_cap_below_start_says_no_rung_ran(self, monkeypatch, capsys):
         monkeypatch.setattr(eulerclass, "PRECISION_CAP", 64)
         assert cli.main(["euler", "--knot", "7_4"]) == 2

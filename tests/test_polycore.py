@@ -10,10 +10,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 import modp_reference
 import ratpoly_reference
 
-from geodesica.errors import NotIsolating, RepeatedRoots, ZeroModulus, ZeroPolynomial
+from geodesica.errors import (
+    HalfPlaneUndecided,
+    NotIsolating,
+    RepeatedRoots,
+    ZeroModulus,
+    ZeroPolynomial,
+)
 from geodesica import polycore
 from geodesica.polycore import (
-    CertifiedRoot,
     RatPoly,
     _corrections,
     _disks_disjoint,
@@ -27,6 +32,7 @@ from geodesica.polycore import (
     newton_enclosure,
     poly_gcd,
     rational_roots,
+    right_half_plane_count,
     root_bound,
     refine_interval,
     square_free_part,
@@ -286,6 +292,24 @@ def test_root_on_a_midpoint_next_to_two_roots_is_not_isolating():
         refine_interval(p, (Fraction(0), Fraction(1)), Fraction(1, 64))
 
 
+def _disk_census(disks):
+    """(real roots, per-quadrant counts, whether every right-half-plane root
+    lies outside the unit circle) read off certified disks, none of which may
+    meet the imaginary axis: a disk that meets the real axis is a real root,
+    any other lies strictly inside its quadrant, and a right-half disk is
+    outside the circle when |center| > 1 + radius, exactly."""
+    real, quadrants, outside = 0, [0, 0, 0, 0], True
+    for d in disks:
+        assert abs(d.re) > d.radius
+        if abs(d.im) <= d.radius:
+            real += 1
+        else:
+            quadrants[(0 if d.im > 0 else 3) if d.re > 0 else (1 if d.im > 0 else 2)] += 1
+        if d.re > 0:
+            outside = outside and d.re ** 2 + d.im ** 2 > (1 + d.radius) ** 2
+    return real, tuple(quadrants), outside
+
+
 class TestComplexRoots:
     def test_gaussian_pair(self):
         rs = complex_roots(RatPoly([1, 0, 1]), 64)
@@ -295,14 +319,10 @@ class TestComplexRoots:
             assert r.radius < Fraction(1, 2 ** 32)
 
     def test_psi1_census(self):
-        rs = complex_roots(PSI_1, 128)
-        quads = [r.contains_strictly_in_quadrant() for r in rs.roots]
-        assert sorted(q for q in quads if q) == [1, 2, 3, 4]
-        assert sum(1 for q in quads if q is None) == 2
-        for r in rs.roots:
-            q = r.contains_strictly_in_quadrant()
-            if q in (1, 4):
-                assert r.modulus_exceeds_one() is True
+        # the certified disks, read by the test's own quadrant and
+        # unit-circle arithmetic, agree with the exact census
+        disks = _disk_census(complex_roots(PSI_1, 128).roots)
+        assert disks == (2, (1, 1, 1, 1), True) == tuple(psi_root_census(1))[1:]
 
     def test_phi1_contains_psi1_and_gaussian_units(self):
         q, rem = PHI_1.divmod(RatPoly([1, 0, 1]))
@@ -327,14 +347,34 @@ class TestComplexRoots:
             assert (x - want) ** 2 + y ** 2 < rad ** 2
 
 
-@pytest.mark.parametrize("sign, outside", [(1, True), (-1, False)])
-def test_unit_circle_test_is_exact(sign, outside):
-    # the center is 2^-80 off the circle and the radius 2^-100: a double
-    # cannot tell |center| from 1, the exact comparison can
-    disk = CertifiedRoot(1 + sign * Fraction(1, 2 ** 80), Fraction(0), Fraction(1, 2 ** 100))
-    assert disk.modulus_exceeds_one() is outside
-    wide = CertifiedRoot(disk.re, disk.im, Fraction(1, 2 ** 70))
-    assert wide.modulus_exceeds_one() is None
+@st.composite
+def _factors_with_known_roots(draw):
+    """An integer factor a x + b, root -b/a, or c ((x - u)^2 + v^2), roots
+    u +- iv with u != 0: no root on the imaginary axis.  Roots are (re, im)."""
+    if draw(st.booleans()):
+        a, b = (draw(st.integers(-4, 4).filter(bool)) for _ in range(2))
+        return RatPoly([b, a]), [(Fraction(-b, a), 0)]
+    c, u = (draw(st.integers(-5, 5).filter(bool)) for _ in range(2))
+    v = draw(st.integers(1, 5))
+    return RatPoly([c * (u * u + v * v), -2 * c * u, c]), [(Fraction(u), v), (Fraction(u), -v)]
+
+
+@given(st.lists(_factors_with_known_roots(), min_size=1, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_right_half_plane_count_matches_the_known_roots(factors):
+    roots = [r for _, rs in factors for r in rs]
+    # p(x) and p(-x) share no root, so the count is decided
+    assume(all((-x, -y) not in roots for x, y in roots))
+    p = math.prod((f for f, _ in factors), start=RatPoly.one())
+    assert right_half_plane_count(p) == sum(x > 0 for x, _ in roots)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [-1, 0, 1], [0, 1]])
+def test_right_half_plane_count_refuses_opposite_roots(coeffs):
+    # x^2 + 1 has roots on the imaginary axis, x^2 - 1 the pair 1 and -1,
+    # and x the root 0
+    with pytest.raises(HalfPlaneUndecided):
+        right_half_plane_count(RatPoly(coeffs))
 
 
 class TestIrreducibility:
@@ -834,11 +874,12 @@ def test_seeded_roots_match_on_square_free_integer_polys(coeffs):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_psi_root_census_is_the_same_from_either_start(k):
-    seeded = psi_root_census(k)
+    # Durand-Kerner is the oracle: its disks from either start agree with
+    # the exact census from the remainder chains
+    seeded = _disk_census(complex_roots(psi_poly(k), 128).roots)
     with _roots_of_unity_start():
-        unseeded = psi_root_census(k)
-    assert seeded == unseeded
-    assert seeded.real_count == 2 and seeded.per_quadrant == (k, k, k, k)
+        unseeded = _disk_census(complex_roots(psi_poly(k), 128).roots)
+    assert seeded == unseeded == tuple(psi_root_census(k))[1:] == (2, (k, k, k, k), True)
 
 
 @pytest.mark.parametrize("e", [20, 40, 60, 100])

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from geodesica import pretzel
-from geodesica.errors import FactorIdentityFailed, PrecisionExhausted
+from geodesica.errors import BadArgument, FactorIdentityFailed, RepeatedRoots
 from geodesica.knotgroup import Word, evaluate_word
-from geodesica.polycore import ComplexRootSet, RatPoly, complex_roots
+from geodesica.polycore import RatPoly
 from geodesica.pretzel import (
+    MAX_PRETZEL_K,
     alpha_beta_delta,
     lambda_closed_formula,
     lambda_poly,
@@ -60,6 +61,10 @@ class TestLambda:
         assert lambda_poly(k) == lambda_closed_formula(k)
         assert lambda_poly(k).degree == 2 * k + 1
         assert lambda_poly(k).coeffs[-1] == 1
+
+    def test_closed_formula_refuses_negative_k(self):
+        with pytest.raises(BadArgument, match="^k must be nonnegative$"):
+            lambda_closed_formula(-2)
 
     def test_recursion_identity(self):
         for k in range(2, 11):
@@ -173,28 +178,28 @@ class TestPsi:
     def test_phi1_closed_form(self):
         assert phi_poly(1) == RatPoly([-1, -1, -1, 0, 0, 0, 1, -1, 1])
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", range(1, MAX_PRETZEL_K + 1))
     def test_root_census(self, k):
         census = psi_root_census(k)
         assert census.real_count == 2
         assert census.per_quadrant == (k, k, k, k)
         assert census.right_half_moduli_exceed_one
 
-    def test_root_census_refuses_a_complex_disk_on_the_real_axis(self, monkeypatch):
-        # widen a first-quadrant disk of psi_3 until it meets the real axis
-        # but still misses the imaginary one: three disks then meet the real
-        # axis where Sturm counts two real roots, so no quadrant count holds
-        def widened(p, bits):
-            roots = list(complex_roots(p, bits).roots)
-            i = max((i for i, r in enumerate(roots) if r.contains_strictly_in_quadrant() == 1),
-                    key=lambda i: roots[i].re - roots[i].im)
-            roots[i] = roots[i]._replace(radius=roots[i].im)
-            assert abs(roots[i].re) > roots[i].radius
-            return ComplexRootSet(tuple(roots))
+    @pytest.mark.parametrize("k", [-1, 0, MAX_PRETZEL_K + 1])
+    def test_psi_refuses_k_out_of_range(self, k):
+        with pytest.raises(BadArgument, match=rf"^k must be from 1 to {MAX_PRETZEL_K}, got {k}$"):
+            psi_root_census(k)
 
-        monkeypatch.setattr(pretzel, "complex_roots", widened)
-        with pytest.raises(PrecisionExhausted, match=r"^psi_3: 3 root disks meet the real axis"):
-            psi_root_census(3)
+    def test_root_census_refuses_a_repeated_root(self, monkeypatch):
+        square = RatPoly([-2, 1]) * RatPoly([-2, 1])
+        monkeypatch.setattr(pretzel, "psi_poly", lambda k: psi_poly(k) * square)
+        with pytest.raises(RepeatedRoots, match="^psi_2 is not square-free$"):
+            psi_root_census(2)
+
+    def test_root_census_checks_the_unit_circle_identity(self, monkeypatch):
+        monkeypatch.setattr(pretzel, "psi_poly", lambda k: psi_poly(k) + RatPoly([0, 0, 1]))
+        with pytest.raises(FactorIdentityFailed, match=r"^k=2: \(1 \+ x\^2\) psi_k != "):
+            psi_root_census(2)
 
 
 class TestTangencyChain:

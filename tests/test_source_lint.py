@@ -5,7 +5,8 @@ class or method that nothing else in the package reaches, no import of
 code, no ``mpf(str(...))`` round trip, no read of the process environment,
 no word evaluated outside a representation's table but in ``knotgroup`` and
 the pretzel identities, no census fact read past the knot's hypotheses
-record, and every function the benchmark tracer wraps still exists.
+record, a pretzel module that imports neither ``complex_roots`` nor a
+private name, and every function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -526,3 +527,36 @@ def test_census_fact_read_detector():
     )
     assert _census_fact_reads(tree, owner=False) == [1, 5, 6, 7]
     assert _census_fact_reads(tree, owner=True) == [5]
+
+
+def _complex_root_or_private_imports(tree: ast.AST) -> list[str]:
+    """``complex_roots`` and the underscored names a module imports."""
+    return sorted(
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if any(name == "complex_roots" or name.startswith("_")
+               for name in (alias.name.split(".")[-1], alias.asname or ""))
+    )
+
+
+def test_pretzel_imports_no_complex_roots_and_no_private_name():
+    # the psi census counts its roots on remainder chains through polycore's
+    # public counts; Durand-Kerner serves only a field's geometric place
+    tree = ast.parse((PACKAGE / "pretzel.py").read_text())
+    found = _complex_root_or_private_imports(tree)
+    assert not found, f"pretzel imports {found}"
+
+
+def test_complex_root_or_private_import_detector():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .polycore import RatPoly, complex_roots, _sign_at\n"
+        "from .polycore import sturm_chain as _chain\n"
+        "import geodesica._private\n"
+        "from .numfield import NumberField\n"
+    )
+    assert _complex_root_or_private_imports(tree) == [
+        "_chain", "_sign_at", "complex_roots", "geodesica._private",
+    ]
