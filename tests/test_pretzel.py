@@ -183,7 +183,6 @@ class TestPsi:
         census = psi_root_census(k)
         assert census.real_count == 2
         assert census.per_quadrant == (k, k, k, k)
-        assert census.right_half_moduli_exceed_one
 
     @pytest.mark.parametrize("k", [-1, 0, MAX_PRETZEL_K + 1])
     def test_psi_refuses_k_out_of_range(self, k):

@@ -6,7 +6,8 @@ code, no ``mpf(str(...))`` round trip, no read of the process environment,
 no word evaluated outside a representation's table but in ``knotgroup`` and
 the pretzel identities, no census fact read past the knot's hypotheses
 record, a pretzel module that imports neither ``complex_roots`` nor a
-private name, and every function the benchmark tracer wraps still exists.
+private name, a CLI that imports nothing from the Euler engine, and every
+function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -560,3 +561,17 @@ def test_complex_root_or_private_import_detector():
     assert _complex_root_or_private_imports(tree) == [
         "_chain", "_sign_at", "complex_roots", "geodesica._private",
     ]
+
+
+def test_cli_imports_nothing_from_eulerclass():
+    # every subcommand prints what a pipeline check returns, euler too
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert "geodesica.eulerclass" not in _imported_modules(tree, "geodesica")
+
+
+def test_eulerclass_import_detector():
+    for source in ("from .eulerclass import euler_tuple\n", "from . import eulerclass\n",
+                   "import geodesica.eulerclass as ec\n"):
+        assert "geodesica.eulerclass" in _imported_modules(ast.parse(source), "geodesica")
+    tree = ast.parse("from .pipeline import euler_check\nfrom . import numfield\n")
+    assert "geodesica.eulerclass" not in _imported_modules(tree, "geodesica")
