@@ -940,6 +940,7 @@ class TestInputValidation:
             run(census_records, checks=(), names=["7_4", "nope", "nada"])
 
     @pytest.mark.parametrize("argv, knot", [
+        (["slopes", "--knot", "7_3", "--json"], "7_3"),  # refused before any output
         (["euler", "--knot", "8_15"], "8_15"),  # stub awaiting data
         (["slopes", "--knot", "7_3"], "7_3"),  # no slope cases
         (["render", "--knot", "7_3"], "7_3"),  # no boundary configuration
@@ -948,8 +949,9 @@ class TestInputValidation:
         if argv[0] == "render":
             argv = argv + ["--out", str(tmp_path / "out.svg")]
         assert cli.main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: BadArgument: ") and knot in err
+        assert out == ""
         assert not (tmp_path / "out.svg").exists()
 
     def test_field_without_complex_place(self, tmp_path, capsys):
