@@ -10,12 +10,18 @@ euler, slopes, pretzel and render print or draw what the report's own
 checks return; render draws the knot's own boundary configuration.  No
 option sets a precision: every decision starts at 128 bits and doubles
 until it certifies, up to 1024 bits for an Euler sign.
+
+Exit status: 0, or 1 when an entry holds a false anchor comparison, or 2
+with a named error (a bad argument or input, or a stdout that cannot be
+written).  ``main`` returns it; ``entry``, the process entry point, ends the
+process with it once stdout and stderr are flushed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import BadArgument, GeodesicaError
@@ -23,6 +29,7 @@ from .mobius import render_svg
 from .pipeline import (
     ALL_CHECKS,
     KnotRecord,
+    count_mismatches,
     euler_check,
     get_knot,
     load_census,
@@ -84,8 +91,54 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except GeodesicaError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
+
+
+def entry() -> None:
+    """Run ``main`` on the process's arguments, flush stdout and stderr, and
+    end the process with ``main``'s status through ``os._exit``: the report
+    is out, so the interpreter's teardown does nothing anyone reads.  A
+    stdout that fails its flush is refused as ``main`` refuses a write, with
+    exit 2.  An exception that leaves ``main`` (argparse's ``SystemExit``,
+    or a fault) ends the process the normal way."""
+    status = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            # a status of 2 has named its error already, maybe this one
+            if status != 2:
+                status = _refuse(_unwritable_stdout(exc))
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            status = status or 2  # nothing is left to name the error on
+    os._exit(status)
+
+
+def _refuse(exc: GeodesicaError) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _unwritable_stdout(exc: OSError) -> BadArgument:
+    return BadArgument(f"stdout: cannot write: {exc.strerror}")
+
+
+def _stdout(text: str) -> None:
+    """Write text to stdout; a closed stdout, or a write that fails, is
+    refused as an output file that cannot be written is (``_write_file``)."""
+    if sys.stdout is None:
+        raise BadArgument("stdout: cannot write: it is closed")
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _unwritable_stdout(exc) from None
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _dispatch(args) -> int:
@@ -97,7 +150,7 @@ def _dispatch(args) -> int:
         if args.json_out:
             _write_file(args.json_out, report.to_json_bytes(), "--json")
         else:
-            sys.stdout.write(report.to_json_bytes().decode())
+            _stdout(report.to_json_bytes().decode())
         return report.exit_status
 
     if args.command == "pretzel":
@@ -113,19 +166,17 @@ def _dispatch(args) -> int:
                     f"{args.check} part at k={args.k}"
                 )
             out = {"k": out["k"], **{key: out[key] for key in keys}}
-        json.dump(out, sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 0
+        _stdout(_json(out))
+        return _status(out)
 
     if args.command == "euler":
         record = _knot_with_rep(args)
         payload = {"knot": record.name, **euler_check(record)}
         if args.json:
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
+            _stdout(_json(payload))
         else:
-            print(f"{record.name}: e = {tuple(payload['euler'])} verdict={payload['verdict']}")
-        return 0
+            _stdout(f"{record.name}: e = {tuple(payload['euler'])} verdict={payload['verdict']}\n")
+        return _status(payload)
 
     if args.command == "slopes":
         record = _knot_with_rep(args)
@@ -133,12 +184,11 @@ def _dispatch(args) -> int:
             raise BadArgument(f"{record.name}: no slope case descriptors")
         payload = {"knot": record.name, **slopes_check(record)}
         if args.json:
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
+            _stdout(_json(payload))
         else:
-            print(f"{record.name}: slopes {{{', '.join(payload['slopes'])}}} "
-                  f"(exhaustive: {payload['exhaustive']})")
-        return 0
+            _stdout(f"{record.name}: slopes {{{', '.join(payload['slopes'])}}} "
+                    f"(exhaustive: {payload['exhaustive']})\n")
+        return _status(payload)
 
     if args.command == "render":
         clines = _knot_with_rep(args).clines
@@ -147,6 +197,12 @@ def _dispatch(args) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+
+
+def _status(payload: dict) -> int:
+    """1 when the printed entry holds a false anchor comparison, as
+    ``report`` exits on the same entry; else 0."""
+    return 1 if count_mismatches(payload) else 0
 
 
 def _write_file(path: str, data: bytes, flag: str) -> None:
@@ -167,4 +223,4 @@ def _knot_with_rep(args) -> KnotRecord:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -13,7 +13,10 @@ generator images are embedded once at the lifting's bits, and each product of
 lifts walks their ball products.  A ball never guesses; when one holds 0, the
 product is walked again on the exact matrices of the representation's word
 table (``PlaceLift.product``), and each of its signs is ``RealPlace.sign``'s,
-over a root enclosure refined as far as the cap.
+over a root enclosure refined as far as the cap.  When phi(X) = J X^T J fixes
+every generator image, as it fixes the two-bridge A and B, a word spelled
+backwards takes the lift of the word itself (``fixed_by_phi``), so the
+longitude's v is not walked.
 
 Sign convention: places are ordered by ascending real root, generators get
 principal lifts (omega in [0, pi)), and e = (omega_lift - omega_section)/pi,
@@ -124,6 +127,16 @@ def _central_gap(x: Lift, y: Lift, sign: int) -> int:
     return gap
 
 
+def fixed_by_phi(images: Sequence[Mat2]) -> bool:
+    """Whether phi(X) = J X^T J, J = (0 1; 1 0), fixes every image, that is
+    a = d: phi sends (a b; c d) to (d b; c a).  phi is an anti-automorphism
+    of SL(2, R), so it then sends the matrix of each word to the matrix of
+    the word spelled backwards.  It keeps alpha, so it lifts to the cover
+    keeping omega and fixing each principal generator lift: the lift of the
+    backward word is the word's own lift, the same sigma, m and ``upper``."""
+    return all(M.a == M.d for M in images)
+
+
 def _letters(w: Word) -> Factors:
     """w as the product of its letters, each a generator or its inverse."""
     return tuple((Word.gen(g), 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e)))
@@ -141,10 +154,12 @@ class PlaceLift:
     The generator balls are built at ``bits``.  A sign a ball leaves
     undecided is decided exactly, on the matrices of rep's word table
     (``product``), and ``bits`` then grows to the widest root enclosure such
-    a decision needed."""
+    a decision needed.  When ``fixed_by_phi`` holds for rep's images, a word
+    whose backward spelling is lifted already is not walked (``word``)."""
 
     def __init__(self, rep: MatrixRep, place: RealPlace, bits: int):
         self.rep, self.place, self.bits = rep, place, bits
+        self.reversible = fixed_by_phi(rep.images)
         # word -> (its lift, the ball of its matrix)
         self.words: dict[Word, tuple] = {}
         for g, M in enumerate(rep.images):
@@ -168,10 +183,18 @@ class PlaceLift:
             return self.sign(e)
 
     def word(self, w: Word) -> tuple:
-        """(lift of w under the principal generator lifts, ball of w)."""
+        """(lift of w under the principal generator lifts, ball of w).  When
+        phi fixes every image and w's backward spelling is lifted already, w
+        takes that lift, and that ball with its diagonal swapped, which
+        encloses w's matrix (``fixed_by_phi``); else w is walked."""
         data = self.words.get(w)
         if data is None:
-            data = self.words[w] = self.lift(_letters(w))
+            back = self.reversible and self.words.get(w.reversed_letters())
+            if back:
+                data = back[0], back[1].swap_diagonal()
+            else:
+                data = self.lift(_letters(w))
+            self.words[w] = data
         return data
 
     def factor(self, w: Word, s: int) -> tuple:
@@ -206,7 +229,9 @@ class PlaceLift:
         """Lift of a product of one or more factor words under the principal
         generator lifts, with its exact matrix: walked on the factors'
         matrices from the representation's word table, each step's pair
-        4 alpha1 alpha2 one ``dot``, and every sign decided exactly."""
+        4 alpha1 alpha2 one ``dot``, and every sign decided exactly.  The
+        factors' own lifts are ``word``'s, so a backward word is not walked
+        here either."""
         dot, matrix = self.rep.field.dot, self.rep.word_matrix
         mats = [matrix(w) if s > 0 else matrix(w).adjugate() for w, s in factors]
         lifts = [self.factor(w, s)[0] for w, s in factors]

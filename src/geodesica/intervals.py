@@ -243,6 +243,11 @@ class Ball2:
     def adjugate(self) -> "Ball2":
         return Ball2(self.d, -self.b, -self.c, self.a, self.r, self.s)
 
+    def swap_diagonal(self) -> "Ball2":
+        """The ball of J X^T J = (d b; c a), J = (0 1; 1 0), over the
+        members X of this one: the entries move and the radius stays."""
+        return Ball2(self.d, self.b, self.c, self.a, self.r, self.s)
+
     def alpha2(self) -> GaussBall:
         """2 alpha = (a + d) + i (b - c) at scale s."""
         r = 2 * self.r

@@ -15,7 +15,6 @@ JSON payload).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
 import os
@@ -454,6 +453,8 @@ def strip_74_clines(record: KnotRecord):
 
 
 def _render_check(record: KnotRecord) -> dict:
+    import hashlib  # only here, so a run without this check never loads it
+
     svg = render_svg(record.clines)
     return {
         "config": record.configuration,
@@ -611,20 +612,20 @@ def run(
     return RunReport(
         payload=payload,
         elapsed_seconds=time.perf_counter() - t0,
-        anchor_mismatches=_count_mismatches(knots_out),
+        anchor_mismatches=count_mismatches(knots_out),
         hard_errors=sum(len(entry.get("errors", ())) for entry in knots_out),
     )
 
 
-def _count_mismatches(obj) -> int:
+def count_mismatches(obj) -> int:
     """The anchor comparisons that failed: every ``*_match``/``*_matches``
     key in the entry whose value is False."""
     if isinstance(obj, list):
-        return sum(map(_count_mismatches, obj))
+        return sum(map(count_mismatches, obj))
     if not isinstance(obj, dict):
         return 0
     return sum(
-        value is False if key.endswith(("_match", "_matches")) else _count_mismatches(value)
+        value is False if key.endswith(("_match", "_matches")) else count_mismatches(value)
         for key, value in obj.items()
     )
 

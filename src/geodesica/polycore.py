@@ -419,17 +419,20 @@ def root_bound(p: RatPoly) -> Fraction:
 def sturm_real_roots(p: RatPoly) -> RootIsolation:
     """Isolate the distinct real roots of p via its Sturm chain.
 
-    The chain is built for the square-free part, so repeated roots are
-    handled; `multiplicity_free` records whether p itself was square-free.
-    Each isolating interval is bisected down to width <= 1/4.
+    p's own chain ends in gcd(p, p'), so it ends in a constant exactly when
+    p is square-free (`multiplicity_free`); otherwise the chain is built
+    again for the square-free part, so repeated roots are handled.  Each
+    isolating interval is bisected down to width <= 1/4.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    sf = square_free_part(p)
-    multiplicity_free = sf.degree == p.degree
+    sf, chain = p, sturm_chain(p)
+    multiplicity_free = len(chain[-1]) == 1
+    if not multiplicity_free:
+        sf = square_free_part(p)
+        chain = sturm_chain(sf)
     if sf.degree == 0:
         return RootIsolation((), multiplicity_free)
-    chain = sturm_chain(sf)
     bound = root_bound(sf)
     lo, hi = -bound, bound
     # endpoints of the search box are not roots (Cauchy bound is strict)

@@ -145,3 +145,58 @@ def test_a_relator_whose_two_lifts_differ_in_sign_closes_on_the_gap():
                     if x.sigma * sign != y.sigma:
                         branches.add(closed - 2 * (x.m - y.m))
     assert branches == {1, -1}
+
+
+# every two-bridge row of the census: phi(X) = J X^T J fixes A and B
+TWO_BRIDGE = [
+    "7_3", "7_5", "8_4", "8_6", "8_14", "9_3", "9_4", "9_6", "9_7", "9_8",
+    "9_9", "9_10", "9_12", "9_13", "9_15", "9_18", "9_21", "9_23", "7_4",
+]
+
+
+def test_two_bridge_is_every_two_bridge_row(census_records):
+    assert sorted(TWO_BRIDGE) == sorted(r.name for r in census_records if r.kind == "two_bridge")
+
+
+@pytest.mark.parametrize("name", TWO_BRIDGE)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_a_backward_word_takes_the_lift_of_the_word(census_records, name, data):
+    rep = get_knot(census_records, name).rep
+    assert eulerclass.fixed_by_phi(rep.images)
+    w = data.draw(_words(2), label="w")
+    back = w.reversed_letters()
+    W, V = evaluate_word(rep.images, w), evaluate_word(rep.images, back)
+    assert V == Mat2(W.d, W.b, W.c, W.a)
+    for place in rep.field.real_places():
+        lifting = eulerclass.lift_representation(rep, place)
+        assert lifting.reversible
+        lifting.word(w)
+        # back is w, or its lift is w's: it is not walked
+        lifting.lift = lambda factors: pytest.fail(f"{back!r} walked at place {place.index}")
+        lift, ball = lifting.word(back)
+        walking = eulerclass.lift_representation(rep, place)
+        walking.reversible = False
+        assert lift == walking.word(back)[0]
+        for m, e in zip((ball.a, ball.b, ball.c, ball.d), V.entries()):
+            assert _inside(place, (m, ball.r), ball.s, e)
+
+
+def test_a_pretzel_place_never_takes_the_shortcut(census_records):
+    # the pretzel image s3 has a != d, so phi does not fix the images
+    s = [Word.gen(g) for g in range(3)]
+    w = s[0] * s[1] ** -1 * s[2] * s[2]
+    places = 0
+    for name in ("P(3,3,3)", "P(5,5,5)", "P(7,7,7)"):
+        rep = get_knot(census_records, name).rep
+        assert not eulerclass.fixed_by_phi(rep.images)
+        for place in rep.field.real_places():
+            lifting = eulerclass.lift_representation(rep, place)
+            assert not lifting.reversible
+            lifting.word(w)
+            walked, lift = [], lifting.lift
+            lifting.lift = lambda factors: walked.append(factors) or lift(factors)
+            lifting.word(w.reversed_letters())
+            assert walked
+            places += 1
+    assert places == 3

@@ -855,14 +855,14 @@ class TestInputValidation:
         assert "workers must be a positive integer" in capsys.readouterr().err
 
     def test_ladder_failure_names_the_knot_and_place(self, monkeypatch, capsys):
-        # 9_13's first real place needs a 16-bit root enclosure; the ladder
+        # 8_4's only real place needs a 16-bit root enclosure; the ladder
         # starts at 4 bits here, so a cap of 8 is passed
         monkeypatch.setattr(eulerclass, "PRECISION_CAP", 8)
         low_start = functools.partial(eulerclass.euler_number, precision_bits=4)
         monkeypatch.setattr(eulerclass, "euler_number", low_start)
-        assert cli.main(["euler", "--knot", "9_13"]) == 2
+        assert cli.main(["euler", "--knot", "8_4"]) == 2
         err = capsys.readouterr().err
-        assert "PrecisionExhausted: 9_13: euler number at place 0 failed up to 8 bits" in err
+        assert "PrecisionExhausted: 8_4: euler number at place 0 failed up to 8 bits" in err
 
     def test_pretzel_k_above_the_bound(self, capsys):
         t0 = time.perf_counter()
@@ -982,3 +982,120 @@ class TestInputValidation:
     def test_library_entry_points_validate(self, census_records):
         with pytest.raises(BadArgument):
             run(census_records, checks=("slopes",), names=["7_4"], workers=0)
+
+
+# ---------------------------------------------------------------------------
+# The process exit path: cli.entry flushes, then ends the process by os._exit
+# ---------------------------------------------------------------------------
+
+
+def _cli(*args, **kwargs):
+    return subprocess.run([sys.executable, "-m", "geodesica.cli", *args],
+                          capture_output=True, timeout=600, **kwargs)
+
+
+def _wrong_anchor_census(tmp_path):
+    """A census of the bundled 7_4 row with a false Euler and slope anchor."""
+    row = _row("7_4", expected={"euler": [5], "slopes": ["0"]})
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps({"schema": 1, "knots": [row]}))
+    return path
+
+
+def test_printed_report_is_the_json_file_and_the_summary_reaches_stderr(tmp_path):
+    # entry flushes stdout before os._exit, so a report printed to a pipe
+    # arrives whole
+    out = tmp_path / "report.json"
+    checks = ",".join(ALL_CHECKS)
+    printed = _cli("report", "--checks", checks)
+    written = _cli("report", "--checks", checks, "--json", str(out))
+    assert printed.returncode == written.returncode == 0, printed.stderr
+    assert printed.stdout == out.read_bytes()
+    assert hashlib.sha256(printed.stdout).hexdigest() == GOLDEN_REPORT_SHA256
+    assert b"-- 28 knots, 0 anchor mismatches, 0 errors, " in printed.stderr
+    assert written.stdout == b""
+
+
+@pytest.mark.parametrize("args, status", [
+    (["report", "--checks", "slopes"], 0),
+    (["report", "--census", "WRONG", "--checks", "euler,slopes"], 1),
+    (["report", "--checks", "slopes", "--bogus"], 2),
+    (["euler", "--knot", "nope"], 2),
+])
+def test_entry_keeps_the_exit_statuses(tmp_path, args, status):
+    args = [str(_wrong_anchor_census(tmp_path)) if a == "WRONG" else a for a in args]
+    res = _cli(*args)
+    assert res.returncode == status, res.stderr
+    assert b"Traceback" not in res.stderr
+
+
+def test_main_in_process_returns_the_status(capsys):
+    status = cli.main(["slopes", "--knot", "7_4"])
+    assert type(status) is int and status == 0
+    assert capsys.readouterr().out == "7_4: slopes {-2, 2} (exhaustive: True)\n"
+
+
+def test_the_console_script_is_entry():
+    tomllib = pytest.importorskip("tomllib")
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"geodesica": "geodesica.cli:entry"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args", [
+    ["report", "--checks", "slopes"],
+    ["slopes", "--knot", "7_4", "--json"],
+])
+def test_a_full_stdout_is_a_named_error(args, unbuffered):
+    # buffered, the write fails at the final flush; unbuffered, in main
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "wb") as full:
+        res = subprocess.run([sys.executable, "-m", "geodesica.cli", *args], stdout=full,
+                             stderr=subprocess.PIPE, env=env, timeout=600)
+    err = res.stderr.decode()
+    assert res.returncode == 2, err
+    assert "error: BadArgument: stdout: cannot write: No space left on device" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.count("error: ") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--checks", "slopes"],
+    ["euler", "--knot", "7_4"],
+])
+def test_a_closed_stdout_is_a_named_error(args):
+    # python starts with sys.stdout None when descriptor 1 is closed
+    res = subprocess.run([sys.executable, "-m", "geodesica.cli", *args],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=600,
+                         preexec_fn=lambda: os.close(1))
+    err = res.stderr.decode()
+    assert res.returncode == 2, err
+    assert "error: BadArgument: stdout: cannot write: it is closed" in err
+    assert "Traceback" not in err
+
+
+def test_subcommands_exit_1_on_a_false_anchor(monkeypatch, tmp_path, capsys):
+    from geodesica import pipeline
+
+    path = str(_wrong_anchor_census(tmp_path))
+    assert cli.main(["euler", "--census", path, "--knot", "7_4", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["euler_matches"] is False
+    assert cli.main(["slopes", "--census", path, "--knot", "7_4"]) == 1
+    assert capsys.readouterr().out.startswith("7_4: slopes {-2, 2}")
+    monkeypatch.setattr(pipeline, "lambda_closed_formula", lambda k: RatPoly([1, 1]))
+    assert cli.main(["pretzel", "--k", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["closed_form_matches"] is False
+    assert cli.main(["pretzel", "--k", "1", "--check", "census"]) == 0
+
+
+def test_a_cold_load_imports_no_hashlib():
+    # only the render check hashes, so it alone imports hashlib
+    code = ("import sys, geodesica.cli; geodesica.cli.load_census(); "
+            "print('hashlib' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -39,6 +39,7 @@ from geodesica.polycore import (
     sturm_chain,
     sturm_real_roots,
 )
+from geodesica.pipeline import load_census
 from geodesica.pretzel import lambda_poly, psi_poly, psi_root_census
 
 M74 = RatPoly([1, 4, -4, 1])  # z^3 - 4z^2 + 4z + 1
@@ -146,6 +147,29 @@ class TestSturm:
         iso = sturm_real_roots(p)
         assert iso.count == 2
         assert not iso.multiplicity_free
+
+    def test_a_chain_that_ends_in_a_square_takes_the_square_free_part(self):
+        # p's own chain ends in gcd(p, p') = x^2 - 2, so p is isolated on the
+        # chain of its square-free part (x^2 - 2)(x - 1)
+        p = RatPoly([-2, 0, 1]) * RatPoly([-2, 0, 1]) * RatPoly([-1, 1])
+        iso = sturm_real_roots(p)
+        assert not iso.multiplicity_free
+        roots = (-math.sqrt(2), 1.0, math.sqrt(2))
+        assert len(iso.real_intervals) == 3
+        for (lo, hi), root in zip(iso.real_intervals, roots):
+            assert lo < root < hi
+
+    def test_square_free_fields_build_one_chain(self, monkeypatch):
+        # every census field's minpoly is square-free, which its own Sturm
+        # chain shows by ending in a constant, so no square-free part is taken
+        calls = []
+        monkeypatch.setattr(
+            polycore, "square_free_part", lambda p: calls.append(p) or square_free_part(p)
+        )
+        fields = [r.rep.field for r in load_census() if r.rep is not None]
+        isolations = [K.real_isolation() for K in fields]
+        assert len(fields) == 22 and all(iso.multiplicity_free for iso in isolations)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "coeffs",

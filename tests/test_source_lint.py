@@ -6,8 +6,9 @@ code, no ``mpf(str(...))`` round trip, no read of the process environment,
 no word evaluated outside a representation's table but in ``knotgroup`` and
 the pretzel identities, no census fact read past the knot's hypotheses
 record, a pretzel module that imports neither ``complex_roots`` nor a
-private name, a CLI that imports nothing from the Euler engine, and every
-function the benchmark tracer wraps still exists.
+private name, a CLI that imports nothing from the Euler engine, no
+``os._exit`` but in the CLI's entry point and the pool's forked child, and
+every function the benchmark tracer wraps still exists.
 
 ``python -O`` strips asserts, so an assert can never stand in for a runtime
 check; invariants raise a named ``GeodesicaError`` instead.
@@ -575,3 +576,53 @@ def test_eulerclass_import_detector():
         assert "geodesica.eulerclass" in _imported_modules(ast.parse(source), "geodesica")
     tree = ast.parse("from .pipeline import euler_check\nfrom . import numfield\n")
     assert "geodesica.eulerclass" not in _imported_modules(tree, "geodesica")
+
+
+# the functions that may end the process without its teardown: the CLI's
+# entry point, once the output is flushed, and the forked child of the pool,
+# which must never run the parent's code
+OS_EXIT_CALLERS = ["cli.py entry", "pipeline.py _entries"]
+
+
+def _os_exit_callers(tree: ast.AST) -> list[str]:
+    """The innermost function or class around each call of ``_exit``, as
+    ``os._exit`` or by a bare name, or ``<module>`` at the top level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "_exit":
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_entry_and_the_forked_child_call_os_exit():
+    found = sorted(
+        f"{path.relative_to(PACKAGE)} {where}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for where in _os_exit_callers(ast.parse(path.read_text(), filename=str(path)))
+    )
+    assert found == OS_EXIT_CALLERS
+
+
+def test_os_exit_caller_detector():
+    tree = ast.parse(
+        "import os\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    os._exit(0)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            _exit(1)\n"
+        "        sys.exit(2)\n"
+        "os._exit(3)\n"
+    )
+    assert _os_exit_callers(tree) == ["f", "h", "<module>"]
