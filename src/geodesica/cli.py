@@ -13,8 +13,9 @@ until it certifies, up to 1024 bits for an Euler sign.
 
 Exit status: 0, or 1 when an entry holds a false anchor comparison, or 2
 with a named error (a bad argument or input, or a stdout that cannot be
-written).  ``main`` returns it; ``entry``, the process entry point, ends the
-process with it once stdout and stderr are flushed.
+written; a stderr that cannot be written only loses its lines).  ``main``
+returns it; ``entry``, the process entry point, ends the process with it
+once stdout and stderr are flushed.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def entry() -> None:
     end the process with ``main``'s status through ``os._exit``: the report
     is out, so the interpreter's teardown does nothing anyone reads.  A
     stdout that fails its flush is refused as ``main`` refuses a write, with
-    exit 2.  An exception that leaves ``main`` (argparse's ``SystemExit``,
-    or a fault) ends the process the normal way."""
+    exit 2; a stderr that fails it changes nothing.  An exception that leaves
+    ``main`` (argparse's ``SystemExit``, or a fault) ends the process the
+    normal way."""
     status = main()
     if sys.stdout is not None:
         try:
@@ -113,12 +115,21 @@ def entry() -> None:
         try:
             sys.stderr.flush()
         except OSError:
-            status = status or 2  # nothing is left to name the error on
+            pass  # the lines it held are lost, as ``_stderr`` drops them
     os._exit(status)
 
 
+def _stderr(line: str) -> None:
+    """Print a line to stderr, or drop it when stderr is closed or unwritable."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _refuse(exc: GeodesicaError) -> int:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    _stderr(f"error: {type(exc).__name__}: {exc}")
     return 2
 
 
@@ -146,11 +157,11 @@ def _dispatch(args) -> int:
         records = load_census(args.census)
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         report = run(records, checks=checks, names=args.knot, workers=args.workers)
-        print(summarize(report), file=sys.stderr)
         if args.json_out:
             _write_file(args.json_out, report.to_json_bytes(), "--json")
         else:
             _stdout(report.to_json_bytes().decode())
+        _stderr(summarize(report))
         return report.exit_status
 
     if args.command == "pretzel":
@@ -193,7 +204,7 @@ def _dispatch(args) -> int:
     if args.command == "render":
         clines = _knot_with_rep(args).clines
         _write_file(args.out, render_svg(clines).encode(), "--out")
-        print(f"wrote {args.out} ({len(clines)} clines)", file=sys.stderr)
+        _stderr(f"wrote {args.out} ({len(clines)} clines)")
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

@@ -257,82 +257,40 @@ class PlaceLift:
 
 
 # ---------------------------------------------------------------------------
-# Integer linear algebra for the defect system (Smith-style)
+# Integer linear algebra for the defect system (column echelon form)
 # ---------------------------------------------------------------------------
 
 
 def solve_integer_system(E: Sequence[Sequence[int]], b: Sequence[int]) -> list[int]:
-    """A particular integer solution of E m = b, or NoLiftExists.
-
-    Elementary unimodular row/column operations (a small Smith reduction);
-    sizes here are at most 2 x 3.
-    """
-    rows = [list(r) for r in E]
-    rhs = list(b)
-    ncols = len(rows[0]) if rows else 0
-    col_ops: list[list[int]] = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        # find a pivot in column >= c with minimal nonzero |entry|
-        pivot = None
-        for i in range(r, len(rows)):
-            for j in range(c, ncols):
-                v = rows[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(rows[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        rows[r], rows[pi] = rows[pi], rows[r]
-        rhs[r], rhs[pi] = rhs[pi], rhs[r]
-        for row in rows:
-            row[c], row[pj] = row[pj], row[c]
-        col_ops[c], col_ops[pj] = col_ops[pj], col_ops[c]
-        # clear the column below and the row to the right, Euclid-style
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r + 1, len(rows)):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    rhs[i] -= q * rhs[r]
-                    if rows[i][c] != 0:
-                        rows[r], rows[i] = rows[i], rows[r]
-                        rhs[r], rhs[i] = rhs[i], rhs[r]
-                    changed = True
-            for j in range(c + 1, ncols):
-                if rows[r][j] != 0:
-                    q = rows[r][j] // rows[r][c]
-                    for row in rows:
-                        row[j] -= q * row[c]
-                    col_ops[j] = [x - q * y for x, y in zip(col_ops[j], col_ops[c])]
-                    if rows[r][j] != 0:
-                        for row in rows:
-                            row[c], row[j] = row[j], row[c]
-                        col_ops[c], col_ops[j] = col_ops[j], col_ops[c]
-                    changed = True
-        r += 1
-
-    y = [0] * ncols
-    for i in range(len(rows)):
-        d = rows[i][i] if i < ncols else 0
-        if d == 0:
-            if rhs[i] != 0:
-                raise NoLiftExists("relator defect system is inconsistent")
-            continue
-        if rhs[i] % d != 0:
-            raise NoLiftExists("relator defect system has no integer solution")
-        y[i] = rhs[i] // d
-    # m = col_ops . y  (col_ops[j] is the j-th transformed basis column)
-    m = [0] * ncols
-    for j in range(ncols):
-        for i in range(ncols):
-            m[i] += col_ops[j][i] * y[j]
-    return m
+    """A particular integer solution of E m = b, or NoLiftExists: Euclid on
+    pairs of columns of E and of U = I together (a column holds its E part
+    over its U part) brings E to a lower echelon form H = E U (Cohen, GTM 138,
+    2.4), H y = b is solved row by row with free variables 0, and m = U y."""
+    rows, n = len(E), len(E[0]) if E else 0
+    cols = [[row[j] for row in E] + [int(i == j) for i in range(n)] for j in range(n)]
+    pivots: dict[int, int] = {}  # row -> the column of its pivot
+    for i in range(rows):
+        c = len(pivots)
+        for j in range(c + 1, n):
+            while cols[j][i]:
+                if cols[c][i]:
+                    q = cols[j][i] // cols[c][i]
+                    cols[j] = [u - q * v for u, v in zip(cols[j], cols[c])]
+                if cols[j][i]:
+                    cols[c], cols[j] = cols[j], cols[c]
+        if c < n and cols[c][i]:
+            pivots[i] = c
+    y = [0] * n
+    for i, rhs in enumerate(b):
+        rest = rhs - sum(col[i] * v for col, v in zip(cols, y))
+        if i in pivots:
+            c = pivots[i]
+            if rest % cols[c][i]:
+                raise NoLiftExists("relator defect system has no integer solution")
+            y[c] = rest // cols[c][i]
+        elif rest:
+            raise NoLiftExists("relator defect system is inconsistent")
+    return [sum(col[rows + k] * v for col, v in zip(cols, y)) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DegenerateCline, UnsupportedCase
@@ -276,42 +277,24 @@ def uniqueness_system(
 
 
 def _solve_uniq(rows) -> str:
-    # solve [A | const] (e1, e2)^T = -const exactly
-    A = [(r[0], r[1]) for r in rows]
-    b = [-r[2] for r in rows]
-    # Gaussian elimination on a 2-variable system
-    pivots = []
-    rows_red = [list(a) + [bb] for a, bb in zip(A, b)]
-    for col in range(2):
-        piv = None
-        for i, row in enumerate(rows_red):
-            if i not in [p[0] for p in pivots] and row[col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        pivots.append((piv, col))
-        pr = rows_red[piv]
-        for i, row in enumerate(rows_red):
-            if i != piv and row[col] != 0:
-                f = row[col] / pr[col]
-                rows_red[i] = [x - f * y for x, y in zip(row, pr)]
-    for i, row in enumerate(rows_red):
-        if i not in [p[0] for p in pivots] and row[0] == 0 and row[1] == 0 and row[2] != 0:
-            return VERDICT_INCONSISTENT
-    if len(pivots) < 2:
-        return VERDICT_NONZERO
-    sol = [Fraction(0), Fraction(0)]
-    for i, col in pivots:
-        row = rows_red[i]
-        sol[col] = row[2] / row[col]
-    e1, e2 = sol
-    if e1 == 0 and e2 == 0:
+    """The verdict on the rows (a, b, c) of a e1 + b e2 + c = 0: Cramer's rule
+    on the first pair of rows with a nonzero determinant, checked on every
+    row.  With no such pair (rank <= 1) the rows are consistent when each is
+    a multiple of the first row with (a, b) != (0, 0)."""
+    for (a, b, c), (p, q, r) in combinations(rows, 2):
+        det = a * q - b * p
+        if det:
+            e1, e2 = Fraction(b * r - c * q, det), Fraction(c * p - a * r, det)
+            break
+    else:
+        a, b, c = next((row for row in rows if row[0] or row[1]), (1, 0, 0))
+        consistent = all(a * r == c * p and b * r == c * q for p, q, r in rows)
+        return VERDICT_NONZERO if consistent else VERDICT_INCONSISTENT
+    if any(a * e1 + b * e2 + c for a, b, c in rows):
+        return VERDICT_INCONSISTENT
+    if e1 == e2 == 0:
         return VERDICT_ONLY_ZERO
-    disc = e1 * e1 - 4 * e2
-    if disc < 0:
-        return VERDICT_NO_REAL_PAIR
-    return VERDICT_NONZERO
+    return VERDICT_NO_REAL_PAIR if e1 * e1 < 4 * e2 else VERDICT_NONZERO
 
 
 def excludes_surface(verdict: str) -> bool:

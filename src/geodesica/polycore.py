@@ -421,7 +421,7 @@ def sturm_real_roots(p: RatPoly) -> RootIsolation:
 
     p's own chain ends in gcd(p, p'), so it ends in a constant exactly when
     p is square-free (`multiplicity_free`); otherwise the chain is built
-    again for the square-free part, so repeated roots are handled.  Each
+    again for p divided by that last term, the square-free part.  Each
     isolating interval is bisected down to width <= 1/4.
     """
     if p.is_zero():
@@ -429,7 +429,7 @@ def sturm_real_roots(p: RatPoly) -> RootIsolation:
     sf, chain = p, sturm_chain(p)
     multiplicity_free = len(chain[-1]) == 1
     if not multiplicity_free:
-        sf = square_free_part(p)
+        sf = p.divmod(_ratpoly(chain[-1], 1))[0].monic()
         chain = sturm_chain(sf)
     if sf.degree == 0:
         return RootIsolation((), multiplicity_free)
@@ -689,11 +689,12 @@ def _disks_disjoint(zs: Sequence[tuple[int, int]], radii: Sequence[int]) -> bool
 def complex_roots(p: RatPoly, precision_bits: int) -> ComplexRootSet:
     """All complex roots of a square-free polynomial with certified radii.
 
-    Durand-Kerner runs twice: in machine floats from perturbed roots of
-    unity until every step is about 2^-40 of its root, then on Gaussian
-    integers over 2^s, s = bits + 20, from those seeds (from Bini's
-    Newton-polygon start when a coefficient overflows a float or the seeds
-    are not finite and distinct) until every step is below 2^-(bits-4).
+    Durand-Kerner runs twice, both times from Bini's Newton-polygon start:
+    in machine floats until every step is about 2^-40 of its root, then on
+    Gaussian integers over 2^s, s = bits + 20, from those seeds (from the
+    start itself when a coefficient or a start point overflows a float or
+    the seeds are not finite and distinct) until every step is below
+    2^-(bits-4).
     Neither stage certifies anything: the radii are n |W_i| for the exact
     Weierstrass corrections at the final centers, rounded up, and all roots
     lie in the union of those disks, one in each when they are pairwise
@@ -739,23 +740,15 @@ def _fixed(x: float, shift: int) -> int:
     return (m << shift) // d if shift >= 0 else m // (d << -shift)
 
 
-def _start_radius(monic: RatPoly) -> float:
-    """Radius of the Durand-Kerner start circle: the Cauchy bound clamped to
-    [1, 10^6], compared exactly so that a bound beyond the float range
-    clamps too."""
-    return max(1.0, float(min(root_bound(monic), _Q(10 ** 6))))
-
-
-def _newton_start(monic: RatPoly, s: int) -> list[tuple[int, int]]:
-    """Bini's Newton-polygon start, as Gaussian integers over 2^s: for each
-    edge (i, j) of the upper convex hull of the points (k, log2 |c_k|) over
-    the nonzero coefficients, j - i points on the circle of radius
-    (|c_i| / |c_j|)^(1/(j - i)), at the angles
-    2 pi ((t + 1/4) / (j - i) + i / n); a root at 0 starts at 0.  The
+def _newton_circles(monic: RatPoly) -> list[tuple[int, float, float]]:
+    """Bini's Newton-polygon start: for each edge (i, j) of the upper convex
+    hull of the points (k, log2 |c_k|) over the nonzero coefficients, j - i
+    points on the circle of radius (|c_i| / |c_j|)^(1/(j - i)), at the
+    angles 2 pi ((t + 1/4) / (j - i) + i / n); a root at 0 starts at 0.
+    Each point is (w, x, y) for (x + i y) 2^w with |x + i y| in [1, 2).  The
     logarithms are taken of the exact integer numerators and denominators,
-    and each radius splits into a power of two and a float in [1, 2), so no
-    coefficient or radius has to fit in a float, and the circles follow the
-    root moduli however far apart they lie."""
+    so no coefficient or radius has to fit in a float, and the circles
+    follow the root moduli however far apart they lie."""
     n = monic.degree
     hull: list[tuple[int, float]] = []
     for k, c in enumerate(monic.coeffs):
@@ -769,7 +762,7 @@ def _newton_start(monic: RatPoly, s: int) -> list[tuple[int, int]]:
         ):
             hull.pop()
         hull.append((k, y))
-    zs = [(0, 0)] * hull[0][0]
+    points = [(0, 0.0, 0.0)] * hull[0][0]
     for (i, yi), (j, yj) in zip(hull, hull[1:]):
         m = j - i
         e = (yi - yj) / m
@@ -777,8 +770,14 @@ def _newton_start(monic: RatPoly, s: int) -> list[tuple[int, int]]:
         rad = 2.0 ** (e - whole)
         for t in range(m):
             a = 2 * math.pi * ((t + 0.25) / m + i / n)
-            zs.append((_fixed(rad * math.cos(a), s + whole), _fixed(rad * math.sin(a), s + whole)))
-    return zs
+            points.append((whole, rad * math.cos(a), rad * math.sin(a)))
+    return points
+
+
+def _newton_start(monic: RatPoly, s: int) -> list[tuple[int, int]]:
+    """The Newton-polygon start (``_newton_circles``) as Gaussian integers
+    over 2^s."""
+    return [(_fixed(x, s + w), _fixed(y, s + w)) for w, x, y in _newton_circles(monic)]
 
 
 # The float stage stops at this relative step: one more sweep reaches the
@@ -788,15 +787,15 @@ _SEED_STEP = 2.0 ** -40
 
 
 def _float_seeds(monic: RatPoly) -> list[complex] | None:
-    """Durand-Kerner in machine floats from the perturbed roots of unity,
-    until every step is at most 2^-40 of its root or after _MAX_SWEEPS sweeps.
-    None when a coefficient or an iterate leaves the float range, or when the
-    seeds are not finite and pairwise distinct."""
+    """Durand-Kerner in machine floats from the Newton-polygon start
+    (``_newton_circles``), until every step is at most 2^-40 of its root or
+    after _MAX_SWEEPS sweeps.  None when a coefficient, a start point or an
+    iterate leaves the float range, or when the seeds are not finite and
+    pairwise distinct."""
     n = monic.degree
     try:
         coeffs = [c / monic.den for c in reversed(monic.num)]
-        rad = _start_radius(monic) * 0.9
-        zs = [rad * cmath.exp(2j * math.pi * (k + 0.25) / n) + 0.1 * (k % 3) for k in range(n)]
+        zs = [complex(math.ldexp(x, w), math.ldexp(y, w)) for w, x, y in _newton_circles(monic)]
         for _ in range(_MAX_SWEEPS):
             converged = True
             new = []

@@ -9,6 +9,7 @@ Q[z]/(lambda_k).
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
@@ -61,18 +62,9 @@ def lambda_closed_formula(k: int) -> RatPoly:
         raise BadArgument("k must be nonnegative")
     coeffs = [0] * (2 * k + 2)
     for j in range(k + 1):
-        coeffs[2 * j] -= _binom(k + j, 2 * j)
-        coeffs[2 * j + 1] += _binom(k + j, 2 * j + 1) + _binom(k + j + 1, 2 * j + 1)
+        coeffs[2 * j] -= math.comb(k + j, 2 * j)
+        coeffs[2 * j + 1] += math.comb(k + j, 2 * j + 1) + math.comb(k + j + 1, 2 * j + 1)
     return RatPoly(coeffs)
-
-
-def _binom(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -1063,6 +1063,26 @@ def test_a_full_stdout_is_a_named_error(args, unbuffered):
     assert err.count("error: ") == 1
 
 
+def _cli_to_full_stderr(*args):
+    with open("/dev/full", "wb") as full:
+        return subprocess.run([sys.executable, "-m", "geodesica.cli", *args],
+                              stdout=subprocess.PIPE, stderr=full, timeout=600)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stderr_keeps_the_refusal_status():
+    assert _cli_to_full_stderr("slopes", "--knot", "nope").returncode == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stderr_keeps_the_report(tmp_path):
+    # the summary line is lost; the report file and the status are not
+    out = tmp_path / "report.json"
+    res = _cli_to_full_stderr("report", "--checks", ",".join(ALL_CHECKS), "--json", str(out))
+    assert res.returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
 @pytest.mark.parametrize("args", [
     ["report", "--checks", "slopes"],
     ["euler", "--knot", "7_4"],

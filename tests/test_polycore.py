@@ -159,6 +159,19 @@ class TestSturm:
         for (lo, hi), root in zip(iso.real_intervals, roots):
             assert lo < root < hi
 
+    def test_the_square_free_part_comes_from_the_chain_s_last_term(self, monkeypatch):
+        # p's chain takes 3 remainder steps and ends in x^2 - 2, the chain of
+        # p / (x^2 - 2) takes 3 more; gcd(p, p') is not computed again
+        p = RatPoly([-2, 0, 1]) * RatPoly([-2, 0, 1]) * RatPoly([-1, 1])
+        want = sturm_real_roots(square_free_part(p)).real_intervals
+        steps = []
+        remainder = polycore._primitive_remainder
+        monkeypatch.setattr(
+            polycore, "_primitive_remainder", lambda a, b: steps.append(1) or remainder(a, b)
+        )
+        assert sturm_real_roots(p).real_intervals == want
+        assert len(steps) == 6
+
     def test_square_free_fields_build_one_chain(self, monkeypatch):
         # every census field's minpoly is square-free, which its own Sturm
         # chain shows by ending in a constant, so no square-free part is taken
@@ -913,6 +926,12 @@ def test_close_roots_still_certify(e):
     # (z - 1)(z - 1 - 2^-e)(z^2 + 1): two roots 2^-e apart
     p = RatPoly([-1, 1]) * RatPoly([-1 - Fraction(1, 2 ** e), 1]) * RatPoly([1, 0, 1])
     _assert_same_roots(p)
+
+
+def test_lambda_30_gets_float_seeds():
+    # from the Newton-polygon circles the float stage stays in range; from
+    # a circle at the Cauchy bound its first sweep overflowed
+    assert _float_seeds(lambda_poly(30).monic()) is not None
 
 
 def test_float_overflow_certifies_through_the_fallback():
