@@ -134,6 +134,13 @@ def _minpoly(row: dict, name: str) -> RatPoly:
     return m
 
 
+def _irreducibility(minpoly: RatPoly, name: str) -> str:
+    verdict = irreducibility_certificate(minpoly)
+    _require(verdict.status != "reducible", name, "minpoly",
+             f"(reducible: it has the factor {verdict.factor!r})")
+    return verdict.status
+
+
 def _word(text, names: Sequence[str], name: str, field_name: str) -> Word:
     _require(isinstance(text, str), name, field_name, "(expected a word string)")
     try:
@@ -216,7 +223,7 @@ def _load_record(row, index: int) -> KnotRecord:
         except BadFraction as exc:
             raise BadCensus(f"{name}: field 'p/q' invalid ({exc})") from None
         record.rep = build_representation(pres, minpoly, name=f"Q(z_{name})")
-        record.irreducibility = irreducibility_certificate(minpoly).status
+        record.irreducibility = _irreducibility(minpoly, name)
         if (row["p"], row["q"]) == (15, 11):  # the strip's words are this presentation's
             record.configuration = "74-strip"
     elif kind == "pretzel":
@@ -239,6 +246,7 @@ def _load_record(row, index: int) -> KnotRecord:
             entries.append([_rationals(e, name, f"images[{i}]") for e in mat])
         minpoly = _minpoly(row, name) if images or "minpoly" in row else None
         if images:
+            record.irreducibility = _irreducibility(minpoly, name)
             K = NumberField(minpoly, f"Q(z_{name})")
             names = row.get("generators")
             _require(
@@ -267,7 +275,6 @@ def _load_record(row, index: int) -> KnotRecord:
                 raise BadCensus(f"{name}: field 'longitude' invalid ({exc})") from None
             mats = tuple(Mat2(*(K.element(e) for e in mat)) for mat in entries)
             record.rep = normalize_peripheral(MatrixRep(presentation=pres, field=K, images=mats))
-            record.irreducibility = irreducibility_certificate(minpoly).status
     if record.rep is not None:
         names = record.rep.presentation.generator_names
         record.uniqueness_cases = tuple(

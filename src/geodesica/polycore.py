@@ -9,14 +9,13 @@ positive denominator ``den`` in lowest terms, the representation of FLINT's
 cancellation to lowest terms (``_lowest_terms``) are written once, here, for
 both; a field element adds only the reduction mod its minimal polynomial.
 Long division, gcd and remainder chains run on the integer numerators.
-Nothing in this module touches floating point except the seeds of the
-complex root finder and of the real-root Newton refinement, whose disks and
-intervals are certified afterwards by exact integer comparisons.
+Nothing in this module touches floating point except the start of the
+complex root finder and the seed of the real-root Newton refinement, whose
+disks and intervals are certified afterwards by exact integer comparisons.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -608,12 +607,14 @@ class ComplexRootSet(NamedTuple):
 
 
 # A point of the polish is a Gaussian integer (x, y) standing for
-# (x + i y) / 2^s, at the scale s = bits + _GUARD_BITS.
+# (x + i y) / 2^s.  The first rung runs at s = _FIRST_SCALE, each next one at
+# twice the scale, and the last at s = bits + _GUARD_BITS.
+_FIRST_SCALE = 32
 _GUARD_BITS = 20
-# The polish stops once every step is below 2^-(bits - 4), which is
+# A rung stops once every step is below 2^-(s - 24), which is
 # 2^(_GUARD_BITS + 4) units of the scale; compared squared.
 _STOP_STEP2 = 1 << 2 * (_GUARD_BITS + 4)
-# Either Durand-Kerner stage gives up after this many sweeps.
+# A rung of the polish gives up after this many sweeps.
 _MAX_SWEEPS = 400
 
 
@@ -689,18 +690,16 @@ def _disks_disjoint(zs: Sequence[tuple[int, int]], radii: Sequence[int]) -> bool
 def complex_roots(p: RatPoly, precision_bits: int) -> ComplexRootSet:
     """All complex roots of a square-free polynomial with certified radii.
 
-    Durand-Kerner runs twice, both times from Bini's Newton-polygon start:
-    in machine floats until every step is about 2^-40 of its root, then on
-    Gaussian integers over 2^s, s = bits + 20, from those seeds (from the
-    start itself when a coefficient or a start point overflows a float or
-    the seeds are not finite and distinct) until every step is below
-    2^-(bits-4).
-    Neither stage certifies anything: the radii are n |W_i| for the exact
-    Weierstrass corrections at the final centers, rounded up, and all roots
-    lie in the union of those disks, one in each when they are pairwise
-    disjoint.  Centers and radii are dyadic, so the disjointness test is an
-    exact integer comparison.  Every returned radius is below
-    2^-(precision_bits/2).
+    One Durand-Kerner on Gaussian integers over 2^s, from Bini's
+    Newton-polygon start at s = 32: each rung polishes until every step is
+    below 2^-(s - 24), and the next takes its points at twice the scale, up
+    to s = bits + 20.  The polish certifies nothing: the radii are n |W_i|
+    for the exact Weierstrass corrections at the final centers, rounded up,
+    and all roots lie in the union of those disks, one in each when they
+    are pairwise disjoint.  Centers and radii are dyadic, so the
+    disjointness test is an exact integer comparison.  When the disks do
+    not certify, bits doubles and the polish goes on from the same points.
+    Every returned radius is below 2^-(precision_bits/2).
     Raises RepeatedRoots if gcd(p, p') is nontrivial and PrecisionExhausted
     if disjoint certified disks cannot be produced at 8x the requested
     precision.
@@ -712,26 +711,25 @@ def complex_roots(p: RatPoly, precision_bits: int) -> ComplexRootSet:
     if poly_gcd(p, p.derivative()).degree > 0:
         raise RepeatedRoots("input has repeated roots; deflate first")
 
-    monic = p.monic()
-    ints = p.num
-    seeds = _float_seeds(monic)
+    s = _FIRST_SCALE
+    zs = _newton_start(p.monic(), s)
     bits = precision_bits
-    while bits <= 8 * precision_bits:
-        s = bits + _GUARD_BITS
-        if seeds is None:
-            start = _newton_start(monic, s)
-        else:
-            start = [(_fixed(z.real, s), _fixed(z.imag, s)) for z in seeds]
-        zs, ws = _durand_kerner(ints, start, s)
-        radii = _weierstrass_radii(p.degree, ws)
-        if max(radii) < 1 << (s - precision_bits // 2) and _disks_disjoint(zs, radii):
-            unit = 1 << s
-            return ComplexRootSet(tuple(
-                CertifiedRoot(_Q(x, unit), _Q(y, unit), _Q(r, unit))
-                for (x, y), r in sorted(zip(zs, radii))
-            ))
-        bits *= 2
-    raise PrecisionExhausted(f"could not certify disjoint root disks for {p!r}")
+    while True:
+        zs, ws = _durand_kerner(p.num, zs, s)
+        if s == bits + _GUARD_BITS:
+            radii = _weierstrass_radii(p.degree, ws)
+            if max(radii) < 1 << (s - precision_bits // 2) and _disks_disjoint(zs, radii):
+                unit = 1 << s
+                return ComplexRootSet(tuple(
+                    CertifiedRoot(_Q(x, unit), _Q(y, unit), _Q(r, unit))
+                    for (x, y), r in sorted(zip(zs, radii))
+                ))
+            bits *= 2
+            if bits > 8 * precision_bits:
+                raise PrecisionExhausted(f"could not certify disjoint root disks for {p!r}")
+        t = min(2 * s, bits + _GUARD_BITS)
+        zs = [(x << (t - s), y << (t - s)) for x, y in zs]
+        s = t
 
 
 def _fixed(x: float, shift: int) -> int:
@@ -778,47 +776,6 @@ def _newton_start(monic: RatPoly, s: int) -> list[tuple[int, int]]:
     """The Newton-polygon start (``_newton_circles``) as Gaussian integers
     over 2^s."""
     return [(_fixed(x, s + w), _fixed(y, s + w)) for w, x, y in _newton_circles(monic)]
-
-
-# The float stage stops at this relative step: one more sweep reaches the
-# float's own precision, and the integer stage's quadratic convergence takes
-# it from there.
-_SEED_STEP = 2.0 ** -40
-
-
-def _float_seeds(monic: RatPoly) -> list[complex] | None:
-    """Durand-Kerner in machine floats from the Newton-polygon start
-    (``_newton_circles``), until every step is at most 2^-40 of its root or
-    after _MAX_SWEEPS sweeps.  None when a coefficient, a start point or an
-    iterate leaves the float range, or when the seeds are not finite and
-    pairwise distinct."""
-    n = monic.degree
-    try:
-        coeffs = [c / monic.den for c in reversed(monic.num)]
-        zs = [complex(math.ldexp(x, w), math.ldexp(y, w)) for w, x, y in _newton_circles(monic)]
-        for _ in range(_MAX_SWEEPS):
-            converged = True
-            new = []
-            for i, zi in enumerate(zs):
-                num = 0j
-                for c in coeffs:
-                    num = num * zi + c
-                den = 1 + 0j
-                for j, zj in enumerate(zs):
-                    if i != j:
-                        den *= zi - zj
-                step = num / den
-                if abs(step) > _SEED_STEP * abs(zi):
-                    converged = False
-                new.append(zi - step)
-            zs = new
-            if converged:
-                break
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if all(cmath.isfinite(z) for z in zs) and len(set(zs)) == n:
-        return zs
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from .polycore import (
     sturm_chain,
 )
 
-# the largest k: the whole `geodesica pretzel --k 60 --check all` takes
-# 0.8-1.4 s (2 vCPUs, Python 3.11); the census has k <= 3
+# the largest k, by `geodesica pretzel --k 60 --check all` (0.8-1.4 s, 2 vCPUs);
+# the render check of a k = 60 census row takes about 37 s more. The census has k <= 3
 MAX_PRETZEL_K = 60
 
 

@@ -11,8 +11,14 @@ directory.  Then, per metric of the result line, it prints each side's
 median and quartiles, how many pairs the change won (ties count for
 neither), and whether the medians differ by more than the distance between
 the base's quartiles.  A gain holds when the change wins at least nine tenths
-of the pairs and the gap beats that distance.  Exits 1 when any run fails its
-gate.
+of the pairs and the gap beats that distance.
+
+For each end-to-end metric it then gives the no-regression verdict by the
+rule of ``perfbench/compare.py``: ``REGRESSION`` when the change's median is
+worse than the base median by more than the metric's bound share in
+``BENCHMARK.json``, ``unresolved`` when the base's quartile distance over its
+median exceeds that bound, ``ok`` otherwise.  Exits 1 when any run fails its
+gate or any metric regresses.
 """
 
 from __future__ import annotations
@@ -64,6 +70,17 @@ def summary(name: str, lower_is_better: bool, base: list[float], new: list[float
     )
 
 
+def verdict(bound: float, lower_is_better: bool, base: list[float], new: list[float]) -> str:
+    """ok, REGRESSION or unresolved, on compare.py's quartiles."""
+    b1, bm, b3 = statistics.quantiles(base, n=4)
+    change = (statistics.median(new) - bm) / bm * (1 if lower_is_better else -1)
+    if (b3 - b1) / bm > bound:
+        return f"unresolved (base spread {(b3 - b1) / bm:.1%} > bound {bound:.0%})"
+    if change > bound:
+        return f"REGRESSION {change:+.1%} (bound {bound:.0%})"
+    return f"ok {change:+.1%} (bound {bound:.0%})"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="the parent's checkout")
@@ -86,13 +103,20 @@ def main(argv=None) -> int:
         ), flush=True)
 
     spec = json.loads((args.new / "BENCHMARK.json").read_text())
-    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    e2e = {m["name"]: m for m in spec["end_to_end"]}
+    lower = {name: m["better"] == "lower" for name, m in e2e.items()}
     print(f"{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds[0]}..{args.seeds[-1]}, "
           f"{args.seconds:g} s per run")
     for name in runs["new"][0]:
         print(summary(name, lower.get(name, True),
                       [r[name] for r in runs["base"]], [r[name] for r in runs["new"]]))
-    return 0
+    regressed = False
+    for name in (n for n in e2e if n in runs["new"][0]):
+        text = verdict(e2e[name]["bound"], lower[name],
+                       [r[name] for r in runs["base"]], [r[name] for r in runs["new"]])
+        regressed = regressed or text.startswith("REGRESSION")
+        print(f"{name:14s} {text}")
+    return 1 if regressed else 0
 
 
 if __name__ == "__main__":

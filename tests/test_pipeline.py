@@ -12,10 +12,15 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from geodesica import cli, eulerclass
+from geodesica import cli, eulerclass, pipeline
 from geodesica.errors import BadArgument, BadCensus, NoComplexPlace, NotARepresentation
 from geodesica.eulerclass import CENSUS, Fact, Hypotheses, euler_tuple, obstruction_verdict
-from geodesica.knotgroup import MAX_TWO_BRIDGE_P, evaluate_word
+from geodesica.knotgroup import (
+    MAX_TWO_BRIDGE_P,
+    evaluate_word,
+    riley_polynomial,
+    two_bridge_presentation,
+)
 from geodesica.numfield import is_prime
 from geodesica.pipeline import (
     ALL_CHECKS,
@@ -26,7 +31,7 @@ from geodesica.pipeline import (
     strip_74_clines,
     summarize,
 )
-from geodesica.polycore import RatPoly
+from geodesica.polycore import IrreducibilityVerdict, RatPoly
 from geodesica.pretzel import MAX_PRETZEL_K
 
 
@@ -252,6 +257,19 @@ def _conjugated_73_census(rep_73, tmp_path):
 
 
 class TestExplicitRepresentations:
+    def test_a_reducible_minpoly_is_refused(self, rep_73, tmp_path):
+        # the sextic times z - 3: refused before its images are read
+        path = _conjugated_73_census(rep_73, tmp_path)
+        data = json.loads(path.read_text())
+        (row,) = data["knots"]
+        row["minpoly"] = (rep_73.field.minpoly * RatPoly([-3, 1])).to_json()
+        path.write_text(json.dumps(data))
+        with pytest.raises(BadCensus) as info:
+            load_census(path)
+        assert str(info.value) == (
+            "7_3_explicit: field 'minpoly' invalid (reducible: it has the factor RatPoly(-3 + 1*z))"
+        )
+
     def test_conjugated_explicit_rep_round_trips(self, rep_73, tmp_path):
         # feed a deliberately conjugated copy of the 13/9 representation
         # through the explicit-knot interface: the loader must re-normalize
@@ -480,8 +498,6 @@ def test_full_run_solves_each_case_and_builds_each_holonomy_once(monkeypatch):
 
 def test_full_run_realizes_the_strip_once(monkeypatch):
     # the render check and the uniqueness coverage share the record's clines
-    from geodesica import pipeline
-
     strips = _count_calls(monkeypatch, pipeline, "strip_74_clines")
     run(load_census(), ALL_CHECKS)
     assert len(strips) == 1
@@ -560,8 +576,6 @@ def test_euler_entry_states_each_fact_once_with_its_source(census_records):
 def test_a_false_closed_form_is_a_mismatch(monkeypatch, census_records):
     # the key ends in _matches, so the report's count and the benchmark
     # gate's false-flag scan both see it
-    from geodesica import pipeline
-
     monkeypatch.setattr(pipeline, "lambda_closed_formula", lambda k: RatPoly([1, 1]))
     report = run(census_records, ("pretzel",), names=["P(3,3,3)"])
     assert report.payload["knots"][0]["pretzel"]["closed_form_matches"] is False
@@ -570,8 +584,6 @@ def test_a_false_closed_form_is_a_mismatch(monkeypatch, census_records):
 
 
 def test_duplicate_check_names_run_once(monkeypatch, census_records, tmp_path):
-    from geodesica import pipeline
-
     applies, compute = pipeline.CHECKS["euler"]
     calls = []
 
@@ -643,8 +655,6 @@ def test_pool_is_no_wider_than_the_knot_list(monkeypatch, census_records):
 
 def _fault_at(monkeypatch, name, fault):
     """Make the slopes check call fault() on the knot called name."""
-    from geodesica import pipeline
-
     applies, compute = pipeline.CHECKS["slopes"]
 
     def faulty(record):
@@ -739,6 +749,25 @@ def test_malformed_row_raises_bad_census(tmp_path, row, field_name):
         _load_rows(tmp_path, [row])
     assert row["name"] in str(info.value)
     assert repr(field_name) in str(info.value)
+
+
+def test_a_minpoly_with_a_certified_factor_is_refused(tmp_path):
+    # 9_6's Riley polynomial is its field's degree-12 minpoly times the
+    # trefoil's factor z + 1: it divides R, so only the certificate refuses it
+    riley = riley_polynomial(two_bridge_presentation(27, 5, "9_6"))
+    assert riley.degree == 13
+    with pytest.raises(BadCensus) as info:
+        _load_rows(tmp_path, [_row("9_6", minpoly=riley.to_json())])
+    assert str(info.value) == (
+        "9_6: field 'minpoly' invalid (reducible: it has the factor RatPoly(1 + 1*z))"
+    )
+
+
+def test_a_minpoly_of_unknown_irreducibility_is_admitted(tmp_path, monkeypatch):
+    unknown = IrreducibilityVerdict("unknown", witness="prime budget exhausted")
+    monkeypatch.setattr(pipeline, "irreducibility_certificate", lambda m: unknown)
+    (record,) = _load_rows(tmp_path, [_row("7_4")])
+    assert record.irreducibility == "unknown"
 
 
 @pytest.mark.parametrize("row, field_name, bound", [
@@ -1099,8 +1128,6 @@ def test_a_closed_stdout_is_a_named_error(args):
 
 
 def test_subcommands_exit_1_on_a_false_anchor(monkeypatch, tmp_path, capsys):
-    from geodesica import pipeline
-
     path = str(_wrong_anchor_census(tmp_path))
     assert cli.main(["euler", "--census", path, "--knot", "7_4", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["euler_matches"] is False

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from unittest import mock
 
 import cmath
 import math
@@ -9,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import modp_reference
 import ratpoly_reference
+import roots_reference
 
 from geodesica.errors import (
     HalfPlaneUndecided,
@@ -23,8 +23,8 @@ from geodesica.polycore import (
     _corrections,
     _disks_disjoint,
     _durand_kerner,
+    _FIRST_SCALE,
     _fixed,
-    _float_seeds,
     _newton_start,
     _weierstrass_radii,
     complex_roots,
@@ -811,18 +811,19 @@ def _durand_kerner_per_step(monic, start, s, max_iter):
 def test_durand_kerner_converts_once_bit_identically(poly, bits):
     # the polish shifts the integer coefficients onto the grid once per
     # scale; its points and exact corrections must be those of the rational
-    # step that converts nothing
+    # step that converts nothing, from the Newton-polygon start and from the
+    # points the rung at half the scale hands on
     if poly == "thirds_sevenths":
         # coefficients with denominators: the integer multiple shows
         monic = RatPoly([Fraction(1, 7), Fraction(-1, 3), 0, 0, 1])
     else:
         monic = _root_input(poly).monic()
     s = bits + 20
-    seeds = _float_seeds(monic)
-    assert seeds is not None
+    h = s // 2
     ints = list(monic.num)
-    for start in ([(_fixed(z.real, s), _fixed(z.imag, s)) for z in seeds],
-                  _newton_start(monic, s)):
+    handed, _ = _durand_kerner(ints, _newton_start(monic, h), h)
+    for start in (_newton_start(monic, s),
+                  [(x << (s - h), y << (s - h)) for x, y in handed]):
         got, ws = _durand_kerner(ints, start, s)
         want, exact = _durand_kerner_per_step(monic, start, s, 400)
         assert got == want
@@ -873,22 +874,15 @@ def test_disks_disjoint_decides_below_double_precision(shift, disjoint):
     assert _disks_disjoint(centers, radii) is disjoint
 
 
-def _roots_of_unity_start():
-    """The float stage declines, so every polish starts from the
-    Newton-polygon fallback: roots of unity on one circle when the hull of
-    the coefficient logarithms is a single edge, one circle per edge else."""
-    return mock.patch.object(polycore, "_float_seeds", return_value=None)
-
-
 def _disks_meet(a, b) -> bool:
     reach = a.radius + b.radius
     return (a.re - b.re) ** 2 + (a.im - b.im) ** 2 <= reach ** 2
 
 
 def _assert_same_roots(p, bits=128):
+    """Each disk meets exactly one disk of the float-seeded reference."""
     new = complex_roots(p, bits).roots
-    with _roots_of_unity_start():
-        old = complex_roots(p, bits).roots
+    old = roots_reference.complex_roots(p, bits).roots
     assert len(new) == len(old) == p.degree
     for disk in new:
         assert sum(_disks_meet(disk, o) for o in old) == 1
@@ -896,8 +890,10 @@ def _assert_same_roots(p, bits=128):
 
 @pytest.mark.parametrize("name", _ROOT_INPUTS)
 def test_seeded_roots_match_the_roots_of_unity_start(name):
+    # the reference polishes float seeds; the package polishes the
+    # Newton-polygon start, roots of unity on one circle for a one-edge hull
     p = _root_input(name)
-    assert _float_seeds(p.monic()) is not None
+    assert roots_reference._float_seeds(p.monic()) is not None
     _assert_same_roots(p)
 
 
@@ -912,11 +908,11 @@ def test_seeded_roots_match_on_square_free_integer_polys(coeffs):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_psi_root_census_is_the_same_from_either_start(k):
-    # Durand-Kerner is the oracle: its disks from either start agree with
-    # the exact census from the remainder chains
-    seeded = _disk_census(complex_roots(psi_poly(k), 128).roots)
-    with _roots_of_unity_start():
-        unseeded = _disk_census(complex_roots(psi_poly(k), 128).roots)
+    # Durand-Kerner is the oracle: its disks from the float seeds of the
+    # reference and from the package's start agree with the exact census
+    # from the remainder chains
+    seeded = _disk_census(roots_reference.complex_roots(psi_poly(k), 128).roots)
+    unseeded = _disk_census(complex_roots(psi_poly(k), 128).roots)
     assert seeded == unseeded == (2, (k, k, k, k), True)
     assert seeded[:2] == tuple(psi_root_census(k))[1:]
 
@@ -928,16 +924,62 @@ def test_close_roots_still_certify(e):
     _assert_same_roots(p)
 
 
-def test_lambda_30_gets_float_seeds():
-    # from the Newton-polygon circles the float stage stays in range; from
-    # a circle at the Cauchy bound its first sweep overflowed
-    assert _float_seeds(lambda_poly(30).monic()) is not None
+def _rungs(monkeypatch, p, bits):
+    """complex_roots(p, bits) and its rungs, each (scale, start, end)."""
+    rungs = []
+
+    def recording(ints, zs, s):
+        end = _durand_kerner(ints, zs, s)
+        rungs.append((s, zs, end[0]))
+        return end
+
+    monkeypatch.setattr(polycore, "_durand_kerner", recording)
+    return complex_roots(p, bits), rungs
+
+
+def _assert_rungs_chain(p, rungs, scales):
+    """The rungs run at these scales, the first from the Newton-polygon
+    start, each next one from the points the last one ended at."""
+    assert [s for s, _, _ in rungs] == scales
+    assert rungs[0][1] == _newton_start(p.monic(), _FIRST_SCALE)
+    for (s, _, end), (t, start, _) in zip(rungs, rungs[1:]):
+        assert start == [(x << (t - s), y << (t - s)) for x, y in end]
+
+
+@pytest.mark.parametrize("bits, scales", [(128, [32, 64, 128, 148]),
+                                          (256, [32, 64, 128, 256, 276])])
+def test_each_rung_polishes_the_last_rung_s_points_at_twice_the_scale(monkeypatch, bits, scales):
+    roots, rungs = _rungs(monkeypatch, M74, bits)
+    _assert_rungs_chain(M74, rungs, scales)
+    assert len(roots.roots) == 3
+
+
+def test_roots_2_to_the_minus_150_apart_certify_through_the_first_retry(monkeypatch):
+    # (z - 1)(z - 1 - 2^-150)(z^2 + 1): at s = 148 the grid cannot part the
+    # two close roots, so the disks meet; the retry doubles bits and polishes
+    # the same points on at s = 276
+    close = 1 + Fraction(1, 2 ** 150)
+    p = RatPoly([-1, 1]) * RatPoly([-close, 1]) * RatPoly([1, 0, 1])
+    roots, rungs = _rungs(monkeypatch, p, 128)
+    _assert_rungs_chain(p, rungs, [32, 64, 128, 148, 276])
+    disks = roots.roots
+    assert len(disks) == 4
+    for rx, ry in [(1, 0), (close, 0), (0, 1), (0, -1)]:
+        assert sum((d.re - rx) ** 2 + (d.im - ry) ** 2 <= d.radius ** 2 for d in disks) == 1
+
+
+def test_lambda_30_certifies_61_disjoint_disks():
+    lam = lambda_poly(30)
+    disks = complex_roots(lam, 128).roots
+    assert lam.degree == len(disks) == 61
+    unit = 1 << 148
+    assert _disks_disjoint([(d.re * unit, d.im * unit) for d in disks],
+                           [d.radius * unit for d in disks])
 
 
 def test_float_overflow_certifies_through_the_fallback():
-    # roots 10^400 - 10^-400 and about 10^-400; the float stage declines
+    # roots 10^400 - 10^-400 and about 10^-400, past the float range
     p = RatPoly([1, -10 ** 400, 1])
-    assert _float_seeds(p.monic()) is None
     rs = complex_roots(p, 128)
     assert len(rs.roots) == 2
     small, big = ((r.re, r.im) for r in rs.roots)
@@ -947,8 +989,8 @@ def test_float_overflow_certifies_through_the_fallback():
 
 @pytest.mark.parametrize("times_z", [False, True])
 def test_far_apart_moduli_certify_from_the_newton_polygon(times_z):
-    # (z - 10^400)(z^2 + 1), and z times it: the float stage declines, and
-    # the hull of (k, log2 |c_k|) has an edge of radius 1 and one of radius
+    # (z - 10^400)(z^2 + 1), and z times it: past the float range, and the
+    # hull of (k, log2 |c_k|) has an edge of radius 1 and one of radius
     # 10^400 (a root at 0 starts at 0)
     p = RatPoly([-10 ** 400, 1]) * RatPoly([1, 0, 1])
     roots = [(Fraction(10 ** 400), Fraction(0)), (Fraction(0), Fraction(1)),
@@ -956,7 +998,6 @@ def test_far_apart_moduli_certify_from_the_newton_polygon(times_z):
     if times_z:
         p = p * RatPoly.x()
         roots.append((Fraction(0), Fraction(0)))
-    assert _float_seeds(p.monic()) is None
     squares = sorted(x * x + y * y for x, y in _newton_start(p.monic(), 148))
     assert squares[:times_z] == [0] * times_z
     for m2, want in zip(squares[times_z:], [1, 1, 10 ** 400]):
